@@ -21,13 +21,38 @@
 //! The number of words after compaction is the code-size metric of the
 //! paper's Figure 2.
 //!
+//! # The dependence scoreboard
+//!
+//! An RT's earliest legal word comes from a scoreboard, not from a scan
+//! over the RTs already placed.  The scoreboard keeps, per location, the
+//! latest word that wrote it and the latest word that read it.  The bound
+//! is the latest aliasing writer of any read or of the write, plus one,
+//! maxed with the latest aliasing reader of the write.  Aliasing follows
+//! [`Loc::may_alias`] exactly: a fixed memory word `Mem(s, a)` meets the
+//! entries for `Mem(s, a)` and for the computed-address wildcard
+//! `MemDyn(s)`, a `MemDyn(s)` meets a per-storage maximum over every word
+//! of `s`, and every other location meets only itself.  Entries keep the
+//! maximum word, because an RT may join a word earlier than the last.
+//!
+//! The dependence bound costs O(|reads|) map lookups per RT, O(Σ|reads|)
+//! per sequence; comparing each RT with every RT already placed would
+//! cost O(n²) and gives the same bound (the unit tests keep that scan as
+//! the reference).  The encoding-compatibility scan then tries the words
+//! from the bound onward, so its BDD work depends only on the bound.
+//! [`CompactStats`] counts that scan's satisfiability checks, which tells
+//! a dependence-bound machine (no checks at all) from an encoding-bound
+//! one (every check rejected).
+//!
 //! # Example
 //!
 //! See `record-core`'s `Target::compile`, which feeds emitted RT ops
-//! through [`compact`].
+//! through [`compact_cfg`].
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use record_bdd::{Bdd, BddOps};
-use record_codegen::{RtOp, SimExpr};
+use record_codegen::{Loc, RtOp, SimExpr};
 
 /// One horizontal instruction word: indices into the original op sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,11 +61,20 @@ pub struct Word {
     pub ops: Vec<usize>,
 }
 
+/// The encoding-compatibility work of one compaction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompactStats {
+    /// Joint-satisfiability checks of an RT against a candidate word.
+    pub sat_checks: u64,
+    /// Checks that found the conjunction unsatisfiable.
+    pub sat_rejects: u64,
+}
+
 /// The result of compaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
     words: Vec<Word>,
-    moved: usize,
+    stats: CompactStats,
 }
 
 impl Schedule {
@@ -59,10 +93,9 @@ impl Schedule {
         self.words.is_empty()
     }
 
-    /// Number of RTs packed into an earlier word than their vertical
-    /// position (a parallelism measure).
-    pub fn packed(&self) -> usize {
-        self.moved
+    /// The satisfiability checks compaction made.
+    pub fn stats(&self) -> CompactStats {
+        self.stats
     }
 
     /// Materialises the schedule as owned op groups (for simulation).
@@ -103,6 +136,94 @@ impl Schedule {
             })
             .collect()
     }
+
+    /// Compacts `ops[run]` into fresh words appended to this schedule.
+    fn compact_run<M: BddOps>(&mut self, ops: &[RtOp], run: Range<usize>, manager: &mut M) {
+        let first = self.words.len();
+        let mut word_conds: Vec<Bdd> = Vec::new();
+        let mut writes = Latest::default();
+        let mut reads = Latest::default();
+
+        for i in run {
+            let op = &ops[i];
+            let op_reads = op.reads();
+            let write = op.write();
+
+            // Flow and output dependences force a later word than the
+            // writer's.  An anti dependence (an earlier op reads what this
+            // one writes) allows the reader's own word: time-stationary
+            // words read pre-state.
+            let earliest = op_reads
+                .iter()
+                .chain([&write])
+                .filter_map(|l| writes.aliasing(l))
+                .map(|w| w + 1)
+                .chain(reads.aliasing(&write))
+                .max()
+                .unwrap_or(0);
+
+            // First encoding-compatible word at or after `earliest`.
+            let mut placed = None;
+            for (wi, &cond) in word_conds.iter().enumerate().skip(earliest) {
+                self.stats.sat_checks += 1;
+                let joint = manager.and(cond, op.cond);
+                if manager.is_sat(joint) {
+                    placed = Some((wi, joint));
+                    break;
+                }
+                self.stats.sat_rejects += 1;
+            }
+            let wi = match placed {
+                Some((wi, joint)) => {
+                    self.words[first + wi].ops.push(i);
+                    word_conds[wi] = joint;
+                    wi
+                }
+                None => {
+                    self.words.push(Word { ops: vec![i] });
+                    word_conds.push(op.cond);
+                    word_conds.len() - 1
+                }
+            };
+            writes.record(&write, wi);
+            for l in &op_reads {
+                reads.record(l, wi);
+            }
+        }
+    }
+}
+
+/// The latest word holding an access to each location: one side (reads
+/// or writes) of the dependence scoreboard.
+#[derive(Default)]
+struct Latest {
+    /// Latest word per exact location.
+    at: HashMap<Loc, usize>,
+    /// Latest word touching any word of a memory, fixed or computed,
+    /// keyed by the memory's wildcard `MemDyn(s)`.
+    memory: HashMap<Loc, usize>,
+}
+
+impl Latest {
+    /// The latest word holding an access that may alias `loc`, as
+    /// [`Loc::may_alias`] decides.
+    fn aliasing(&self, loc: &Loc) -> Option<usize> {
+        match loc {
+            Loc::Mem(s, _) => self.at.get(loc).max(self.at.get(&Loc::MemDyn(*s))).copied(),
+            Loc::MemDyn(_) => self.memory.get(loc).copied(),
+            _ => self.at.get(loc).copied(),
+        }
+    }
+
+    /// Records an access to `loc` in `word`.
+    fn record(&mut self, loc: &Loc, word: usize) {
+        let at = self.at.entry(loc.clone()).or_insert(word);
+        *at = (*at).max(word);
+        if let Loc::Mem(s, _) | Loc::MemDyn(s) = loc {
+            let m = self.memory.entry(Loc::MemDyn(*s)).or_insert(word);
+            *m = (*m).max(word);
+        }
+    }
 }
 
 /// Greedy list-scheduling compaction of `ops`.
@@ -115,62 +236,9 @@ impl Schedule {
 /// [`record_bdd::BddManager`], during compilation against a frozen target
 /// it is the session's [`record_bdd::BddOverlay`].
 pub fn compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
-    let mut words: Vec<Word> = Vec::new();
-    let mut word_conds: Vec<Bdd> = Vec::new();
-    let mut moved = 0usize;
-
-    for (i, op) in ops.iter().enumerate() {
-        let reads = op.reads();
-        let write = op.write();
-
-        // Earliest word by dependences.
-        let mut earliest = 0usize;
-        for (wi, word) in words.iter().enumerate() {
-            for &j in &word.ops {
-                let other = &ops[j];
-                let ow = other.write();
-                // Flow dependence: we read what an earlier op wrote.
-                if reads.iter().any(|r| r.may_alias(&ow)) {
-                    earliest = earliest.max(wi + 1);
-                }
-                // Output dependence: both write the same location.
-                if write.may_alias(&ow) {
-                    earliest = earliest.max(wi + 1);
-                }
-                // Anti dependence: an earlier op reads what we write.
-                // Time-stationary words read pre-state, so sharing the same
-                // word is legal; an earlier word is not.
-                if other.reads().iter().any(|r| r.may_alias(&write)) {
-                    earliest = earliest.max(wi);
-                }
-            }
-        }
-
-        // First encoding-compatible word at or after `earliest`.
-        let mut placed = None;
-        for (wi, &cond) in word_conds.iter().enumerate().skip(earliest) {
-            let joint = manager.and(cond, op.cond);
-            if manager.is_sat(joint) {
-                placed = Some((wi, joint));
-                break;
-            }
-        }
-        match placed {
-            Some((wi, joint)) => {
-                words[wi].ops.push(i);
-                word_conds[wi] = joint;
-                if wi < words.len() - 1 || words[wi].ops.len() > 1 {
-                    moved += 1;
-                }
-            }
-            None => {
-                words.push(Word { ops: vec![i] });
-                word_conds.push(op.cond);
-            }
-        }
-    }
-
-    Schedule { words, moved }
+    let mut schedule = Schedule::default();
+    schedule.compact_run(ops, 0..ops.len(), manager);
+    schedule
 }
 
 /// Per-block compaction for CFG code: no code motion across block
@@ -185,34 +253,22 @@ pub fn compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
 /// without transfers degenerates to exactly [`compact`].
 pub fn compact_cfg<M: BddOps>(
     ops: &[RtOp],
-    block_ranges: &[std::ops::Range<usize>],
+    block_ranges: &[Range<usize>],
     manager: &mut M,
 ) -> Schedule {
-    let mut words: Vec<Word> = Vec::new();
-    let mut moved = 0usize;
-    let flush =
-        |run: std::ops::Range<usize>, words: &mut Vec<Word>, moved: &mut usize, manager: &mut M| {
-            if run.is_empty() {
-                return;
-            }
-            let s = compact(&ops[run.clone()], manager);
-            *moved += s.moved;
-            words.extend(s.words.into_iter().map(|w| Word {
-                ops: w.ops.iter().map(|&k| k + run.start).collect(),
-            }));
-        };
+    let mut schedule = Schedule::default();
     for r in block_ranges {
         let mut run_start = r.start;
         for i in r.clone() {
             if ops[i].transfer.is_some() {
-                flush(run_start..i, &mut words, &mut moved, manager);
-                words.push(Word { ops: vec![i] });
+                schedule.compact_run(ops, run_start..i, manager);
+                schedule.words.push(Word { ops: vec![i] });
                 run_start = i + 1;
             }
         }
-        flush(run_start..r.end, &mut words, &mut moved, manager);
+        schedule.compact_run(ops, run_start..r.end, manager);
     }
-    Schedule { words, moved }
+    schedule
 }
 
 #[cfg(test)]

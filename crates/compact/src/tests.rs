@@ -1,6 +1,10 @@
 use crate::*;
-use record_codegen::{Binding, Machine};
+use proptest::prelude::*;
+use record_bdd::BddManager;
+use record_codegen::{Binding, DestSim, Machine, Transfer};
 use record_grammar::TreeGrammar;
+use record_netlist::{ProcPortId, StorageId};
+use record_rtl::{OpKind, TemplateId};
 use record_selgen::Selector;
 
 /// A horizontal two-register machine: r1 and r2 load from independent
@@ -186,4 +190,228 @@ fn empty_sequence() {
     let s = compact(&[], &mut m);
     assert!(s.is_empty());
     assert_eq!(s.len(), 0);
+}
+
+/// The all-pairs dependence scan the scoreboard replaced, kept as its
+/// reference: every op rescans every op already placed, pair by pair
+/// through [`Loc::may_alias`].  The encoding scan is the same.
+fn reference_compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
+    let mut schedule = Schedule::default();
+    let mut word_conds: Vec<Bdd> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let reads = op.reads();
+        let write = op.write();
+        let mut earliest = 0usize;
+        for (wi, word) in schedule.words.iter().enumerate() {
+            for &j in &word.ops {
+                let other = &ops[j];
+                let ow = other.write();
+                // Flow and output dependences.
+                if reads.iter().any(|r| r.may_alias(&ow)) || write.may_alias(&ow) {
+                    earliest = earliest.max(wi + 1);
+                }
+                // Anti dependence: sharing the reader's word is legal.
+                if other.reads().iter().any(|r| r.may_alias(&write)) {
+                    earliest = earliest.max(wi);
+                }
+            }
+        }
+        let mut placed = None;
+        for (wi, &cond) in word_conds.iter().enumerate().skip(earliest) {
+            schedule.stats.sat_checks += 1;
+            let joint = manager.and(cond, op.cond);
+            if manager.is_sat(joint) {
+                placed = Some((wi, joint));
+                break;
+            }
+            schedule.stats.sat_rejects += 1;
+        }
+        match placed {
+            Some((wi, joint)) => {
+                schedule.words[wi].ops.push(i);
+                word_conds[wi] = joint;
+            }
+            None => {
+                schedule.words.push(Word { ops: vec![i] });
+                word_conds.push(op.cond);
+            }
+        }
+    }
+    schedule
+}
+
+/// Per-block reference: each stretch compacted on its own by
+/// [`reference_compact`], its words shifted back to absolute indices.
+fn reference_compact_cfg<M: BddOps>(
+    ops: &[RtOp],
+    block_ranges: &[Range<usize>],
+    manager: &mut M,
+) -> Schedule {
+    let mut out = Schedule::default();
+    let flush = |run: Range<usize>, out: &mut Schedule, manager: &mut M| {
+        let s = reference_compact(&ops[run.clone()], manager);
+        out.stats.sat_checks += s.stats.sat_checks;
+        out.stats.sat_rejects += s.stats.sat_rejects;
+        out.words.extend(s.words.into_iter().map(|w| Word {
+            ops: w.ops.iter().map(|&k| k + run.start).collect(),
+        }));
+    };
+    for r in block_ranges {
+        let mut run_start = r.start;
+        for i in r.clone() {
+            if ops[i].transfer.is_some() {
+                flush(run_start..i, &mut out, manager);
+                out.words.push(Word { ops: vec![i] });
+                run_start = i + 1;
+            }
+        }
+        flush(run_start..r.end, &mut out, manager);
+    }
+    out
+}
+
+/// `(kind, storage, index)`: one operand or destination of a generated op.
+type LocSpec = (u8, u32, u64);
+
+/// `(destination, operands, condition literals, transfer selector)`.
+type OpSpec = (LocSpec, Vec<LocSpec>, Vec<(u32, bool)>, u8);
+
+/// Condition variables: few enough that random conjunctions often agree
+/// (words pack) and often contradict (SAT checks reject).
+const COND_VARS: u32 = 4;
+
+/// Storage ids are shared across location kinds, so `Reg(s)`, `Rf(s, _)`,
+/// `Mem(s, _)` and `Port(s)` with equal `s` test that only memory kinds
+/// alias each other.
+fn loc_spec() -> impl Strategy<Value = LocSpec> {
+    (0u8..6, 0u32..2, 0u64..3)
+}
+
+fn op_spec() -> impl Strategy<Value = OpSpec> {
+    (
+        loc_spec(),
+        prop::collection::vec(loc_spec(), 0..4),
+        prop::collection::vec((0u32..COND_VARS, any::<bool>()), 0..3),
+        0u8..8,
+    )
+}
+
+fn fixed_loc(kind: u8, s: u32, i: u64) -> Loc {
+    match kind {
+        0 => Loc::Reg(StorageId(s)),
+        1 => Loc::Rf(StorageId(s), i),
+        2 => Loc::Mem(StorageId(s), i),
+        _ => Loc::Port(ProcPortId(s)),
+    }
+}
+
+/// A computed address, read from a register or register-file cell.
+fn address(i: u64) -> SimExpr {
+    SimExpr::Read(match i {
+        0 => Loc::Reg(StorageId(0)),
+        1 => Loc::Rf(StorageId(0), 1),
+        _ => Loc::Reg(StorageId(1)),
+    })
+}
+
+fn operand((kind, s, i): LocSpec) -> SimExpr {
+    match kind {
+        0..=3 => SimExpr::Read(fixed_loc(kind, s, i)),
+        4 => SimExpr::MemRead(StorageId(s), Box::new(address(i))),
+        _ => SimExpr::Const(i),
+    }
+}
+
+fn dest((kind, s, i): LocSpec) -> DestSim {
+    match kind {
+        0..=3 => DestSim::Loc(fixed_loc(kind, s, i)),
+        4 => DestSim::MemAt(StorageId(s), address(i)),
+        _ => DestSim::MemAt(StorageId(s), SimExpr::Const(i)),
+    }
+}
+
+/// Builds the ops of `spec`, their conditions conjunctions of literals
+/// in `m`.  About a quarter are control transfers.
+fn build_ops(spec: &[OpSpec], m: &mut BddManager) -> Vec<RtOp> {
+    let vars: Vec<_> = (0..COND_VARS).map(|k| m.var_id(&format!("v{k}"))).collect();
+    spec.iter()
+        .map(|(d, operands, literals, transfer)| {
+            let expr = operands
+                .iter()
+                .map(|&o| operand(o))
+                .reduce(|a, b| SimExpr::Op(OpKind::Add, vec![a, b]))
+                .unwrap_or(SimExpr::Const(0));
+            let cond = literals.iter().fold(m.constant(true), |c, &(v, phase)| {
+                let lit = m.literal(vars[v as usize], phase);
+                m.and(c, lit)
+            });
+            let transfer = match transfer {
+                0 => Some(Transfer::Always),
+                1 => Some(Transfer::Cond {
+                    test: operand(*d),
+                    value: 0,
+                    eq: true,
+                }),
+                _ => None,
+            };
+            RtOp {
+                template: TemplateId(0),
+                dest: dest(*d),
+                expr,
+                transfer,
+                cond,
+            }
+        })
+        .collect()
+}
+
+/// Block ranges covering `0..n`, cut at `cuts` (mod `n + 1`); repeated
+/// cuts give empty blocks.
+fn block_ranges(n: usize, cuts: &[u16]) -> Vec<Range<usize>> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c as usize % (n + 1)).collect();
+    bounds.sort_unstable();
+    bounds.insert(0, 0);
+    bounds.push(n);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+proptest! {
+    #[test]
+    fn scoreboard_matches_all_pairs_scan(
+        spec in prop::collection::vec(op_spec(), 0..48),
+        cuts in prop::collection::vec(any::<u16>(), 0..4),
+    ) {
+        let mut m = BddManager::new();
+        let ops = build_ops(&spec, &mut m);
+        prop_assert_eq!(compact(&ops, &mut m), reference_compact(&ops, &mut m));
+        let ranges = block_ranges(ops.len(), &cuts);
+        prop_assert_eq!(
+            compact_cfg(&ops, &ranges, &mut m),
+            reference_compact_cfg(&ops, &ranges, &mut m)
+        );
+    }
+}
+
+/// The property above is not vacuous: generated sequences pack words,
+/// and their SAT checks both accept and reject.
+#[test]
+fn generated_sequences_pack_and_reject() {
+    let mut rng = proptest::TestRng::from_name("generated_sequences_pack_and_reject");
+    let sequences = prop::collection::vec(op_spec(), 0..48);
+    let (mut ops, mut words) = (0, 0);
+    let mut stats = CompactStats::default();
+    for _ in 0..64 {
+        let mut m = BddManager::new();
+        let seq = build_ops(&sequences.new_value(&mut rng), &mut m);
+        let s = compact(&seq, &mut m);
+        ops += seq.len();
+        words += s.len();
+        stats.sat_checks += s.stats().sat_checks;
+        stats.sat_rejects += s.stats().sat_rejects;
+    }
+    assert!(words < ops, "{words} words for {ops} ops");
+    assert!(
+        0 < stats.sat_rejects && stats.sat_rejects < stats.sat_checks,
+        "{stats:?}"
+    );
 }

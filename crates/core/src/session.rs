@@ -15,7 +15,7 @@ use record_bdd::BddOverlay;
 use record_codegen::{
     baseline_compile, compile, compile_cfg, Binding, CodegenError, Emitted, EmittedCfg, SimExpr,
 };
-use record_compact::{compact, compact_cfg};
+use record_compact::compact_cfg;
 use record_ir::{FlatStmt, Ref, Terminator};
 use record_probe::{Collector, Probe, Trace, TraceSink};
 use record_regalloc::{
@@ -514,13 +514,14 @@ impl<'t> CompileSession<'t> {
             let t5 = Instant::now();
             enter(CompilePhase::Compact);
             probe.begin("compact");
-            let schedule = if straight {
-                compact(&ops, &mut self.bdd)
-            } else {
-                compact_cfg(&ops, &block_ranges, &mut self.bdd)
-            };
+            // A straight-line function is one block without transfers,
+            // which `compact_cfg` compacts exactly as `compact` would.
+            let schedule = compact_cfg(&ops, &block_ranges, &mut self.bdd);
             probe.end("compact");
             report.phase("compact", t5.elapsed().as_nanos() as u64);
+            let stats = schedule.stats();
+            report.count("compact.sat-checks", stats.sat_checks);
+            report.count("compact.sat-rejects", stats.sat_rejects);
             schedule
         });
 

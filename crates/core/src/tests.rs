@@ -279,3 +279,31 @@ fn target_is_shareable_across_threads() {
         }
     });
 }
+
+#[test]
+fn compaction_reports_sat_checks_and_rejects() {
+    let compile = |model: &str, kernel: &str| {
+        let hdl = record_targets::models::model(model).unwrap().hdl;
+        let target = Record::retarget(hdl, &RetargetOptions::default()).unwrap();
+        let k = record_targets::kernels::kernel(kernel).unwrap();
+        let c = target
+            .compile(&CompileRequest::new(k.source, k.function))
+            .unwrap();
+        let counter = |name| c.report.counter(name).unwrap();
+        (
+            c.ops.len(),
+            c.code_size(),
+            counter("compact.sat-checks"),
+            counter("compact.sat-rejects"),
+        )
+    };
+    // Dependence-bound: every manocpu RT goes through the accumulator, so
+    // each one's earliest word is past the last word and no check runs.
+    let (ops, words, checks, rejects) = compile("manocpu", "fir");
+    assert_eq!((words, checks, rejects), (ops, 0, 0));
+    // Encoding-bound: tms320c25 RTs are often independent, but every
+    // candidate word conflicts in the instruction encoding.
+    assert_eq!(compile("tms320c25", "fir"), (40, 40, 15, 15));
+    // bass_boost packs: some checks accept, so words < ops.
+    assert_eq!(compile("bass_boost", "complex_update"), (14, 11, 4, 1));
+}
