@@ -21,22 +21,22 @@ fn bench_allocation_phase(c: &mut Criterion) {
                     .allocate_registers(false),
             )
             .expect("compiles");
-        let flat = record_ir::lower(&record_ir::parse(k.source).unwrap(), k.function).unwrap();
         // The pool is part of the frozen artifact now: no re-discovery.
         let pool = target.register_pool().expect("data memory").clone();
-        let liveness = record_regalloc::Liveness::analyze(&flat);
         let layout = record_regalloc::MemLayout::from_binding(&unalloc.binding);
         g.bench_with_input(
             BenchmarkId::from_parameter(k.name),
             &unalloc.ops,
             |b, ops| {
                 b.iter(|| {
+                    // The Figure 2 kernels are straight-line: one block.
                     record_regalloc::allocate(
                         ops,
+                        std::slice::from_ref(&(0..ops.len())),
                         &pool,
-                        &liveness,
                         layout,
                         &record_regalloc::AllocOptions::default(),
+                        &mut record_core::Probe::disabled(),
                     )
                 });
             },

@@ -17,7 +17,7 @@ use crate::error::CodegenError;
 use crate::ops::RtOp;
 use record_bdd::BddOps;
 use record_grammar::{Et, EtBuilder, EtKind, NodeIdx};
-use record_ir::{FlatExpr, FlatStmt};
+use record_ir::{Cfg, FlatExpr};
 use record_netlist::Netlist;
 use record_probe::Probe;
 use record_rtl::TemplateBase;
@@ -30,14 +30,16 @@ enum Operand {
     Mem(u64),
 }
 
-/// Compiles statements in the naive per-operator style.
+/// Compiles a straight-line function in the naive per-operator style.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`crate::compile`].
+/// Same failure modes as [`crate::compile`], and
+/// [`CodegenError::NoBranchPath`] for a function with more than one
+/// block: the baseline has no control-flow support.
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_compile<M: BddOps>(
-    stmts: &[FlatStmt],
+    cfg: &Cfg,
     selector: &Selector,
     base: &TemplateBase,
     binding: &mut Binding,
@@ -47,9 +49,15 @@ pub fn baseline_compile<M: BddOps>(
     width: u16,
     probe: &mut Probe<'_>,
 ) -> Result<Emitted, CodegenError> {
+    let [block] = cfg.blocks.as_slice() else {
+        return Err(CodegenError::NoBranchPath {
+            detail: "the baseline per-operator compiler supports straight-line code only"
+                .to_owned(),
+        });
+    };
     let mut out = Vec::new();
     let mut stats = EmitStats::default();
-    for stmt in stmts {
+    for stmt in &block.stmts {
         probe.begin("statement");
         let mark = binding.scratch_mark();
         let target = binding.addr_of(&stmt.target);
@@ -73,7 +81,11 @@ pub fn baseline_compile<M: BddOps>(
         stats.statements += 1;
         binding.release_scratch(mark)?;
     }
-    Ok(Emitted { ops: out, stats })
+    Ok(Emitted {
+        block_ranges: std::iter::once(0..out.len()).collect(),
+        ops: out,
+        stats,
+    })
 }
 
 fn mask(width: u16) -> u64 {

@@ -7,7 +7,7 @@
 //! data-memory words and making `mul(coef, x)`-shaped rules applicable.
 
 use crate::error::CodegenError;
-use record_ir::{FlatExpr, FlatStmt, Program, Ref};
+use record_ir::{Cfg, FlatExpr, Program, Ref};
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_rtl::OpKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,12 +42,14 @@ impl Binding {
         netlist: &Netlist,
         data_mem: StorageId,
     ) -> Result<Binding, CodegenError> {
-        Binding::allocate_with_const_mem(program, function, netlist, data_mem, None, &[])
+        Binding::allocate_with_const_mem(program, function, netlist, data_mem, None)
     }
 
-    /// Like [`Binding::allocate`], but may place read-only variables into
-    /// the constant memory `const_mem` when `stmts` (the function's
-    /// lowered body) proves every one of their reads feeds a multiply.
+    /// Like [`Binding::allocate`], but given `Some((rom, cfg))` may place
+    /// read-only variables into the constant memory `rom` when `cfg` (the
+    /// function's lowered body) proves every one of their reads feeds a
+    /// multiply.  Branch conditions count as reads, so a word a
+    /// terminator tests is never ROM-eligible.
     ///
     /// Eligibility is conservative: a variable qualifies only if it is
     /// never written, is read at least once, and every read is a direct
@@ -65,8 +67,7 @@ impl Binding {
         function: &str,
         netlist: &Netlist,
         data_mem: StorageId,
-        const_mem: Option<StorageId>,
-        stmts: &[FlatStmt],
+        const_mem: Option<(StorageId, &Cfg)>,
     ) -> Result<Binding, CodegenError> {
         let storage = netlist.storage(data_mem);
         assert_eq!(
@@ -81,9 +82,10 @@ impl Binding {
             })?;
 
         let rom_vars = match const_mem {
-            Some(_) => rom_placeable(stmts),
+            Some((_, cfg)) => rom_placeable(cfg),
             None => BTreeSet::new(),
         };
+        let const_mem = const_mem.map(|(rom, _)| rom);
         let rom_size = const_mem.map_or(0, |rom| netlist.storage(rom).size);
 
         let mut map = BTreeMap::new();
@@ -220,9 +222,10 @@ impl Binding {
 }
 
 /// The set of variable names eligible for constant-memory placement in
-/// `stmts`, after multiplier-port conflicts are resolved (ROM capacity
-/// is enforced later, during layout, against declared sizes).
-fn rom_placeable(stmts: &[FlatStmt]) -> BTreeSet<String> {
+/// `cfg`, after multiplier-port conflicts are resolved (ROM capacity is
+/// enforced later, during layout, against declared sizes).  Statements
+/// are scanned before branch conditions.
+fn rom_placeable(cfg: &Cfg) -> BTreeSet<String> {
     #[derive(Default)]
     struct Use {
         reads: u64,
@@ -249,9 +252,12 @@ fn rom_placeable(stmts: &[FlatStmt]) -> BTreeSet<String> {
             }
         }
     }
-    for s in stmts {
+    for s in cfg.stmts() {
         uses.entry(s.target.name.clone()).or_default().written = true;
         scan(&s.value, false, &mut uses);
+    }
+    for cond in cfg.conditions() {
+        scan(cond, false, &mut uses);
     }
 
     let mut eligible: BTreeSet<String> = uses
@@ -279,8 +285,8 @@ fn rom_placeable(stmts: &[FlatStmt]) -> BTreeSet<String> {
             }
         }
     }
-    for s in stmts {
-        demote_conflicts(&s.value, &mut eligible);
+    for e in cfg.stmts().map(|s| &s.value).chain(cfg.conditions()) {
+        demote_conflicts(e, &mut eligible);
     }
     eligible
 }

@@ -40,68 +40,19 @@ pub struct EmitStats {
     pub reloads: u64,
     /// Wall-clock nanoseconds spent in the tree parser.
     pub select_ns: u64,
-    /// Wall-clock nanoseconds spent emitting covers.
-    pub emit_ns: u64,
     /// Labelling work done by the tree parser.
     pub select: SelectStats,
 }
 
 /// The result of [`compile`] / [`crate::baseline_compile`]: the RT
-/// sequence plus the work counters accumulated while producing it.
-#[derive(Debug, Clone)]
-pub struct Emitted {
-    /// The compiled RT operations.
-    pub ops: Vec<RtOp>,
-    /// Selection and emission work counters.
-    pub stats: EmitStats,
-}
-
-/// Compiles a list of flat statements; scratch space is recycled between
-/// statements.
-///
-/// `probe` receives one `"statement"` span per source statement; pass
-/// [`Probe::disabled`] when no trace is wanted.
-///
-/// # Errors
-///
-/// Propagates selection failures, unbound variables and spill-path /
-/// storage exhaustion.
-#[allow(clippy::too_many_arguments)]
-pub fn compile<M: BddOps>(
-    stmts: &[FlatStmt],
-    selector: &Selector,
-    base: &TemplateBase,
-    binding: &mut Binding,
-    netlist: &Netlist,
-    manager: &mut M,
-    tables: &EmitTables,
-    width: u16,
-    probe: &mut Probe<'_>,
-) -> Result<Emitted, CodegenError> {
-    let mut out = Vec::new();
-    let mut stats = EmitStats::default();
-    for stmt in stmts {
-        probe.begin("statement");
-        let mark = binding.scratch_mark();
-        let r = compile_split(
-            stmt, selector, base, binding, netlist, manager, tables, width, &mut out, &mut stats, 0,
-        );
-        probe.end("statement");
-        r?;
-        stats.statements += 1;
-        binding.release_scratch(mark)?;
-    }
-    Ok(Emitted { ops: out, stats })
-}
-
-/// The result of [`compile_cfg`]: the RT sequence, the op range each
-/// basic block occupies, and the work counters.
+/// sequence, the op range each basic block occupies, and the work
+/// counters accumulated while producing them.
 ///
 /// Transfer targets inside `ops` are still *block ids*
 /// (`SimExpr::Const(block)`); the caller patches them to vertical op
 /// indices once allocation has fixed the final op positions.
 #[derive(Debug, Clone)]
-pub struct EmittedCfg {
+pub struct Emitted {
     /// The compiled RT operations, blocks laid out in CFG order.
     pub ops: Vec<RtOp>,
     /// `ops[block_ranges[b].clone()]` are block `b`'s RTs, terminator
@@ -111,20 +62,24 @@ pub struct EmittedCfg {
     pub stats: EmitStats,
 }
 
-/// Compiles a control-flow graph: each block's statements compile exactly
-/// as [`compile`] would, then the terminator becomes compare-and-branch /
-/// jump RTs against the target's PC-writing templates.  A block whose
-/// terminator falls through to the next block in layout order emits no
-/// transfer at all, so a single-block (straight-line) CFG produces ops
-/// byte-identical to [`compile`].
+/// Compiles a control-flow graph.  Each block's statements compile in
+/// order, with scratch space recycled between statements; then the
+/// terminator becomes compare-and-branch / jump RTs against the target's
+/// PC-writing templates.  A block whose terminator falls through to the
+/// next block in layout order emits no transfer at all, so a
+/// straight-line function needs no PC.
+///
+/// `probe` receives one `"statement"` span per source statement and per
+/// branch; pass [`Probe::disabled`] when no trace is wanted.
 ///
 /// # Errors
 ///
-/// Everything [`compile`] raises, plus [`CodegenError::NoBranchPath`]
-/// when a terminator needs a control transfer but the target has no PC
-/// (or no usable jump / conditional-branch template).
+/// Selection failures, unbound variables and spill-path / storage
+/// exhaustion, plus [`CodegenError::NoBranchPath`] when a terminator
+/// needs a control transfer but the target has no PC (or no usable
+/// jump / conditional-branch template).
 #[allow(clippy::too_many_arguments)]
-pub fn compile_cfg<M: BddOps>(
+pub fn compile<M: BddOps>(
     cfg: &Cfg,
     selector: &Selector,
     base: &TemplateBase,
@@ -134,7 +89,7 @@ pub fn compile_cfg<M: BddOps>(
     tables: &EmitTables,
     width: u16,
     probe: &mut Probe<'_>,
-) -> Result<EmittedCfg, CodegenError> {
+) -> Result<Emitted, CodegenError> {
     let mut out = Vec::new();
     let mut stats = EmitStats::default();
     let mut ranges = Vec::with_capacity(cfg.blocks.len());
@@ -192,7 +147,7 @@ pub fn compile_cfg<M: BddOps>(
         }
         ranges.push(start..out.len());
     }
-    Ok(EmittedCfg {
+    Ok(Emitted {
         ops: out,
         block_ranges: ranges,
         stats,
@@ -875,12 +830,10 @@ pub fn compile_statement<M: BddOps>(
         message: e.to_string(),
     })?;
     stats.select.absorb(&cover.stats);
-    let t1 = Instant::now();
     let mut emitter = Emitter::new(
         et, &cover, selector, base, binding, netlist, manager, tables,
     );
     let result = emitter.run();
-    stats.emit_ns += t1.elapsed().as_nanos() as u64;
     stats.spill_stores += emitter.spill_stores;
     stats.reloads += emitter.reloads;
     result

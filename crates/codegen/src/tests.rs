@@ -186,7 +186,7 @@ fn rig(src: &str) -> Rig {
 /// Returns the op count.
 fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
     let prog = record_ir::parse(csrc).expect("mini-C parses");
-    let flat = record_ir::lower(&prog, "f").expect("lowers");
+    let cfg = record_ir::lower_cfg(&prog, "f").expect("lowers");
     let dm = r
         .netlist
         .storages()
@@ -196,7 +196,7 @@ fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
         .id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
     let ops = compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,
@@ -230,27 +230,10 @@ fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
     }
     m.run(&ops);
 
-    // Compare only variables the flattened program touches: loop induction
+    // Compare only variables the lowered program touches: loop induction
     // variables are folded away by unrolling and legitimately never reach
     // machine memory.
-    fn collect(e: &record_ir::FlatExpr, out: &mut std::collections::BTreeSet<String>) {
-        match e {
-            record_ir::FlatExpr::Load(r) => {
-                out.insert(r.name.clone());
-            }
-            record_ir::FlatExpr::Unary(_, a) => collect(a, out),
-            record_ir::FlatExpr::Binary(_, a, b) => {
-                collect(a, out);
-                collect(b, out);
-            }
-            record_ir::FlatExpr::Const(_) => {}
-        }
-    }
-    let mut touched = std::collections::BTreeSet::new();
-    for st in &flat {
-        touched.insert(st.target.name.clone());
-        collect(&st.value, &mut touched);
-    }
+    let touched = cfg.touched_variables();
     for (name, addr) in binding.assignments() {
         if !touched.contains(name) {
             continue;
@@ -362,12 +345,12 @@ fn deep_conflict_forces_spill_and_stays_correct() {
 fn baseline_never_chains() {
     let r = rig(DSP8);
     let prog = record_ir::parse("int s, a, b; void f() { s = s + a * b; }").unwrap();
-    let flat = record_ir::lower(&prog, "f").unwrap();
+    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
 
     let mut b1 = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
     let smart = compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut b1,
@@ -382,7 +365,7 @@ fn baseline_never_chains() {
 
     let mut b2 = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
     let naive = baseline_compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut b2,
@@ -418,11 +401,11 @@ fn baseline_never_chains() {
 fn select_error_reports_subtree() {
     let r = rig(DSP8);
     let prog = record_ir::parse("int x, a, b; void f() { x = a / b; }").unwrap();
-    let flat = record_ir::lower(&prog, "f").unwrap();
+    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
     let err = compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,
@@ -468,11 +451,11 @@ fn binding_rejects_oversized_program() {
 fn rendered_listing_is_readable() {
     let r = rig(DSP8);
     let prog = record_ir::parse("int s, a, b; void f() { s = s + a * b; }").unwrap();
-    let flat = record_ir::lower(&prog, "f").unwrap();
+    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
     let ops = compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,

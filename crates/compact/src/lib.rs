@@ -46,7 +46,7 @@
 //! # Example
 //!
 //! See `record-core`'s `Target::compile`, which feeds emitted RT ops
-//! through [`compact_cfg`].
+//! through [`compact`].
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -102,7 +102,7 @@ impl Schedule {
     ///
     /// Transfer targets are rewritten from vertical *op* indices to the
     /// *word* indices those ops landed in (`ops.len()` — the halt target —
-    /// maps to `words.len()`).  [`compact_cfg`] starts every block in a
+    /// maps to `words.len()`).  [`compact`] starts every block in a
     /// fresh word, so a block-entry op always heads its word and the
     /// rewrite never makes a jump re-execute a predecessor's RTs.
     pub fn materialize(&self, ops: &[RtOp]) -> Vec<Vec<RtOp>> {
@@ -226,32 +226,23 @@ impl Latest {
     }
 }
 
-/// Greedy list-scheduling compaction of `ops`.
+/// Greedy list-scheduling compaction of `ops`, one basic block at a time:
+/// no code motion across block boundaries, and every control-transfer RT
+/// occupies a word of its own.
 ///
-/// RTs are taken in order; each is placed into the earliest word that
-/// respects its dependences and whose accumulated execution condition stays
-/// satisfiable when conjoined with the RT's own condition.
+/// Within a block's straight-line stretch, RTs are taken in order; each
+/// is placed into the earliest word that respects its dependences and
+/// whose accumulated execution condition stays satisfiable when
+/// conjoined with the RT's own condition.  A transfer op ends the
+/// current stretch and becomes a singleton word (its encoding carries a
+/// target immediate that is patched after scheduling, so it must not
+/// constrain — or be constrained by — neighbours).  Block entries always
+/// start a fresh word, keeping branch targets aligned to word boundaries.
 ///
 /// Generic over [`BddOps`]: at retarget time this is the mutable
 /// [`record_bdd::BddManager`], during compilation against a frozen target
 /// it is the session's [`record_bdd::BddOverlay`].
-pub fn compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
-    let mut schedule = Schedule::default();
-    schedule.compact_run(ops, 0..ops.len(), manager);
-    schedule
-}
-
-/// Per-block compaction for CFG code: no code motion across block
-/// boundaries, and every control-transfer RT occupies a word of its own.
-///
-/// Each block's straight-line stretches are compacted exactly as
-/// [`compact`] would; a transfer op ends the current stretch and becomes
-/// a singleton word (its encoding carries a target immediate that is
-/// patched after scheduling, so it must not constrain — or be constrained
-/// by — neighbours).  Block entries always start a fresh word, keeping
-/// branch targets aligned to word boundaries.  A single-block range
-/// without transfers degenerates to exactly [`compact`].
-pub fn compact_cfg<M: BddOps>(
+pub fn compact<M: BddOps>(
     ops: &[RtOp],
     block_ranges: &[Range<usize>],
     manager: &mut M,

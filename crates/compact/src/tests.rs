@@ -92,11 +92,11 @@ fn rig() -> Rig {
 
 fn compile(r: &mut Rig, src: &str) -> (Vec<record_codegen::RtOp>, Binding) {
     let prog = record_ir::parse(src).expect("mini-C parses");
-    let flat = record_ir::lower(&prog, "f").expect("lowers");
+    let cfg = record_ir::lower_cfg(&prog, "f").expect("lowers");
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
     let ops = record_codegen::compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,
@@ -111,6 +111,11 @@ fn compile(r: &mut Rig, src: &str) -> (Vec<record_codegen::RtOp>, Binding) {
     (ops, binding)
 }
 
+/// Compacts `ops` as one block.
+fn compact_one<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
+    compact(ops, std::slice::from_ref(&(0..ops.len())), manager)
+}
+
 #[test]
 fn independent_loads_share_a_word() {
     let mut r = rig();
@@ -120,7 +125,7 @@ fn independent_loads_share_a_word() {
     // cannot actually share the address field).
     // Use x + x: both loads read the same address and can share.
     let (ops, _) = compile(&mut r, "int x; void f() { x = x + x; }");
-    let schedule = compact(&ops, &mut r.manager);
+    let schedule = compact_one(&ops, &mut r.manager);
     assert!(
         schedule.len() < ops.len(),
         "{} < {}",
@@ -135,7 +140,7 @@ fn address_field_conflict_prevents_packing() {
     // Loading r1 from x and r2 from y needs two different values in the
     // single address field: never packable.
     let (ops, binding) = compile(&mut r, "int x, y; void f() { x = x + y; }");
-    let schedule = compact(&ops, &mut r.manager);
+    let schedule = compact_one(&ops, &mut r.manager);
     // Every op that reads a distinct address must be in its own word,
     // so compaction saves at most nothing here beyond sequential.
     let x = binding.assignments().find(|(n, _)| *n == "x").unwrap().1;
@@ -150,7 +155,7 @@ fn address_field_conflict_prevents_packing() {
 fn flow_dependence_is_respected() {
     let mut r = rig();
     let (ops, _) = compile(&mut r, "int x; void f() { x = x + x; }");
-    let schedule = compact(&ops, &mut r.manager);
+    let schedule = compact_one(&ops, &mut r.manager);
     // The ALU op must come after the loads; the store after the ALU op.
     let words = schedule.words();
     let pos = |opi: usize| words.iter().position(|w| w.ops.contains(&opi)).unwrap();
@@ -164,7 +169,7 @@ fn flow_dependence_is_respected() {
 fn compacted_execution_matches_vertical() {
     let mut r = rig();
     let (ops, binding) = compile(&mut r, "int x, y; void f() { x = x + x; y = x - y; }");
-    let schedule = compact(&ops, &mut r.manager);
+    let schedule = compact_one(&ops, &mut r.manager);
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let x = binding.assignments().find(|(n, _)| *n == "x").unwrap().1;
     let y = binding.assignments().find(|(n, _)| *n == "y").unwrap().1;
@@ -187,7 +192,7 @@ fn compacted_execution_matches_vertical() {
 #[test]
 fn empty_sequence() {
     let mut m = record_bdd::BddManager::new();
-    let s = compact(&[], &mut m);
+    let s = compact_one(&[], &mut m);
     assert!(s.is_empty());
     assert_eq!(s.len(), 0);
 }
@@ -383,10 +388,9 @@ proptest! {
     ) {
         let mut m = BddManager::new();
         let ops = build_ops(&spec, &mut m);
-        prop_assert_eq!(compact(&ops, &mut m), reference_compact(&ops, &mut m));
         let ranges = block_ranges(ops.len(), &cuts);
         prop_assert_eq!(
-            compact_cfg(&ops, &ranges, &mut m),
+            compact(&ops, &ranges, &mut m),
             reference_compact_cfg(&ops, &ranges, &mut m)
         );
     }
@@ -403,7 +407,7 @@ fn generated_sequences_pack_and_reject() {
     for _ in 0..64 {
         let mut m = BddManager::new();
         let seq = build_ops(&sequences.new_value(&mut rng), &mut m);
-        let s = compact(&seq, &mut m);
+        let s = compact_one(&seq, &mut m);
         ops += seq.len();
         words += s.len();
         stats.sat_checks += s.stats().sat_checks;

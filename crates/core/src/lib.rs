@@ -53,7 +53,7 @@ pub use record_probe::{
     validate_chrome_json_shape, Collector, CounterId, CounterVal, GaugeId, Histogram, HistogramId,
     MetricsBuilder, MetricsRegistry, MetricsShard, PhaseNs, Probe, Report, Trace, TraceSink,
 };
-pub use record_regalloc::{mem_traffic, AllocStats, Liveness, RegisterPool};
+pub use record_regalloc::{mem_traffic, AllocStats, RegisterPool};
 pub use session::{CompileRequest, CompileSession, SessionPages};
 
 #[cfg(test)]

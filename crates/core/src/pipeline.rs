@@ -16,6 +16,7 @@ use record_compact::Schedule;
 use record_grammar::TreeGrammar;
 use record_isex::{ExtractOptions, VarMap};
 use record_netlist::{Netlist, StorageId, StorageKind};
+use record_probe::{Probe, Report};
 use record_regalloc::{AllocStats, RegisterPool};
 use record_rtl::{ExtensionOptions, TemplateBase};
 use record_selgen::{emit_rust, Selector};
@@ -122,7 +123,7 @@ impl Record {
     /// Fails on malformed HDL, elaboration errors or extraction errors
     /// (combinational cycles, route explosion).
     pub fn retarget(hdl: &str, options: &RetargetOptions) -> Result<Target, PipelineError> {
-        Record::retarget_probed(hdl, options, &mut record_probe::Probe::disabled())
+        Record::retarget_probed(hdl, options, &mut Probe::disabled())
     }
 
     /// [`Record::retarget`] with a trace probe: every retargeting phase
@@ -137,57 +138,47 @@ impl Record {
     pub fn retarget_probed(
         hdl: &str,
         options: &RetargetOptions,
-        probe: &mut record_probe::Probe<'_>,
+        probe: &mut Probe<'_>,
     ) -> Result<Target, PipelineError> {
-        let mut report = record_probe::Report::with_capacity(6, 8);
         let t0 = Instant::now();
+        let mut report = Report::with_capacity(6, 8);
 
-        probe.begin("parse");
-        let parsed = record_hdl::parse(hdl)
-            .map_err(|e| PipelineError::Hdl(e.to_string()))
-            .and_then(|model| {
-                record_netlist::elaborate(&model).map_err(|e| PipelineError::Netlist(e.to_string()))
-            });
-        probe.end("parse");
-        report.phase("parse", t0.elapsed().as_nanos() as u64);
-        let netlist = parsed?;
+        let netlist = phase(probe, &mut report, "parse", |_| {
+            let model = record_hdl::parse(hdl).map_err(|e| PipelineError::Hdl(e.to_string()))?;
+            record_netlist::elaborate(&model).map_err(|e| PipelineError::Netlist(e.to_string()))
+        })?;
 
-        let t1 = Instant::now();
-        probe.begin("extract");
-        let extracted = record_isex::extract(&netlist, &options.extract)
-            .map_err(|e| PipelineError::Extract(e.to_string()));
-        probe.end("extract");
-        report.phase("extract", t1.elapsed().as_nanos() as u64);
-        let extraction = extracted?;
+        let extraction = phase(probe, &mut report, "extract", |_| {
+            record_isex::extract(&netlist, &options.extract)
+                .map_err(|e| PipelineError::Extract(e.to_string()))
+        })?;
         let templates_extracted = extraction.base.len();
         probe.count("extract.templates", templates_extracted as u64);
         report.count("extract.templates", templates_extracted as u64);
 
-        let t2 = Instant::now();
-        probe.begin("template-gen");
         let mut base = extraction.base;
-        record_rtl::extend(&mut base, &options.extension);
-        probe.end("template-gen");
-        report.phase("template-gen", t2.elapsed().as_nanos() as u64);
+        phase(probe, &mut report, "template-gen", |_| {
+            record_rtl::extend(&mut base, &options.extension)
+        });
         probe.count("template-gen.templates", base.len() as u64);
         report.count("template-gen.templates", base.len() as u64);
 
-        let t3 = Instant::now();
-        let grammar = Arc::new(TreeGrammar::from_base_probed(&base, &netlist, probe));
-        report.phase("rule-gen", t3.elapsed().as_nanos() as u64);
+        let grammar = phase(probe, &mut report, "rule-gen", |probe| {
+            let grammar = TreeGrammar::from_base(&base, &netlist);
+            probe.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
+            probe.count("rule-gen.rules", grammar.rules().len() as u64);
+            Arc::new(grammar)
+        });
         report.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
         report.count("rule-gen.rules", grammar.rules().len() as u64);
 
-        let t4 = Instant::now();
-        probe.begin("selector-gen");
-        let selector = Selector::generate(Arc::clone(&grammar));
-        let parser_source = if options.emit_parser_source {
-            Some(emit_rust(&grammar, netlist.name()))
-        } else {
-            None
-        };
-        probe.end("selector-gen");
-        report.phase("selector-gen", t4.elapsed().as_nanos() as u64);
+        let (selector, parser_source) = phase(probe, &mut report, "selector-gen", |_| {
+            let selector = Selector::generate(Arc::clone(&grammar));
+            let parser_source = options
+                .emit_parser_source
+                .then(|| emit_rust(&grammar, netlist.name()));
+            (selector, parser_source)
+        });
 
         // Freeze the artifact: data memory, register pool and the
         // emission tables (register-file address fields, instruction-bit
@@ -195,21 +186,20 @@ impl Record {
         // are built *now*, not recomputed on every compile.  The literal
         // handles must be created before `freeze` so sessions see them as
         // frozen-base handles.
-        let t5 = Instant::now();
-        probe.begin("freeze");
         let mut manager = extraction.manager;
-        let emit_tables =
-            EmitTables::build(&netlist, &mut manager, extraction.varmap.iword_width());
-        let data_mem = netlist
-            .storages()
-            .iter()
-            .filter(|s| s.kind == StorageKind::Memory)
-            .max_by_key(|s| s.size)
-            .map(|s| s.id);
-        let const_mem = const_memory_of(&grammar, &netlist, data_mem);
-        let pool = data_mem.map(|dm| RegisterPool::discover(&netlist, &base, dm));
-        probe.end("freeze");
-        report.phase("freeze", t5.elapsed().as_nanos() as u64);
+        let (emit_tables, data_mem, const_mem, pool) = phase(probe, &mut report, "freeze", |_| {
+            let emit_tables =
+                EmitTables::build(&netlist, &mut manager, extraction.varmap.iword_width());
+            let data_mem = netlist
+                .storages()
+                .iter()
+                .filter(|s| s.kind == StorageKind::Memory)
+                .max_by_key(|s| s.size)
+                .map(|s| s.id);
+            let const_mem = const_memory_of(&grammar, &netlist, data_mem);
+            let pool = data_mem.map(|dm| RegisterPool::discover(&netlist, &base, dm));
+            (emit_tables, data_mem, const_mem, pool)
+        });
         report.count("freeze.bdd-nodes", manager.counters().nodes);
 
         let stats = RetargetReport {
@@ -239,6 +229,19 @@ impl Record {
             pool,
         })
     }
+}
+
+/// Runs `body` as retarget phase `label`: its span and its report entry
+/// come from the same two clock readings.
+fn phase<'s, T>(
+    probe: &mut Probe<'s>,
+    report: &mut Report,
+    label: &'static str,
+    body: impl FnOnce(&mut Probe<'s>) -> T,
+) -> T {
+    let (out, span) = probe.time(label, body);
+    report.phase(label, span.ns());
+    out
 }
 
 /// Detects a *constant memory*: a second memory whose read port feeds

@@ -12,20 +12,13 @@
 use crate::error::{panic_message, CompileError, CompilePhase};
 use crate::pipeline::{CompileOptions, CompileReport, CompiledKernel, Target};
 use record_bdd::BddOverlay;
-use record_codegen::{
-    baseline_compile, compile, compile_cfg, Binding, CodegenError, Emitted, EmittedCfg, SimExpr,
-};
-use record_compact::compact_cfg;
-use record_ir::{FlatStmt, Ref, Terminator};
+use record_codegen::{baseline_compile, compile, Binding, Emitted, SimExpr};
+use record_compact::compact;
 use record_probe::{Collector, Probe, Trace, TraceSink};
-use record_regalloc::{
-    allocate_cfg_probed, allocate_probed, AllocOptions, CfgLiveness, Liveness, MemLayout,
-};
-use std::borrow::Cow;
+use record_regalloc::{allocate, AllocOptions, MemLayout};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// One compilation request: a mini-C translation unit, the function to
 /// compile, and the options to compile it under.
@@ -224,9 +217,10 @@ impl<'t> CompileSession<'t> {
     /// Every successful result carries a [`CompileReport`] with per-phase
     /// times and work counters; when a collector is installed
     /// ([`CompileSession::install_collector`]) the same phases also appear
-    /// as spans in the trace.  Spans stay balanced on error paths (panics
-    /// excepted — a contained panic abandons its open spans along with
-    /// the rest of the poisoned session's scratch state).
+    /// as spans in the trace, timed by the same clock readings.  Spans
+    /// stay balanced on error paths (panics excepted — a contained panic
+    /// abandons its open spans along with the rest of the poisoned
+    /// session's scratch state).
     ///
     /// The whole pipeline runs under `catch_unwind`: a compiler bug that
     /// panics (or an armed [`CompileOptions::inject_panic`] hook) comes
@@ -244,10 +238,10 @@ impl<'t> CompileSession<'t> {
         &mut self,
         request: &CompileRequest<'_>,
     ) -> Result<CompiledKernel, CompileError> {
-        let phase = Cell::new(CompilePhase::Parse);
+        let running = Cell::new(CompilePhase::Parse);
         let contained = {
-            let phase = &phase;
-            catch_unwind(AssertUnwindSafe(|| self.compile_inner(request, phase)))
+            let running = &running;
+            catch_unwind(AssertUnwindSafe(|| self.compile_inner(request, running)))
         };
         match contained {
             Ok(result) => result,
@@ -255,30 +249,24 @@ impl<'t> CompileSession<'t> {
                 self.poisoned = true;
                 Err(CompileError::Internal {
                     function: request.function().to_owned(),
-                    phase: phase.get(),
+                    phase: running.get(),
                     payload: panic_message(payload),
                 })
             }
         }
     }
 
-    /// The pipeline body; `at` tracks the phase currently running so the
-    /// containment wrapper can attribute a panic.
+    /// The pipeline body: parse, lower, bind, codegen (select + emit),
+    /// allocate, compact, over the lowered CFG.  A function without
+    /// control flow is a CFG of one block.
     fn compile_inner(
         &mut self,
         request: &CompileRequest<'_>,
-        at: &Cell<CompilePhase>,
+        running: &Cell<CompilePhase>,
     ) -> Result<CompiledKernel, CompileError> {
-        let enter = |phase: CompilePhase| {
-            at.set(phase);
-            if request.options().inject_panic == Some(phase) {
-                panic!("injected panic in phase `{phase}` (fault-injection hook)");
-            }
-        };
         let target = self.target;
         let function = request.function();
         let options = request.options();
-        let mut report = CompileReport::with_capacity(7, 16);
         let bdd_before = self.bdd.counters();
         // Disjoint-field borrows: the probe holds `self.collector` for the
         // whole compilation while codegen and compaction mutate `self.bdd`.
@@ -286,136 +274,52 @@ impl<'t> CompileSession<'t> {
         if let Some(budget) = options.deadline_ns {
             probe.set_deadline_ns(Some(record_probe::now_ns().saturating_add(budget)));
         }
-        // Cooperative deadline: checked here at phase boundaries (and by
-        // instrumented loops inside codegen via the probe), never
-        // mid-phase, so `phase` always names the last *completed* phase.
-        let expired = |probe: &Probe<'_>, phase: CompilePhase| {
-            if probe.deadline_exceeded() {
-                Err(CompileError::DeadlineExceeded {
-                    function: function.to_owned(),
-                    phase,
-                })
-            } else {
-                Ok(())
-            }
+        let mut phases = Phases {
+            probe,
+            report: CompileReport::with_capacity(7, 16),
+            running,
+            inject_panic: options.inject_panic,
+            function,
         };
 
-        let t0 = Instant::now();
-        enter(CompilePhase::Parse);
-        probe.begin("parse");
-        let parsed = record_ir::parse(request.source())
-            .map_err(|e| CompileError::from_frontend(function, CompilePhase::Parse, &e));
-        probe.end("parse");
-        report.phase("parse", t0.elapsed().as_nanos() as u64);
-        let program = parsed?;
-        expired(&probe, CompilePhase::Parse)?;
+        let program = phases.run(CompilePhase::Parse, |_| {
+            record_ir::parse(request.source())
+                .map_err(|e| CompileError::from_frontend(function, CompilePhase::Parse, &e))
+        })?;
+        let cfg = phases.run(CompilePhase::Lower, |_| {
+            record_ir::lower_cfg(&program, function)
+                .map_err(|e| CompileError::from_frontend(function, CompilePhase::Lower, &e))
+        })?;
 
-        let t1 = Instant::now();
-        enter(CompilePhase::Lower);
-        probe.begin("lower");
-        let lowered = record_ir::lower_cfg(&program, function)
-            .map_err(|e| CompileError::from_frontend(function, CompilePhase::Lower, &e));
-        probe.end("lower");
-        report.phase("lower", t1.elapsed().as_nanos() as u64);
-        let cfg = lowered?;
-        expired(&probe, CompilePhase::Lower)?;
-        // Straight-line functions take the pre-CFG single-block pipeline —
-        // same statement slices, same phase calls — so their output stays
-        // byte-identical to what this code produced before control flow
-        // existed (pinned by the golden-listing tests).
-        let straight = cfg.is_straight_line();
-        // What the binder scans for ROM placement: every block's
-        // statements, plus one pseudo-statement per branch condition so a
-        // word read by a terminator never looks ROM-eligible.
-        let bind_stmts: Cow<'_, [FlatStmt]> = if straight {
-            Cow::Borrowed(&cfg.blocks[0].stmts)
-        } else {
-            let mut all: Vec<FlatStmt> = cfg
-                .blocks
-                .iter()
-                .flat_map(|b| b.stmts.iter().cloned())
-                .collect();
-            for b in &cfg.blocks {
-                if let Terminator::Branch { cond, .. } = &b.term {
-                    all.push(FlatStmt {
-                        target: Ref {
-                            name: "$cond".to_owned(),
-                            offset: 0,
-                        },
-                        value: cond.clone(),
-                    });
-                }
-            }
-            Cow::Owned(all)
-        };
-
-        let t2 = Instant::now();
-        enter(CompilePhase::Bind);
-        probe.begin("bind");
         // The baseline path ignores the constant memory on purpose: the
         // Figure 2 comparator routes every operand through data memory.
-        let const_mem = if options.baseline {
-            None
-        } else {
-            target.const_mem
-        };
-        let bound = target.data_memory().and_then(|dm| {
-            Binding::allocate_with_const_mem(
+        let const_mem = target
+            .const_mem
+            .filter(|_| !options.baseline)
+            .map(|rom| (rom, &cfg));
+        let (mut binding, width) = phases.run(CompilePhase::Bind, |_| {
+            let dm = target.data_memory()?;
+            let binding = Binding::allocate_with_const_mem(
                 &program,
                 function,
                 &target.netlist,
                 dm,
                 const_mem,
-                &bind_stmts,
             )
-            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Bind, e))
-            .map(|binding| (binding, target.netlist.storage(dm).width))
-        });
-        probe.end("bind");
-        report.phase("bind", t2.elapsed().as_nanos() as u64);
-        let (mut binding, width) = bound?;
-        expired(&probe, CompilePhase::Bind)?;
+            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Bind, e))?;
+            Ok((binding, target.netlist.storage(dm).width))
+        })?;
 
-        let t3 = Instant::now();
-        // Selection and emission both happen inside codegen; attribute
-        // panics there to the emit phase (the enclosing span).
-        enter(CompilePhase::Emit);
-        probe.begin("codegen");
-        let emitted = if options.baseline {
-            if straight {
-                baseline_compile(
-                    &cfg.blocks[0].stmts,
-                    &target.selector,
-                    &target.base,
-                    &mut binding,
-                    &target.netlist,
-                    &mut self.bdd,
-                    &target.emit_tables,
-                    width,
-                    &mut probe,
-                )
-                .map(emitted_as_one_block)
+        // Selection and emission interleave inside codegen, under one
+        // span: a panic there is attributed to the emit phase.
+        phases.enter(CompilePhase::Select);
+        let (emitted, codegen_ns) = phases.timed(CompilePhase::Emit, "codegen", |probe| {
+            let codegen = if options.baseline {
+                baseline_compile
             } else {
-                Err(CodegenError::NoBranchPath {
-                    detail: "the baseline per-operator compiler supports straight-line code only"
-                        .to_owned(),
-                })
-            }
-        } else if straight {
-            compile(
-                &cfg.blocks[0].stmts,
-                &target.selector,
-                &target.base,
-                &mut binding,
-                &target.netlist,
-                &mut self.bdd,
-                &target.emit_tables,
-                width,
-                &mut probe,
-            )
-            .map(emitted_as_one_block)
-        } else {
-            compile_cfg(
+                compile
+            };
+            codegen(
                 &cfg,
                 &target.selector,
                 &target.base,
@@ -424,19 +328,19 @@ impl<'t> CompileSession<'t> {
                 &mut self.bdd,
                 &target.emit_tables,
                 width,
-                &mut probe,
+                probe,
             )
-        };
-        probe.end("codegen");
-        let codegen_ns = t3.elapsed().as_nanos() as u64;
-        let EmittedCfg {
+            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Emit, e))
+        })?;
+        let Emitted {
             ops,
             block_ranges,
             stats: emit,
-        } = emitted.map_err(|e| CompileError::from_codegen(function, CompilePhase::Emit, e))?;
+        } = emitted;
         // Selection time is measured inside codegen per statement; the
-        // rest of the codegen wall clock (splitting, spill routing, RT
+        // rest of the codegen span (splitting, spill routing, RT
         // emission) is the emit phase.
+        let report = &mut phases.report;
         report.phase("select", emit.select_ns);
         report.phase("emit", codegen_ns.saturating_sub(emit.select_ns));
         report.count("emit.statements", emit.statements);
@@ -445,7 +349,6 @@ impl<'t> CompileSession<'t> {
         report.count("emit.reloads", emit.reloads);
         report.count("select.rules-tried", emit.select.rules_tried);
         report.count("select.labels-set", emit.select.labels_set);
-        expired(&probe, CompilePhase::Emit)?;
 
         // Value placement: keep chained results register-resident.  The
         // baseline path stays memory-bound on purpose — it models the
@@ -453,37 +356,17 @@ impl<'t> CompileSession<'t> {
         // memory.
         let (mut ops, block_ranges, alloc) = match &target.pool {
             Some(pool) if options.allocate_registers && !options.baseline => {
-                let t4 = Instant::now();
-                enter(CompilePhase::Allocate);
-                probe.begin("allocate");
-                let (ops, ranges, stats) = if straight {
-                    let liveness = Liveness::analyze(&cfg.blocks[0].stmts);
-                    let (ops, stats) = allocate_probed(
-                        &ops,
-                        pool,
-                        &liveness,
-                        MemLayout::from_binding(&binding),
-                        &AllocOptions::default(),
-                        &mut probe,
-                    );
-                    let n = ops.len();
-                    // One block spanning all ops, not `(0..n).collect()`.
-                    #[allow(clippy::single_range_in_vec_init)]
-                    (ops, vec![0..n], stats)
-                } else {
-                    let liveness = CfgLiveness::analyze(&cfg);
-                    allocate_cfg_probed(
+                let (ops, ranges, stats) = phases.run(CompilePhase::Allocate, |probe| {
+                    Ok(allocate(
                         &ops,
                         &block_ranges,
                         pool,
-                        &liveness,
                         MemLayout::from_binding(&binding),
                         &AllocOptions::default(),
-                        &mut probe,
-                    )
-                };
-                probe.end("allocate");
-                report.phase("allocate", t4.elapsed().as_nanos() as u64);
+                        probe,
+                    ))
+                })?;
+                let report = &mut phases.report;
                 report.count(
                     "allocate.reloads-eliminated",
                     stats.reloads_eliminated as u64,
@@ -494,37 +377,31 @@ impl<'t> CompileSession<'t> {
             }
             _ => (ops, block_ranges, None),
         };
-        expired(&probe, CompilePhase::Allocate)?;
 
         // Transfer targets leave emission as *block ids*; now that op
         // positions are final, rewrite them to vertical op indices (the
         // first op of the target block).  Compacted execution rewrites
         // them once more, to word indices, in `Schedule::materialize`.
-        if !straight {
-            for op in ops.iter_mut() {
-                if op.transfer.is_some() {
-                    if let SimExpr::Const(b) = op.expr {
-                        op.expr = SimExpr::Const(block_ranges[b as usize].start as u64);
-                    }
-                }
+        for op in ops.iter_mut().filter(|op| op.transfer.is_some()) {
+            if let SimExpr::Const(b) = op.expr {
+                op.expr = SimExpr::Const(block_ranges[b as usize].start as u64);
             }
         }
 
-        let schedule = options.compaction.then(|| {
-            let t5 = Instant::now();
-            enter(CompilePhase::Compact);
-            probe.begin("compact");
-            // A straight-line function is one block without transfers,
-            // which `compact_cfg` compacts exactly as `compact` would.
-            let schedule = compact_cfg(&ops, &block_ranges, &mut self.bdd);
-            probe.end("compact");
-            report.phase("compact", t5.elapsed().as_nanos() as u64);
+        let schedule = if options.compaction {
+            let schedule = phases.run(CompilePhase::Compact, |_| {
+                Ok(compact(&ops, &block_ranges, &mut self.bdd))
+            })?;
             let stats = schedule.stats();
+            let report = &mut phases.report;
             report.count("compact.sat-checks", stats.sat_checks);
             report.count("compact.sat-rejects", stats.sat_rejects);
-            schedule
-        });
+            Some(schedule)
+        } else {
+            None
+        };
 
+        let mut report = phases.report;
         let bdd = self.bdd.counters().delta(&bdd_before);
         report.count("bdd.nodes-allocated", bdd.nodes);
         report.count("bdd.op-cache-hits", bdd.op_hits);
@@ -542,15 +419,63 @@ impl<'t> CompileSession<'t> {
     }
 }
 
-/// Wraps a straight-line emission result in the single-block CFG shape.
-// One block spanning all ops, not `(0..n).collect()`.
-#[allow(clippy::single_range_in_vec_init)]
-fn emitted_as_one_block(e: Emitted) -> EmittedCfg {
-    let n = e.ops.len();
-    EmittedCfg {
-        ops: e.ops,
-        block_ranges: vec![0..n],
-        stats: e.stats,
+/// The phase bookkeeping of one compilation.
+///
+/// Each phase is one [`Probe::time`] span, whose two clock readings also
+/// give its report entry.  Entering a phase records it for panic
+/// attribution and fires the fault-injection hook when armed for it.  The
+/// deadline is checked against the span's end, so a
+/// [`CompileError::DeadlineExceeded`] names the phase that had just
+/// completed.
+struct Phases<'a, 's> {
+    probe: Probe<'s>,
+    report: CompileReport,
+    /// The phase running now, read by the containment wrapper when a
+    /// panic unwinds.
+    running: &'a Cell<CompilePhase>,
+    inject_panic: Option<CompilePhase>,
+    function: &'a str,
+}
+
+impl<'s> Phases<'_, 's> {
+    /// Marks `phase` as running and fires the fault-injection hook.
+    fn enter(&self, phase: CompilePhase) {
+        self.running.set(phase);
+        if self.inject_panic == Some(phase) {
+            panic!("injected panic in phase `{phase}` (fault-injection hook)");
+        }
+    }
+
+    /// Runs `body` as `phase` inside span `label`, then checks the
+    /// deadline; returns the body's value and the span's duration.
+    fn timed<T>(
+        &mut self,
+        phase: CompilePhase,
+        label: &'static str,
+        body: impl FnOnce(&mut Probe<'s>) -> Result<T, CompileError>,
+    ) -> Result<(T, u64), CompileError> {
+        self.enter(phase);
+        let (result, span) = self.probe.time(label, body);
+        let value = result?;
+        if self.probe.deadline_ns().is_some_and(|d| span.end_ns > d) {
+            return Err(CompileError::DeadlineExceeded {
+                function: self.function.to_owned(),
+                phase,
+            });
+        }
+        Ok((value, span.ns()))
+    }
+
+    /// [`Phases::timed`] under the phase's own label, recorded in the
+    /// report.
+    fn run<T>(
+        &mut self,
+        phase: CompilePhase,
+        body: impl FnOnce(&mut Probe<'s>) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        let (value, ns) = self.timed(phase, phase.label(), body)?;
+        self.report.phase(phase.label(), ns);
+        Ok(value)
     }
 }
 
@@ -568,55 +493,14 @@ pub struct SessionPages {
 
 /// Thread-parallel batch compilation over one frozen target.
 ///
-/// Worker threads pull request indices off a shared atomic counter; each
-/// request is compiled in its *own* fresh session, so output is
+/// Each request is compiled in its *own* fresh session, so output is
 /// byte-identical to sequential [`Target::compile`] calls no matter how
-/// the requests land on threads.  Uses `std::thread::scope` — no runtime,
-/// no extra dependencies — and caps workers at the smaller of the request
-/// count and available parallelism.
+/// the requests land on threads.
 pub(crate) fn compile_batch(
     target: &Target,
     requests: &[CompileRequest<'_>],
 ) -> Vec<Result<CompiledKernel, CompileError>> {
-    if requests.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(requests.len());
-    if workers <= 1 {
-        return requests.iter().map(|r| target.compile(r)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<CompiledKernel, CompileError>>> =
-        (0..requests.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(request) = requests.get(i) else {
-                            break;
-                        };
-                        done.push((i, target.compile(request)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("batch worker panicked") {
-                results[i] = Some(result);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every request index was claimed by exactly one worker"))
-        .collect()
+    fan_out(requests, |_, request| target.compile(request))
 }
 
 /// [`compile_batch`] with tracing: every request compiles in a fresh
@@ -628,32 +512,43 @@ pub(crate) fn compile_batch_traced(
     target: &Target,
     requests: &[CompileRequest<'_>],
 ) -> (Vec<Result<CompiledKernel, CompileError>>, Trace) {
-    let compile_one = |i: usize, request: &CompileRequest<'_>| {
+    let (results, traces): (Vec<_>, Vec<_>) = fan_out(requests, |i, request| {
         let mut session = target.session();
         session.install_collector(i as u32);
         let result = session.compile(request);
-        let trace = session.take_trace().expect("collector installed above");
-        (result, trace)
-    };
-    if requests.is_empty() {
-        return (Vec::new(), Trace::default());
-    }
+        (
+            result,
+            session.take_trace().expect("collector installed above"),
+        )
+    })
+    .into_iter()
+    .unzip();
+    (results, Trace::merge(traces))
+}
+
+/// Runs `work` on every request and returns the results in request order.
+///
+/// Worker threads pull request indices off a shared atomic counter.  Uses
+/// `std::thread::scope` — no runtime, no extra dependencies — and caps
+/// workers at the smaller of the request count and available
+/// parallelism.
+fn fan_out<R: Send>(
+    requests: &[CompileRequest<'_>],
+    work: impl Fn(usize, &CompileRequest<'_>) -> R + Sync,
+) -> Vec<R> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(requests.len());
     if workers <= 1 {
-        let (mut results, mut traces) = (Vec::new(), Vec::new());
-        for (i, request) in requests.iter().enumerate() {
-            let (result, trace) = compile_one(i, request);
-            results.push(result);
-            traces.push(trace);
-        }
-        return (results, Trace::merge(traces));
+        return requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| work(i, r))
+            .collect();
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(Result<CompiledKernel, CompileError>, Trace)>> =
-        (0..requests.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = (0..requests.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -664,7 +559,7 @@ pub(crate) fn compile_batch_traced(
                         let Some(request) = requests.get(i) else {
                             break;
                         };
-                        done.push((i, compile_one(i, request)));
+                        done.push((i, work(i, request)));
                     }
                     done
                 })
@@ -676,11 +571,8 @@ pub(crate) fn compile_batch_traced(
             }
         }
     });
-    let (mut results, mut traces) = (Vec::new(), Vec::new());
-    for slot in slots {
-        let (result, trace) = slot.expect("every request index was claimed by exactly one worker");
-        results.push(result);
-        traces.push(trace);
-    }
-    (results, Trace::merge(traces))
+    slots
+        .into_iter()
+        .map(|r| r.expect("every request index was claimed by exactly one worker"))
+        .collect()
 }

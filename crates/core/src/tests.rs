@@ -307,3 +307,28 @@ fn compaction_reports_sat_checks_and_rejects() {
     // bass_boost packs: some checks accept, so words < ops.
     assert_eq!(compile("bass_boost", "complex_update"), (14, 11, 4, 1));
 }
+
+/// The fault-injection hook fires in every phase, and the contained panic
+/// names the phase it was injected into (codegen enters `select`, then
+/// `emit`).
+#[test]
+fn injected_panic_names_every_phase() {
+    let hdl = record_targets::models::model("ref").unwrap().hdl;
+    let target = Record::retarget(hdl, &RetargetOptions::default()).unwrap();
+    let k = &record_targets::kernels::kernels()[0];
+    for phase in [
+        CompilePhase::Parse,
+        CompilePhase::Lower,
+        CompilePhase::Bind,
+        CompilePhase::Select,
+        CompilePhase::Emit,
+        CompilePhase::Allocate,
+        CompilePhase::Compact,
+    ] {
+        let request = CompileRequest::new(k.source, k.function).inject_panic(Some(phase));
+        match target.compile(&request) {
+            Err(CompileError::Internal { phase: at, .. }) => assert_eq!(at, phase),
+            other => panic!("injected into `{phase}`, got {other:?}"),
+        }
+    }
+}

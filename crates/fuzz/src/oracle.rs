@@ -24,7 +24,6 @@ use record_core::{
     Record, RetargetOptions, Target,
 };
 use record_ir::Program;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One generated (model, kernel) pair.
@@ -118,30 +117,6 @@ pub fn init_data(program: &Program) -> Vec<(String, Vec<u64>)> {
         .collect()
 }
 
-/// Variables the flattened program actually touches (loop variables fold
-/// away during unrolling and never reach machine memory).
-fn touched_variables(flat: &[record_ir::FlatStmt]) -> BTreeSet<String> {
-    fn collect(e: &record_ir::FlatExpr, out: &mut BTreeSet<String>) {
-        match e {
-            record_ir::FlatExpr::Load(r) => {
-                out.insert(r.name.clone());
-            }
-            record_ir::FlatExpr::Unary(_, a) => collect(a, out),
-            record_ir::FlatExpr::Binary(_, a, b) => {
-                collect(a, out);
-                collect(b, out);
-            }
-            record_ir::FlatExpr::Const(_) => {}
-        }
-    }
-    let mut set = BTreeSet::new();
-    for st in flat {
-        set.insert(st.target.name.clone());
-        collect(&st.value, &mut set);
-    }
-    set
-}
-
 /// Runs the full oracle on one case.
 pub fn run_case(case: &FuzzCase) -> Verdict {
     let hdl = case.spec.render();
@@ -205,8 +180,8 @@ pub fn differential(
     function: &str,
     width: u16,
 ) -> Verdict {
-    let flat = match record_ir::lower(program, function) {
-        Ok(flat) => flat,
+    let cfg = match record_ir::lower_cfg(program, function) {
+        Ok(cfg) => cfg,
         Err(e) => {
             return Verdict::InterpRejected {
                 error: e.to_string(),
@@ -245,7 +220,9 @@ pub fn differential(
         }
     };
 
-    let touched = touched_variables(&flat);
+    // Loop variables that unrolling folded away never reach machine
+    // memory, so only touched variables are compared.
+    let touched = cfg.touched_variables();
     for (name, addr) in kernel.binding.assignments() {
         if !touched.contains(name) {
             continue;

@@ -78,3 +78,21 @@ fn oracle_flags_a_known_bad_kernel() {
     }
     assert!(verdict.is_bug());
 }
+
+/// Control flow reaches the comparison: a multi-block kernel compiled on
+/// `ref` is checked against the interpreter, not rejected as a frontend
+/// failure (which the fuzzer would count as a bug).
+#[test]
+fn oracle_agrees_on_a_control_flow_kernel() {
+    let model = record_targets::models::model("ref").expect("ref model exists");
+    let target = Record::retarget(model.hdl, &RetargetOptions::default()).expect("ref retargets");
+    let k = record_targets::kernel("vec_max").expect("vec_max kernel exists");
+    let kernel = target
+        .compile(&CompileRequest::new(k.source, k.function))
+        .expect("vec_max compiles on ref");
+    let program = record_ir::parse(k.source).expect("vec_max parses");
+    let dm = target.data_memory().expect("ref has a data memory");
+    let width = target.netlist().storage(dm).width;
+    let verdict = differential(&target, &kernel, &program, k.function, width);
+    assert_eq!(verdict, Verdict::Agree);
+}

@@ -199,21 +199,6 @@ impl TreeGrammar {
 
         TreeGrammar::new_internal(nonterms, nt_names, by_kind, rules)
     }
-
-    /// [`TreeGrammar::from_base`] wrapped in a `"rule-gen"` trace span,
-    /// with the grammar's size reported as counters.
-    pub fn from_base_probed(
-        base: &TemplateBase,
-        netlist: &Netlist,
-        probe: &mut record_probe::Probe<'_>,
-    ) -> TreeGrammar {
-        probe.begin("rule-gen");
-        let g = TreeGrammar::from_base(base, netlist);
-        probe.count("rule-gen.nonterminals", g.nonterm_count() as u64);
-        probe.count("rule-gen.rules", g.rules().len() as u64);
-        probe.end("rule-gen");
-        g
-    }
 }
 
 /// Paper table 2: the `L(exp)` map from template expressions to rule

@@ -17,7 +17,7 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Looks up a global (or, via [`lower`](crate::lower), local) variable.
+    /// Looks up a global (or, via [`lower_cfg`](crate::lower_cfg), local) variable.
     pub fn global(&self, name: &str) -> Option<&VarDecl> {
         self.globals.iter().find(|g| g.name == name)
     }

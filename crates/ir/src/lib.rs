@@ -23,8 +23,9 @@
 //! ```
 //! let src = "int x; int a[4]; void f() { x = a[0] + a[1]; }";
 //! let prog = record_ir::parse(src)?;
-//! let flat = record_ir::lower(&prog, "f")?;
-//! assert_eq!(flat.len(), 1);
+//! let cfg = record_ir::lower_cfg(&prog, "f")?;
+//! assert!(cfg.is_straight_line());
+//! assert_eq!(cfg.stmts().count(), 1);
 //! # Ok::<(), record_ir::CError>(())
 //! ```
 
@@ -37,7 +38,7 @@ mod parser;
 pub use ast::*;
 pub use error::CError;
 pub use interp::{interp, Memory};
-pub use lower::{lower, lower_cfg, Block, Cfg, FlatExpr, FlatStmt, Ref, Terminator};
+pub use lower::{lower_cfg, Block, Cfg, FlatExpr, FlatStmt, Ref, Terminator};
 
 /// Parses a mini-C translation unit.
 ///

@@ -2,14 +2,13 @@
 //! basic blocks holding destination-annotated statements with
 //! constant-offset variable references.
 //!
-//! Constant-trip-count `for` loops are fully unrolled (the historical fast
-//! path — straight-line programs lower to a single block, byte-identical
-//! to the pre-CFG pipeline).  `if`, `while` and dynamic-bound `for` lower
-//! to blocks with explicit terminators.
+//! Constant-trip-count `for` loops are fully unrolled, so straight-line
+//! programs lower to a single block.  `if`, `while` and dynamic-bound
+//! `for` lower to blocks with explicit terminators.
 
 use crate::ast::*;
 use crate::error::CError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A reference to a storage word: variable name plus constant element
 /// offset (0 for scalars).
@@ -109,6 +108,34 @@ impl Cfg {
         self.blocks.len() == 1 && self.blocks[0].term == Terminator::Halt
     }
 
+    /// Every statement, blocks in layout order.
+    pub fn stmts(&self) -> impl Iterator<Item = &FlatStmt> {
+        self.blocks.iter().flat_map(|b| &b.stmts)
+    }
+
+    /// Every branch condition, blocks in layout order.
+    pub fn conditions(&self) -> impl Iterator<Item = &FlatExpr> {
+        self.blocks.iter().filter_map(|b| match &b.term {
+            Terminator::Branch { cond, .. } => Some(cond),
+            _ => None,
+        })
+    }
+
+    /// Names of the variables the function reads or writes, branch
+    /// conditions included.  Loop variables that unrolling folded away
+    /// are absent: they never reach memory.
+    pub fn touched_variables(&self) -> BTreeSet<String> {
+        let mut refs = Vec::new();
+        for s in self.stmts() {
+            refs.push(s.target.clone());
+            s.value.loads(&mut refs);
+        }
+        for c in self.conditions() {
+            c.loads(&mut refs);
+        }
+        refs.into_iter().map(|r| r.name).collect()
+    }
+
     /// Structural validity: every terminator targets an existing block,
     /// and exactly one block — the last — halts.
     ///
@@ -192,26 +219,6 @@ pub fn lower_cfg(program: &Program, function: &str) -> Result<Cfg, CError> {
     let cfg = Cfg { blocks: cx.blocks };
     cfg.assert_valid();
     Ok(cfg)
-}
-
-/// Lowers `function` of `program` to a flat statement list.
-///
-/// This is the straight-line compatibility surface: programs containing
-/// runtime control flow (a multi-block CFG) are rejected; use
-/// [`lower_cfg`] for those.
-///
-/// # Errors
-///
-/// As [`lower_cfg`], plus an error for multi-block functions.
-pub fn lower(program: &Program, function: &str) -> Result<Vec<FlatStmt>, CError> {
-    let mut cfg = lower_cfg(program, function)?;
-    if !cfg.is_straight_line() {
-        return Err(err(
-            Span::default(),
-            format!("function `{function}` contains runtime control flow"),
-        ));
-    }
-    Ok(cfg.blocks.pop().expect("validated non-empty").stmts)
 }
 
 fn err(span: Span, msg: impl Into<String>) -> CError {

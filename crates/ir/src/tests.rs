@@ -2,6 +2,13 @@ use crate::*;
 use proptest::prelude::*;
 use record_rtl::OpKind;
 
+/// The statements of `f`, which must lower to a single block.
+fn lower_one(p: &Program) -> Result<Vec<FlatStmt>, CError> {
+    let cfg = lower_cfg(p, "f")?;
+    assert!(cfg.is_straight_line(), "{cfg:?}");
+    Ok(cfg.stmts().cloned().collect())
+}
+
 #[test]
 fn parses_globals_and_function() {
     let src = "int x; int a[16], b[16]; void f() { int i; x = a[0] + b[1]; }";
@@ -78,7 +85,7 @@ fn lower_unrolls_loops() {
     let src =
         "int a[4], b[4], s; void f() { int i; for (i = 0; i < 4; i++) { s += a[i] * b[i]; } }";
     let p = parse(src).unwrap();
-    let flat = lower(&p, "f").unwrap();
+    let flat = lower_one(&p).unwrap();
     assert_eq!(flat.len(), 4);
     // Third statement reads a[2] and b[2].
     let FlatExpr::Binary(OpKind::Add, _, rhs) = &flat[2].value else {
@@ -109,7 +116,7 @@ fn lower_folds_index_arithmetic() {
     let src =
         "int h[4], x[4], y; void f() { int i; for (i = 0; i < 4; i++) { y += h[i] * x[3 - i]; } }";
     let p = parse(src).unwrap();
-    let flat = lower(&p, "f").unwrap();
+    let flat = lower_one(&p).unwrap();
     let FlatExpr::Binary(_, _, rhs) = &flat[0].value else {
         panic!()
     };
@@ -129,7 +136,7 @@ fn lower_folds_index_arithmetic() {
 fn lower_rejects_dynamic_index() {
     let src = "int a[4], j, x; void f() { x = a[j]; }";
     let p = parse(src).unwrap();
-    let e = lower(&p, "f").unwrap_err();
+    let e = lower_one(&p).unwrap_err();
     assert!(e.message().contains("does not fold"));
 }
 
@@ -137,7 +144,7 @@ fn lower_rejects_dynamic_index() {
 fn lower_rejects_out_of_bounds() {
     let src = "int a[4], x; void f() { x = a[7]; }";
     let p = parse(src).unwrap();
-    let e = lower(&p, "f").unwrap_err();
+    let e = lower_one(&p).unwrap_err();
     assert!(e.message().contains("out of bounds"));
 }
 
@@ -145,7 +152,7 @@ fn lower_rejects_out_of_bounds() {
 fn lower_rejects_undeclared() {
     let src = "int x; void f() { x = q; }";
     let p = parse(src).unwrap();
-    let e = lower(&p, "f").unwrap_err();
+    let e = lower_one(&p).unwrap_err();
     assert!(e.message().contains("undeclared"));
 }
 
@@ -153,7 +160,7 @@ fn lower_rejects_undeclared() {
 fn loop_budget_guards_explosion() {
     let src = "int x; void f() { int i, j; for (i = 0; i < 100; i++) { for (j = 0; j < 100; j++) { x += 1; } } }";
     let p = parse(src).unwrap();
-    let e = lower(&p, "f").unwrap_err();
+    let e = lower_one(&p).unwrap_err();
     assert!(e.message().contains("4096"));
 }
 
@@ -223,7 +230,7 @@ proptest! {
         interp(&p, "f", &mut mem1, 16).unwrap();
 
         // Lowered: evaluate flat statements sequentially.
-        let flat = lower(&p, "f").unwrap();
+        let flat = lower_one(&p).unwrap();
         let mut mem2 = Memory::new();
         mem2.insert("a".into(), mem1["a"].clone());
         // a was mutated? no — only s is written; copy initial values again:
@@ -250,7 +257,7 @@ fn width_dependent_constants_are_not_folded() {
     // `(-1) >> (-1)` folds to 1 in 64-bit arithmetic but evaluates to 0 at
     // any machine width — lowering must leave it to the hardware.
     let p = parse("int x; void f() { x = (0 - 1) >> (0 - 1); }").unwrap();
-    let flat = lower(&p, "f").unwrap();
+    let flat = lower_one(&p).unwrap();
     assert!(
         matches!(flat[0].value, FlatExpr::Binary(OpKind::Shr, ..)),
         "width-dependent op must stay symbolic, got {:?}",
@@ -259,14 +266,14 @@ fn width_dependent_constants_are_not_folded() {
 
     // Mask-commuting arithmetic still folds (index shapes like `N-1-i`).
     let p = parse("int x; void f() { x = 5 - 3 + 2 * 4; }").unwrap();
-    let flat = lower(&p, "f").unwrap();
+    let flat = lower_one(&p).unwrap();
     assert_eq!(flat[0].value, FlatExpr::Const(10));
 }
 
 #[test]
 fn width_dependent_index_is_rejected_structurally() {
     let p = parse("int x; int a[4]; void f() { x = a[6 / 2]; }").unwrap();
-    let e = lower(&p, "f").unwrap_err();
+    let e = lower_one(&p).unwrap_err();
     assert!(
         e.to_string().contains("width-dependent"),
         "expected structured rejection, got: {e}"
@@ -300,7 +307,7 @@ fn loop_counter_overflow_terminates() {
     interp(&p, "f", &mut mem, 16).unwrap();
     assert_eq!(mem["x"][0], 2, "two iterations then saturation");
     // Lowering hits the same saturation (unroll budget allows 2 here).
-    let flat = lower(&p, "f").unwrap();
+    let flat = lower_one(&p).unwrap();
     assert_eq!(flat.len(), 2);
 }
 

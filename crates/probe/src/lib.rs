@@ -204,6 +204,47 @@ impl<'s> Probe<'s> {
             s.counter(name, value, now_ns());
         }
     }
+
+    /// Runs `body` inside span `label` and returns its result with the
+    /// span's timestamps.
+    ///
+    /// The clock is read once when the span opens and once when it
+    /// closes, and the sink receives those same two readings, so a
+    /// [`Report`] phase recorded from the returned [`Span`] equals the
+    /// traced span exactly.  The clock is read whether or not a sink is
+    /// installed: reports are always on.
+    pub fn time<T>(
+        &mut self,
+        label: &'static str,
+        body: impl FnOnce(&mut Probe<'s>) -> T,
+    ) -> (T, Span) {
+        let begin_ns = now_ns();
+        if let Some(s) = &mut self.sink {
+            s.begin(label, begin_ns);
+        }
+        let out = body(self);
+        let end_ns = now_ns();
+        if let Some(s) = &mut self.sink {
+            s.end(label, end_ns);
+        }
+        (out, Span { begin_ns, end_ns })
+    }
+}
+
+/// The two clock readings of one [`Probe::time`] span ([`now_ns`] time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// When the span opened.
+    pub begin_ns: u64,
+    /// When the span closed.
+    pub end_ns: u64,
+}
+
+impl Span {
+    /// The span's duration in nanoseconds.
+    pub fn ns(self) -> u64 {
+        self.end_ns - self.begin_ns
+    }
 }
 
 #[cfg(test)]

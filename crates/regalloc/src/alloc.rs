@@ -25,11 +25,11 @@
 //! [`record_codegen::Machine`] oracle while making strictly fewer data
 //! memory accesses whenever the source reuses a value.
 
-use crate::liveness::{CfgLiveness, Liveness};
 use crate::pool::{RegisterPool, Residency, Resident};
 use record_codegen::{Binding, DestSim, Loc, RtOp, SimExpr};
 use record_netlist::StorageId;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Options for [`allocate`].
 #[derive(Debug, Clone, Default)]
@@ -61,9 +61,6 @@ pub struct AllocStats {
     /// Data-memory writes before / after.
     pub writes_before: usize,
     pub writes_after: usize,
-    /// Source values accessed more than once (liveness upper bound on
-    /// profitable residency).
-    pub reused_values: usize,
 }
 
 impl AllocStats {
@@ -260,63 +257,76 @@ fn establish<F: Fn(u64, usize) -> Option<usize>>(
     }
 }
 
-/// The value-placement rewriter.  See the module docs for the algorithm.
-#[derive(Debug)]
-pub struct Allocator<'a> {
-    pool: &'a RegisterPool,
-    liveness: &'a Liveness,
+/// Rewrites `ops` over `pool`, one basic block at a time; see the module
+/// docs for the two passes.  Each pass is wrapped in a trace span on
+/// `probe` (`"allocate.residency"`, `"allocate.dead-store"`).
+///
+/// Blocks are rewritten independently: the residency ledger starts
+/// empty per block (no register state is assumed across a control
+/// transfer — predecessors differ and loops re-enter), and the
+/// dead-store pass keeps every variable word observable at the block's
+/// end.  Scratch words never escape a block (emission defines them
+/// before any read in the same block), so block-local analysis loses
+/// nothing.
+///
+/// Returns the rewritten sequence, the new per-block op ranges (ops are
+/// only ever removed, so ranges shift), and the stats.
+pub fn allocate(
+    ops: &[RtOp],
+    block_ranges: &[Range<usize>],
+    pool: &RegisterPool,
     layout: MemLayout,
-    options: AllocOptions,
-}
+    options: &AllocOptions,
+    probe: &mut record_probe::Probe<'_>,
+) -> (Vec<RtOp>, Vec<Range<usize>>, AllocStats) {
+    let dm = layout.data_mem;
+    let mut stats = AllocStats {
+        ops_before: ops.len(),
+        ..AllocStats::default()
+    };
+    (stats.reads_before, stats.writes_before) = mem_traffic(ops, dm);
+    let alloc = Allocator {
+        pool,
+        layout,
+        capacity: options
+            .max_resident
+            .unwrap_or_else(|| pool.capacity().min(usize::MAX as u64) as usize),
+    };
 
-impl<'a> Allocator<'a> {
-    /// A rewriter over `pool` for code laid out per `layout`.
-    pub fn new(
-        pool: &'a RegisterPool,
-        liveness: &'a Liveness,
-        layout: MemLayout,
-        options: AllocOptions,
-    ) -> Self {
-        Allocator {
-            pool,
-            liveness,
-            layout,
-            options,
-        }
-    }
-
-    /// Rewrites `ops`, returning the allocated sequence and its stats.
-    pub fn run(&self, ops: &[RtOp]) -> (Vec<RtOp>, AllocStats) {
-        self.run_probed(ops, &mut record_probe::Probe::disabled())
-    }
-
-    /// Like [`Allocator::run`], with each pass wrapped in a trace span
-    /// (`"allocate.residency"`, `"allocate.dead-store"`).
-    pub fn run_probed(
-        &self,
-        ops: &[RtOp],
-        probe: &mut record_probe::Probe<'_>,
-    ) -> (Vec<RtOp>, AllocStats) {
-        let dm = self.layout.data_mem;
-        let mut stats = AllocStats {
-            ops_before: ops.len(),
-            reused_values: self.liveness.reused_values(),
-            ..AllocStats::default()
-        };
-        (stats.reads_before, stats.writes_before) = mem_traffic(ops, dm);
-
+    let mut out = Vec::new();
+    let mut ranges = Vec::with_capacity(block_ranges.len());
+    for r in block_ranges {
         probe.begin("allocate.residency");
-        let kept = self.residency_pass(ops, &mut stats);
+        let kept = alloc.residency_pass(&ops[r.clone()], &mut stats);
         probe.end("allocate.residency");
         probe.begin("allocate.dead-store");
-        let kept = self.dead_store_pass(kept, &mut stats);
+        let kept = alloc.dead_store_pass(kept, &mut stats);
         probe.end("allocate.dead-store");
-
-        stats.ops_after = kept.len();
-        (stats.reads_after, stats.writes_after) = mem_traffic(&kept, dm);
-        (kept, stats)
+        let start = out.len();
+        // Moving the first block's ops in, rather than copying them, keeps
+        // a straight-line function at one op vector.
+        if out.is_empty() {
+            out = kept;
+        } else {
+            out.extend(kept);
+        }
+        ranges.push(start..out.len());
     }
 
+    stats.ops_after = out.len();
+    (stats.reads_after, stats.writes_after) = mem_traffic(&out, dm);
+    (out, ranges, stats)
+}
+
+/// The value-placement rewriter's fixed inputs.
+struct Allocator<'a> {
+    pool: &'a RegisterPool,
+    layout: MemLayout,
+    /// Most register residencies tracked at once.
+    capacity: usize,
+}
+
+impl Allocator<'_> {
     /// Forward pass: drop reloads of register-resident values.
     fn residency_pass(&self, ops: &[RtOp], stats: &mut AllocStats) -> Vec<RtOp> {
         let dm = self.layout.data_mem;
@@ -337,11 +347,7 @@ impl<'a> Allocator<'a> {
             sites.get(i).copied()
         };
 
-        let capacity = self
-            .options
-            .max_resident
-            .unwrap_or_else(|| self.pool.capacity().min(usize::MAX as u64) as usize);
-        let mut ledger = Residency::with_capacity(capacity.max(1));
+        let mut ledger = Residency::with_capacity(self.capacity.max(1));
         let mut out = Vec::with_capacity(ops.len());
 
         for (i, op) in ops.iter().enumerate() {
@@ -467,98 +473,4 @@ impl<'a> Allocator<'a> {
             .filter_map(|(op, k)| k.then_some(op))
             .collect()
     }
-}
-
-/// Convenience entry point: rewrites `ops` over `pool`.
-///
-/// The residency passes themselves track value locations at op
-/// granularity (exact, from the sequence itself); the statement-level
-/// `liveness` currently feeds the `reused_values` diagnostic only.  It
-/// stays in the signature because the roadmap's follow-ons
-/// (template-switching rewrites, cross-block allocation) key off the
-/// interval data.
-pub fn allocate(
-    ops: &[RtOp],
-    pool: &RegisterPool,
-    liveness: &Liveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-) -> (Vec<RtOp>, AllocStats) {
-    Allocator::new(pool, liveness, layout, options.clone()).run(ops)
-}
-
-/// Per-block allocation for CFG code.
-///
-/// Each block's op range is rewritten independently: the residency
-/// ledger starts empty per block (no register state is assumed across a
-/// control transfer — predecessors differ and loops re-enter), and the
-/// dead-store pass runs with its usual end-state rule per block, which
-/// keeps every variable word observable at block boundaries.  Scratch
-/// words never escape a block (emission defines them before any read in
-/// the same block), so block-local analysis loses nothing.
-///
-/// Returns the rewritten sequence, the new per-block op ranges (ops are
-/// only ever removed, so ranges shift), and the summed stats.
-pub fn allocate_cfg_probed(
-    ops: &[RtOp],
-    block_ranges: &[std::ops::Range<usize>],
-    pool: &RegisterPool,
-    liveness: &CfgLiveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-    probe: &mut record_probe::Probe<'_>,
-) -> (Vec<RtOp>, Vec<std::ops::Range<usize>>, AllocStats) {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut ranges = Vec::with_capacity(block_ranges.len());
-    let mut total = AllocStats::default();
-    for (b, r) in block_ranges.iter().enumerate() {
-        let alloc = Allocator::new(pool, liveness.block(b), layout, options.clone());
-        let (kept, stats) = alloc.run_probed(&ops[r.clone()], probe);
-        let start = out.len();
-        out.extend(kept);
-        ranges.push(start..out.len());
-        total.ops_before += stats.ops_before;
-        total.ops_after += stats.ops_after;
-        total.reloads_eliminated += stats.reloads_eliminated;
-        total.stores_eliminated += stats.stores_eliminated;
-        total.spills += stats.spills;
-        total.reads_before += stats.reads_before;
-        total.reads_after += stats.reads_after;
-        total.writes_before += stats.writes_before;
-        total.writes_after += stats.writes_after;
-        total.reused_values += stats.reused_values;
-    }
-    (out, ranges, total)
-}
-
-/// [`allocate_cfg_probed`] without tracing.
-pub fn allocate_cfg(
-    ops: &[RtOp],
-    block_ranges: &[std::ops::Range<usize>],
-    pool: &RegisterPool,
-    liveness: &CfgLiveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-) -> (Vec<RtOp>, Vec<std::ops::Range<usize>>, AllocStats) {
-    allocate_cfg_probed(
-        ops,
-        block_ranges,
-        pool,
-        liveness,
-        layout,
-        options,
-        &mut record_probe::Probe::disabled(),
-    )
-}
-
-/// [`allocate`] with per-pass trace spans.
-pub fn allocate_probed(
-    ops: &[RtOp],
-    pool: &RegisterPool,
-    liveness: &Liveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-    probe: &mut record_probe::Probe<'_>,
-) -> (Vec<RtOp>, AllocStats) {
-    Allocator::new(pool, liveness, layout, options.clone()).run_probed(ops, probe)
 }

@@ -8,17 +8,16 @@
 //! paper's Figure 2 keeps chained values in the accumulator across
 //! statements; this crate closes that gap as a separate backend phase:
 //!
-//! * [`Liveness`] computes def/use intervals per storage word over the
-//!   flattened mini-C statements — which values are worth keeping
-//!   resident.
 //! * [`RegisterPool`] discovers, per target, the registers and register
 //!   files the extracted RT templates can actually route values through,
 //!   along with their spill/reload templates into data memory.
-//! * [`Allocator`] rewrites the emitted [`record_codegen::RtOp`] sequence:
-//!   values stay register-resident across statements, identity reloads
-//!   disappear, dead result stores disappear, and reload/spill RTs remain
-//!   in the output only where residency was genuinely lost ([`Residency`]
-//!   overflow or clobbering).
+//! * [`allocate`] rewrites the emitted [`record_codegen::RtOp`] sequence
+//!   block by block: values stay register-resident across statements,
+//!   identity reloads disappear, dead result stores disappear, and
+//!   reload/spill RTs remain in the output only where residency was
+//!   genuinely lost ([`Residency`] overflow or clobbering).  Value
+//!   locations are tracked at op granularity, exactly, from the sequence
+//!   itself; no statement-level liveness analysis is needed.
 //!
 //! The phase is driven by `record-core`'s `Target::compile` (option
 //! `allocate_registers`, on by default) and validated against the RT-level
@@ -26,14 +25,9 @@
 //! models.
 
 mod alloc;
-mod liveness;
 mod pool;
 
-pub use alloc::{
-    allocate, allocate_cfg, allocate_cfg_probed, allocate_probed, mem_traffic, AllocOptions,
-    AllocStats, Allocator, MemLayout,
-};
-pub use liveness::{CfgLiveness, Interval, Liveness};
+pub use alloc::{allocate, mem_traffic, AllocOptions, AllocStats, MemLayout};
 pub use pool::{Evicted, RegClass, RegisterPool, Residency, Resident};
 
 #[cfg(test)]

@@ -1,82 +1,8 @@
 use crate::*;
 use record_codegen::{Binding, DestSim, Loc, Machine, RtOp, SimExpr};
-use record_ir::{FlatExpr, FlatStmt, Ref};
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_rtl::TemplateId;
 use record_selgen::Selector;
-
-fn r(name: &str, offset: u64) -> Ref {
-    Ref {
-        name: name.to_owned(),
-        offset,
-    }
-}
-
-fn load(name: &str, offset: u64) -> FlatExpr {
-    FlatExpr::Load(r(name, offset))
-}
-
-fn add(a: FlatExpr, b: FlatExpr) -> FlatExpr {
-    FlatExpr::Binary(record_rtl::OpKind::Add, Box::new(a), Box::new(b))
-}
-
-/// `s = 0; s = s + a[0]; s = s + a[1]; d = s;`
-fn acc_chain() -> Vec<FlatStmt> {
-    vec![
-        FlatStmt {
-            target: r("s", 0),
-            value: FlatExpr::Const(0),
-        },
-        FlatStmt {
-            target: r("s", 0),
-            value: add(load("s", 0), load("a", 0)),
-        },
-        FlatStmt {
-            target: r("s", 0),
-            value: add(load("s", 0), load("a", 1)),
-        },
-        FlatStmt {
-            target: r("d", 0),
-            value: load("s", 0),
-        },
-    ]
-}
-
-// ---------------------------------------------------------------- liveness
-
-#[test]
-fn interval_computation() {
-    let live = Liveness::analyze(&acc_chain());
-    let s = live.interval(&r("s", 0)).expect("s tracked");
-    assert_eq!(s.defs, vec![0, 1, 2]);
-    assert_eq!(s.uses, vec![1, 2, 3]);
-    assert_eq!(s.start(), 0);
-    assert_eq!(s.end(), 3);
-    assert_eq!(s.accesses(), 6);
-    assert!(s.reused());
-
-    let a0 = live.interval(&r("a", 0)).expect("a[0] tracked");
-    assert_eq!(a0.defs, vec![]);
-    assert_eq!(a0.uses, vec![1]);
-    assert!(!a0.reused());
-
-    // Array elements are separate values.
-    assert!(live.interval(&r("a", 1)).is_some());
-    assert!(live.interval(&r("a", 2)).is_none());
-    assert_eq!(live.statements(), 4);
-    assert_eq!(live.reused_values(), 1);
-}
-
-#[test]
-fn interval_next_use_queries() {
-    let live = Liveness::analyze(&acc_chain());
-    let s = live.interval(&r("s", 0)).unwrap();
-    assert_eq!(s.next_use_after(0), Some(1));
-    assert_eq!(s.next_use_after(1), Some(2));
-    assert_eq!(s.next_use_after(3), None);
-    assert!(s.used_after(2));
-    assert!(!s.used_after(3));
-}
 
 // ------------------------------------------------------------------- pool
 
@@ -358,13 +284,30 @@ fn synth_modify(reg: u32) -> RtOp {
     }
 }
 
+/// Allocates `ops` as one block.
+fn allocate_one(
+    ops: &[RtOp],
+    pool: &RegisterPool,
+    layout: MemLayout,
+    options: &AllocOptions,
+) -> (Vec<RtOp>, AllocStats) {
+    let (out, _, stats) = allocate(
+        ops,
+        std::slice::from_ref(&(0..ops.len())),
+        pool,
+        layout,
+        options,
+        &mut record_probe::Probe::disabled(),
+    );
+    (out, stats)
+}
+
 fn run_synth(ops: &[RtOp], pool: &RegisterPool, first_scratch: u64) -> (Vec<RtOp>, AllocStats) {
-    let liveness = Liveness::default();
     let layout = MemLayout {
         data_mem: StorageId(9),
         first_scratch,
     };
-    allocate(ops, pool, &liveness, layout, &AllocOptions::default())
+    allocate_one(ops, pool, layout, &AllocOptions::default())
 }
 
 #[test]
@@ -443,7 +386,6 @@ fn spill_on_overflow_with_capped_pool() {
             },
         ],
     );
-    let liveness = Liveness::default();
     let layout = MemLayout {
         data_mem: StorageId(9),
         first_scratch: 4,
@@ -457,17 +399,16 @@ fn spill_on_overflow_with_capped_pool() {
         synth_store(1, 1),
     ];
     // Unlimited: both reloads are identities and both scratch stores die.
-    let (_, stats) = allocate(&ops, &pool, &liveness, layout, &AllocOptions::default());
+    let (_, stats) = allocate_one(&ops, &pool, layout, &AllocOptions::default());
     assert_eq!(stats.reloads_eliminated, 2);
     assert_eq!(stats.stores_eliminated, 2);
     assert_eq!(stats.spills, 0);
     // Capped at one association: the second store overflows the ledger and
     // evicts the first residency while its reload is still ahead — that
     // reload must stay, and the overflow is counted as a spill.
-    let (out, stats) = allocate(
+    let (out, stats) = allocate_one(
         &ops,
         &pool,
-        &liveness,
         layout,
         &AllocOptions {
             max_resident: Some(1),
@@ -609,7 +550,7 @@ fn compile_both(
     init: &[(&str, Vec<u64>)],
 ) -> (Vec<RtOp>, Vec<RtOp>, AllocStats) {
     let prog = record_ir::parse(csrc).expect("mini-C parses");
-    let flat = record_ir::lower(&prog, "f").expect("lowers");
+    let cfg = record_ir::lower_cfg(&prog, "f").expect("lowers");
     let dm = r
         .netlist
         .storages()
@@ -619,7 +560,7 @@ fn compile_both(
         .id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
     let ops = record_codegen::compile(
-        &flat,
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,
@@ -632,12 +573,10 @@ fn compile_both(
     .expect("compiles")
     .ops;
 
-    let liveness = Liveness::analyze(&flat);
     let pool = RegisterPool::discover(&r.netlist, &r.base, dm);
-    let (alloc_ops, stats) = allocate(
+    let (alloc_ops, stats) = allocate_one(
         &ops,
         &pool,
-        &liveness,
         MemLayout::from_binding(&binding),
         &AllocOptions::default(),
     );

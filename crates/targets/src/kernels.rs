@@ -153,9 +153,9 @@ pub fn kernels() -> [Kernel; 10] {
 }
 
 /// Control-flow kernels: data-dependent branches and loops that cannot be
-/// resolved at compile time, exercising the CFG path of the compiler
+/// resolved at compile time, exercising the compiler on multi-block CFGs
 /// (basic-block lowering, branch emission against the target's PC update
-/// templates, per-block liveness and compaction).
+/// templates, per-block allocation and compaction).
 ///
 /// These are deliberately kept out of [`kernels`]: the Figure 2 experiment
 /// and the golden listings iterate the straight-line set, whose output is

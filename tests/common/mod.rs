@@ -3,7 +3,6 @@
 //! code-transforming phase.
 
 use record_core::{CompiledKernel, Target};
-use std::collections::BTreeSet;
 
 /// Deterministic non-trivial input data for a program's globals.
 #[allow(dead_code)]
@@ -21,63 +20,11 @@ pub fn init_data(program: &record_ir::Program) -> Vec<(String, Vec<u64>)> {
         .collect()
 }
 
-/// Variables the flattened program actually touches (loop variables fold
-/// away during unrolling and never reach machine memory).
-#[allow(dead_code)]
-pub fn touched_variables(flat: &[record_ir::FlatStmt]) -> BTreeSet<String> {
-    fn collect(e: &record_ir::FlatExpr, out: &mut BTreeSet<String>) {
-        match e {
-            record_ir::FlatExpr::Load(r) => {
-                out.insert(r.name.clone());
-            }
-            record_ir::FlatExpr::Unary(_, a) => collect(a, out),
-            record_ir::FlatExpr::Binary(_, a, b) => {
-                collect(a, out);
-                collect(b, out);
-            }
-            record_ir::FlatExpr::Const(_) => {}
-        }
-    }
-    let mut set = BTreeSet::new();
-    for st in flat {
-        set.insert(st.target.name.clone());
-        collect(&st.value, &mut set);
-    }
-    set
-}
-
-/// Variables a lowered CFG touches, including branch-condition reads
-/// (the CFG counterpart of [`touched_variables`]).
-#[allow(dead_code)]
-pub fn touched_variables_cfg(cfg: &record_ir::Cfg) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    for b in &cfg.blocks {
-        set.extend(touched_variables(&b.stmts));
-        if let record_ir::Terminator::Branch { cond, .. } = &b.term {
-            fn collect(e: &record_ir::FlatExpr, out: &mut BTreeSet<String>) {
-                match e {
-                    record_ir::FlatExpr::Load(r) => {
-                        out.insert(r.name.clone());
-                    }
-                    record_ir::FlatExpr::Unary(_, a) => collect(a, out),
-                    record_ir::FlatExpr::Binary(_, a, b) => {
-                        collect(a, out);
-                        collect(b, out);
-                    }
-                    record_ir::FlatExpr::Const(_) => {}
-                }
-            }
-            collect(cond, &mut set);
-        }
-    }
-    set
-}
-
-/// CFG-aware interpreter-vs-machine oracle: like
-/// [`assert_matches_interpreter`], but lowers to a CFG so programs with
-/// data-dependent control flow can be checked, and takes the initial
-/// memory image explicitly (control-flow kernels are sensitive to input
-/// data, so tests drive them with several images).
+/// Runs `kernel` on the machine simulator from the `init` memory image
+/// and asserts every variable the lowered CFG touches equals what the
+/// mini-C interpreter computes; `label` names the kernel/model pair in
+/// failure messages.  Control-flow kernels are sensitive to input data,
+/// so tests drive them with several images.
 #[allow(dead_code)]
 pub fn assert_matches_interpreter_cfg(
     target: &Target,
@@ -100,7 +47,7 @@ pub fn assert_matches_interpreter_cfg(
         init.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
     let machine = target.execute(kernel, &init_refs);
     let dm = target.data_memory().expect("data memory");
-    let touched = touched_variables_cfg(&cfg);
+    let touched = cfg.touched_variables();
     for (name, addr) in kernel.binding.assignments() {
         if !touched.contains(name) {
             continue;
@@ -115,9 +62,7 @@ pub fn assert_matches_interpreter_cfg(
     }
 }
 
-/// Runs `kernel` on the machine simulator from [`init_data`] inputs and
-/// asserts every touched variable equals what the mini-C interpreter
-/// computes; `label` names the kernel/model pair in failure messages.
+/// [`assert_matches_interpreter_cfg`] from the [`init_data`] image.
 #[allow(dead_code)]
 pub fn assert_matches_interpreter(
     target: &Target,
@@ -127,30 +72,12 @@ pub fn assert_matches_interpreter(
     label: &str,
 ) {
     let program = record_ir::parse(source).unwrap();
-    let flat = record_ir::lower(&program, function).unwrap();
-    let init = init_data(&program);
-
-    let mut mem = record_ir::Memory::new();
-    for (name, vals) in &init {
-        mem.insert(name.clone(), vals.clone());
-    }
-    record_ir::interp(&program, function, &mut mem, 16).unwrap();
-
-    let init_refs: Vec<(&str, Vec<u64>)> =
-        init.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-    let machine = target.execute(kernel, &init_refs);
-    let dm = target.data_memory().expect("data memory");
-    let touched = touched_variables(&flat);
-    for (name, addr) in kernel.binding.assignments() {
-        if !touched.contains(name) {
-            continue;
-        }
-        for (i, want) in mem[name].iter().enumerate() {
-            assert_eq!(
-                machine.mem(dm, addr + i as u64),
-                *want,
-                "{label}: machine disagrees with the interpreter at {name}[{i}]"
-            );
-        }
-    }
+    assert_matches_interpreter_cfg(
+        target,
+        kernel,
+        source,
+        function,
+        &init_data(&program),
+        label,
+    );
 }

@@ -5,8 +5,8 @@
 //! timestamps) and export as loadable Chrome trace JSON.
 
 use record_core::{
-    validate_chrome_json_shape, CompileRequest, CompiledKernel, MetricsBuilder, Record,
-    RetargetOptions,
+    validate_chrome_json_shape, Collector, CompileRequest, CompiledKernel, MetricsBuilder, Probe,
+    Record, RetargetOptions,
 };
 use record_targets::{kernels, models};
 
@@ -224,4 +224,62 @@ fn compile_reports_are_attached_and_consistent() {
         compiled.report.counter("bdd.unique-lookups").unwrap_or(0) > 0,
         "no BDD work counted"
     );
+}
+
+/// Reports and spans read one clock: each report phase is its trace
+/// span's end minus begin exactly, on the retarget and the compile
+/// pipeline alike, and `select + emit` is the `codegen` span.
+#[test]
+fn report_phases_equal_their_spans() {
+    let span_ns = |trace: &record_core::Trace, label: &str| {
+        let spans = trace.span_totals();
+        let (_, ns) = spans
+            .iter()
+            .find(|(l, _)| *l == label)
+            .unwrap_or_else(|| panic!("no `{label}` span"));
+        *ns
+    };
+
+    let model = models::model("ref").unwrap();
+    let mut sink = Collector::new(0);
+    let target = Record::retarget_probed(
+        model.hdl,
+        &RetargetOptions::default(),
+        &mut Probe::new(&mut sink),
+    )
+    .unwrap();
+    let trace = sink.into_trace();
+    let report = &target.report().report;
+    for phase in [
+        "parse",
+        "extract",
+        "template-gen",
+        "rule-gen",
+        "selector-gen",
+        "freeze",
+    ] {
+        assert_eq!(
+            report.phase_ns(phase),
+            Some(span_ns(&trace, phase)),
+            "retarget phase `{phase}`"
+        );
+    }
+
+    let kernel = kernels::kernel("fir").unwrap();
+    let mut session = target.session();
+    session.install_collector(1);
+    let compiled = session
+        .compile(&CompileRequest::new(kernel.source, kernel.function))
+        .unwrap();
+    let trace = session.take_trace().unwrap();
+    let report = &compiled.report;
+    for phase in ["parse", "lower", "bind", "allocate", "compact"] {
+        assert_eq!(
+            report.phase_ns(phase),
+            Some(span_ns(&trace, phase)),
+            "compile phase `{phase}`"
+        );
+    }
+    let select_emit = report.phase_ns("select").unwrap() + report.phase_ns("emit").unwrap();
+    assert_eq!(select_emit, span_ns(&trace, "codegen"));
 }
