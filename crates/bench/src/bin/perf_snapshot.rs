@@ -21,8 +21,8 @@
 //!   model retarget, one per compiling kernel x model pair) instead of
 //!   the snapshot JSON.
 
-use record_bench::snapshot::{counter_drift, measure, parse_json, Json};
-use record_core::{PhaseNs, Report};
+use record_bench::snapshot::{counter_drift, measure};
+use record_core::{json, PhaseNs, Report};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -96,7 +96,7 @@ fn main() -> ExitCode {
     if let Some(path) = check {
         let src = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read snapshot `{path}`: {e}"));
-        let checked_in = parse_json(&src).unwrap_or_else(|e| panic!("bad snapshot `{path}`: {e}"));
+        let checked_in = json::parse(&src).unwrap_or_else(|e| panic!("bad snapshot `{path}`: {e}"));
         let drift = counter_drift(&snap, &checked_in);
         if drift.is_empty() {
             eprintln!(
@@ -119,50 +119,22 @@ fn main() -> ExitCode {
     }
 
     // Carry the trajectory anchor forward, if asked.
-    let pre_pr_raw = carry.map(|path| {
+    let pre_pr = carry.map(|path| {
         let src = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read snapshot `{path}`: {e}"));
-        let parsed = parse_json(&src).unwrap_or_else(|e| panic!("bad snapshot `{path}`: {e}"));
-        render_raw(
-            parsed
-                .get("pre_pr")
-                .unwrap_or_else(|| panic!("`{path}` has no pre_pr member")),
-        )
+        let parsed = json::parse(&src).unwrap_or_else(|e| panic!("bad snapshot `{path}`: {e}"));
+        parsed
+            .get("pre_pr")
+            .cloned()
+            .unwrap_or_else(|| panic!("`{path}` has no pre_pr member"))
     });
-    let json = snap.to_json(pre_pr_raw.as_deref());
+    let text = snap.to_json(pre_pr.as_ref());
     match out {
         Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
+            std::fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write `{path}`: {e}"));
             eprintln!("wrote {path}");
         }
-        None => print!("{json}"),
+        None => print!("{text}"),
     }
     ExitCode::SUCCESS
-}
-
-/// Re-renders a parsed JSON value (used to carry `pre_pr` forward).
-fn render_raw(v: &Json) -> String {
-    match v {
-        Json::Null => "null".into(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Json::Str(s) => format!("{s:?}"),
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_raw).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Json::Obj(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{k:?}: {}", render_raw(v)))
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        }
-    }
 }

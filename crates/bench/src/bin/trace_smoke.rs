@@ -5,21 +5,18 @@
 //! trace_smoke [--model NAME] [--out FILE]
 //! ```
 //!
-//! Three layers of validation run before the file is written:
+//! Two layers of validation run before the file is written:
 //!
 //! 1. [`Trace::validate`] on the in-memory trace — balanced begin/end
 //!    pairs, monotonic timestamps per lane;
-//! 2. [`record_core::validate_chrome_json_shape`] on the serialized
-//!    JSON — every `"B"` has an `"E"`, quotes and braces balance;
-//! 3. the snapshot JSON parser on the same bytes — the file is
-//!    well-formed JSON, not just balanced.
+//! 2. [`record_core::validate_chrome_json`] on the serialized bytes —
+//!    the file parses as JSON and every `"B"` event has an `"E"`.
 //!
 //! The written file loads directly in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 
-use record_bench::snapshot::parse_json;
 use record_core::{
-    validate_chrome_json_shape, Collector, CompileRequest, Probe, Record, RetargetOptions, Trace,
+    validate_chrome_json, Collector, CompileRequest, Probe, Record, RetargetOptions, Trace,
 };
 use record_targets::{kernels, models};
 use std::process::ExitCode;
@@ -73,12 +70,8 @@ fn main() -> ExitCode {
     }
 
     let json = trace.to_chrome_json(&format!("record: {model_name}"));
-    if let Err(e) = validate_chrome_json_shape(&json) {
-        eprintln!("chrome JSON shape check failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = parse_json(&json) {
-        eprintln!("chrome JSON does not parse: {e}");
+    if let Err(e) = validate_chrome_json(&json) {
+        eprintln!("chrome JSON check failed: {e}");
         return ExitCode::FAILURE;
     }
 

@@ -13,10 +13,11 @@
 //!   perf PR that silently changes *semantics* while claiming to only
 //!   change *speed* (see [`counter_drift`]).
 //!
-//! The crate has no serde (offline build), so this module carries a
-//! minimal JSON writer and a minimal recursive-descent parser — enough
-//! for the snapshot schema and nothing else.
+//! Rows are laid out one per line by hand; the workspace JSON codec
+//! ([`record_core::json`]) escapes their strings and parses checked-in
+//! snapshots.
 
+use record_core::json::Json;
 use record_core::{CompileRequest, Histogram, Record, Report, RetargetOptions};
 use record_targets::{control_kernels, kernels, models};
 use std::fmt::Write as _;
@@ -252,33 +253,11 @@ pub fn measure(iters: usize) -> Snapshot {
     }
 }
 
-/// Escapes a string per JSON rules (the Rust `{:?}` escaper writes
-/// `\u{..}` for non-ASCII, which JSON does not accept).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders a phase list as a JSON object in recording order.
 fn phases_json(phases: &[(&'static str, u128)]) -> String {
     let inner: Vec<String> = phases
         .iter()
-        .map(|(label, ns)| format!("{}: {ns}", json_str(label)))
+        .map(|(label, ns)| format!("{}: {ns}", Json::str(*label)))
         .collect();
     format!("{{{}}}", inner.join(", "))
 }
@@ -292,22 +271,22 @@ fn latency_json(l: &LatencySummary) -> String {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot; `pre_pr` is an optional raw JSON value
+    /// Serializes the snapshot; `pre_pr` is an optional JSON value
     /// (typically carried over from the previous snapshot file) recording
     /// the numbers this tree was measured against.
-    pub fn to_json(&self, pre_pr: Option<&str>) -> String {
+    pub fn to_json(&self, pre_pr: Option<&Json>) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(out, "  \"iters\": {},", self.iters);
-        if let Some(raw) = pre_pr {
-            let _ = writeln!(out, "  \"pre_pr\": {},", raw.trim());
+        if let Some(pre_pr) = pre_pr {
+            let _ = writeln!(out, "  \"pre_pr\": {pre_pr},");
         }
         out.push_str("  \"retarget\": [\n");
         for (i, r) in self.retarget.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"model\": {:?}, \"median_ns\": {}, {}, \"phases\": {}, \"bdd_nodes\": {}, \"templates\": {}, \"rules\": {}, \"op_cache_hit_rate\": {:.4}, \"unique_avg_probe_len\": {:.4}}}",
-                r.model, r.median_ns, latency_json(&r.latency), phases_json(&r.phases), r.bdd_nodes, r.templates, r.rules, r.op_cache_hit_rate, r.unique_avg_probe_len
+                "    {{\"model\": {}, \"median_ns\": {}, {}, \"phases\": {}, \"bdd_nodes\": {}, \"templates\": {}, \"rules\": {}, \"op_cache_hit_rate\": {:.4}, \"unique_avg_probe_len\": {:.4}}}",
+                Json::str(r.model), r.median_ns, latency_json(&r.latency), phases_json(&r.phases), r.bdd_nodes, r.templates, r.rules, r.op_cache_hit_rate, r.unique_avg_probe_len
             );
             out.push_str(if i + 1 < self.retarget.len() {
                 ",\n"
@@ -319,16 +298,16 @@ impl Snapshot {
         for (i, c) in self.compile.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"model\": {:?}, \"kernel\": {:?}, \"ok\": {}, \"median_ns\": {}, {}, \"phases\": {}, \"ops\": {}, \"words\": {}, \"scratch_nodes\": {}, \"op_cache_hit_rate\": {:.4}",
-                c.model, c.kernel, c.ok, c.median_ns, latency_json(&c.latency), phases_json(&c.phases), c.ops, c.words, c.scratch_nodes, c.op_cache_hit_rate
+                "    {{\"model\": {}, \"kernel\": {}, \"ok\": {}, \"median_ns\": {}, {}, \"phases\": {}, \"ops\": {}, \"words\": {}, \"scratch_nodes\": {}, \"op_cache_hit_rate\": {:.4}",
+                Json::str(c.model), Json::str(c.kernel), c.ok, c.median_ns, latency_json(&c.latency), phases_json(&c.phases), c.ops, c.words, c.scratch_nodes, c.op_cache_hit_rate
             );
             if let (Some(phase), Some(kind)) = (c.fail_phase, &c.fail_kind) {
                 let _ = write!(
                     out,
                     ", \"fail_phase\": {}, \"fail_kind\": {}, \"fail_message\": {}",
-                    json_str(phase),
-                    json_str(kind),
-                    json_str(c.fail_message.as_deref().unwrap_or("")),
+                    Json::str(phase),
+                    Json::str(kind),
+                    Json::str(c.fail_message.as_deref().unwrap_or("")),
                 );
             }
             out.push('}');
@@ -341,229 +320,6 @@ impl Snapshot {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (no serde in the offline build).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document.
-///
-/// # Errors
-///
-/// Returns a position-annotated message on malformed input.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                members.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    // Collect raw bytes and validate UTF-8 once at the end, so multi-byte
-    // characters in the input survive intact.
-    let mut out: Vec<u8> = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return String::from_utf8(out).map_err(|_| "string is not valid UTF-8".into()),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("bad escape")?;
-                *pos += 1;
-                match esc {
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'u' => {
-                        let cp = parse_hex4(b, pos)?;
-                        // Combine a UTF-16 surrogate pair if present.
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            if b.get(*pos) == Some(&b'\\') && b.get(*pos + 1) == Some(&b'u') {
-                                *pos += 2;
-                                let lo = parse_hex4(b, pos)?;
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                            } else {
-                                None
-                            }
-                        } else {
-                            char::from_u32(cp)
-                        };
-                        let ch = ch.ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("unknown escape `\\{}`", other as char)),
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-/// Parses exactly four hex digits (the payload of a `\uXXXX` escape).
-fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let digits = b
-        .get(*pos..*pos + 4)
-        .and_then(|d| std::str::from_utf8(d).ok())
-        .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?;
-    let cp = u32::from_str_radix(digits, 16)
-        .map_err(|_| format!("bad \\u escape `{digits}` at byte {pos}"))?;
-    *pos += 4;
-    Ok(cp)
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +390,7 @@ pub fn counter_drift(measured: &Snapshot, checked_in: &Json) -> Vec<String> {
             }
         }
     }
-    let num = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_num);
+    let num = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_f64);
     let empty = [];
     let rows = checked_in
         .get("retarget")
@@ -717,6 +473,7 @@ pub fn counter_drift(measured: &Snapshot, checked_in: &Json) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use record_core::json;
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -780,24 +537,21 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let snap = sample_snapshot();
-        let json = snap.to_json(Some("{\"note\": \"seed\"}"));
-        let parsed = parse_json(&json).expect("parses");
+        // A control character in the carried anchor must come back as
+        // JSON, not as Rust's `\u{1}` debug escape.
+        let pre_pr = Json::obj(vec![("note", Json::str("seed \u{1}"))]);
+        let text = snap.to_json(Some(&pre_pr));
+        let parsed = json::parse(&text).expect("parses");
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(schema_version(&parsed), Ok(3));
-        assert_eq!(
-            parsed
-                .get("pre_pr")
-                .and_then(|p| p.get("note"))
-                .and_then(Json::as_str),
-            Some("seed")
-        );
+        assert_eq!(parsed.get("pre_pr"), Some(&pre_pr));
         // Phases and the failure taxonomy survive the round trip.
         let rows = parsed.get("compile").and_then(Json::as_arr).unwrap();
         assert_eq!(
             rows[0]
                 .get("phases")
                 .and_then(|p| p.get("select"))
-                .and_then(Json::as_num),
+                .and_then(Json::as_f64),
             Some(500.0)
         );
         assert_eq!(
@@ -805,11 +559,11 @@ mod tests {
             Some("missing-hardware(mul)")
         );
         // v3 percentile members ride on every timed row.
-        assert_eq!(rows[0].get("p50_ns").and_then(Json::as_num), Some(1023.0));
-        assert_eq!(rows[0].get("max_ns").and_then(Json::as_num), Some(1001.0));
+        assert_eq!(rows[0].get("p50_ns").and_then(Json::as_f64), Some(1023.0));
+        assert_eq!(rows[0].get("max_ns").and_then(Json::as_f64), Some(1001.0));
         let retargets = parsed.get("retarget").and_then(Json::as_arr).unwrap();
         assert_eq!(
-            retargets[0].get("p95_ns").and_then(Json::as_num),
+            retargets[0].get("p95_ns").and_then(Json::as_f64),
             Some(127.0)
         );
         // No drift against itself.
@@ -832,7 +586,7 @@ mod tests {
     #[test]
     fn failure_class_drift_is_gated_on_v2_only() {
         let snap = sample_snapshot();
-        let parsed = parse_json(&snap.to_json(None)).expect("parses");
+        let parsed = json::parse(&snap.to_json(None)).expect("parses");
         // Same pair still fails, but for a different reason: caught.
         let mut reclassified = snap.clone();
         reclassified.compile[1].fail_kind = Some("selector-gap".to_owned());
@@ -847,10 +601,10 @@ mod tests {
         let v1_json = snap
             .to_json(None)
             .replace(SCHEMA, "record-perf-snapshot/v1");
-        let v1 = parse_json(&v1_json).expect("parses");
+        let v1 = json::parse(&v1_json).expect("parses");
         assert!(counter_drift(&reclassified, &v1).is_empty());
         // An unknown schema is itself a finding, not a silent pass.
-        let bad = parse_json("{\"schema\": \"something-else\"}").expect("parses");
+        let bad = json::parse("{\"schema\": \"something-else\"}").expect("parses");
         let findings = counter_drift(&snap, &bad);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].contains("unrecognized"));
@@ -858,14 +612,25 @@ mod tests {
 
     #[test]
     fn strings_survive_unicode_and_escapes() {
-        // Multi-byte UTF-8 straight through.
-        let parsed = parse_json("{\"note\": \"em — dash\"}").expect("parses");
-        assert_eq!(parsed.get("note").and_then(Json::as_str), Some("em — dash"));
-        // \uXXXX escapes, including a surrogate pair.
-        let parsed = parse_json(r#"{"s": "a\u00e9b \ud83d\ude00"}"#).expect("parses");
+        // A checked-in anchor written with `\uXXXX` escapes (a surrogate
+        // pair included) is carried into the next snapshot unchanged.
+        let pre_pr = json::parse(r#"{"note": "a\u00e9b \ud83d\ude00"}"#).expect("parses");
+        // Row strings holding multi-byte UTF-8 and characters JSON must
+        // escape come back as written.
+        let mut snap = sample_snapshot();
+        snap.compile[1].fail_message = Some("em — dash \"quoted\"\n\u{1F600}".to_owned());
+        let parsed = json::parse(&snap.to_json(Some(&pre_pr))).expect("parses");
         assert_eq!(
-            parsed.get("s").and_then(Json::as_str),
+            parsed
+                .get("pre_pr")
+                .and_then(|p| p.get("note"))
+                .and_then(Json::as_str),
             Some("a\u{e9}b \u{1F600}")
+        );
+        let rows = parsed.get("compile").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            rows[1].get("fail_message").and_then(Json::as_str),
+            snap.compile[1].fail_message.as_deref()
         );
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::{self, Json};
 use crate::trace::{EventKind, Trace};
-use std::fmt::Write as _;
 
 impl Trace {
     /// Serializes the trace as Chrome trace-event JSON.
@@ -32,7 +32,7 @@ impl Trace {
             &format!(
                 "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
                  \"args\": {{\"name\": {}}}}}",
-                json_string(process_name)
+                Json::str(process_name)
             ),
             &mut first,
         );
@@ -53,20 +53,20 @@ impl Trace {
                     EventKind::Begin => format!(
                         "{{\"name\": {}, \"cat\": \"record\", \"ph\": \"B\", \
                          \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}}}",
-                        json_string(ev.label),
+                        Json::str(ev.label),
                         lane.id
                     ),
                     EventKind::End => format!(
                         "{{\"name\": {}, \"cat\": \"record\", \"ph\": \"E\", \
                          \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}}}",
-                        json_string(ev.label),
+                        Json::str(ev.label),
                         lane.id
                     ),
                     EventKind::Counter => format!(
                         "{{\"name\": {}, \"cat\": \"record\", \"ph\": \"C\", \
                          \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}, \
                          \"args\": {{\"value\": {}}}}}",
-                        json_string(ev.label),
+                        Json::str(ev.label),
                         lane.id,
                         ev.value
                     ),
@@ -79,67 +79,28 @@ impl Trace {
     }
 }
 
-/// Renders a JSON string literal (escaping the characters that can
-/// appear in instrumentation labels and processor names).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Structurally checks an already-serialized Chrome trace without a JSON
-/// parser: every `"ph": "B"` has a matching `"E"`, quotes and braces are
-/// balanced.  This is a smoke check for pipelines that cannot depend on
-/// a parser; full validation should parse the JSON *and* run
-/// [`Trace::validate`] on the source trace.
+/// Checks an already-serialized Chrome trace: it parses as JSON, carries
+/// a `traceEvents` array, and has as many `"E"` events as `"B"` events.
+/// Full validation also runs [`Trace::validate`] on the source trace.
 ///
 /// # Errors
 ///
-/// A description of the first structural problem found.
-pub fn validate_chrome_json_shape(json: &str) -> Result<(), String> {
-    let begins = json.matches("\"ph\": \"B\"").count();
-    let ends = json.matches("\"ph\": \"E\"").count();
+/// The parse error, or a description of the first structural problem.
+pub fn validate_chrome_json(text: &str) -> Result<(), String> {
+    let doc = json::parse(text)?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("no `traceEvents` array")?;
+    let count = |ph: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+            .count()
+    };
+    let (begins, ends) = (count("B"), count("E"));
     if begins != ends {
         return Err(format!("unbalanced events: {begins} B vs {ends} E"));
-    }
-    let mut depth = 0i64;
-    let mut in_str = false;
-    let mut escape = false;
-    for c in json.chars() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => escape = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => depth -= 1,
-            _ => {}
-        }
-        if depth < 0 {
-            return Err("unbalanced braces: closed more than opened".into());
-        }
-    }
-    if in_str {
-        return Err("unterminated string".into());
-    }
-    if depth != 0 {
-        return Err(format!("unbalanced braces: depth {depth} at end"));
     }
     Ok(())
 }

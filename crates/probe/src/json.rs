@@ -1,11 +1,15 @@
-//! A minimal JSON value, parser and printer.
+//! The workspace's one JSON codec: a value, a parser and a printer.
 //!
-//! The wire protocol is newline-delimited JSON; keeping the codec in-tree
-//! (like the vendored `criterion`/`proptest` shims) keeps the service
-//! zero-dependency.  Only what the protocol needs is implemented: objects
-//! keep insertion order, numbers are `f64`, and the printer always emits
-//! a single line (strings escape control characters, so embedded newlines
-//! never break the framing).
+//! It carries the serving layer's newline-delimited wire protocol, the
+//! `BENCH_*.json` perf snapshots and the Chrome trace export.  Keeping
+//! it in-tree (like the vendored `criterion`/`proptest` shims) keeps the
+//! workspace zero-dependency.  Only what those formats need is
+//! implemented: objects keep insertion order, numbers are `f64`, and the
+//! printer always emits a single line (strings escape control
+//! characters, so embedded newlines never break the framing).  Wire
+//! input is untrusted, so the parser rejects malformed text, unpaired
+//! surrogates and nesting past a fixed depth with an error, never a
+//! panic.
 
 use std::fmt;
 
@@ -147,15 +151,22 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// How deeply arrays and objects may nest.  The parser recurses once per
+/// level, so the cap bounds its stack use; the formats it carries nest
+/// four levels at most.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
 /// Returns a one-line description with the byte offset of the failure.
+/// Nesting deeper than 64 levels is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -169,6 +180,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -210,8 +223,22 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
@@ -301,29 +328,24 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at offset {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs: the protocol never emits
+                            let code = self.hex4()?;
+                            // Surrogate pairs: the printer never emits
                             // them, but accept well-formed ones anyway.
                             let c = if (0xd800..0xdc00).contains(&code) {
                                 if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                                    return Err("unpaired surrogate".to_owned());
+                                    return Err(format!(
+                                        "unpaired surrogate at offset {}",
+                                        self.pos
+                                    ));
                                 }
                                 self.pos += 2;
-                                let hex2 = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or("truncated \\u escape")?;
-                                let low = u32::from_str_radix(hex2, 16)
-                                    .map_err(|_| "bad \\u escape".to_owned())?;
-                                self.pos += 4;
+                                let low = self.hex4()?;
+                                if !(0xdc00..=0xdfff).contains(&low) {
+                                    return Err(format!(
+                                        "unpaired surrogate at offset {}",
+                                        self.pos
+                                    ));
+                                }
                                 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
                             } else {
                                 code
@@ -336,6 +358,20 @@ impl Parser<'_> {
                 _ => return Err("unterminated string".to_owned()),
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\uXXXX` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let code = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|h| {
+                h.iter()
+                    .try_fold(0, |acc, &d| Some(acc * 16 + char::from(d).to_digit(16)?))
+            })
+            .ok_or_else(|| format!("bad \\u escape at offset {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -381,12 +417,47 @@ mod tests {
         let printed = v.to_string();
         assert!(!printed.contains('\n'), "framing-safe: {printed}");
         assert_eq!(parse(&printed).unwrap(), v);
+        // Raw multi-byte UTF-8 and `\uXXXX` escapes (surrogate pairs
+        // included) decode to the same characters.
+        for (text, want) in [
+            (r#""em — dash""#, "em — dash"),
+            (r#""a\u00e9b \ud83d\ude00""#, "a\u{e9}b \u{1F600}"),
+        ] {
+            assert_eq!(parse(text), Ok(Json::str(want)), "{text}");
+        }
     }
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "nul", "\"open", "{\"a\" 1}", "1 2"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "nul",
+            "\"open",
+            "{\"a\" 1}",
+            "1 2",
+            r#""\u12""#,
+            r#""\u+041""#,
+            // Surrogates: a high half must be followed by a low half.
+            r#""\ud800""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\udc00""#,
+        ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Far past the cap the parser stops at the cap, not at the end
+        // of the thread's stack.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

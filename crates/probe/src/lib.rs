@@ -32,12 +32,17 @@
 //! [`Trace`] exports as Chrome trace-event JSON
 //! ([`Trace::to_chrome_json`]) loadable in Perfetto or `chrome://tracing`,
 //! and validates itself ([`Trace::validate`]): balanced begin/end pairs,
-//! monotonic timestamps per lane.
+//! monotonic timestamps per lane.  [`validate_chrome_json`] checks the
+//! exported text.
+//!
+//! The crate also holds the workspace's one JSON codec, [`json`]: the
+//! Chrome export, the serving layer's wire protocol and the
+//! `BENCH_*.json` perf snapshots all read and write through it.
 //!
 //! # Example
 //!
 //! ```
-//! use record_probe::{Collector, Probe, Trace};
+//! use record_probe::{validate_chrome_json, Collector, Probe, Trace};
 //!
 //! let mut sink = Collector::new(0);
 //! let mut probe = Probe::new(&mut sink);
@@ -51,15 +56,16 @@
 //! let trace = sink.into_trace();
 //! trace.validate().expect("balanced and monotonic");
 //! let json = trace.to_chrome_json("example");
-//! assert!(json.contains("\"traceEvents\""));
+//! validate_chrome_json(&json).expect("parses, every B has an E");
 //! ```
 
 mod chrome;
+pub mod json;
 pub mod metrics;
 mod report;
 mod trace;
 
-pub use chrome::validate_chrome_json_shape;
+pub use chrome::validate_chrome_json;
 pub use metrics::{
     CounterId, FamilyId, GaugeId, Histogram, HistogramId, MetricsBuilder, MetricsRegistry,
     MetricsShard,

@@ -109,15 +109,17 @@ fn chrome_export_is_shaped_and_escaped() {
     sink.end("phase", 2_500);
     let trace = sink.into_trace();
     let json = trace.to_chrome_json("demo \"quoted\"\n");
-    crate::validate_chrome_json_shape(&json).expect("shape ok");
-    assert!(json.contains("\"traceEvents\""));
+    crate::validate_chrome_json(&json).expect("parses and balances");
     assert!(json.contains("\\\"quoted\\\"\\n"), "escapes applied");
     assert!(json.contains("\"ts\": 1.500"), "ns -> µs conversion");
     assert!(json.contains("\"ph\": \"C\""));
 
-    // Shape validation catches an unbalanced hand-made document.
-    let err = crate::validate_chrome_json_shape("{\"ph\": \"B\"}").unwrap_err();
+    // Validation catches an unbalanced document, one that is not JSON,
+    // and one without the event array.
+    let err = crate::validate_chrome_json("{\"traceEvents\": [{\"ph\": \"B\"}]}").unwrap_err();
     assert!(err.contains("unbalanced events"), "{err}");
+    assert!(crate::validate_chrome_json("{\"traceEvents\": [}").is_err());
+    assert!(crate::validate_chrome_json("{\"ph\": \"E\"}").is_err());
 }
 
 #[test]

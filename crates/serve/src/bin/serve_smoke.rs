@@ -7,7 +7,7 @@
 //! dumps the slow-request flight recorder through the `debug-traces`
 //! op.  Exits non-zero with a message on any failure.
 
-use record_core::validate_chrome_json_shape;
+use record_core::validate_chrome_json;
 use record_serve::{
     call_with_retry, Client, CompileSpec, Json, Model, RetryPolicy, ServeError, Server,
     ServerConfig,
@@ -396,7 +396,7 @@ fn debug_traces_check(client: &mut Client) {
             trace.request_id
         );
         assert!(!trace.function.is_empty(), "trace has its function");
-        validate_chrome_json_shape(&trace.chrome_json)
+        validate_chrome_json(&trace.chrome_json)
             .unwrap_or_else(|e| panic!("slow trace for {}: {e}", trace.function));
     }
 }

@@ -13,7 +13,7 @@
 //! between attempts with deterministic jitter ([`RetryPolicy`]).
 
 use crate::digest::render_key;
-use crate::json::{self, Json};
+use record_probe::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 

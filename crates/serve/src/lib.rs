@@ -39,12 +39,12 @@
 //!   over the wire.
 //!
 //! Like the rest of the workspace, the crate has no external
-//! dependencies; the JSON codec is in-tree ([`Json`] / [`parse_json`]).
+//! dependencies.  The wire codec is the workspace's one JSON codec,
+//! `record_probe::json`, re-exported here as [`Json`] / [`parse_json`].
 
 mod cache;
 mod client;
 mod digest;
-mod json;
 mod metrics;
 mod pool;
 mod proto;
@@ -56,10 +56,10 @@ pub use client::{
     RetryPolicy, ServeError,
 };
 pub use digest::{model_key, parse_key, render_key, ModelKey};
-pub use json::{parse as parse_json, Json};
 pub use metrics::{
     AccessLog, CacheCounters, FlightRecorder, PoolCounters, RequestIds, ServeMetrics, SlowTrace,
 };
 pub use pool::{PoolStats, PooledSession, SessionPool};
 pub use proto::{parse_request, CompileItem, ModelRef, Request};
+pub use record_probe::json::{parse as parse_json, Json};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -15,8 +15,8 @@
 //! histogram observation is a relaxed atomic op.  Only rare events
 //! (per-class failure counts) and scrape-time merging touch a mutex.
 
-use crate::json::Json;
 use record_core::{FailureClass, Report};
+use record_probe::json::Json;
 use record_probe::metrics::{
     CounterId, FamilyId, GaugeId, HistogramId, MetricsBuilder, MetricsRegistry, MetricsShard,
 };

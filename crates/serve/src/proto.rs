@@ -29,8 +29,8 @@
 //! flight recorder disabled).
 
 use crate::digest::{parse_key, ModelKey};
-use crate::json::Json;
 use record_core::{CompileError, CompileOptions, PipelineError};
+use record_probe::json::{self, Json};
 
 /// How a request names the processor model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +80,7 @@ pub enum Request {
 /// A human-readable description, reported to the client as a `protocol`
 /// error.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = crate::json::parse(line)?;
+    let v = json::parse(line)?;
     let op = v
         .get("op")
         .and_then(Json::as_str)

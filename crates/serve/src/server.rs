@@ -19,7 +19,6 @@
 
 use crate::cache::TargetCache;
 use crate::digest::{render_key, ModelKey};
-use crate::json::Json;
 use crate::metrics::{AccessLog, FlightRecorder, RequestIds, ServeMetrics, SlowTrace};
 use crate::pool::SessionPool;
 use crate::proto::{
@@ -27,6 +26,7 @@ use crate::proto::{
     ModelRef, Request,
 };
 use record_core::{CompileRequest, MetricsShard, RetargetOptions, Target};
+use record_probe::json::Json;
 use record_probe::now_ns;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};

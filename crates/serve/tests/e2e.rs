@@ -5,10 +5,12 @@
 
 use record_core::{CompileRequest, Record, RetargetOptions};
 use record_serve::{
-    call_with_retry, local_key, Client, CompileSpec, Json, Model, RetryPolicy, ServeError, Server,
-    ServerConfig,
+    call_with_retry, local_key, parse_json, Client, CompileSpec, Json, Model, RetryPolicy,
+    ServeError, Server, ServerConfig,
 };
 use record_targets::{kernels, models};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 #[test]
 fn eight_concurrent_clients_two_models_one_retarget_each() {
@@ -364,5 +366,45 @@ fn deadlines_and_admission_control_reject_structurally() {
     );
 
     drop(client);
+    server.shutdown();
+}
+
+/// Sends one raw request line and reads the response line.
+fn raw_call(conn: &mut BufReader<TcpStream>, line: &str) -> Json {
+    conn.get_mut()
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut response = String::new();
+    conn.read_line(&mut response).expect("receive");
+    parse_json(&response).unwrap_or_else(|e| panic!("response is not JSON ({e}): {response}"))
+}
+
+#[test]
+fn deeply_nested_request_is_a_protocol_error() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut conn = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+
+    // Far deeper than the codec's nesting cap: a structured error, not a
+    // worker overflowing its stack and taking the process down.
+    let response = raw_call(&mut conn, &"[".repeat(100_000));
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let kind = response
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("protocol"), "{response}");
+
+    // The same connection and worker go on serving.
+    let stats = raw_call(&mut conn, r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+
+    drop(conn);
     server.shutdown();
 }

@@ -5,8 +5,8 @@
 //! timestamps) and export as loadable Chrome trace JSON.
 
 use record_core::{
-    validate_chrome_json_shape, Collector, CompileRequest, CompiledKernel, MetricsBuilder, Probe,
-    Record, RetargetOptions,
+    validate_chrome_json, Collector, CompileRequest, CompiledKernel, MetricsBuilder, Probe, Record,
+    RetargetOptions,
 };
 use record_targets::{kernels, models};
 
@@ -103,7 +103,7 @@ fn batch_traced_equals_untraced_batch() {
     );
 
     let json = trace.to_chrome_json("batch");
-    validate_chrome_json_shape(&json).expect("chrome JSON shape");
+    validate_chrome_json(&json).expect("chrome JSON parses and balances");
 }
 
 /// Fleet metrics are observation-only too: a compile whose report is
