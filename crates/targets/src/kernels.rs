@@ -158,8 +158,8 @@ pub fn kernels() -> [Kernel; 10] {
 /// templates, per-block allocation and compaction).
 ///
 /// These are deliberately kept out of [`kernels`]: the Figure 2 experiment
-/// and the golden listings iterate the straight-line set, whose output is
-/// pinned byte-for-byte.  `hand_ops` counts assume a conditional-branch
+/// iterates the straight-line set only.  The golden listings pin both
+/// sets byte-for-byte.  `hand_ops` counts assume a conditional-branch
 /// machine in the TMS320C25 style (compare, branch, move per element).
 pub fn control_kernels() -> [Kernel; 4] {
     [

@@ -1,70 +1,22 @@
 //! Regenerates the golden listing files under `tests/golden/`.
 //!
-//! The straight-line kernels must keep producing byte-identical listings
-//! across pipeline refactors; `tests/straightline_golden.rs` compares
-//! against these files.  Run `cargo run --release --example
-//! golden_listings` only when an intentional output change is reviewed.
+//! Every kernel must keep producing byte-identical listings across
+//! pipeline refactors; `tests/straightline_golden.rs` compares against
+//! these files, rendered by the same `tests/common/golden.rs`.  Run
+//! `cargo run --release --example golden_listings` only when an
+//! intentional output change is reviewed.
 
-use record_core::{CompileRequest, Record, RetargetOptions};
-use record_targets::{kernels, models};
-use std::fmt::Write as _;
+#[path = "../tests/common/golden.rs"]
+mod golden;
 
-/// Full listings above this size are stored as per-section FNV-1a
-/// digests instead of verbatim text (manocpu's accumulator code is
-/// ~700 KiB of listings).
-const DIGEST_THRESHOLD: usize = 100_000;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use record_targets::models;
 
 fn main() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
     std::fs::create_dir_all(dir).expect("create tests/golden");
     for model in models() {
-        let target = match Record::retarget(model.hdl, &RetargetOptions::default()) {
-            Ok(t) => t,
-            Err(e) => panic!("retarget {} failed: {e}", model.name),
-        };
-        // (section header, section body) pairs.
-        let mut sections = Vec::new();
-        for kernel in kernels() {
-            for (mode, compaction) in [("compacted", true), ("vertical", false)] {
-                let req =
-                    CompileRequest::new(kernel.source, kernel.function).compaction(compaction);
-                let body = match target.compile(&req) {
-                    Ok(k) => target.listing(&k),
-                    Err(e) => format!("ERROR {}\n", e.classify()),
-                };
-                sections.push((format!("== {} {} ==", kernel.name, mode), body));
-            }
-        }
-        let total: usize = sections.iter().map(|(h, b)| h.len() + b.len()).sum();
-        let (path, out) = if total > DIGEST_THRESHOLD {
-            let mut out = String::new();
-            for (header, body) in &sections {
-                writeln!(
-                    out,
-                    "{header} fnv1a={:016x} bytes={}",
-                    fnv1a(body.as_bytes()),
-                    body.len()
-                )
-                .unwrap();
-            }
-            (format!("{dir}/digests_{}.txt", model.name), out)
-        } else {
-            let mut out = String::new();
-            for (header, body) in &sections {
-                writeln!(out, "{header}").unwrap();
-                out.push_str(body);
-            }
-            (format!("{dir}/listings_{}.txt", model.name), out)
-        };
+        let (file, out) = golden::render(&model);
+        let path = format!("{dir}/{file}");
         std::fs::write(&path, out).expect("write golden file");
         println!("wrote {path}");
     }
