@@ -13,7 +13,8 @@ use crate::error::CodegenError;
 use crate::ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
 use record_bdd::BddOps;
 use record_grammar::{
-    Et, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, RuleOrigin, TermKey,
+    Et, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, Rule, RuleOrigin, TermKey,
+    TreeGrammar,
 };
 use record_ir::{Cfg, FlatExpr, FlatStmt, Terminator};
 use record_netlist::{Netlist, StorageId, StorageKind};
@@ -289,7 +290,12 @@ fn emit_branch<M: BddOps>(
     // residency pass deletes the pair when so.
     let dm = binding.data_mem();
     let expected = Loc::Reg(test_reg);
-    let reload_tid = find_reload_tpl(base, netlist, &expected, dm)?;
+    let reload_tid = find_reload(base, test_reg, dm).ok_or_else(|| CodegenError::NoBranchPath {
+        detail: format!(
+            "no reload into branch-test register `{}` from data memory",
+            expected.render(netlist)
+        ),
+    })?;
     let mut rcond = base.template(reload_tid).cond;
     if let Pattern::MemRead(_, a) = &base.template(reload_tid).src {
         if let Pattern::Imm { hi, lo } = **a {
@@ -324,33 +330,19 @@ fn emit_branch<M: BddOps>(
     Ok(())
 }
 
-/// Module-level twin of [`Emitter::find_reload`], for branch steering:
-/// finds an unpredicated `reg := dm[#imm]`.
-fn find_reload_tpl(
-    base: &TemplateBase,
-    netlist: &Netlist,
-    expected: &Loc,
-    dm: StorageId,
-) -> Result<TemplateId, CodegenError> {
-    for t in base.templates() {
-        if t.pred.is_some() {
-            continue;
-        }
-        if !matches!((&t.dest, expected), (Dest::Reg(r), Loc::Reg(l)) if r == l) {
-            continue;
-        }
-        if let Pattern::MemRead(s, addr) = &t.src {
-            if *s == dm && matches!(**addr, Pattern::Imm { .. }) {
-                return Ok(t.id);
-            }
-        }
-    }
-    Err(CodegenError::NoBranchPath {
-        detail: format!(
-            "no reload into branch-test register `{}` from data memory",
-            expected.render(netlist)
-        ),
-    })
+/// Finds an unpredicated `reg := dm[#imm]`: the reload path of both
+/// branch steering and spilling.  Each caller raises its own error when
+/// there is none.
+fn find_reload(base: &TemplateBase, reg: StorageId, dm: StorageId) -> Option<TemplateId> {
+    base.templates()
+        .iter()
+        .find(|t| {
+            t.pred.is_none()
+                && matches!(t.dest, Dest::Reg(r) if r == reg)
+                && matches!(&t.src, Pattern::MemRead(s, addr)
+                    if *s == dm && matches!(**addr, Pattern::Imm { .. }))
+        })
+        .map(|t| t.id)
 }
 
 /// How many times statement legalization may recurse through itself.
@@ -812,7 +804,7 @@ fn build_flat(
 ///
 /// See [`compile`].
 #[allow(clippy::too_many_arguments)]
-pub fn compile_statement<M: BddOps>(
+pub(crate) fn compile_statement<M: BddOps>(
     et: &Et,
     selector: &Selector,
     base: &TemplateBase,
@@ -912,12 +904,67 @@ fn rf_fields(netlist: &Netlist) -> HashMap<StorageId, RfFields> {
     out
 }
 
-type Value = (NodeIdx, NonTermId);
+/// A cover value: a non-terminal derived at an ET node, in the order of
+/// [`RuleApp::operands`].
+type Value = (NonTermId, NodeIdx);
 
+/// Free register-file cells, one list per file.  A file's list is built
+/// on its first request, highest cell at the bottom, so cells come out
+/// 0, 1, 2, … and a freed cell is the next one handed out.
+#[derive(Debug, Default)]
+struct RfFree(Vec<(StorageId, Vec<u64>)>);
+
+impl RfFree {
+    /// Takes a free cell of `file`, a register file of `size` cells.
+    fn take(&mut self, file: StorageId, size: u64) -> Option<u64> {
+        let i = match self.0.iter().position(|(s, _)| *s == file) {
+            Some(i) => i,
+            None => {
+                self.0.push((file, (0..size).rev().collect()));
+                self.0.len() - 1
+            }
+        };
+        self.0[i].1.pop()
+    }
+
+    /// Returns a cell taken from `file`.
+    fn give_back(&mut self, file: StorageId, cell: u64) {
+        let (_, free) = self
+            .0
+            .iter_mut()
+            .find(|(s, _)| *s == file)
+            .expect("cell was taken from this file");
+        free.push(cell);
+    }
+}
+
+/// Looks `key` up in a small association list.
+fn lookup<'l, K: PartialEq, V>(list: &'l [(K, V)], key: &K) -> Option<&'l V> {
+    list.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Sets `key`'s entry of a small association list, replacing it in place.
+fn set<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: K, value: V) {
+    match list.iter_mut().find(|(k, _)| *k == key) {
+        Some(entry) => entry.1 = value,
+        None => list.push((key, value)),
+    }
+}
+
+/// Removes `key`'s entry of a small association list.
+fn take<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: &K) -> Option<V> {
+    let i = list.iter().position(|(k, _)| k == key)?;
+    Some(list.swap_remove(i).1)
+}
+
+/// Emits one cover.  It borrows the cover's applications and the
+/// grammar's rules, and keeps its per-cover tables as association lists
+/// searched in place: a cover holds a handful of values, fewer than a
+/// hash map costs to build and hash into.
 struct Emitter<'a, M: BddOps> {
     et: &'a Et,
     cover: &'a Cover,
-    selector: &'a Selector,
+    grammar: &'a TreeGrammar,
     base: &'a TemplateBase,
     binding: &'a mut Binding,
     netlist: &'a Netlist,
@@ -925,16 +972,14 @@ struct Emitter<'a, M: BddOps> {
     tables: &'a EmitTables,
     /// Field constraints (hi, lo, value) collected for the op being built.
     field_constraints: Vec<(u16, u16, u64)>,
-    /// Producer app index per value.
-    producer: HashMap<Value, usize>,
     /// Current location of produced, not-yet-consumed values.
-    value_loc: HashMap<Value, Loc>,
+    value_loc: Vec<(Value, Loc)>,
     /// Which value currently occupies a register-like location.
-    holder: HashMap<Loc, Value>,
+    holder: Vec<(Loc, Value)>,
     /// Free register-file cells.
-    rf_free: HashMap<StorageId, Vec<u64>>,
+    rf_free: RfFree,
     /// Cells we allocated (to distinguish temp cells from variable cells).
-    rf_temp: HashMap<Value, (StorageId, u64)>,
+    rf_temp: Vec<(Value, (StorageId, u64))>,
     out: Vec<RtOp>,
     /// Spill stores emitted (reported through [`EmitStats`]).
     spill_stores: u64,
@@ -954,31 +999,20 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         manager: &'a mut M,
         tables: &'a EmitTables,
     ) -> Self {
-        let mut producer = HashMap::new();
-        for (i, app) in cover.apps.iter().enumerate() {
-            producer.insert((app.at, app.nt), i);
-        }
-        let mut rf_free = HashMap::new();
-        for s in netlist.storages() {
-            if s.kind == StorageKind::RegFile {
-                rf_free.insert(s.id, (0..s.size).rev().collect());
-            }
-        }
         Emitter {
             et,
             cover,
-            selector,
+            grammar: selector.grammar(),
             base,
             binding,
             netlist,
             manager,
             tables,
             field_constraints: Vec::new(),
-            producer,
-            value_loc: HashMap::new(),
-            holder: HashMap::new(),
-            rf_free,
-            rf_temp: HashMap::new(),
+            value_loc: Vec::new(),
+            holder: Vec::new(),
+            rf_free: RfFree::default(),
+            rf_temp: Vec::new(),
             out: Vec::new(),
             spill_stores: 0,
             reloads: 0,
@@ -991,13 +1025,15 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         Ok(std::mem::take(&mut self.out))
     }
 
-    fn grammar(&self) -> &record_grammar::TreeGrammar {
-        self.selector.grammar()
+    /// Index of the application producing `v`: the last one, as in
+    /// evaluation order a later application supersedes an earlier one.
+    fn producer(&self, v: Value) -> Option<usize> {
+        self.cover.apps.iter().rposition(|a| (a.nt, a.at) == v)
     }
 
     fn emit_app(&mut self, idx: usize) -> Result<(), CodegenError> {
-        let app = self.cover.apps[idx].clone();
-        let rule = self.grammar().rule(app.rule).clone();
+        let app: &'a RuleApp = &self.cover.apps[idx];
+        let rule: &'a Rule = self.grammar.rule(app.rule);
         match rule.origin {
             RuleOrigin::Stop(_) => {
                 let loc = match self.et.kind(app.at) {
@@ -1005,32 +1041,36 @@ impl<'a, M: BddOps> Emitter<'a, M> {
                     EtKind::RfLeaf(s, c) => Loc::Rf(s, c as u64),
                     other => unreachable!("stop rule at non-leaf {other:?}"),
                 };
-                self.produce((app.at, app.nt), loc);
+                self.produce((app.nt, app.at), loc);
                 Ok(())
             }
             RuleOrigin::Start => {
-                let (nt, node) = app.operands[0];
-                let p = self.producer[&(node, nt)];
+                let v = app.operands[0];
+                let p = self.producer(v).expect("operand has a producer");
                 self.emit_app(p)?;
                 // The operand's derivation wrote the destination register;
                 // consume it.
-                self.consume((node, nt));
+                self.consume(v);
                 Ok(())
             }
-            RuleOrigin::Template(tid) => self.emit_template(&app, tid),
+            RuleOrigin::Template(tid) => self.emit_template(app, rule, tid),
         }
     }
 
-    fn emit_template(&mut self, app: &RuleApp, tid: TemplateId) -> Result<(), CodegenError> {
-        let rule = self.grammar().rule(app.rule).clone();
+    fn emit_template(
+        &mut self,
+        app: &'a RuleApp,
+        rule: &'a Rule,
+        tid: TemplateId,
+    ) -> Result<(), CodegenError> {
         self.field_constraints.clear();
 
         // 1. Order operand evaluation: an operand whose derivation clobbers
         //    the register a sibling's value will occupy goes first.
-        let order = self.operand_order(app);
-        for &oi in &order {
-            let (nt, node) = app.operands[oi];
-            let p = self.producer[&(node, nt)];
+        for oi in self.operand_order(app) {
+            let p = self
+                .producer(app.operands[oi])
+                .expect("operand has a producer");
             self.emit_app(p)?;
         }
 
@@ -1039,9 +1079,9 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         //    protected: they are read from pre-state and must not be
         //    spilled on each other's behalf — if that is unavoidable the
         //    conflict is cyclic and unimplementable on this data path.
-        let protected: Vec<Value> = app.operands.iter().map(|&(nt, node)| (node, nt)).collect();
-        for &(nt, node) in &app.operands {
-            self.ensure_in_place((node, nt), &protected)?;
+        let protected: &[Value] = &app.operands;
+        for &v in protected {
+            self.ensure_in_place(v, protected)?;
         }
 
         // 3. Build the concrete expression and destination.
@@ -1055,7 +1095,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
             }
             rhs => {
                 let expr = self.sim_of(rhs, app.at, &mut operand_iter)?;
-                let dest_loc = self.dest_loc_for(app)?;
+                let dest_loc = self.dest_loc_for(app, rule)?;
                 (DestSim::Loc(dest_loc), expr)
             }
         };
@@ -1063,15 +1103,18 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         // 4. Spill whatever pending value occupies the destination — unless
         //    it is one of this op's own operands (those are read from
         //    pre-state, so overwriting is safe).
-        if let DestSim::Loc(loc) = &dest {
-            let loc = loc.clone();
-            self.evict(&loc, &protected)?;
+        let produced = match &dest {
+            DestSim::Loc(loc) => Some(loc.clone()),
+            DestSim::MemAt(..) => None,
+        };
+        if let Some(loc) = &produced {
+            self.evict(loc, protected)?;
         }
 
         // 5. Emit with the immediate-field values folded into the
         //    execution condition (the binary *partial instruction* of the
         //    paper includes operand fields; compaction relies on it).
-        if let DestSim::Loc(Loc::Rf(s, c)) = &dest {
+        if let Some(Loc::Rf(s, c)) = &produced {
             if let Some(f) = self.tables.rf.get(s).and_then(|f| f.write) {
                 self.field_constraints.push((f.0, f.1, *c));
             }
@@ -1079,17 +1122,17 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         let cond = self.conjoin_fields(self.base.template(tid).cond);
         self.out.push(RtOp {
             template: tid,
-            dest: dest.clone(),
+            dest,
             expr,
             transfer: None,
             cond,
         });
         // Operands are consumed by this op.
-        for &(nt, node) in &app.operands {
-            self.consume((node, nt));
+        for &v in protected {
+            self.consume(v);
         }
-        if let DestSim::Loc(loc) = dest {
-            self.produce((app.at, app.nt), loc);
+        if let Some(loc) = produced {
+            self.produce((app.nt, app.at), loc);
         }
         Ok(())
     }
@@ -1110,26 +1153,25 @@ impl<'a, M: BddOps> Emitter<'a, M> {
 
     /// Register the value as live at `loc`.
     fn produce(&mut self, v: Value, loc: Loc) {
-        self.value_loc.insert(v, loc.clone());
-        self.holder.insert(loc, v);
+        set(&mut self.value_loc, v, loc.clone());
+        set(&mut self.holder, loc, v);
     }
 
     /// The value has been consumed: free its location (and temp cell).
     fn consume(&mut self, v: Value) {
-        if let Some(loc) = self.value_loc.remove(&v) {
-            if self.holder.get(&loc) == Some(&v) {
-                self.holder.remove(&loc);
+        if let Some(loc) = take(&mut self.value_loc, &v) {
+            if lookup(&self.holder, &loc) == Some(&v) {
+                take(&mut self.holder, &loc);
             }
         }
-        if let Some((s, c)) = self.rf_temp.remove(&v) {
-            self.rf_free.get_mut(&s).expect("rf known").push(c);
+        if let Some((s, c)) = take(&mut self.rf_temp, &v) {
+            self.rf_free.give_back(s, c);
         }
     }
 
     /// Destination location for a non-store template application.
-    fn dest_loc_for(&mut self, app: &RuleApp) -> Result<Loc, CodegenError> {
-        let rule = self.grammar().rule(app.rule);
-        match self.grammar().nonterm_kind(rule.lhs) {
+    fn dest_loc_for(&mut self, app: &RuleApp, rule: &Rule) -> Result<Loc, CodegenError> {
+        match self.grammar.nonterm_kind(rule.lhs) {
             NonTermKind::Reg(s) => Ok(Loc::Reg(s)),
             NonTermKind::Port(p) => Ok(Loc::Port(p)),
             NonTermKind::RegFile(s) => {
@@ -1140,13 +1182,15 @@ impl<'a, M: BddOps> Emitter<'a, M> {
                         return Ok(Loc::Rf(s, *cell as u64));
                     }
                 }
-                let cell = self.rf_free.get_mut(&s).and_then(Vec::pop).ok_or_else(|| {
-                    CodegenError::OutOfStorage {
-                        storage: self.netlist.storage(s).name.clone(),
-                        detail: "register file has no free cell".to_owned(),
-                    }
-                })?;
-                self.rf_temp.insert((app.at, app.nt), (s, cell));
+                let file = self.netlist.storage(s);
+                let cell =
+                    self.rf_free
+                        .take(s, file.size)
+                        .ok_or_else(|| CodegenError::OutOfStorage {
+                            storage: file.name.clone(),
+                            detail: "register file has no free cell".to_owned(),
+                        })?;
+                set(&mut self.rf_temp, (app.nt, app.at), (s, cell));
                 Ok(Loc::Rf(s, cell))
             }
             NonTermKind::Start => unreachable!("templates never derive START directly"),
@@ -1156,9 +1200,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
     /// Is this application the one whose value the start rule consumes?
     fn is_final_value(&self, app: &RuleApp) -> bool {
         let root = self.cover.apps.last().expect("cover non-empty");
-        root.operands
-            .first()
-            .is_some_and(|&(nt, node)| nt == app.nt && node == app.at)
+        root.operands.first() == Some(&(app.nt, app.at))
     }
 
     /// Chooses operand evaluation order to avoid clobbering conflicts.
@@ -1172,7 +1214,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         let targets: Vec<Option<Loc>> = app
             .operands
             .iter()
-            .map(|&(nt, _)| match self.grammar().nonterm_kind(nt) {
+            .map(|&(nt, _)| match self.grammar.nonterm_kind(nt) {
                 NonTermKind::Reg(s) => Some(Loc::Reg(s)),
                 _ => None,
             })
@@ -1180,9 +1222,9 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         let clobbers: Vec<Vec<Loc>> = app
             .operands
             .iter()
-            .map(|&(nt, node)| {
+            .map(|&v| {
                 let mut set = Vec::new();
-                self.collect_clobbers((node, nt), &mut set);
+                self.collect_clobbers(v, &mut set);
                 set
             })
             .collect();
@@ -1202,19 +1244,19 @@ impl<'a, M: BddOps> Emitter<'a, M> {
 
     /// Registers written while deriving `v`.
     fn collect_clobbers(&self, v: Value, out: &mut Vec<Loc>) {
-        let Some(&p) = self.producer.get(&v) else {
+        let Some(p) = self.producer(v) else {
             return;
         };
         let app = &self.cover.apps[p];
-        let rule = self.grammar().rule(app.rule);
+        let rule = self.grammar.rule(app.rule);
         if matches!(rule.origin, RuleOrigin::Template(_)) {
-            if let NonTermKind::Reg(s) = self.grammar().nonterm_kind(app.nt) {
+            if let NonTermKind::Reg(s) = self.grammar.nonterm_kind(app.nt) {
                 out.push(Loc::Reg(s));
             }
         }
-        for &(nt, node) in &app.operands {
-            if (node, nt) != v {
-                self.collect_clobbers((node, nt), out);
+        for &w in &app.operands {
+            if w != v {
+                self.collect_clobbers(w, out);
             }
         }
     }
@@ -1228,7 +1270,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         if matches!(loc, Loc::Port(_)) {
             return Ok(()); // ports are write-only, nothing to preserve
         }
-        let Some(&victim) = self.holder.get(loc) else {
+        let Some(&victim) = lookup(&self.holder, loc) else {
             return Ok(());
         };
         if protected.contains(&victim) {
@@ -1249,28 +1291,30 @@ impl<'a, M: BddOps> Emitter<'a, M> {
             cond,
         });
         self.spill_stores += 1;
-        self.holder.remove(loc);
-        self.value_loc
-            .insert(victim, Loc::Mem(self.binding.data_mem(), addr));
+        take(&mut self.holder, loc);
+        set(
+            &mut self.value_loc,
+            victim,
+            Loc::Mem(self.binding.data_mem(), addr),
+        );
         Ok(())
     }
 
     /// Reloads `v` into the register its consumer expects, spilling the
     /// current occupant if necessary.
     fn ensure_in_place(&mut self, v: Value, protected: &[Value]) -> Result<(), CodegenError> {
-        let loc = self
-            .value_loc
-            .get(&v)
+        let loc = lookup(&self.value_loc, &v)
             .cloned()
             .ok_or_else(|| CodegenError::Select {
                 message: "internal: operand value has no location".into(),
                 missing_op: None,
             })?;
-        let expected = match self.grammar().nonterm_kind(v.1) {
-            NonTermKind::Reg(s) => Loc::Reg(s),
+        let reg = match self.grammar.nonterm_kind(v.0) {
+            NonTermKind::Reg(s) => s,
             // Regfile/port operands: any cell of the file is fine.
             _ => return Ok(()),
         };
+        let expected = Loc::Reg(reg);
         if loc == expected {
             return Ok(());
         }
@@ -1281,18 +1325,19 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         };
         // A protected value occupying the reload target means two operands
         // of one operation need the same register: unimplementable.
-        if self
-            .holder
-            .get(&expected)
-            .is_some_and(|h| protected.contains(h) && *h != v)
-        {
+        if lookup(&self.holder, &expected).is_some_and(|h| protected.contains(h) && *h != v) {
             return Err(CodegenError::NoSpillPath {
                 loc: expected.render(self.netlist),
                 at_op: self.out.len(),
                 detail: "cyclic register conflict: two operands need the register".into(),
             });
         }
-        let reload_tid = self.find_reload(&expected, dm)?;
+        let reload_tid =
+            find_reload(self.base, reg, dm).ok_or_else(|| CodegenError::NoSpillPath {
+                loc: expected.render(self.netlist),
+                at_op: self.out.len(),
+                detail: "no reload template into the register from data memory".into(),
+            })?;
         self.evict(&expected, protected)?;
         if let Pattern::MemRead(_, a) = &self.base.template(reload_tid).src {
             if let Pattern::Imm { hi, lo } = **a {
@@ -1338,44 +1383,19 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         })
     }
 
-    /// Finds `reg := dm[#imm]`.
-    fn find_reload(&self, expected: &Loc, dm: StorageId) -> Result<TemplateId, CodegenError> {
-        for t in self.base.templates() {
-            let dest_ok = match (&t.dest, expected) {
-                (Dest::Reg(r), Loc::Reg(l)) => r == l,
-                (Dest::RegFile(r), Loc::Rf(l, _)) => r == l,
-                _ => false,
-            };
-            if !dest_ok {
-                continue;
-            }
-            if let Pattern::MemRead(s, addr) = &t.src {
-                if *s == dm && matches!(**addr, Pattern::Imm { .. }) {
-                    return Ok(t.id);
-                }
-            }
-        }
-        Err(CodegenError::NoSpillPath {
-            loc: expected.render(self.netlist),
-            at_op: self.out.len(),
-            detail: "no reload template into the register from data memory".into(),
-        })
-    }
-
     /// Builds the concrete [`SimExpr`] for pattern `pat` matched at ET node
     /// `node`; `operands` yields the operand list in pattern order.
     fn sim_of(
         &mut self,
         pat: &GPat,
         node: NodeIdx,
-        operands: &mut std::slice::Iter<'_, (NonTermId, NodeIdx)>,
+        operands: &mut std::slice::Iter<'_, Value>,
     ) -> Result<SimExpr, CodegenError> {
         match pat {
             GPat::NT(_) => {
-                let &(nt, at) = operands.next().expect("operand list matches pattern");
+                let v = operands.next().expect("operand list matches pattern");
                 let loc =
-                    self.value_loc
-                        .get(&(at, nt))
+                    lookup(&self.value_loc, v)
                         .cloned()
                         .ok_or_else(|| CodegenError::Select {
                             message: "internal: operand not materialised".into(),
@@ -1427,5 +1447,33 @@ impl<'a, M: BddOps> Emitter<'a, M> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RfFree;
+    use record_netlist::StorageId;
+
+    #[test]
+    fn regfile_free_list_hands_out_low_cells_and_reuses_the_last_freed() {
+        let (rf, other) = (StorageId(3), StorageId(5));
+        let mut free = RfFree::default();
+        assert_eq!(free.take(rf, 4), Some(0));
+        assert_eq!(free.take(rf, 4), Some(1));
+        assert_eq!(free.take(rf, 4), Some(2));
+        // The most recently freed cell comes back first.
+        free.give_back(rf, 0);
+        free.give_back(rf, 2);
+        assert_eq!(free.take(rf, 4), Some(2));
+        assert_eq!(free.take(rf, 4), Some(0));
+        assert_eq!(free.take(rf, 4), Some(3));
+        assert_eq!(free.take(rf, 4), None);
+        // Each file has a list of its own, built on its first request.
+        assert_eq!(free.take(other, 2), Some(0));
+        free.give_back(rf, 1);
+        assert_eq!(free.take(other, 2), Some(1));
+        assert_eq!(free.take(other, 2), None);
+        assert_eq!(free.take(rf, 4), Some(1));
     }
 }

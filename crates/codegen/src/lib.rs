@@ -37,7 +37,7 @@ mod sim;
 
 pub use baseline::baseline_compile;
 pub use binding::Binding;
-pub use emit::{compile, compile_statement, EmitStats, EmitTables, Emitted};
+pub use emit::{compile, EmitStats, EmitTables, Emitted};
 pub use error::CodegenError;
 pub use etgen::build_et;
 pub use ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
