@@ -952,15 +952,15 @@ fn set<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: K, value: V) {
 }
 
 /// Removes `key`'s entry of a small association list.
-fn take<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: &K) -> Option<V> {
+fn remove<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: &K) -> Option<V> {
     let i = list.iter().position(|(k, _)| k == key)?;
     Some(list.swap_remove(i).1)
 }
 
 /// Emits one cover.  It borrows the cover's applications and the
 /// grammar's rules, and keeps its per-cover tables as association lists
-/// searched in place: a cover holds a handful of values, fewer than a
-/// hash map costs to build and hash into.
+/// searched in place: a cover holds a handful of values, too few to repay
+/// building and hashing into a map.
 struct Emitter<'a, M: BddOps> {
     et: &'a Et,
     cover: &'a Cover,
@@ -1025,8 +1025,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         Ok(std::mem::take(&mut self.out))
     }
 
-    /// Index of the application producing `v`: the last one, as in
-    /// evaluation order a later application supersedes an earlier one.
+    /// Index of the application producing `v` (the last, if several do).
     fn producer(&self, v: Value) -> Option<usize> {
         self.cover.apps.iter().rposition(|a| (a.nt, a.at) == v)
     }
@@ -1159,12 +1158,12 @@ impl<'a, M: BddOps> Emitter<'a, M> {
 
     /// The value has been consumed: free its location (and temp cell).
     fn consume(&mut self, v: Value) {
-        if let Some(loc) = take(&mut self.value_loc, &v) {
+        if let Some(loc) = remove(&mut self.value_loc, &v) {
             if lookup(&self.holder, &loc) == Some(&v) {
-                take(&mut self.holder, &loc);
+                remove(&mut self.holder, &loc);
             }
         }
-        if let Some((s, c)) = take(&mut self.rf_temp, &v) {
+        if let Some((s, c)) = remove(&mut self.rf_temp, &v) {
             self.rf_free.give_back(s, c);
         }
     }
@@ -1291,7 +1290,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
             cond,
         });
         self.spill_stores += 1;
-        take(&mut self.holder, loc);
+        remove(&mut self.holder, loc);
         set(
             &mut self.value_loc,
             victim,

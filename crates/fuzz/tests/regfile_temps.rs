@@ -18,11 +18,6 @@ use std::fmt::Write as _;
 
 const SEEDS: [u64; 6] = [17, 191, 226, 230, 273, 307];
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/fuzz_regfile_temps.txt")
-}
-
 #[test]
 fn regfile_temp_listings_match_golden_file() {
     let mut got = String::new();
@@ -50,7 +45,8 @@ fn regfile_temp_listings_match_golden_file() {
             }
         }
     }
-    let path = golden_path();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/fuzz_regfile_temps.txt");
     match std::fs::read_to_string(&path) {
         Ok(want) => assert_eq!(
             got,
