@@ -122,7 +122,7 @@ fn expand<M: BddOps>(
             let dst = next_dest(target, binding)?;
             let mut b = EtBuilder::new();
             let an = leaf(&mut b, &ao, binding);
-            let value = b.node(EtKind::Op(*op), vec![an]);
+            let value = b.node(EtKind::Op(*op), &[an]);
             emit_step(
                 b, value, dst, selector, base, binding, netlist, manager, tables, out, stats,
             )?;
@@ -139,7 +139,7 @@ fn expand<M: BddOps>(
             let mut b = EtBuilder::new();
             let ln = leaf(&mut b, &lo, binding);
             let rn = leaf(&mut b, &ro, binding);
-            let value = b.node(EtKind::Op(*op), vec![ln, rn]);
+            let value = b.node(EtKind::Op(*op), &[ln, rn]);
             emit_step(
                 b, value, dst, selector, base, binding, netlist, manager, tables, out, stats,
             )?;
@@ -170,7 +170,7 @@ fn leaf(b: &mut EtBuilder, o: &Operand, binding: &Binding) -> NodeIdx {
         Operand::Const(v) => b.leaf(EtKind::Const(*v)),
         Operand::Mem(a) => {
             let an = b.leaf(EtKind::Const(*a));
-            b.node(EtKind::MemRead(binding.data_mem()), vec![an])
+            b.node(EtKind::MemRead(binding.data_mem()), &[an])
         }
     }
 }

@@ -70,6 +70,12 @@ pub struct Emitted {
 /// next block in layout order emits no transfer at all, so a
 /// straight-line function needs no PC.
 ///
+/// Statements inside a legalization plan go through one cover memo
+/// that lives as long as this call: a plan repeats its trees (a
+/// shift-and-add multiply is one four-statement step per bit), and a
+/// tree already emitted at the same scratch watermark is replayed
+/// instead of selected and emitted again.
+///
 /// `probe` receives one `"statement"` span per source statement and per
 /// branch; pass [`Probe::disabled`] when no trace is wanted.
 ///
@@ -93,6 +99,7 @@ pub fn compile<M: BddOps>(
 ) -> Result<Emitted, CodegenError> {
     let mut out = Vec::new();
     let mut stats = EmitStats::default();
+    let mut memo = CoverMemo::default();
     let mut ranges = Vec::with_capacity(cfg.blocks.len());
     let paths = branch_paths(base, netlist);
     for (i, block) in cfg.blocks.iter().enumerate() {
@@ -102,7 +109,7 @@ pub fn compile<M: BddOps>(
             let mark = binding.scratch_mark();
             let r = compile_split(
                 stmt, selector, base, binding, netlist, manager, tables, width, &mut out,
-                &mut stats, 0,
+                &mut stats, &mut memo, 0,
             );
             probe.end("statement");
             r?;
@@ -139,6 +146,7 @@ pub fn compile<M: BddOps>(
                     width,
                     &mut out,
                     &mut stats,
+                    &mut memo,
                 );
                 probe.end("statement");
                 r?;
@@ -252,6 +260,7 @@ fn emit_branch<M: BddOps>(
     width: u16,
     out: &mut Vec<RtOp>,
     stats: &mut EmitStats,
+    memo: &mut CoverMemo,
 ) -> Result<(), CodegenError> {
     // brnz takes the `then` side (cond != 0), brz the `else` side.
     let use_nz = if else_to == next && paths.brnz.is_some() {
@@ -282,7 +291,7 @@ fn emit_branch<M: BddOps>(
         value: cond.clone(),
     };
     compile_split(
-        &stmt, selector, base, binding, netlist, manager, tables, width, out, stats, 0,
+        &stmt, selector, base, binding, netlist, manager, tables, width, out, stats, memo, 0,
     )?;
 
     // ...then into the tested register.  Frequently redundant (the store
@@ -368,6 +377,9 @@ const MAX_LEGALIZE_DEPTH: usize = 4;
 /// shapes (subtraction via two's complement, multiplication via
 /// shift-and-add, constants via shifts) before the selection error is
 /// accepted as final.
+///
+/// Trees at `depth` 1 and deeper belong to a legalization plan and go
+/// through `memo`; top-level trees, which rarely repeat, do not.
 #[allow(clippy::too_many_arguments)]
 fn compile_split<M: BddOps>(
     stmt: &FlatStmt,
@@ -380,21 +392,26 @@ fn compile_split<M: BddOps>(
     width: u16,
     out: &mut Vec<RtOp>,
     stats: &mut EmitStats,
+    memo: &mut CoverMemo,
     depth: usize,
 ) -> Result<(), CodegenError> {
     let mut b = record_grammar::EtBuilder::new();
     let value = build_flat(&stmt.value, binding, width, &mut b)?;
     let target = target_addr(binding, &stmt.target)?;
-    let addr = b.node(record_grammar::EtKind::Const(target), Vec::new());
+    let addr = b.leaf(record_grammar::EtKind::Const(target));
     let et = record_grammar::Et::store(binding.data_mem(), addr, value, b);
-    let err = match compile_statement(
-        &et, selector, base, binding, netlist, manager, tables, stats,
-    ) {
-        Ok(ops) => {
-            out.extend(ops);
-            return Ok(());
-        }
-        Err(e) => e,
+    let emitted = if depth == 0 {
+        compile_statement(
+            &et, selector, base, binding, netlist, manager, tables, stats,
+        )
+        .map(|ops| out.extend(ops))
+    } else {
+        memo.emit(
+            et, selector, base, binding, netlist, manager, tables, out, stats,
+        )
+    };
+    let Err(err) = emitted else {
+        return Ok(());
     };
     // Hoist a nested computation into scratch memory and retry.
     if let Some((hoisted, remainder)) = split_deepest(&stmt.value) {
@@ -415,6 +432,7 @@ fn compile_split<M: BddOps>(
             width,
             out,
             stats,
+            memo,
             depth,
         )?;
         let remainder_stmt = FlatStmt {
@@ -432,6 +450,7 @@ fn compile_split<M: BddOps>(
             width,
             out,
             stats,
+            memo,
             depth,
         );
     }
@@ -461,6 +480,7 @@ fn compile_split<M: BddOps>(
                 width,
                 out,
                 stats,
+                memo,
                 depth + 1,
             )?;
             binding.release_scratch(mark)?;
@@ -778,21 +798,21 @@ fn build_flat(
         FlatExpr::Const(c) => b.leaf(EtKind::Const((*c as u64) & mask)),
         FlatExpr::Load(r) if r.name.starts_with("$scratch") => {
             let a = b.leaf(EtKind::Const(r.offset));
-            b.node(EtKind::MemRead(binding.data_mem()), vec![a])
+            b.node(EtKind::MemRead(binding.data_mem()), &[a])
         }
         FlatExpr::Load(r) => {
             let addr = binding.addr_of(r)?;
             let a = b.leaf(EtKind::Const(addr));
-            b.node(EtKind::MemRead(binding.storage_of(r)), vec![a])
+            b.node(EtKind::MemRead(binding.storage_of(r)), &[a])
         }
         FlatExpr::Unary(op, a) => {
             let an = build_flat(a, binding, width, b)?;
-            b.node(EtKind::Op(*op), vec![an])
+            b.node(EtKind::Op(*op), &[an])
         }
         FlatExpr::Binary(op, l, r) => {
             let ln = build_flat(l, binding, width, b)?;
             let rn = build_flat(r, binding, width, b)?;
-            b.node(EtKind::Op(*op), vec![ln, rn])
+            b.node(EtKind::Op(*op), &[ln, rn])
         }
     })
 }
@@ -829,6 +849,77 @@ pub(crate) fn compile_statement<M: BddOps>(
     stats.spill_stores += emitter.spill_stores;
     stats.reloads += emitter.reloads;
     result
+}
+
+/// Covers emitted during one [`compile`] call, keyed by the tree and the
+/// scratch watermark it was emitted at.
+///
+/// Replay is exact.  The selector is a tree parser, so a cover depends
+/// only on the tree.  Emission adds the target and the watermark, which
+/// fixes the addresses of the cover's spill slots.  Execution conditions
+/// are hash-consed in the session's BDD manager, so emitting the tree
+/// again would rebuild the very handles the recorded RTs hold.  Only
+/// successful emissions are recorded: a tree that fails is selected
+/// again every time, so splitting, legalization and every failure class
+/// behave as without the memo.
+#[derive(Debug, Default)]
+pub(crate) struct CoverMemo(HashMap<(Et, u64), Replay>);
+
+/// What emitting one tree did.
+#[derive(Debug)]
+struct Replay {
+    ops: Vec<RtOp>,
+    /// The scratch watermark after the cover's spill slots.
+    end: u64,
+    spill_stores: u64,
+    reloads: u64,
+}
+
+impl CoverMemo {
+    /// Emits `et` into `out`.  When the memo holds a cover of the same
+    /// tree emitted at the current scratch watermark, it replays it:
+    /// appends its RTs, reserves its spill slots and counts its spill
+    /// stores and reloads.  Otherwise it selects and emits the tree as
+    /// [`compile_statement`] does and records the result.
+    ///
+    /// # Errors
+    ///
+    /// See [`compile`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn emit<M: BddOps>(
+        &mut self,
+        et: Et,
+        selector: &Selector,
+        base: &TemplateBase,
+        binding: &mut Binding,
+        netlist: &Netlist,
+        manager: &mut M,
+        tables: &EmitTables,
+        out: &mut Vec<RtOp>,
+        stats: &mut EmitStats,
+    ) -> Result<(), CodegenError> {
+        let key = (et, binding.scratch_mark());
+        if let Some(r) = self.0.get(&key) {
+            binding.reserve_scratch_to(r.end)?;
+            out.extend_from_slice(&r.ops);
+            stats.spill_stores += r.spill_stores;
+            stats.reloads += r.reloads;
+            return Ok(());
+        }
+        let (spill_stores, reloads) = (stats.spill_stores, stats.reloads);
+        let ops = compile_statement(
+            &key.0, selector, base, binding, netlist, manager, tables, stats,
+        )?;
+        out.extend_from_slice(&ops);
+        let replay = Replay {
+            ops,
+            end: binding.scratch_mark(),
+            spill_stores: stats.spill_stores - spill_stores,
+            reloads: stats.reloads - reloads,
+        };
+        self.0.insert(key, replay);
+        Ok(())
+    }
 }
 
 /// Instruction fields encoding register-file cell choices.

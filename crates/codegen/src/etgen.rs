@@ -42,16 +42,16 @@ fn build_expr(
         FlatExpr::Load(r) => {
             let addr = binding.addr_of(r)?;
             let a = b.leaf(EtKind::Const(addr));
-            b.node(EtKind::MemRead(binding.storage_of(r)), vec![a])
+            b.node(EtKind::MemRead(binding.storage_of(r)), &[a])
         }
         FlatExpr::Unary(op, a) => {
             let an = build_expr(a, binding, width, b)?;
-            b.node(EtKind::Op(*op), vec![an])
+            b.node(EtKind::Op(*op), &[an])
         }
         FlatExpr::Binary(op, l, r) => {
             let ln = build_expr(l, binding, width, b)?;
             let rn = build_expr(r, binding, width, b)?;
-            b.node(EtKind::Op(*op), vec![ln, rn])
+            b.node(EtKind::Op(*op), &[ln, rn])
         }
     })
 }

@@ -8,11 +8,15 @@
 //! destination is part of the derivation cost.
 //!
 //! ETs are stored as flat arenas so the selector can attach dynamic-
-//! programming labels by node index.
+//! programming labels by node index.  A node holds its at most two
+//! children inline, so a tree is one `Vec` of `Copy` nodes: cheap to
+//! build, compare and hash (the code generator keys a per-compile cover
+//! memo by whole trees).
 
 use crate::types::{AssignKey, TermKey};
 use record_netlist::{ProcPortId, StorageId};
 use record_rtl::OpKind;
+use std::hash::{Hash, Hasher};
 
 /// Index of a node within an [`Et`].
 pub type NodeIdx = usize;
@@ -42,7 +46,7 @@ pub enum EtKind {
 }
 
 /// The destination of an ET.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EtDest {
     Reg(StorageId),
     /// Register-file cell (cell index fixed by the variable binding, or
@@ -54,14 +58,28 @@ pub enum EtDest {
     Port(ProcPortId),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One ET node: its kind and its at most two children, inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     kind: EtKind,
-    children: Vec<NodeIdx>,
+    /// Children in `kids[..arity]`; unused slots stay 0.
+    kids: [NodeIdx; 2],
+    arity: u8,
+}
+
+/// A node hashes as its kind plus its children packed into one word: one
+/// hasher write instead of three.  Nodes of one kind have one arity, so
+/// the packing leaves it out (equal nodes still hash equal, which is all
+/// `Hash` needs).
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kind.hash(state);
+        state.write_u64(((self.kids[0] as u64) << 32) | self.kids[1] as u64);
+    }
 }
 
 /// A flat expression tree with an explicit destination root.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Et {
     dest: EtDest,
     nodes: Vec<Node>,
@@ -79,7 +97,7 @@ impl Et {
             EtDest::Mem(_) => panic!("use Et::store for memory destinations"),
         };
         let value = builder.root.expect("builder holds a value");
-        let root = builder.push(EtKind::Assign(key), vec![value]);
+        let root = builder.push(EtKind::Assign(key), &[value]);
         Et {
             dest,
             nodes: builder.nodes,
@@ -90,7 +108,7 @@ impl Et {
     /// Builds an ET storing `value` to memory `mem` at `addr` (both built
     /// within the same [`EtBuilder`]).
     pub fn store(mem: StorageId, addr: NodeIdx, value: NodeIdx, mut builder: EtBuilder) -> Et {
-        let root = builder.push(EtKind::Store(mem), vec![addr, value]);
+        let root = builder.push(EtKind::Store(mem), &[addr, value]);
         Et {
             dest: EtDest::Mem(mem),
             nodes: builder.nodes,
@@ -125,7 +143,8 @@ impl Et {
 
     /// Children of a node.
     pub fn children(&self, idx: NodeIdx) -> &[NodeIdx] {
-        &self.nodes[idx].children
+        let node = &self.nodes[idx];
+        &node.kids[..usize::from(node.arity)]
     }
 
     /// Does the ET node kind match the grammar terminal `key`?
@@ -190,7 +209,7 @@ pub(crate) fn fits(value: u64, width: u16) -> bool {
 /// let mut b = EtBuilder::new();
 /// let acc = b.leaf(EtKind::RegLeaf(StorageId(0)));
 /// let one = b.leaf(EtKind::Const(1));
-/// b.node(EtKind::Op(OpKind::Add), vec![acc, one]);
+/// b.node(EtKind::Op(OpKind::Add), &[acc, one]);
 /// let et = Et::assign(EtDest::Reg(StorageId(0)), b);
 /// assert_eq!(et.len(), 4); // acc, 1, +, assign
 /// ```
@@ -208,18 +227,34 @@ impl EtBuilder {
 
     /// Adds a leaf node; the last added node becomes the value root.
     pub fn leaf(&mut self, kind: EtKind) -> NodeIdx {
-        self.push(kind, Vec::new())
+        self.push(kind, &[])
     }
 
     /// Adds an inner node over existing children; the last added node
     /// becomes the value root.
-    pub fn node(&mut self, kind: EtKind, children: Vec<NodeIdx>) -> NodeIdx {
+    ///
+    /// # Panics
+    ///
+    /// When given more than two children: ET operators are unary or
+    /// binary.
+    pub fn node(&mut self, kind: EtKind, children: &[NodeIdx]) -> NodeIdx {
         self.push(kind, children)
     }
 
-    fn push(&mut self, kind: EtKind, children: Vec<NodeIdx>) -> NodeIdx {
+    fn push(&mut self, kind: EtKind, children: &[NodeIdx]) -> NodeIdx {
+        assert!(
+            children.len() <= 2,
+            "an ET node has at most two children, got {}",
+            children.len()
+        );
+        let mut kids = [0; 2];
+        kids[..children.len()].copy_from_slice(children);
         let idx = self.nodes.len();
-        self.nodes.push(Node { kind, children });
+        self.nodes.push(Node {
+            kind,
+            kids,
+            arity: children.len() as u8,
+        });
         self.root = Some(idx);
         idx
     }

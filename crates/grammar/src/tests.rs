@@ -198,8 +198,8 @@ fn et_builder_and_matching() {
     let mut b = EtBuilder::new();
     let a = b.leaf(EtKind::RegLeaf(acc));
     let addr = b.leaf(EtKind::Const(5));
-    let m = b.node(EtKind::MemRead(ram), vec![addr]);
-    b.node(EtKind::Op(OpKind::Add), vec![a, m]);
+    let m = b.node(EtKind::MemRead(ram), &[addr]);
+    b.node(EtKind::Op(OpKind::Add), &[a, m]);
     let et = Et::assign(EtDest::Reg(acc), b);
 
     assert_eq!(et.len(), 5);
@@ -211,6 +211,44 @@ fn et_builder_and_matching() {
     assert!(et.kind_matches(addr, &TermKey::ConstVal(5)));
     assert!(!et.kind_matches(addr, &TermKey::ConstVal(6)));
     let _ = g;
+}
+
+/// `acc := acc + ram[addr]`, or `ram[addr] + acc` when `swap`, built from
+/// scratch on every call.
+fn add_tree(addr: u64, swap: bool) -> Et {
+    let (acc, ram) = (record_netlist::StorageId(0), record_netlist::StorageId(1));
+    let mut b = EtBuilder::new();
+    let a = b.leaf(EtKind::RegLeaf(acc));
+    let c = b.leaf(EtKind::Const(addr));
+    let m = b.node(EtKind::MemRead(ram), &[c]);
+    let kids = if swap { [m, a] } else { [a, m] };
+    b.node(EtKind::Op(OpKind::Add), &kids);
+    Et::assign(EtDest::Reg(acc), b)
+}
+
+#[test]
+fn trees_compare_and_hash_by_structure() {
+    use std::hash::BuildHasher;
+    let state = std::collections::hash_map::RandomState::new();
+    let (x, y) = (add_tree(5, false), add_tree(5, false));
+    assert_eq!(x, y);
+    assert_eq!(state.hash_one(&x), state.hash_one(&y));
+    assert_eq!(x.children(x.root()), [3]);
+    assert_eq!(x.children(3), [0, 2]);
+    assert!(x.children(1).is_empty());
+
+    assert_ne!(x, add_tree(6, false), "one constant differs");
+    let swapped = add_tree(5, true);
+    assert_ne!(x, swapped, "child order differs");
+    assert_eq!(swapped.children(3), [2, 0]);
+}
+
+#[test]
+#[should_panic(expected = "an ET node has at most two children, got 3")]
+fn a_third_child_panics() {
+    let mut b = EtBuilder::new();
+    let kids: Vec<NodeIdx> = (0..3).map(|v| b.leaf(EtKind::Const(v))).collect();
+    b.node(EtKind::Op(OpKind::Add), &kids);
 }
 
 #[test]

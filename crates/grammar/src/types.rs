@@ -90,14 +90,16 @@ impl GPat {
     /// Non-terminal leaves in left-to-right order.
     pub fn nonterm_leaves(&self) -> Vec<NonTermId> {
         let mut out = Vec::new();
-        fn rec(p: &GPat, out: &mut Vec<NonTermId>) {
-            match p {
-                GPat::NT(nt) => out.push(*nt),
-                GPat::T(_, kids) => kids.iter().for_each(|k| rec(k, out)),
-            }
-        }
-        rec(self, &mut out);
+        self.push_nonterm_leaves(&mut out);
         out
+    }
+
+    /// Appends the non-terminal leaves, left to right, to `out`.
+    pub fn push_nonterm_leaves(&self, out: &mut Vec<NonTermId>) {
+        match self {
+            GPat::NT(nt) => out.push(*nt),
+            GPat::T(_, kids) => kids.iter().for_each(|k| k.push_nonterm_leaves(out)),
+        }
     }
 }
 

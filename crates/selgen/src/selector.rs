@@ -156,6 +156,9 @@ pub struct Selector {
     const_root_rules: Vec<RuleId>,
     /// Chain rules: (rule, target, source, cost).
     chains: Vec<(RuleId, NonTermId, NonTermId, u32)>,
+    /// Every rule's operand diversity (see `operand_diversity`),
+    /// indexed by `RuleId`.
+    diversity: Vec<u8>,
     nt_count: usize,
 }
 
@@ -186,6 +189,12 @@ impl Selector {
             rule_arena.extend(rules);
             by_key.insert(key, (start, rule_arena.len() as u32));
         }
+        let mut leaves = Vec::new();
+        let diversity = grammar
+            .rules()
+            .iter()
+            .map(|r| Self::operand_diversity(&r.rhs, &mut leaves))
+            .collect();
         let nt_count = grammar.nonterm_count();
         Selector {
             grammar,
@@ -193,6 +202,7 @@ impl Selector {
             by_key,
             const_root_rules,
             chains,
+            diversity,
             nt_count,
         }
     }
@@ -245,7 +255,7 @@ impl Selector {
                 let rule = self.grammar.rule(rid);
                 if let Some(child_cost) = self.match_cost(&rule.rhs, et, idx, &labels) {
                     let total = rule.cost.saturating_add(child_cost);
-                    let diversity = Self::operand_diversity(&rule.rhs);
+                    let diversity = self.diversity[rid.0 as usize];
                     let slot = labels.slot(idx, rule.lhs);
                     // On cost ties prefer rules whose operand non-terminals
                     // are pairwise distinct: tree parsing is interference-
@@ -316,12 +326,16 @@ impl Selector {
     }
 
     /// 1 when the pattern's non-terminal leaves are pairwise distinct.
-    fn operand_diversity(rhs: &GPat) -> u8 {
-        let leaves = rhs.nonterm_leaves();
-        let mut sorted = leaves.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        u8::from(sorted.len() == leaves.len())
+    /// `leaves` is scratch space, reused across rules.
+    fn operand_diversity(rhs: &GPat, leaves: &mut Vec<NonTermId>) -> u8 {
+        leaves.clear();
+        rhs.push_nonterm_leaves(leaves);
+        u8::from(
+            leaves
+                .iter()
+                .enumerate()
+                .all(|(i, nt)| !leaves[..i].contains(nt)),
+        )
     }
 
     /// Cost of matching `pat` structurally at `idx` (sum of non-terminal

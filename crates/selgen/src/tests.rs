@@ -71,8 +71,8 @@ fn selects_single_rt_for_memory_operand_add() {
     let mut b = EtBuilder::new();
     let a = b.leaf(EtKind::RegLeaf(acc));
     let addr = b.leaf(EtKind::Const(5));
-    let m = b.node(EtKind::MemRead(ram), vec![addr]);
-    b.node(EtKind::Op(OpKind::Add), vec![a, m]);
+    let m = b.node(EtKind::MemRead(ram), &[addr]);
+    b.node(EtKind::Op(OpKind::Add), &[a, m]);
     let et = Et::assign(EtDest::Reg(acc), b);
 
     let cover = sel.select(&et).unwrap();
@@ -145,9 +145,9 @@ fn chained_mac_selected_as_one_template() {
     let a = b.leaf(EtKind::RegLeaf(acc));
     let tv = b.leaf(EtKind::RegLeaf(t));
     let addr = b.leaf(EtKind::Const(3));
-    let m = b.node(EtKind::MemRead(ram), vec![addr]);
-    let mul = b.node(EtKind::Op(OpKind::Mul), vec![tv, m]);
-    b.node(EtKind::Op(OpKind::Add), vec![a, mul]);
+    let m = b.node(EtKind::MemRead(ram), &[addr]);
+    let mul = b.node(EtKind::Op(OpKind::Mul), &[tv, m]);
+    b.node(EtKind::Op(OpKind::Add), &[a, mul]);
     let et = Et::assign(EtDest::Reg(acc), b);
 
     let cover = sel.select(&et).unwrap();
@@ -198,7 +198,7 @@ fn missing_operator_is_diagnosed() {
     let mut b = EtBuilder::new();
     let a1 = b.leaf(EtKind::RegLeaf(acc));
     let a2 = b.leaf(EtKind::RegLeaf(acc));
-    b.node(EtKind::Op(OpKind::Mul), vec![a1, a2]);
+    b.node(EtKind::Op(OpKind::Mul), &[a1, a2]);
     let et = Et::assign(EtDest::Reg(acc), b);
     let err = sel.select(&et).unwrap_err();
     assert!(err.subtree.contains("mul"), "{err}");
@@ -215,8 +215,8 @@ fn oversized_constant_is_diagnosed() {
     let mut b = EtBuilder::new();
     let a = b.leaf(EtKind::RegLeaf(acc));
     let addr = b.leaf(EtKind::Const(200));
-    let m = b.node(EtKind::MemRead(ram), vec![addr]);
-    b.node(EtKind::Op(OpKind::Add), vec![a, m]);
+    let m = b.node(EtKind::MemRead(ram), &[addr]);
+    b.node(EtKind::Op(OpKind::Add), &[a, m]);
     let et = Et::assign(EtDest::Reg(acc), b);
     assert!(sel.select(&et).is_err());
 }
@@ -232,11 +232,11 @@ fn cover_cost_equals_sum_of_rule_costs() {
     let mut b = EtBuilder::new();
     let a = b.leaf(EtKind::RegLeaf(acc));
     let a1 = b.leaf(EtKind::Const(1));
-    let m1 = b.node(EtKind::MemRead(ram), vec![a1]);
-    let sub = b.node(EtKind::Op(OpKind::Sub), vec![a, m1]);
+    let m1 = b.node(EtKind::MemRead(ram), &[a1]);
+    let sub = b.node(EtKind::Op(OpKind::Sub), &[a, m1]);
     let a2 = b.leaf(EtKind::Const(2));
-    let m2 = b.node(EtKind::MemRead(ram), vec![a2]);
-    b.node(EtKind::Op(OpKind::And), vec![sub, m2]);
+    let m2 = b.node(EtKind::MemRead(ram), &[a2]);
+    b.node(EtKind::Op(OpKind::And), &[sub, m2]);
     let et = Et::assign(EtDest::Reg(acc), b);
 
     let cover = sel.select(&et).unwrap();
@@ -340,7 +340,7 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
                         EtKind::Const(if w >= 1 { 1 } else { 0 })
                     }
                 };
-                Some(b.node(kind, children))
+                Some(b.node(kind, &children))
             }
         }
     }

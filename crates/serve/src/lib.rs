@@ -62,4 +62,4 @@ pub use metrics::{
 pub use pool::{PoolStats, PooledSession, SessionPool};
 pub use proto::{parse_request, CompileItem, ModelRef, Request};
 pub use record_probe::json::{parse as parse_json, Json};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, MAX_LINE_BYTES};

@@ -35,6 +35,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+/// The longest line the server reads: a request line on the NDJSON port,
+/// a request or header line on the metrics port.  A request line past it
+/// gets a `protocol` error and the connection is closed; the metrics port
+/// closes without an answer.  So a client that never sends a newline
+/// cannot grow a worker's memory without bound.  The largest bundled
+/// model is under 12 KB of HDL.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Appends to `line` through the next newline, but never past one byte
+/// more than [`MAX_LINE_BYTES`] in all.  Bytes read before an error stay
+/// in `line`, so a read that timed out can be resumed.
+fn read_capped_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+    std::io::Read::take(reader, budget as u64).read_until(b'\n', line)
+}
+
+/// Did [`read_capped_line`] stop at the cap before the line ended?
+fn over_cap(line: &[u8]) -> bool {
+    line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n")
+}
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -308,13 +329,13 @@ fn serve_connection(shared: &Shared, shard: &MetricsShard, stream: TcpStream) {
     let _ = read_half.set_read_timeout(Some(std::time::Duration::from_millis(200)));
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // Reassemble one line across timeouts: `read_line` appends, so a
+        // Reassemble one line across timeouts: the read appends, so a
         // partial line survives the retry.
         loop {
-            match reader.read_line(&mut line) {
+            match read_capped_line(&mut reader, &mut line) {
                 Ok(0) => return,
                 Ok(_) => break,
                 Err(e)
@@ -330,13 +351,22 @@ fn serve_connection(shared: &Shared, shard: &MetricsShard, stream: TcpStream) {
                 Err(_) => return,
             }
         }
-        if line.trim().is_empty() {
-            continue;
-        }
+        let oversized = over_cap(&line);
+        let parsed = if oversized {
+            Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return;
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            parse_request(text.trim_end())
+        };
         let request_id = shared.ids.next_id();
         let start = now_ns();
         shared.metrics.inflight_add(1);
-        let (op, response) = match parse_request(line.trim_end()) {
+        let (op, response) = match parsed {
             Ok(request) => {
                 let ctx = RequestCtx {
                     shared,
@@ -357,6 +387,7 @@ fn serve_connection(shared: &Shared, shard: &MetricsShard, stream: TcpStream) {
         if writer
             .write_all(format!("{response}\n").as_bytes())
             .is_err()
+            || oversized
         {
             return;
         }
@@ -644,21 +675,23 @@ fn serve_metrics_request(shared: &Shared, stream: &mut TcpStream) {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+    let mut request_line = Vec::new();
+    if read_capped_line(&mut reader, &mut request_line).is_err() || over_cap(&request_line) {
         return;
     }
     // Drain the headers; the response does not depend on them.
-    let mut header = String::new();
+    let mut header = Vec::new();
     loop {
         header.clear();
-        match reader.read_line(&mut header) {
+        match read_capped_line(&mut reader, &mut header) {
             Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
+            Ok(_) if over_cap(&header) => return,
+            Ok(_) if header == b"\r\n" || header == b"\n" => break,
             Ok(_) => continue,
             Err(_) => break,
         }
     }
+    let request_line = String::from_utf8_lossy(&request_line);
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         (

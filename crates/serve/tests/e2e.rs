@@ -6,7 +6,7 @@
 use record_core::{CompileRequest, Record, RetargetOptions};
 use record_serve::{
     call_with_retry, local_key, parse_json, Client, CompileSpec, Json, Model, RetryPolicy,
-    ServeError, Server, ServerConfig,
+    ServeError, Server, ServerConfig, MAX_LINE_BYTES,
 };
 use record_targets::{kernels, models};
 use std::io::{BufRead, BufReader, Write};
@@ -406,5 +406,43 @@ fn deeply_nested_request_is_a_protocol_error() {
     assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
 
     drop(conn);
+    server.shutdown();
+}
+
+#[test]
+fn overlong_request_line_is_a_protocol_error() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut conn = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+
+    // One byte past the cap and no newline: the worker answers as soon as
+    // the line passes the cap instead of buffering until a newline.
+    conn.get_mut()
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send");
+    let mut response = String::new();
+    conn.read_line(&mut response).expect("receive");
+    let response = parse_json(&response).expect("response is JSON");
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let kind = response
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("protocol"), "{response}");
+
+    // It closes that connection, and its one worker serves the next.
+    let mut rest = String::new();
+    assert_eq!(conn.read_line(&mut rest).expect("closed cleanly"), 0);
+    let mut next = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+    let stats = raw_call(&mut next, r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+
+    drop(next);
     server.shutdown();
 }
