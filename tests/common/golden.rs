@@ -5,9 +5,12 @@
 //! Every kernel, straight-line and control-flow, is rendered on every
 //! model in three modes: compacted, vertical (no compaction) and the
 //! per-operator baseline.  A pair that fails to compile is recorded as
-//! its failure class.
+//! its failure class.  Each model's extended template base is pinned
+//! too, so a change that renumbers templates cannot hide behind
+//! selection tie-breaks that happen to pick the same code.
 
 use record_core::{CompileRequest, Record, RetargetOptions};
+use record_rtl::TemplateOrigin;
 use record_targets::{control_kernels, kernels, TargetModel};
 use std::fmt::Write as _;
 
@@ -69,4 +72,59 @@ pub fn render(model: &TargetModel) -> (String, String) {
         }
         (format!("listings_{}.txt", model.name), out)
     }
+}
+
+/// Renders the template-base golden file over `models`: `(file name,
+/// content)`.
+///
+/// Per model, the retarget report's counts and the frozen BDD node
+/// count, then the FNV-1a digest and byte length of the base listed in
+/// id order, one line per template:
+/// `id: dest := src [when pred] | origin | cond`.
+pub fn render_template_bases(models: &[TargetModel]) -> (String, String) {
+    let mut out = String::new();
+    for model in models {
+        let target = Record::retarget(model.hdl, &RetargetOptions::default())
+            .unwrap_or_else(|e| panic!("retarget {} failed: {e}", model.name));
+        let r = target.report();
+        writeln!(out, "== {} ==", model.name).unwrap();
+        writeln!(
+            out,
+            "extracted={} extended={} unsat_discarded={} rules={} nonterminals={} \
+             pool_registers={} pool_cells={} bdd_nodes={}",
+            r.templates_extracted,
+            r.templates_extended,
+            r.unsat_discarded,
+            r.rules,
+            r.nonterminals,
+            r.pool_registers,
+            r.pool_cells,
+            target.manager().node_count()
+        )
+        .unwrap();
+        let mut listing = String::new();
+        for t in target.base().templates() {
+            let origin = match t.origin {
+                TemplateOrigin::Extracted => "extracted".to_owned(),
+                TemplateOrigin::Commutative(of) => format!("commutative({})", of.0),
+                TemplateOrigin::Rewrite(of) => format!("rewrite({})", of.0),
+            };
+            writeln!(
+                listing,
+                "{}: {} | {origin} | {}",
+                t.id.0,
+                t.render(target.netlist()),
+                t.cond
+            )
+            .unwrap();
+        }
+        writeln!(
+            out,
+            "templates fnv1a={:016x} bytes={}",
+            fnv1a(listing.as_bytes()),
+            listing.len()
+        )
+        .unwrap();
+    }
+    ("template_bases.txt".to_owned(), out)
 }

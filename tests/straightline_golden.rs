@@ -1,5 +1,6 @@
 //! Differential pin: every kernel must produce byte-identical listings to
-//! the reviewed golden files under `tests/golden/`.
+//! the reviewed golden files under `tests/golden/`, and every model the
+//! same extended template base.
 //!
 //! The straight-line kernels pin the one-block path through lowering,
 //! emission, allocation and compaction; the control-flow kernels pin
@@ -27,4 +28,18 @@ fn straightline_listings_match_golden_files() {
             model.name
         );
     }
+}
+
+#[test]
+fn template_bases_match_golden_file() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let (file, want) = golden::render_template_bases(&models());
+    let path = format!("{dir}/{file}");
+    let got = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("golden file {path} unreadable: {e}"));
+    assert_eq!(
+        got, want,
+        "template bases drifted from {path}; if the change is intentional, \
+         regenerate with `cargo run --release --example golden_listings`"
+    );
 }
