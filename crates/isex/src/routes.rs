@@ -6,10 +6,9 @@ use crate::varmap::VarMap;
 use record_bdd::{Bdd, BddManager};
 use record_hdl::PortDir;
 use record_netlist::{
-    DataExpr, ElabKind, Guard, InstId, Net, Netlist, PortIdx, ProcPortId, StorageKind,
+    DataExpr, ElabKind, Guard, GuardedExpr, InstId, Net, Netlist, PortIdx, ProcPortId, StorageKind,
 };
-use record_rtl::{CondPred, Dest, OpKind, Pattern, TemplateBase, TemplateId, TemplateOrigin};
-use std::collections::HashMap;
+use record_rtl::{CondPred, Dest, OpKind, Pattern, TemplateBase, TemplateOrigin};
 
 /// Options controlling extraction.
 #[derive(Debug, Clone)]
@@ -79,7 +78,6 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
         m: manager,
     };
     let mut base = TemplateBase::new();
-    let mut dedup: HashMap<(Dest, Pattern, Option<CondPred>), TemplateId> = HashMap::new();
 
     // Destinations: registers and register files and memories...
     for storage in netlist.storages() {
@@ -90,40 +88,28 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
                 let ElabKind::Register { input, guard, .. } = &netlist.def_of(inst).kind else {
                     unreachable!("register storage backed by register module");
                 };
-                let (input, guard) = (input.clone(), guard.clone());
                 if storage.is_pc {
                     // PC writes are control transfers; their guards may
                     // compare runtime data (branch-if-zero), which ordinary
                     // control analysis rejects.  Decompose instead.
-                    extract_pc(
-                        &mut base, &mut dedup, &mut cx, storage.id, inst, &input, &guard,
-                    )?;
+                    extract_pc(&mut base, &mut cx, storage.id, inst, input, guard)?;
                     continue;
                 }
-                let gcond = match cx.guard(inst, &guard) {
+                let gcond = match cx.guard(inst, guard) {
                     Some(g) => g,
                     None => continue,
                 };
-                let routes = cx.expand_data_expr(inst, &input, 0)?;
+                let routes = cx.expand_data_expr(inst, input, 0)?;
                 for (pat, cond) in routes {
                     let cond = cx.m.and(cond, gcond);
-                    record(
-                        &mut base,
-                        &mut dedup,
-                        &mut cx,
-                        Dest::Reg(storage.id),
-                        pat,
-                        cond,
-                        None,
-                    );
+                    record(&mut base, &mut cx, Dest::Reg(storage.id), pat, cond, None);
                 }
             }
             StorageKind::RegFile | StorageKind::Memory => {
                 let ElabKind::Memory { writes, .. } = &netlist.def_of(inst).kind else {
                     unreachable!("memory storage backed by memory module");
                 };
-                let writes = writes.clone();
-                for w in &writes {
+                for w in writes {
                     cx.stats.destinations += 1;
                     let gcond = match cx.guard(inst, &w.guard) {
                         Some(g) => g,
@@ -137,7 +123,6 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
                             let cond = cx.m.and(cond, gcond);
                             record(
                                 &mut base,
-                                &mut dedup,
                                 &mut cx,
                                 Dest::RegFile(storage.id),
                                 pat,
@@ -153,7 +138,6 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
                                 let c = cx.m.and(c, gcond);
                                 record(
                                     &mut base,
-                                    &mut dedup,
                                     &mut cx,
                                     Dest::Mem(storage.id, addr.clone()),
                                     pat.clone(),
@@ -177,12 +161,10 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
         let Some(driver) = &port.driver else {
             continue;
         };
-        let driver = driver.clone();
-        let routes = cx.expand_net(&driver, 0)?;
+        let routes = cx.expand_net(driver, 0)?;
         for (pat, cond) in routes {
             record(
                 &mut base,
-                &mut dedup,
                 &mut cx,
                 Dest::Port(ProcPortId(i as u32)),
                 pat,
@@ -204,7 +186,6 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
 /// duplicates.
 fn record(
     base: &mut TemplateBase,
-    dedup: &mut HashMap<(Dest, Pattern, Option<CondPred>), TemplateId>,
     cx: &mut Cx<'_>,
     dest: Dest,
     src: Pattern,
@@ -216,20 +197,13 @@ fn record(
         cx.stats.unsat_discarded += 1;
         return;
     }
-    match dedup.get(&(dest.clone(), src.clone(), pred.clone())) {
-        Some(&id) => {
+    match base.find_pred(&dest, &src, pred.as_ref()) {
+        Some(id) => {
             base.merge_cond(id, cond, &mut cx.m);
             cx.stats.merged_duplicates += 1;
         }
         None => {
-            let id = base.push_pred(
-                dest.clone(),
-                src.clone(),
-                cond,
-                TemplateOrigin::Extracted,
-                pred.clone(),
-            );
-            dedup.insert((dest, src, pred), id);
+            base.push_pred(dest, src, cond, TemplateOrigin::Extracted, pred);
         }
     }
 }
@@ -246,7 +220,6 @@ fn record(
 /// skipped as untraceable, like any other data-dependent control.
 fn extract_pc(
     base: &mut TemplateBase,
-    dedup: &mut HashMap<(Dest, Pattern, Option<CondPred>), TemplateId>,
     cx: &mut Cx<'_>,
     storage: record_netlist::StorageId,
     inst: InstId,
@@ -300,7 +273,7 @@ fn extract_pc(
             None => {
                 for (pat, cond) in &target_routes {
                     let c = cx.m.and(*cond, gcond);
-                    record(base, dedup, cx, Dest::Reg(storage), pat.clone(), c, None);
+                    record(base, cx, Dest::Reg(storage), pat.clone(), c, None);
                 }
             }
             Some((port, value, eq)) => {
@@ -311,7 +284,6 @@ fn extract_pc(
                         let c = cx.m.and(c, gcond);
                         record(
                             base,
-                            dedup,
                             cx,
                             Dest::Reg(storage),
                             pat.clone(),
@@ -371,7 +343,7 @@ struct Cx<'n> {
     m: BddManager,
 }
 
-impl Cx<'_> {
+impl<'n> Cx<'n> {
     /// Evaluates a module guard; `None` means untraceable (skip the fork).
     fn guard(&mut self, inst: InstId, guard: &Guard) -> Option<Bdd> {
         match self.ctrl.guard_bdd(inst, guard, &mut self.m) {
@@ -414,9 +386,9 @@ impl Cx<'_> {
                 // Fork per driver; forbid contention by requiring all other
                 // drivers disabled (paper: bus contention makes conditions
                 // unsatisfiable).
-                let drivers = self.n.bus(*bid).drivers.clone();
+                let drivers = &self.n.bus(*bid).drivers;
                 let mut enables = Vec::with_capacity(drivers.len());
-                for d in &drivers {
+                for d in drivers {
                     match self.ctrl.bus_guard_bdd(&d.guard, &mut self.m) {
                         Ok(b) => enables.push(Some(b)),
                         Err(CtrlIssue::Untraceable(_)) => {
@@ -480,11 +452,11 @@ impl Cx<'_> {
             match &def.kind {
                 ElabKind::Register { .. } => Expandee::Register,
                 ElabKind::Memory { reads, .. } => match reads.iter().find(|r| r.out == port) {
-                    Some(r) => Expandee::MemRead(r.addr.clone()),
+                    Some(r) => Expandee::MemRead(&r.addr),
                     None => Expandee::DeadOutput,
                 },
                 ElabKind::Comb { outputs } => match outputs.iter().find(|o| o.port == port) {
-                    Some(beh) => Expandee::Comb(beh.arms.clone()),
+                    Some(beh) => Expandee::Comb(&beh.arms),
                     None => Expandee::DeadOutput,
                 },
             }
@@ -508,7 +480,7 @@ impl Cx<'_> {
                     // emission time.
                     return Ok(vec![(Pattern::RegFile(sid), Bdd::TRUE)]);
                 }
-                let addr_routes = self.expand_data_expr(inst, &addr, depth + 1)?;
+                let addr_routes = self.expand_data_expr(inst, addr, depth + 1)?;
                 Ok(addr_routes
                     .into_iter()
                     .map(|(p, c)| (Pattern::MemRead(sid, Box::new(p)), c))
@@ -516,7 +488,7 @@ impl Cx<'_> {
             }
             Expandee::Comb(arms) => {
                 let mut out = Vec::new();
-                for arm in &arms {
+                for arm in arms {
                     let Some(g) = self.guard(inst, &arm.guard) else {
                         continue;
                     };
@@ -564,10 +536,7 @@ impl Cx<'_> {
         match e {
             DataExpr::Const(v) => Ok(vec![(Pattern::Const(*v), Bdd::TRUE)]),
             DataExpr::Port(p) => match self.n.driver_of(inst, *p) {
-                Some(net) => {
-                    let net = net.clone();
-                    self.expand_net(&net, depth + 1)
-                }
+                Some(net) => self.expand_net(net, depth + 1),
                 None => Ok(Vec::new()), // dangling input: no routes through here
             },
             DataExpr::Slice { base, hi, lo } => {
@@ -589,7 +558,10 @@ impl Cx<'_> {
                 let l = self.expand_data_expr(inst, lhs, depth + 1)?;
                 let r = self.expand_data_expr(inst, rhs, depth + 1)?;
                 let op = OpKind::from_bin(*op);
-                let mut out = Vec::with_capacity(l.len() * r.len());
+                // Reserve for the pairs only up to the explosion check:
+                // two lists under the cap can still pair into billions.
+                let cap = self.opts.max_routes_per_dest.saturating_add(1);
+                let mut out = Vec::with_capacity(l.len().saturating_mul(r.len()).min(cap));
                 for (lp, lc) in &l {
                     for (rp, rc) in &r {
                         let c = self.m.and(*lc, *rc);
@@ -613,11 +585,11 @@ impl Cx<'_> {
     }
 }
 
-/// What an instance output expands to.
-enum Expandee {
+/// What an instance output expands to, borrowed from the netlist.
+enum Expandee<'n> {
     Register,
-    MemRead(DataExpr),
-    Comb(Vec<record_netlist::GuardedExpr>),
+    MemRead(&'n DataExpr),
+    Comb(&'n [GuardedExpr]),
     DeadOutput,
 }
 

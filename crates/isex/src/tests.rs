@@ -529,3 +529,81 @@ fn duplicate_routes_merge_conditions() {
     assert!(m.eval(t.cond, &[false, true, true, false]));
     assert!(!m.eval(t.cond, &[true, false, true, false]));
 }
+
+/// Two independent chains of `levels` two-way selectors feeding one
+/// adder.  Every selector level reads its own instruction bit, so each
+/// chain delivers `2^levels` routes and all pairs of them are
+/// satisfiable.
+fn selector_chains(levels: usize) -> String {
+    let mut parts = String::new();
+    let mut conns = String::new();
+    for (chain, input, first_bit) in [("l", "pa", 0), ("r", "pb", levels)] {
+        for level in 0..levels {
+            let bit = first_bit + level;
+            let from = match level {
+                0 => input.to_owned(),
+                _ => format!("{chain}{}.y", level - 1),
+            };
+            parts.push_str(&format!("{chain}{level}: Sel; "));
+            conns.push_str(&format!(
+                "{chain}{level}.a = {from}; {chain}{level}.s = I[{bit}]; "
+            ));
+        }
+    }
+    let last = levels - 1;
+    format!(
+        r#"
+        module Sel {{
+            in a: bit(8);
+            ctrl s: bit(1);
+            out y: bit(8);
+            behavior {{ case s {{ 0 => y = a; 1 => y = ~a; }} }}
+        }}
+        module Adder {{
+            in a: bit(8);
+            in b: bit(8);
+            out y: bit(8);
+            behavior {{ y = a + b; }}
+        }}
+        module Acc {{
+            in d: bit(8);
+            out q: bit(8);
+            register q = d;
+        }}
+        processor Chains {{
+            instruction word: bit({width});
+            in pa: bit(8);
+            in pb: bit(8);
+            parts {{ {parts}add: Adder; acc: Acc; }}
+            connections {{ {conns}add.a = l{last}.y; add.b = r{last}.y; acc.d = add.y; }}
+        }}
+        "#,
+        width = 2 * levels,
+    )
+}
+
+#[test]
+fn route_explosion_across_a_binary_operator_is_an_error() {
+    // Each chain's 2^16 routes stay under the default cap of 2^17, but
+    // the adder's 2^32 pairs do not.  The pair list must not reserve room
+    // for every pair up front: 2^32 routes would ask for 160 GiB and abort
+    // the process instead of returning the error.
+    let err = extract(&netlist(&selector_chains(16)), &ExtractOptions::default())
+        .expect_err("the adder's routes explode");
+    assert!(
+        err.message().starts_with("route explosion in `add`"),
+        "{err}"
+    );
+}
+
+#[test]
+fn selector_chains_enumerate_every_route_under_the_cap() {
+    // The small version of the model above extracts normally: 2^3 * 2^3
+    // routes into the accumulator.  A route's shape only counts its
+    // complements, so they merge into 4 * 4 templates.
+    let ex = extract_src(&selector_chains(3));
+    assert_eq!(ex.stats.enumerated, 64);
+    assert_eq!(ex.stats.merged_duplicates, 48);
+    assert_eq!(ex.base.len(), 16);
+    assert_eq!(ex.stats.unsat_discarded, 0);
+}

@@ -13,7 +13,7 @@
 //!    source shapes the data path supports only indirectly.
 
 use crate::op::OpKind;
-use crate::template::{Pattern, RtTemplate, TemplateBase, TemplateOrigin};
+use crate::template::{Pattern, TemplateBase, TemplateId, TemplateOrigin};
 use std::collections::BTreeMap;
 
 /// Options controlling [`extend`].
@@ -166,26 +166,21 @@ impl FromIterator<TransformRule> for TransformLibrary {
 /// (`dest`, `src`) shape, so repeated extension is idempotent.
 pub fn extend(base: &mut TemplateBase, opts: &ExtensionOptions) -> ExtensionStats {
     let mut stats = ExtensionStats::default();
-    let original: Vec<RtTemplate> = base.templates().to_vec();
 
     if opts.commutativity {
-        for t in &original {
+        for i in 0..base.len() as u32 {
+            let id = TemplateId(i);
+            let t = base.template(id);
             // Predicated templates (conditional branches) are control
             // transfers, not algebraic shapes; extension does not apply.
-            if t.pred.is_some() {
+            // Without a commutative operator, the only variant is `src`.
+            if t.pred.is_some() || !has_commutative_op(&t.src) {
                 continue;
             }
-            for variant in commutative_variants(&t.src, opts.max_variants_per_template) {
-                if variant == t.src {
-                    continue;
-                }
-                if base.find(&t.dest, &variant).is_none() {
-                    base.push(
-                        t.dest.clone(),
-                        variant,
-                        t.cond,
-                        TemplateOrigin::Commutative(t.id),
-                    );
+            let mut variants = commutative_variants(&t.src, opts.max_variants_per_template);
+            variants.retain(|v| v != &t.src);
+            for variant in variants {
+                if push_variant(base, id, variant, TemplateOrigin::Commutative(id)) {
                     stats.commutative_added += 1;
                 }
             }
@@ -193,27 +188,51 @@ pub fn extend(base: &mut TemplateBase, opts: &ExtensionOptions) -> ExtensionStat
     }
 
     // Rewrites run on the commutatively-extended base so that e.g. a swapped
-    // MAC pattern also gets its power-of-two variant.
-    let after_comm: Vec<RtTemplate> = base.templates().to_vec();
+    // MAC pattern also gets its power-of-two variant; templates a rewrite
+    // adds are not rewritten again.
+    let after_comm = base.len() as u32;
     for rule in opts.library.rules() {
-        for t in &after_comm {
+        for i in 0..after_comm {
+            let id = TemplateId(i);
+            let t = base.template(id);
             if t.pred.is_some() {
                 continue;
             }
             for rewritten in apply_rule(rule, &t.src) {
-                if base.find(&t.dest, &rewritten).is_none() {
-                    base.push(
-                        t.dest.clone(),
-                        rewritten,
-                        t.cond,
-                        TemplateOrigin::Rewrite(t.id),
-                    );
+                if push_variant(base, id, rewritten, TemplateOrigin::Rewrite(id)) {
                     stats.rewrite_added += 1;
                 }
             }
         }
     }
     stats
+}
+
+/// Adds `src` as a variant of template `of`, with its destination and
+/// condition, unless the base already has that shape.  Returns whether
+/// it was added.
+fn push_variant(
+    base: &mut TemplateBase,
+    of: TemplateId,
+    src: Pattern,
+    origin: TemplateOrigin,
+) -> bool {
+    let t = base.template(of);
+    if base.find(&t.dest, &src).is_some() {
+        return false;
+    }
+    let (dest, cond) = (t.dest.clone(), t.cond);
+    base.push(dest, src, cond, origin);
+    true
+}
+
+/// Does `p` contain a commutative (binary) operator?
+fn has_commutative_op(p: &Pattern) -> bool {
+    match p {
+        Pattern::Op(op, args) => op.is_commutative() || args.iter().any(has_commutative_op),
+        Pattern::MemRead(_, addr) => has_commutative_op(addr),
+        _ => false,
+    }
 }
 
 /// All argument-order variants of `p` obtainable by swapping commutative
@@ -260,15 +279,16 @@ fn commutative_variants(p: &Pattern, cap: usize) -> Vec<Pattern> {
     v
 }
 
-type Bindings = BTreeMap<u8, Pattern>;
+/// Metavariable bindings: subtrees of the matched pattern, by reference.
+type Bindings<'p> = BTreeMap<u8, &'p Pattern>;
 
 /// Matches `rule` against `p` (at the root), binding metavariables.
-fn match_rule(rule: &RulePat, p: &Pattern, bind: &mut Bindings) -> bool {
+fn match_rule<'p>(rule: &RulePat, p: &'p Pattern, bind: &mut Bindings<'p>) -> bool {
     match (rule, p) {
         (RulePat::Var(v), _) => match bind.get(v) {
-            Some(existing) => existing == p,
+            Some(existing) => *existing == p,
             None => {
-                bind.insert(*v, p.clone());
+                bind.insert(*v, p);
                 true
             }
         },
@@ -282,13 +302,10 @@ fn match_rule(rule: &RulePat, p: &Pattern, bind: &mut Bindings) -> bool {
     }
 }
 
-/// Instantiates a rule side under `bind`.
-fn instantiate(rule: &RulePat, bind: &Bindings) -> Pattern {
+/// Instantiates a rule side under `bind`, cloning the bound subtrees.
+fn instantiate(rule: &RulePat, bind: &Bindings<'_>) -> Pattern {
     match rule {
-        RulePat::Var(v) => bind
-            .get(v)
-            .cloned()
-            .expect("rule sides share metavariables"),
+        RulePat::Var(v) => Pattern::clone(bind.get(v).expect("rule sides share metavariables")),
         RulePat::Const(c) => Pattern::Const(*c),
         RulePat::Op(op, args) => {
             Pattern::Op(*op, args.iter().map(|a| instantiate(a, bind)).collect())

@@ -3,7 +3,9 @@
 use crate::op::OpKind;
 use record_bdd::Bdd;
 use record_netlist::{Netlist, ProcPortId, StorageId};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 /// Identifier of a template inside a [`TemplateBase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -246,9 +248,23 @@ impl RtTemplate {
 }
 
 /// The (extended) RT template base of a target processor.
-#[derive(Debug, Clone, Default)]
+///
+/// Template ids are push order.  A shape index answers duplicate checks
+/// ([`TemplateBase::find_pred`]) with one hash probe; it holds ids, not
+/// copies of the shapes, and only answers membership.
+#[derive(Clone, Default)]
 pub struct TemplateBase {
     templates: Vec<RtTemplate>,
+    index: ShapeIndex,
+}
+
+impl fmt::Debug for TemplateBase {
+    // The index is left out: a `HashMap`'s iteration order is random.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TemplateBase")
+            .field("templates", &self.templates)
+            .finish()
+    }
 }
 
 impl TemplateBase {
@@ -299,6 +315,8 @@ impl TemplateBase {
         pred: Option<CondPred>,
     ) -> TemplateId {
         let id = TemplateId(self.templates.len() as u32);
+        self.index
+            .insert(self.index.key(&dest, &src, pred.as_ref()), id);
         self.templates.push(RtTemplate {
             id,
             dest,
@@ -326,17 +344,20 @@ impl TemplateBase {
         self.find_pred(dest, src, None)
     }
 
-    /// Looks up a template with exactly this `dest`/`src`/`pred` shape.
+    /// Looks up a template with exactly this `dest`/`src`/`pred` shape;
+    /// of several, the lowest id.
     pub fn find_pred(
         &self,
         dest: &Dest,
         src: &Pattern,
         pred: Option<&CondPred>,
     ) -> Option<TemplateId> {
-        self.templates
-            .iter()
-            .find(|t| &t.dest == dest && &t.src == src && t.pred.as_ref() == pred)
-            .map(|t| t.id)
+        self.index
+            .bucket(self.index.key(dest, src, pred))
+            .find(|&id| {
+                let t = self.template(id);
+                &t.dest == dest && &t.src == src && t.pred.as_ref() == pred
+            })
     }
 
     /// Iterates over templates writing storage `s`.
@@ -347,12 +368,41 @@ impl TemplateBase {
     }
 }
 
-impl FromIterator<RtTemplate> for TemplateBase {
-    fn from_iter<I: IntoIterator<Item = RtTemplate>>(iter: I) -> Self {
-        let mut base = TemplateBase::new();
-        for t in iter {
-            base.push_pred(t.dest, t.src, t.cond, t.origin, t.pred);
+/// Template ids bucketed by a hash of their `(dest, src, pred)` shape.
+///
+/// The hash is std's randomly keyed SipHash, since shapes come from user
+/// HDL.  A bucket is a chain through `next`, in ascending id order, so
+/// the first id in it whose shape compares equal is the lowest.
+#[derive(Clone, Default)]
+struct ShapeIndex {
+    hasher: RandomState,
+    /// First id per shape hash.
+    first: HashMap<u64, TemplateId>,
+    /// Per template id, the next id with the same shape hash.
+    next: Vec<Option<TemplateId>>,
+}
+
+impl ShapeIndex {
+    fn key(&self, dest: &Dest, src: &Pattern, pred: Option<&CondPred>) -> u64 {
+        self.hasher.hash_one((dest, src, pred))
+    }
+
+    /// Appends `id`, which must be above every id already indexed.
+    fn insert(&mut self, key: u64, id: TemplateId) {
+        debug_assert_eq!(id.0 as usize, self.next.len());
+        self.next.push(None);
+        let Some(mut at) = self.first.get(&key).copied() else {
+            self.first.insert(key, id);
+            return;
+        };
+        while let Some(next) = self.next[at.0 as usize] {
+            at = next;
         }
-        base
+        self.next[at.0 as usize] = Some(id);
+    }
+
+    /// The ids whose shape hashes to `key`, lowest first.
+    fn bucket(&self, key: u64) -> impl Iterator<Item = TemplateId> + '_ {
+        std::iter::successors(self.first.get(&key).copied(), |id| self.next[id.0 as usize])
     }
 }

@@ -87,6 +87,25 @@ fn template_base_push_find() {
     assert_eq!(base.writing(StorageId(1)).count(), 0);
 }
 
+#[test]
+fn template_base_debug_leaves_the_index_out() {
+    // Two bases built alike hash with different keys, so a printed index
+    // would list its buckets in different orders.
+    let build = || {
+        let mut base = TemplateBase::new();
+        for i in 0..8 {
+            base.push(
+                Dest::Reg(StorageId(i)),
+                reg(i),
+                Bdd::TRUE,
+                TemplateOrigin::Extracted,
+            );
+        }
+        format!("{base:?}")
+    };
+    assert_eq!(build(), build());
+}
+
 impl RtTemplate {
     /// Compile-time smoke helper so tests touch the public fields.
     fn render_smoke(&self) {
@@ -211,6 +230,53 @@ fn variant_cap_limits_blowup() {
 
 // ------------------------ property tests ----------------------------------
 
+/// The shapes the index property pushes: three destinations (one a
+/// memory cell) times three sources, each unpredicated and under two
+/// predicates.  Drawing from 27 shapes makes exact duplicates common, and
+/// so are equal `(dest, src)` pairs with and without a predicate.
+fn shape_alphabet() -> Vec<(Dest, Pattern, Option<CondPred>)> {
+    let dests = [
+        Dest::Reg(StorageId(0)),
+        Dest::Reg(StorageId(1)),
+        Dest::Mem(StorageId(2), reg(0)),
+    ];
+    let srcs = [
+        reg(0),
+        Pattern::Op(OpKind::Add, vec![reg(0), reg(1)]),
+        Pattern::Op(OpKind::Add, vec![reg(1), reg(0)]),
+    ];
+    let preds = [true, false].map(|eq| {
+        Some(CondPred {
+            test: reg(0),
+            value: 0,
+            eq,
+        })
+    });
+    let mut out = Vec::new();
+    for dest in &dests {
+        for src in &srcs {
+            for pred in [None].iter().chain(&preds) {
+                out.push((dest.clone(), src.clone(), pred.clone()));
+            }
+        }
+    }
+    out
+}
+
+/// The linear scan the shape index replaced: the first template with
+/// exactly this shape.
+fn scan(
+    base: &TemplateBase,
+    dest: &Dest,
+    src: &Pattern,
+    pred: Option<&CondPred>,
+) -> Option<TemplateId> {
+    base.templates()
+        .iter()
+        .find(|t| &t.dest == dest && &t.src == src && t.pred.as_ref() == pred)
+        .map(|t| t.id)
+}
+
 fn op_strategy() -> impl Strategy<Value = OpKind> {
     prop_oneof![
         Just(OpKind::Add),
@@ -225,6 +291,33 @@ fn op_strategy() -> impl Strategy<Value = OpKind> {
 }
 
 proptest! {
+    /// After every push, the shape index answers each lookup as the scan
+    /// does (the lowest id with the shape, or none), on the base and on a
+    /// clone of it.
+    #[test]
+    fn shape_index_answers_what_the_scan_answers(
+        pushes in prop::collection::vec(0..shape_alphabet().len(), 0..40),
+    ) {
+        let alphabet = shape_alphabet();
+        let mut base = TemplateBase::new();
+        for i in pushes {
+            let (dest, src, pred) = alphabet[i].clone();
+            match pred {
+                None => base.push(dest, src, Bdd::TRUE, TemplateOrigin::Extracted),
+                Some(_) => base.push_pred(dest, src, Bdd::TRUE, TemplateOrigin::Extracted, pred),
+            };
+            let copy = base.clone();
+            for (dest, src, pred) in &alphabet {
+                let want = scan(&base, dest, src, pred.as_ref());
+                prop_assert_eq!(base.find_pred(dest, src, pred.as_ref()), want);
+                prop_assert_eq!(copy.find_pred(dest, src, pred.as_ref()), want);
+                if pred.is_none() {
+                    prop_assert_eq!(base.find(dest, src), want);
+                }
+            }
+        }
+    }
+
     /// Commutative ops really commute under eval, at every width.
     #[test]
     fn commutative_ops_commute(op in op_strategy(), a: u64, b: u64, w in 1u16..32) {
