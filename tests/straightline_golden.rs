@@ -13,33 +13,28 @@ mod golden;
 
 use record_targets::models;
 
+/// Asserts that a rendered `(file name, content)` pair equals the golden
+/// file of that name; `what` names the content in the failure message.
+fn assert_matches_golden((file, want): (String, String), what: &str) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/").to_owned() + &file;
+    let got = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("golden file {path} unreadable: {e}"));
+    assert_eq!(
+        got, want,
+        "{what} drifted from {path}; if the change is intentional, \
+         regenerate with `cargo run --release --example golden_listings`"
+    );
+}
+
 #[test]
 fn straightline_listings_match_golden_files() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
     for model in models() {
-        let (file, want) = golden::render(&model);
-        let path = format!("{dir}/{file}");
-        let got = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("golden file {path} unreadable: {e}"));
-        assert_eq!(
-            got, want,
-            "{}: listings drifted from {path}; if the change is intentional, \
-             regenerate with `cargo run --release --example golden_listings`",
-            model.name
-        );
+        let what = format!("{}: listings", model.name);
+        assert_matches_golden(golden::render(&model), &what);
     }
 }
 
 #[test]
 fn template_bases_match_golden_file() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-    let (file, want) = golden::render_template_bases(&models());
-    let path = format!("{dir}/{file}");
-    let got = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("golden file {path} unreadable: {e}"));
-    assert_eq!(
-        got, want,
-        "template bases drifted from {path}; if the change is intentional, \
-         regenerate with `cargo run --release --example golden_listings`"
-    );
+    assert_matches_golden(golden::render_template_bases(&models()), "template bases");
 }
