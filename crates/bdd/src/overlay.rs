@@ -76,11 +76,6 @@ impl FrozenBdd {
         self.inner.op_cache_hit_rate()
     }
 
-    /// Mean unique-table probe-chain length recorded before freezing.
-    pub fn unique_avg_probe_len(&self) -> f64 {
-        self.inner.unique_avg_probe_len()
-    }
-
     /// Counter snapshot taken at freeze time (frozen counters no longer
     /// move; overlays account their own work separately).
     pub fn counters(&self) -> crate::BddCounters {
@@ -236,12 +231,6 @@ impl<'a> BddOverlay<'a> {
         self.base.var_count() + self.interner.len()
     }
 
-    /// Fraction of this session's op-cache lookups served from cache
-    /// (frozen-base hits count as session hits).
-    pub fn op_cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-
     /// `(hits, misses)` of this session's op-cache lookups.
     pub fn op_cache_counters(&self) -> (u64, u64) {
         self.cache.counters()
@@ -259,12 +248,6 @@ impl<'a> BddOverlay<'a> {
             unique_probes,
             unique_lookups,
         }
-    }
-
-    /// Mean probe-chain length of this session's local unique-table
-    /// lookups.
-    pub fn unique_avg_probe_len(&self) -> f64 {
-        self.unique.avg_probe_len()
     }
 
     /// Name of a registered variable (frozen or session-local).

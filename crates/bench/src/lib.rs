@@ -5,13 +5,13 @@
 //! * `cargo run -p record-bench --bin figure2` prints the relative code
 //!   size chart data (hand-written = 100 %) for the ten DSPstone kernels on
 //!   the TMS320C25-like model, baseline compiler vs RECORD.
+//! * `cargo run -p record-bench --bin perf_snapshot` prints per-phase
+//!   median tables for every model retarget and kernel x model compile.
 //! * `cargo bench -p record-bench` measures retargeting and compilation
 //!   with criterion, plus the ablations called out in DESIGN.md.
 
 use record_core::{mem_traffic, CompileError, CompileRequest, Record, RetargetOptions, Target};
 use record_targets::{kernels, models, Kernel, TargetModel};
-
-pub mod snapshot;
 
 /// One Figure 2 data point.
 #[derive(Debug, Clone)]

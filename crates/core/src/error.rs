@@ -70,7 +70,7 @@ pub enum CompilePhase {
 
 impl CompilePhase {
     /// The phase's trace-span label — the same vocabulary
-    /// `record-probe` spans and `record-bench` snapshots use.
+    /// `record-probe` spans and report tables use.
     pub fn label(self) -> &'static str {
         match self {
             CompilePhase::Parse => "parse",
@@ -260,8 +260,8 @@ pub enum CompileError {
 /// * `no-data-memory`, `unknown-storage`, `not-a-memory`,
 ///   `unbound-variable`, `frontend` — set-up failures.
 ///
-/// `record-bench` snapshots persist this pair per failing model×kernel
-/// and `perf_snapshot --check` fails when a pair silently changes class.
+/// The golden listings under `tests/golden/` pin this pair per failing
+/// model×kernel, so a pair cannot silently change class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureClass {
     /// The phase that failed.

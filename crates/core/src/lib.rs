@@ -50,7 +50,7 @@ pub use pipeline::{
 pub use record_bdd::FrozenBdd;
 pub use record_codegen::{Machine, RtOp};
 pub use record_probe::{
-    json, validate_chrome_json, Collector, CounterId, CounterVal, GaugeId, Histogram, HistogramId,
+    json, validate_chrome_json, Collector, CounterId, CounterVal, GaugeId, HistogramId,
     MetricsBuilder, MetricsRegistry, MetricsShard, PhaseNs, Probe, Report, Trace, TraceSink,
 };
 pub use record_regalloc::{mem_traffic, AllocStats, RegisterPool};

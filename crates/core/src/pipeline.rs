@@ -19,7 +19,7 @@ use record_netlist::{Netlist, StorageId, StorageKind};
 use record_probe::{Probe, Report};
 use record_regalloc::{AllocStats, RegisterPool};
 use record_rtl::{ExtensionOptions, TemplateBase};
-use record_selgen::{emit_rust, Selector};
+use record_selgen::Selector;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,9 +30,6 @@ pub struct RetargetOptions {
     pub extract: ExtractOptions,
     /// Algebraic extension configuration (§3 of the paper).
     pub extension: ExtensionOptions,
-    /// Also emit the generated tree parser as Rust source (iburg's code
-    /// generation step; included in the measured retargeting time when on).
-    pub emit_parser_source: bool,
 }
 
 /// Retargeting report: one row of the paper's Table 3 (the count
@@ -172,12 +169,8 @@ impl Record {
         report.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
         report.count("rule-gen.rules", grammar.rules().len() as u64);
 
-        let (selector, parser_source) = phase(probe, &mut report, "selector-gen", |_| {
-            let selector = Selector::generate(Arc::clone(&grammar));
-            let parser_source = options
-                .emit_parser_source
-                .then(|| emit_rust(&grammar, netlist.name()));
-            (selector, parser_source)
+        let selector = phase(probe, &mut report, "selector-gen", |_| {
+            Selector::generate(Arc::clone(&grammar))
         });
 
         // Freeze the artifact: data memory, register pool and the
@@ -223,7 +216,6 @@ impl Record {
             varmap: extraction.varmap,
             emit_tables,
             stats,
-            parser_source,
             data_mem,
             const_mem,
             pool,
@@ -399,7 +391,6 @@ pub struct Target {
     /// fixed at retarget time.
     pub(crate) emit_tables: EmitTables,
     pub(crate) stats: RetargetReport,
-    pub(crate) parser_source: Option<String>,
     /// Default data memory, fixed at retarget time (`None` when the model
     /// has none — every compile then fails with a diagnostic).
     pub(crate) data_mem: Option<StorageId>,
@@ -464,11 +455,6 @@ impl Target {
     /// model has no data memory to spill through).
     pub fn register_pool(&self) -> Option<&RegisterPool> {
         self.pool.as_ref()
-    }
-
-    /// The emitted tree-parser source, if requested at retarget time.
-    pub fn parser_source(&self) -> Option<&str> {
-        self.parser_source.as_deref()
     }
 
     /// The default data memory: the first (largest) `Memory` storage.

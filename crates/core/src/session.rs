@@ -194,24 +194,6 @@ impl<'t> CompileSession<'t> {
         self.target
     }
 
-    /// BDD nodes this session created on top of the frozen base (a
-    /// scratch-memory gauge).
-    pub fn scratch_nodes(&self) -> usize {
-        self.bdd.local_node_count()
-    }
-
-    /// Fraction of this session's BDD op-cache lookups served from cache
-    /// (frozen-base hits included).
-    pub fn bdd_op_cache_hit_rate(&self) -> f64 {
-        self.bdd.op_cache_hit_rate()
-    }
-
-    /// Mean probe-chain length of this session's local unique-table
-    /// lookups.
-    pub fn bdd_unique_avg_probe_len(&self) -> f64 {
-        self.bdd.unique_avg_probe_len()
-    }
-
     /// Compiles one request.
     ///
     /// Every successful result carries a [`CompileReport`] with per-phase

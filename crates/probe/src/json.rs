@@ -1,7 +1,7 @@
 //! The workspace's one JSON codec: a value, a parser and a printer.
 //!
 //! It carries the serving layer's newline-delimited wire protocol, the
-//! `BENCH_*.json` perf snapshots and the Chrome trace export.  Keeping
+//! benchmark's result lines and the Chrome trace export.  Keeping
 //! it in-tree (like the vendored `criterion`/`proptest` shims) keeps the
 //! workspace zero-dependency.  Only what those formats need is
 //! implemented: objects keep insertion order, numbers are `f64`, and the

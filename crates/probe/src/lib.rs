@@ -36,8 +36,8 @@
 //! exported text.
 //!
 //! The crate also holds the workspace's one JSON codec, [`json`]: the
-//! Chrome export, the serving layer's wire protocol and the
-//! `BENCH_*.json` perf snapshots all read and write through it.
+//! Chrome export, the serving layer's wire protocol and the benchmark's
+//! result lines all read and write through it.
 //!
 //! # Example
 //!

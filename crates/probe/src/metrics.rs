@@ -16,10 +16,7 @@
 //! Histograms use power-of-two buckets: bucket *i* counts values whose
 //! bit length is *i* (bucket 0 is exactly zero), so observing is two
 //! instructions (`leading_zeros` + `fetch_add`) and merging is vector
-//! addition.  Quantile readout returns the inclusive upper bound of the
-//! bucket the rank falls in, clamped to the exact tracked maximum —
-//! deterministic, mergeable, and within 2x of the true value by
-//! construction.
+//! addition.
 //!
 //! The registry is built once ([`MetricsBuilder`]) so every metric has a
 //! fixed slot index; shard creation and *labeled* counter families (rare
@@ -434,12 +431,11 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// A merged (or standalone) log-bucketed histogram: observation counts by
-/// bit length, plus the exact sum and maximum.
+/// A merged log-bucketed histogram: observation counts by bit length,
+/// plus the exact sum and maximum.
 ///
-/// Standalone use (no registry) covers offline aggregation — the bench
-/// snapshot builds one per measurement series and reads percentiles off
-/// it.  Merging is element-wise addition, so merge order never matters.
+/// [`MetricsRegistry::histogram`] builds one by element-wise addition
+/// over the shards, so merge order never matters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Observation count per bucket (index = bit length of the value).
@@ -477,50 +473,6 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
-
-    /// Folds another histogram in (element-wise bucket addition, sum
-    /// addition, max of maxes).  Commutative and associative: shard merge
-    /// order never changes the result.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (slot, &bucket) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *slot += bucket;
-        }
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The quantile-`q` readout (`q` in `[0, 1]`): the inclusive upper
-    /// bound of the bucket the rank-`ceil(q*count)` observation falls in,
-    /// clamped to the exact tracked maximum.  Returns 0 when empty.
-    ///
-    /// Deterministic for a given bucket content: the answer only depends
-    /// on the merged bucket counts and max, never on observation order or
-    /// shard layout.
-    pub fn percentile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut cumulative = 0u64;
-        for (bucket, &count) in self.buckets.iter().enumerate() {
-            cumulative += count;
-            if cumulative >= rank {
-                return bucket_upper_bound(bucket).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -545,49 +497,6 @@ mod tests {
                 assert!(v > bucket_upper_bound(bucket_of(v) - 1));
             }
         }
-    }
-
-    #[test]
-    fn percentiles_land_on_bucket_bounds() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 100, 200, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max, 5000);
-        assert_eq!(h.sum, 5306);
-        // p100 is clamped to the exact max, not the bucket bound (8191).
-        assert_eq!(h.percentile(1.0), 5000);
-        // p50 = rank 3 = value 3 -> bucket 2, upper bound 3.
-        assert_eq!(h.percentile(0.5), 3);
-        // Empty histogram reads zero everywhere.
-        assert_eq!(Histogram::new().percentile(0.99), 0);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let observations: [&[u64]; 3] = [&[1, 5, 9], &[100, 200], &[0, 0, 7000]];
-        let mut parts: Vec<Histogram> = observations
-            .iter()
-            .map(|obs| {
-                let mut h = Histogram::new();
-                for &v in *obs {
-                    h.observe(v);
-                }
-                h
-            })
-            .collect();
-        let mut forward = Histogram::new();
-        for p in &parts {
-            forward.merge(p);
-        }
-        parts.reverse();
-        let mut backward = Histogram::new();
-        for p in &parts {
-            backward.merge(p);
-        }
-        assert_eq!(forward, backward);
-        assert_eq!(forward.count(), 8);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`Report`] is the always-on, low-altitude summary of one pipeline
 //! run — cheap enough to attach to every compilation result, structured
 //! enough to serialize per-request (the serving layer ships these on
-//! the wire, the perf snapshot takes medians over them).
+//! the wire, `perf_snapshot` takes medians over them).
 
 use std::fmt;
 

@@ -1,85 +1,7 @@
-//! Property tests for the log-bucketed latency histogram: percentile
-//! readouts against a sorted-vector reference, merge order independence,
-//! and cross-thread shard-merge determinism.
+//! Cross-thread determinism of the log-bucketed latency histogram: the
+//! shard merge a `/metrics` scrape reads equals a sequential reference.
 
-use proptest::prelude::*;
-use record_probe::metrics::{bucket_of, bucket_upper_bound, Histogram, MetricsBuilder};
-
-/// The reference readout: sort the raw observations, take the
-/// rank-`ceil(q*n)` value, and widen it to its bucket's inclusive upper
-/// bound clamped to the exact maximum — precisely the resolution the
-/// histogram promises (values inside one power-of-two bucket are
-/// indistinguishable; the tracked max tightens the top end).
-fn reference_percentile(values: &[u64], q: f64) -> u64 {
-    if values.is_empty() {
-        return 0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len() as u64;
-    let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-    let v = sorted[(rank - 1) as usize];
-    bucket_upper_bound(bucket_of(v)).min(*sorted.last().unwrap())
-}
-
-/// Mixes magnitudes so buckets both collide (many values per bucket) and
-/// spread (full u64 range, bucket 64 included).
-fn value_strategy() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..16, 1u64..4096, 1_000u64..10_000_000, any::<u64>(),]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn percentiles_match_sorted_reference(
-        values in prop::collection::vec(value_strategy(), 0..200)
-    ) {
-        let mut h = Histogram::new();
-        for &v in &values {
-            h.observe(v);
-        }
-        prop_assert_eq!(h.count(), values.len() as u64);
-        for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            prop_assert_eq!(h.percentile(q), reference_percentile(&values, q), "q={}", q);
-        }
-    }
-
-    #[test]
-    fn merge_order_never_matters(
-        chunks in prop::collection::vec(
-            prop::collection::vec(value_strategy(), 0..40),
-            0..8,
-        )
-    ) {
-        // One histogram over every observation...
-        let mut whole = Histogram::new();
-        for &v in chunks.iter().flatten() {
-            whole.observe(v);
-        }
-        // ...versus per-chunk histograms merged forward and in reverse.
-        let parts: Vec<Histogram> = chunks
-            .iter()
-            .map(|chunk| {
-                let mut h = Histogram::new();
-                for &v in chunk {
-                    h.observe(v);
-                }
-                h
-            })
-            .collect();
-        let mut forward = Histogram::new();
-        for p in &parts {
-            forward.merge(p);
-        }
-        let mut backward = Histogram::new();
-        for p in parts.iter().rev() {
-            backward.merge(p);
-        }
-        prop_assert_eq!(&forward, &whole);
-        prop_assert_eq!(&backward, &whole);
-    }
-}
+use record_probe::metrics::{Histogram, MetricsBuilder};
 
 /// Four threads hammer their own shards; the merged readout must equal
 /// the sequential reference and reproduce run-to-run — scrape output may

@@ -29,11 +29,12 @@ use record_core::{CompileRequest, MetricsShard, RetargetOptions, Target};
 use record_probe::json::Json;
 use record_probe::now_ns;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The longest line the server reads: a request line on the NDJSON port,
 /// a request or header line on the metrics port.  A request line past it
@@ -42,6 +43,12 @@ use std::thread::JoinHandle;
 /// cannot grow a worker's memory without bound.  The largest bundled
 /// model is under 12 KB of HDL.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long one metrics connection may take, counted from accept: its
+/// request, headers and response all share this budget.  The listener
+/// serves one connection at a time, so a client that trickles bytes
+/// holds off every other scraper for at most this long.
+const METRICS_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Appends to `line` through the next newline, but never past one byte
 /// more than [`MAX_LINE_BYTES`] in all.  Bytes read before an error stay
@@ -355,13 +362,11 @@ fn serve_connection(shared: &Shared, shard: &MetricsShard, stream: TcpStream) {
         let parsed = if oversized {
             Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
         } else {
-            let Ok(text) = std::str::from_utf8(&line) else {
-                return;
-            };
-            if text.trim().is_empty() {
-                continue;
+            match std::str::from_utf8(&line) {
+                Err(e) => Err(format!("request line is not UTF-8: {e}")),
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text.trim_end()),
             }
-            parse_request(text.trim_end())
         };
         let request_id = shared.ids.next_id();
         let start = now_ns();
@@ -664,17 +669,52 @@ fn metrics_loop(listener: &TcpListener, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(mut stream) = stream else { continue };
-        serve_metrics_request(shared, &mut stream);
+        let Ok(stream) = stream else { continue };
+        serve_metrics_request(shared, &stream);
     }
 }
 
-fn serve_metrics_request(shared: &Shared, stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(500)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+/// A metrics connection whose every read and write must finish by one
+/// deadline: each call gets only the time left, so a peer that sends or
+/// drains a byte at a time cannot stretch the connection past it.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Deadlined<'_> {
+    fn time_left(&self) -> std::io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        Ok(left)
+    }
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.time_left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.time_left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+fn serve_metrics_request(shared: &Shared, stream: &TcpStream) {
+    let mut reader = BufReader::new(Deadlined {
+        stream,
+        deadline: Instant::now() + METRICS_DEADLINE,
+    });
     let mut request_line = Vec::new();
     if read_capped_line(&mut reader, &mut request_line).is_err() || over_cap(&request_line) {
         return;
@@ -707,7 +747,7 @@ fn serve_metrics_request(shared: &Shared, stream: &mut TcpStream) {
         )
     };
     let _ = write!(
-        stream,
+        reader.get_mut(),
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );

@@ -9,8 +9,10 @@ use record_serve::{
     ServeError, Server, ServerConfig, MAX_LINE_BYTES,
 };
 use record_targets::{kernels, models};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 #[test]
 fn eight_concurrent_clients_two_models_one_retarget_each() {
@@ -444,5 +446,94 @@ fn overlong_request_line_is_a_protocol_error() {
     assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
 
     drop(next);
+    server.shutdown();
+}
+
+#[test]
+fn non_utf8_request_line_is_a_protocol_error() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut conn = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+
+    conn.get_mut().write_all(b"\xff\xfe\n").expect("send");
+    let mut response = String::new();
+    conn.read_line(&mut response).expect("receive");
+    let response = parse_json(&response).expect("response is JSON");
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let kind = response
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("protocol"), "{response}");
+    assert!(response.get("request_id").is_some(), "{response}");
+
+    // The same connection goes on serving, and the bad line was counted.
+    let stats = raw_call(&mut conn, r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+    let served = stats
+        .get("server")
+        .and_then(|s| s.get("served"))
+        .and_then(Json::as_f64);
+    assert_eq!(served, Some(1.0), "{stats}");
+
+    drop(conn);
+    server.shutdown();
+}
+
+#[test]
+fn trickling_metrics_client_does_not_block_scrapes() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            metrics_addr: Some("127.0.0.1:0".to_owned()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let metrics_addr = server.metrics_addr().expect("metrics listener is on");
+
+    // Connected first, so the listener serves it first.  One byte every
+    // 300 ms: never idle long enough for a per-read timeout, and never a
+    // complete request line.
+    let mut slow = TcpStream::connect(metrics_addr).expect("connect");
+    let (stop, stopped) = mpsc::channel::<()>();
+    let trickler = std::thread::spawn(move || {
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(Duration::from_millis(300))
+        {
+            if slow.write_all(b"G").is_err() {
+                break;
+            }
+        }
+    });
+
+    let started = Instant::now();
+    let mut scrape = TcpStream::connect(metrics_addr).expect("connect");
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("timeout");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .expect("send");
+    let mut body = String::new();
+    let read = scrape.read_to_string(&mut body);
+    let elapsed = started.elapsed();
+    drop(stop);
+    trickler.join().expect("trickler thread");
+
+    assert!(
+        read.is_ok(),
+        "scrape unanswered after {elapsed:?}: {read:?}"
+    );
+    assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "scrape took {elapsed:?} next to a trickling client"
+    );
     server.shutdown();
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use record_core::{CompileRequest, Record, RetargetOptions};
+use record_core::{CompileRequest, Record, RetargetOptions, Target};
 use record_targets::{kernels, models};
 
 #[test]
@@ -134,14 +134,12 @@ fn compaction_packs_on_horizontal_machine() {
 #[test]
 fn parser_source_emission_is_deterministic() {
     let m = models::model("bass_boost").unwrap();
-    let options = RetargetOptions {
-        emit_parser_source: true,
-        ..Default::default()
-    };
+    let options = RetargetOptions::default();
     let t1 = Record::retarget(m.hdl, &options).unwrap();
     let t2 = Record::retarget(m.hdl, &options).unwrap();
-    let s1 = t1.parser_source().expect("source emitted");
-    assert_eq!(Some(s1), t2.parser_source());
+    let emit = |t: &Target| record_selgen::emit_rust(t.grammar(), t.netlist().name());
+    let s1 = emit(&t1);
+    assert_eq!(s1, emit(&t2));
     assert!(s1.contains("pub fn match_rule"));
 }
 
