@@ -1,6 +1,10 @@
 //! Register-allocation benchmark: time of the value-placement phase alone
 //! per Figure 2 kernel, plus full compiles with the phase on vs off.
 //! Memory-traffic reduction itself is reported by the `figure2` binary.
+//!
+//! `allocate` consumes the op vector it rewrites, so every iteration of
+//! the phase bench clones its input first: the clone is part of the time
+//! it reports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use record_core::{CompileRequest, Record};
@@ -31,7 +35,7 @@ fn bench_allocation_phase(c: &mut Criterion) {
                 b.iter(|| {
                     // The Figure 2 kernels are straight-line: one block.
                     record_regalloc::allocate(
-                        ops,
+                        ops.clone(),
                         std::slice::from_ref(&(0..ops.len())),
                         &pool,
                         layout,

@@ -999,11 +999,19 @@ fn rf_fields(netlist: &Netlist) -> HashMap<StorageId, RfFields> {
 /// [`RuleApp::operands`].
 type Value = (NonTermId, NodeIdx);
 
-/// Free register-file cells, one list per file.  A file's list is built
-/// on its first request, highest cell at the bottom, so cells come out
-/// 0, 1, 2, … and a freed cell is the next one handed out.
+/// Free register-file cells, per file: the cells handed back, as a stack,
+/// and the first cell never handed out.  Cells come out 0, 1, 2, … and a
+/// freed cell is the next one handed out; memory grows with the cells in
+/// use, not with the size of the file.
 #[derive(Debug, Default)]
-struct RfFree(Vec<(StorageId, Vec<u64>)>);
+struct RfFree(Vec<(StorageId, RfCells)>);
+
+/// The free cells of one register file.
+#[derive(Debug, Default)]
+struct RfCells {
+    returned: Vec<u64>,
+    next: u64,
+}
 
 impl RfFree {
     /// Takes a free cell of `file`, a register file of `size` cells.
@@ -1011,21 +1019,29 @@ impl RfFree {
         let i = match self.0.iter().position(|(s, _)| *s == file) {
             Some(i) => i,
             None => {
-                self.0.push((file, (0..size).rev().collect()));
+                self.0.push((file, RfCells::default()));
                 self.0.len() - 1
             }
         };
-        self.0[i].1.pop()
+        let cells = &mut self.0[i].1;
+        if let Some(cell) = cells.returned.pop() {
+            return Some(cell);
+        }
+        let cell = cells.next;
+        (cell < size).then(|| {
+            cells.next += 1;
+            cell
+        })
     }
 
     /// Returns a cell taken from `file`.
     fn give_back(&mut self, file: StorageId, cell: u64) {
-        let (_, free) = self
+        let (_, cells) = self
             .0
             .iter_mut()
             .find(|(s, _)| *s == file)
             .expect("cell was taken from this file");
-        free.push(cell);
+        cells.returned.push(cell);
     }
 }
 
@@ -1565,5 +1581,12 @@ mod tests {
         assert_eq!(free.take(other, 2), Some(1));
         assert_eq!(free.take(other, 2), None);
         assert_eq!(free.take(rf, 4), Some(1));
+    }
+
+    /// The free list grows with the cells handed out, not with the file.
+    #[test]
+    fn regfile_free_list_does_not_grow_with_the_file() {
+        let mut free = RfFree::default();
+        assert_eq!(free.take(StorageId(3), 1 << 40), Some(0));
     }
 }

@@ -56,22 +56,18 @@ pub enum SimExpr {
 }
 
 impl SimExpr {
-    /// All locations this expression may read.
-    pub fn reads(&self) -> Vec<Loc> {
-        let mut out = Vec::new();
-        self.collect_reads(&mut out);
-        out
-    }
-
-    fn collect_reads(&self, out: &mut Vec<Loc>) {
+    /// Calls `f` on every location this expression may read, a
+    /// computed-address memory read as its memory's wildcard
+    /// [`Loc::MemDyn`].
+    fn for_each_read(&self, f: &mut impl FnMut(&Loc)) {
         match self {
             SimExpr::Const(_) => {}
-            SimExpr::Read(l) => out.push(l.clone()),
+            SimExpr::Read(l) => f(l),
             SimExpr::MemRead(s, addr) => {
-                out.push(Loc::MemDyn(*s));
-                addr.collect_reads(out);
+                f(&Loc::MemDyn(*s));
+                addr.for_each_read(f);
             }
-            SimExpr::Op(_, args) => args.iter().for_each(|a| a.collect_reads(out)),
+            SimExpr::Op(_, args) => args.iter().for_each(|a| a.for_each_read(f)),
         }
     }
 }
@@ -138,16 +134,17 @@ pub struct RtOp {
 }
 
 impl RtOp {
-    /// All locations read (including a conditional transfer's test).
-    pub fn reads(&self) -> Vec<Loc> {
-        let mut r = self.expr.reads();
+    /// Calls `f` on every location read, in the value expression, a
+    /// computed destination address and a conditional transfer's test, in
+    /// that order.  A location read twice is visited twice.
+    pub fn for_each_read(&self, mut f: impl FnMut(&Loc)) {
+        self.expr.for_each_read(&mut f);
         if let DestSim::MemAt(_, addr) = &self.dest {
-            addr.collect_reads(&mut r);
+            addr.for_each_read(&mut f);
         }
         if let Some(Transfer::Cond { test, .. }) = &self.transfer {
-            test.collect_reads(&mut r);
+            test.for_each_read(&mut f);
         }
-        r
     }
 
     /// The location written.

@@ -34,10 +34,15 @@
 //! of `s`, and every other location meets only itself.  Entries keep the
 //! maximum word, because an RT may join a word earlier than the last.
 //!
-//! The dependence bound costs O(|reads|) map lookups per RT, O(Σ|reads|)
-//! per sequence; comparing each RT with every RT already placed would
-//! cost O(n²) and gives the same bound (the unit tests keep that scan as
-//! the reference).  The encoding-compatibility scan then tries the words
+//! Each RT's reads are walked once.  Every location read or written
+//! resolves to its entries once: registers, ports and memory wildcards
+//! by index into vectors over storage and port ids, a fixed memory word
+//! or register-file cell by one lookup in a keyed hash map.  The bound
+//! and the update after placement reuse those keys, so the dependence
+//! bound costs O(|reads|) per RT and O(Σ|reads|) per sequence, with at
+//! most one hash per fixed word accessed.  Comparing each RT with every
+//! RT already placed would cost O(n²) and gives the same bound (the unit
+//! tests keep that scan as the reference).  The encoding-compatibility scan then tries the words
 //! from the bound onward, so its BDD work depends only on the bound.
 //! [`CompactStats`] counts that scan's satisfiability checks, which tells
 //! a dependence-bound machine (no checks at all) from an encoding-bound
@@ -137,28 +142,37 @@ impl Schedule {
             .collect()
     }
 
-    /// Compacts `ops[run]` into fresh words appended to this schedule.
-    fn compact_run<M: BddOps>(&mut self, ops: &[RtOp], run: Range<usize>, manager: &mut M) {
+    /// Compacts `ops[run]` into fresh words appended to this schedule,
+    /// over `board`, which it clears first.  `reads` is scratch space for
+    /// the keys of one op's reads.
+    fn compact_run<M: BddOps>(
+        &mut self,
+        ops: &[RtOp],
+        run: Range<usize>,
+        manager: &mut M,
+        board: &mut Scoreboard,
+        reads: &mut Vec<Key>,
+    ) {
+        board.clear();
         let first = self.words.len();
         let mut word_conds: Vec<Bdd> = Vec::new();
-        let mut writes = Latest::default();
-        let mut reads = Latest::default();
 
         for i in run {
             let op = &ops[i];
-            let op_reads = op.reads();
-            let write = op.write();
+            reads.clear();
+            op.for_each_read(|l| reads.push(board.key(l)));
+            let write = board.key(&op.write());
 
             // Flow and output dependences force a later word than the
             // writer's.  An anti dependence (an earlier op reads what this
             // one writes) allows the reader's own word: time-stationary
             // words read pre-state.
-            let earliest = op_reads
+            let earliest = reads
                 .iter()
                 .chain([&write])
-                .filter_map(|l| writes.aliasing(l))
+                .filter_map(|&k| board.aliasing(k, Access::Write))
                 .map(|w| w + 1)
-                .chain(reads.aliasing(&write))
+                .chain(board.aliasing(write, Access::Read))
                 .max()
                 .unwrap_or(0);
 
@@ -185,43 +199,136 @@ impl Schedule {
                     word_conds.len() - 1
                 }
             };
-            writes.record(&write, wi);
-            for l in &op_reads {
-                reads.record(l, wi);
+            board.record(write, Access::Write, wi);
+            for &k in reads.iter() {
+                board.record(k, Access::Read, wi);
             }
         }
     }
 }
 
-/// The latest word holding an access to each location: one side (reads
-/// or writes) of the dependence scoreboard.
-#[derive(Default)]
-struct Latest {
-    /// Latest word per exact location.
-    at: HashMap<Loc, usize>,
-    /// Latest word touching any word of a memory, fixed or computed,
-    /// keyed by the memory's wildcard `MemDyn(s)`.
-    memory: HashMap<Loc, usize>,
+/// The side of the dependence scoreboard an access lands on.
+#[derive(Clone, Copy)]
+enum Access {
+    Write = 0,
+    Read = 1,
 }
 
-impl Latest {
-    /// The latest word holding an access that may alias `loc`, as
-    /// [`Loc::may_alias`] decides.
-    fn aliasing(&self, loc: &Loc) -> Option<usize> {
-        match loc {
-            Loc::Mem(s, _) => self.at.get(loc).max(self.at.get(&Loc::MemDyn(*s))).copied(),
-            Loc::MemDyn(_) => self.memory.get(loc).copied(),
-            _ => self.at.get(loc).copied(),
+/// The latest word holding a write and the latest holding a read of one
+/// location, indexed by [`Access`].
+type Latest = [Option<usize>; 2];
+
+/// Where a location's entries sit on the [`Scoreboard`].
+#[derive(Clone, Copy)]
+enum Key {
+    /// `Reg(s)`: index `s`.
+    Reg(usize),
+    /// `Port(p)`: index `p`.
+    Port(usize),
+    /// `Rf(s, c)`: a slot of the fixed locations.
+    Cell(usize),
+    /// `Mem(s, a)`: a slot of the fixed locations, and memory `s`.
+    Word(usize, usize),
+    /// `MemDyn(s)`: memory `s`.
+    Wildcard(usize),
+}
+
+/// The dependence scoreboard of one straight-line run: the latest word
+/// holding an access to each location.  Registers, ports and memories
+/// sit in vectors indexed by storage or port id; only fixed memory words
+/// and register-file cells, whose indices a program chooses, go through
+/// a (keyed) hash map.
+#[derive(Default)]
+struct Scoreboard {
+    regs: Vec<Latest>,
+    ports: Vec<Latest>,
+    /// Per memory: the computed-address wildcard `MemDyn(s)` itself.
+    wildcard: Vec<Latest>,
+    /// Per memory: any word of it, fixed or computed.
+    memory: Vec<Latest>,
+    /// The slot in `fixed` of each `Mem(s, a)` and `Rf(s, c)` seen.
+    slots: HashMap<Loc, usize>,
+    fixed: Vec<Latest>,
+}
+
+/// Grows `v` to hold index `i`; returns `i`.
+fn index(v: &mut Vec<Latest>, i: u32) -> usize {
+    let i = i as usize;
+    if v.len() <= i {
+        v.resize(i + 1, [None; 2]);
+    }
+    i
+}
+
+impl Scoreboard {
+    /// Forgets every access, keeping the storage.
+    fn clear(&mut self) {
+        for v in [
+            &mut self.regs,
+            &mut self.ports,
+            &mut self.wildcard,
+            &mut self.memory,
+        ] {
+            v.fill([None; 2]);
+        }
+        self.slots.clear();
+        self.fixed.clear();
+    }
+
+    /// The entries of `loc`, made on first sight.
+    fn key(&mut self, loc: &Loc) -> Key {
+        match *loc {
+            Loc::Reg(s) => Key::Reg(index(&mut self.regs, s.0)),
+            Loc::Port(p) => Key::Port(index(&mut self.ports, p.0)),
+            Loc::Rf(..) => Key::Cell(self.slot(loc)),
+            Loc::Mem(s, _) => Key::Word(self.slot(loc), self.memory_index(s.0)),
+            Loc::MemDyn(s) => Key::Wildcard(self.memory_index(s.0)),
         }
     }
 
-    /// Records an access to `loc` in `word`.
-    fn record(&mut self, loc: &Loc, word: usize) {
-        let at = self.at.entry(loc.clone()).or_insert(word);
-        *at = (*at).max(word);
-        if let Loc::Mem(s, _) | Loc::MemDyn(s) = loc {
-            let m = self.memory.entry(Loc::MemDyn(*s)).or_insert(word);
-            *m = (*m).max(word);
+    /// The index of memory `s` in `wildcard` and `memory`.
+    fn memory_index(&mut self, s: u32) -> usize {
+        index(&mut self.wildcard, s);
+        index(&mut self.memory, s)
+    }
+
+    /// The slot in `fixed` of a fixed word or cell.
+    fn slot(&mut self, loc: &Loc) -> usize {
+        let next = self.fixed.len();
+        let slot = *self.slots.entry(loc.clone()).or_insert(next);
+        if slot == next {
+            self.fixed.push([None; 2]);
+        }
+        slot
+    }
+
+    /// The latest word holding an `access` that may alias `key`'s
+    /// location, as [`Loc::may_alias`] decides.
+    fn aliasing(&self, key: Key, access: Access) -> Option<usize> {
+        let a = access as usize;
+        match key {
+            Key::Reg(i) => self.regs[i][a],
+            Key::Port(i) => self.ports[i][a],
+            Key::Cell(i) => self.fixed[i][a],
+            Key::Word(i, m) => self.fixed[i][a].max(self.wildcard[m][a]),
+            Key::Wildcard(m) => self.memory[m][a],
+        }
+    }
+
+    /// Records an `access` to `key`'s location in `word`.
+    fn record(&mut self, key: Key, access: Access, word: usize) {
+        let a = access as usize;
+        let (exact, memory) = match key {
+            Key::Reg(i) => (&mut self.regs[i], None),
+            Key::Port(i) => (&mut self.ports[i], None),
+            Key::Cell(i) => (&mut self.fixed[i], None),
+            Key::Word(i, m) => (&mut self.fixed[i], Some(m)),
+            Key::Wildcard(m) => (&mut self.wildcard[m], Some(m)),
+        };
+        exact[a] = exact[a].max(Some(word));
+        if let Some(m) = memory {
+            let any = &mut self.memory[m][a];
+            *any = (*any).max(Some(word));
         }
     }
 }
@@ -248,16 +355,18 @@ pub fn compact<M: BddOps>(
     manager: &mut M,
 ) -> Schedule {
     let mut schedule = Schedule::default();
+    let mut board = Scoreboard::default();
+    let mut reads = Vec::new();
     for r in block_ranges {
         let mut run_start = r.start;
         for i in r.clone() {
             if ops[i].transfer.is_some() {
-                schedule.compact_run(ops, run_start..i, manager);
+                schedule.compact_run(ops, run_start..i, manager, &mut board, &mut reads);
                 schedule.words.push(Word { ops: vec![i] });
                 run_start = i + 1;
             }
         }
-        schedule.compact_run(ops, run_start..r.end, manager);
+        schedule.compact_run(ops, run_start..r.end, manager, &mut board, &mut reads);
     }
     schedule
 }

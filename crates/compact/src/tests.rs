@@ -197,6 +197,13 @@ fn empty_sequence() {
     assert_eq!(s.len(), 0);
 }
 
+/// Every location `op` reads, as [`RtOp::for_each_read`] visits them.
+fn reads_of(op: &RtOp) -> Vec<Loc> {
+    let mut out = Vec::new();
+    op.for_each_read(|l| out.push(l.clone()));
+    out
+}
+
 /// The all-pairs dependence scan the scoreboard replaced, kept as its
 /// reference: every op rescans every op already placed, pair by pair
 /// through [`Loc::may_alias`].  The encoding scan is the same.
@@ -204,7 +211,7 @@ fn reference_compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
     let mut schedule = Schedule::default();
     let mut word_conds: Vec<Bdd> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        let reads = op.reads();
+        let reads = reads_of(op);
         let write = op.write();
         let mut earliest = 0usize;
         for (wi, word) in schedule.words.iter().enumerate() {
@@ -216,7 +223,7 @@ fn reference_compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
                     earliest = earliest.max(wi + 1);
                 }
                 // Anti dependence: sharing the reader's word is legal.
-                if other.reads().iter().any(|r| r.may_alias(&write)) {
+                if reads_of(other).iter().any(|r| r.may_alias(&write)) {
                     earliest = earliest.max(wi);
                 }
             }

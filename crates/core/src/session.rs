@@ -340,7 +340,7 @@ impl<'t> CompileSession<'t> {
             Some(pool) if options.allocate_registers && !options.baseline => {
                 let (ops, ranges, stats) = phases.run(CompilePhase::Allocate, |probe| {
                     Ok(allocate(
-                        &ops,
+                        ops,
                         &block_ranges,
                         pool,
                         MemLayout::from_binding(&binding),

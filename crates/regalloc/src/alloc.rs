@@ -28,7 +28,6 @@
 use crate::pool::{RegisterPool, Residency, Resident};
 use record_codegen::{Binding, DestSim, Loc, RtOp, SimExpr};
 use record_netlist::StorageId;
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
 /// Options for [`allocate`].
@@ -106,42 +105,10 @@ pub fn mem_traffic(ops: &[RtOp], dm: StorageId) -> (usize, usize) {
     let mut reads = 0;
     let mut writes = 0;
     for op in ops {
-        count_expr_reads(&op.expr, dm, &mut reads);
-        match &op.dest {
-            DestSim::MemAt(s, addr) => {
-                count_expr_reads(addr, dm, &mut reads);
-                if *s == dm {
-                    writes += 1;
-                }
-            }
-            DestSim::Loc(Loc::Mem(s, _)) => {
-                if *s == dm {
-                    writes += 1;
-                }
-            }
-            DestSim::Loc(_) => {}
-        }
+        for_each_dm_read(op, dm, |_| reads += 1);
+        writes += usize::from(dm_write(op, dm).is_some());
     }
     (reads, writes)
-}
-
-fn count_expr_reads(e: &SimExpr, dm: StorageId, n: &mut usize) {
-    match e {
-        SimExpr::Const(_) => {}
-        SimExpr::Read(Loc::Mem(s, _)) => {
-            if *s == dm {
-                *n += 1;
-            }
-        }
-        SimExpr::Read(_) => {}
-        SimExpr::MemRead(s, addr) => {
-            if *s == dm {
-                *n += 1;
-            }
-            count_expr_reads(addr, dm, n);
-        }
-        SimExpr::Op(_, args) => args.iter().for_each(|a| count_expr_reads(a, dm, n)),
-    }
 }
 
 /// A data-memory access with a statically known address, or a dynamic one.
@@ -151,37 +118,36 @@ enum MemAccess {
     Dynamic,
 }
 
-/// Precise data-memory read set of one op (the conservative
-/// [`RtOp::reads`] folds every memory read to "dynamic", which would
-/// defeat dead-store analysis).
-fn dm_reads(op: &RtOp, dm: StorageId) -> Vec<MemAccess> {
-    let mut out = Vec::new();
-    collect_dm_reads(&op.expr, dm, &mut out);
+/// Calls `f` on every data-memory read of one op, in its value expression
+/// and its computed destination address.  Precise, unlike
+/// [`RtOp::for_each_read`], which folds every computed-address read to
+/// the memory's wildcard and would defeat dead-store analysis.
+fn for_each_dm_read(op: &RtOp, dm: StorageId, mut f: impl FnMut(MemAccess)) {
+    dm_reads_in(&op.expr, dm, &mut f);
     if let DestSim::MemAt(_, addr) = &op.dest {
-        collect_dm_reads(addr, dm, &mut out);
+        dm_reads_in(addr, dm, &mut f);
     }
-    out
 }
 
-fn collect_dm_reads(e: &SimExpr, dm: StorageId, out: &mut Vec<MemAccess>) {
+fn dm_reads_in<F: FnMut(MemAccess)>(e: &SimExpr, dm: StorageId, f: &mut F) {
     match e {
         SimExpr::Const(_) => {}
         SimExpr::Read(Loc::Mem(s, a)) => {
             if *s == dm {
-                out.push(MemAccess::Const(*a));
+                f(MemAccess::Const(*a));
             }
         }
         SimExpr::Read(_) => {}
         SimExpr::MemRead(s, addr) => {
             if *s == dm {
-                match **addr {
-                    SimExpr::Const(a) => out.push(MemAccess::Const(a)),
-                    _ => out.push(MemAccess::Dynamic),
-                }
+                f(match **addr {
+                    SimExpr::Const(a) => MemAccess::Const(a),
+                    _ => MemAccess::Dynamic,
+                });
             }
-            collect_dm_reads(addr, dm, out);
+            dm_reads_in(addr, dm, f);
         }
-        SimExpr::Op(_, args) => args.iter().for_each(|a| collect_dm_reads(a, dm, out)),
+        SimExpr::Op(_, args) => args.iter().for_each(|a| dm_reads_in(a, dm, f)),
     }
 }
 
@@ -199,7 +165,7 @@ fn dm_write(op: &RtOp, dm: StorageId) -> Option<MemAccess> {
 
 /// Is this op a pure reload `reg := dmem[const]` of a pool register?
 /// Returns the register and the loaded address.
-fn as_reload(op: &RtOp, pool: &RegisterPool) -> Option<(Loc, u64)> {
+fn as_reload<'o>(op: &'o RtOp, pool: &RegisterPool) -> Option<(&'o Loc, u64)> {
     let DestSim::Loc(loc) = &op.dest else {
         return None;
     };
@@ -214,11 +180,11 @@ fn as_reload(op: &RtOp, pool: &RegisterPool) -> Option<(Loc, u64)> {
         SimExpr::Read(Loc::Mem(s, a)) if *s == pool.data_mem() => *a,
         _ => return None,
     };
-    Some((loc.clone(), addr))
+    Some((loc, addr))
 }
 
 /// Is this op a plain store `dmem[const] := reg` of a pool register?
-fn as_store(op: &RtOp, pool: &RegisterPool) -> Option<(Loc, u64)> {
+fn as_store<'o>(op: &'o RtOp, pool: &RegisterPool) -> Option<(&'o Loc, u64)> {
     let addr = match &op.dest {
         DestSim::MemAt(s, SimExpr::Const(a)) if *s == pool.data_mem() => *a,
         DestSim::Loc(Loc::Mem(s, a)) if *s == pool.data_mem() => *a,
@@ -230,38 +196,99 @@ fn as_store(op: &RtOp, pool: &RegisterPool) -> Option<(Loc, u64)> {
     if !pool.is_allocatable(src) {
         return None;
     }
-    Some((src.clone(), addr))
+    Some((src, addr))
+}
+
+/// One block's constant data-memory addresses, indexed for both passes.
+/// The vectors are rebuilt per block and reused across blocks, so memory
+/// stays proportional to a block's ops, never to the declared memory.
+#[derive(Debug, Default)]
+struct BlockIndex {
+    /// `(address, op)` for every constant-address read, sorted: a
+    /// next-use query is one binary search.
+    sites: Vec<(u64, usize)>,
+    /// Every constant address the block reads or writes, sorted and
+    /// deduplicated: the compressed address space of the block.
+    addrs: Vec<u64>,
+    /// Dead-store liveness per compressed address.
+    live: Vec<bool>,
+}
+
+impl BlockIndex {
+    /// Indexes the block `ops`, counting their data-memory reads and
+    /// writes into the before-counts of `stats`.
+    fn build(&mut self, ops: &[RtOp], dm: StorageId, stats: &mut AllocStats) {
+        self.sites.clear();
+        self.addrs.clear();
+        for (i, op) in ops.iter().enumerate() {
+            for_each_dm_read(op, dm, |r| {
+                stats.reads_before += 1;
+                if let MemAccess::Const(a) = r {
+                    self.sites.push((a, i));
+                }
+            });
+            if let Some(w) = dm_write(op, dm) {
+                stats.writes_before += 1;
+                if let MemAccess::Const(a) = w {
+                    self.addrs.push(a);
+                }
+            }
+        }
+        self.sites.sort_unstable();
+        self.addrs.extend(self.sites.iter().map(|&(a, _)| a));
+        self.addrs.sort_unstable();
+        self.addrs.dedup();
+    }
+
+    /// The first op after `after` that reads `addr`: for Belady ranking,
+    /// and for spill accounting (a lost residency only matters if a later
+    /// read exists).
+    fn next_use(&self, addr: u64, after: usize) -> Option<usize> {
+        let k = self.sites.partition_point(|&site| site <= (addr, after));
+        self.sites
+            .get(k)
+            .filter(|&&(a, _)| a == addr)
+            .map(|&(_, i)| i)
+    }
+
+    /// The compressed index of `addr`, a constant address of the block.
+    fn slot(&self, addr: u64) -> usize {
+        self.addrs
+            .binary_search(&addr)
+            .expect("every constant address of the block is indexed")
+    }
 }
 
 /// Records in `ledger` that `loc` now mirrors `addr` as of op `i`:
 /// eviction keys are refreshed first (they go stale as the pass advances),
 /// and every still-live association a Belady eviction drops counts as a
 /// spill (each one forces a reload RT to stay in the output).
-fn establish<F: Fn(u64, usize) -> Option<usize>>(
+fn establish(
     ledger: &mut Residency,
-    loc: Loc,
+    loc: &Loc,
     addr: u64,
     i: usize,
-    next_use: &F,
+    index: &BlockIndex,
     stats: &mut AllocStats,
 ) {
-    ledger.refresh_next_uses(|a| next_use(a, i));
-    if let Some(ev) = ledger.insert(
-        loc,
-        Resident {
-            addr,
-            next_use: next_use(addr, i),
-        },
-    ) {
-        stats.spills += ev.live_count();
-    }
+    ledger.refresh_next_uses(|a| index.next_use(a, i));
+    let resident = Resident {
+        addr,
+        next_use: index.next_use(addr, i),
+    };
+    ledger.insert_with(loc.clone(), resident, |_, r| {
+        if r.next_use.is_some() {
+            stats.spills += 1;
+        }
+    });
 }
 
 /// Rewrites `ops` over `pool`, one basic block at a time; see the module
 /// docs for the two passes.  Each pass is wrapped in a trace span on
 /// `probe` (`"allocate.residency"`, `"allocate.dead-store"`).
 ///
-/// Blocks are rewritten independently: the residency ledger starts
+/// `block_ranges` tile `0..ops.len()` in order, as emission lays blocks
+/// out.  Blocks are rewritten independently: the residency ledger starts
 /// empty per block (no register state is assumed across a control
 /// transfer — predecessors differ and loops re-enter), and the
 /// dead-store pass keeps every variable word observable at the block's
@@ -269,92 +296,87 @@ fn establish<F: Fn(u64, usize) -> Option<usize>>(
 /// before any read in the same block), so block-local analysis loses
 /// nothing.
 ///
-/// Returns the rewritten sequence, the new per-block op ranges (ops are
-/// only ever removed, so ranges shift), and the stats.
+/// Both passes only mark ops to drop; the survivors then move, in order,
+/// within `ops`, which the call consumes: no op is copied.  Returns the
+/// rewritten sequence, the new per-block op ranges (ops are only ever
+/// removed, so ranges shift), and the stats.
 pub fn allocate(
-    ops: &[RtOp],
+    mut ops: Vec<RtOp>,
     block_ranges: &[Range<usize>],
     pool: &RegisterPool,
     layout: MemLayout,
     options: &AllocOptions,
     probe: &mut record_probe::Probe<'_>,
 ) -> (Vec<RtOp>, Vec<Range<usize>>, AllocStats) {
-    let dm = layout.data_mem;
+    debug_assert!(
+        block_ranges
+            .iter()
+            .try_fold(0, |end, r| (r.start == end).then_some(r.end))
+            == Some(ops.len()),
+        "block ranges tile the op sequence"
+    );
     let mut stats = AllocStats {
         ops_before: ops.len(),
         ..AllocStats::default()
     };
-    (stats.reads_before, stats.writes_before) = mem_traffic(ops, dm);
-    let alloc = Allocator {
-        pool,
-        layout,
-        capacity: options
-            .max_resident
-            .unwrap_or_else(|| pool.capacity().min(usize::MAX as u64) as usize),
-    };
+    let capacity = options
+        .max_resident
+        .unwrap_or_else(|| pool.capacity().min(usize::MAX as u64) as usize);
+    let alloc = Allocator { pool, layout };
+    let mut ledger = Residency::with_capacity(capacity);
+    let mut index = BlockIndex::default();
+    let mut keep = vec![true; ops.len()];
 
-    let mut out = Vec::new();
     let mut ranges = Vec::with_capacity(block_ranges.len());
+    let mut end = 0;
     for r in block_ranges {
+        let (block, keep) = (&ops[r.clone()], &mut keep[r.clone()]);
         probe.begin("allocate.residency");
-        let kept = alloc.residency_pass(&ops[r.clone()], &mut stats);
+        index.build(block, layout.data_mem, &mut stats);
+        ledger.clear();
+        alloc.residency_pass(block, keep, &index, &mut ledger, &mut stats);
         probe.end("allocate.residency");
         probe.begin("allocate.dead-store");
-        let kept = alloc.dead_store_pass(kept, &mut stats);
+        let kept = alloc.dead_store_pass(block, keep, &mut index, &mut stats);
         probe.end("allocate.dead-store");
-        let start = out.len();
-        // Moving the first block's ops in, rather than copying them, keeps
-        // a straight-line function at one op vector.
-        if out.is_empty() {
-            out = kept;
-        } else {
-            out.extend(kept);
-        }
-        ranges.push(start..out.len());
+        ranges.push(end..end + kept);
+        end += kept;
     }
 
-    stats.ops_after = out.len();
-    (stats.reads_after, stats.writes_after) = mem_traffic(&out, dm);
-    (out, ranges, stats)
+    let mut i = 0;
+    ops.retain(|_| {
+        i += 1;
+        keep[i - 1]
+    });
+    stats.ops_after = ops.len();
+    (ops, ranges, stats)
 }
 
 /// The value-placement rewriter's fixed inputs.
 struct Allocator<'a> {
     pool: &'a RegisterPool,
     layout: MemLayout,
-    /// Most register residencies tracked at once.
-    capacity: usize,
 }
 
 impl Allocator<'_> {
-    /// Forward pass: drop reloads of register-resident values.
-    fn residency_pass(&self, ops: &[RtOp], stats: &mut AllocStats) -> Vec<RtOp> {
+    /// Forward pass: drop reloads of register-resident values, clearing
+    /// their `keep` marks.  `ledger` starts empty.
+    fn residency_pass(
+        &self,
+        ops: &[RtOp],
+        keep: &mut [bool],
+        index: &BlockIndex,
+        ledger: &mut Residency,
+        stats: &mut AllocStats,
+    ) {
         let dm = self.layout.data_mem;
-        // Read sites per constant address, for Belady ranking and for
-        // spill accounting (a lost residency only matters if a later read
-        // exists).
-        let mut read_sites: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            for r in dm_reads(op, dm) {
-                if let MemAccess::Const(a) = r {
-                    read_sites.entry(a).or_default().push(i);
-                }
-            }
-        }
-        let next_use = |addr: u64, after: usize| -> Option<usize> {
-            let sites = read_sites.get(&addr)?;
-            let i = sites.partition_point(|&s| s <= after);
-            sites.get(i).copied()
-        };
-
-        let mut ledger = Residency::with_capacity(self.capacity.max(1));
-        let mut out = Vec::with_capacity(ops.len());
-
         for (i, op) in ops.iter().enumerate() {
             // 1. Identity reload?  Drop it; the value is already resident.
-            if let Some((loc, addr)) = as_reload(op, self.pool) {
-                if ledger.holds(&loc, addr) {
+            let reload = as_reload(op, self.pool);
+            if let Some((loc, addr)) = reload {
+                if ledger.holds(loc, addr) {
                     stats.reloads_eliminated += 1;
+                    keep[i] = false;
                     continue;
                 }
             }
@@ -363,18 +385,18 @@ impl Allocator<'_> {
             let write = op.write();
             match &write {
                 Loc::Reg(_) | Loc::Rf(..) if self.pool.is_allocatable(&write) => {
-                    for r in ledger.forget(&write) {
-                        if next_use(r.addr, i).is_some() {
+                    ledger.forget_with(&write, |r| {
+                        if index.next_use(r.addr, i).is_some() {
                             stats.spills += 1;
                         }
-                    }
-                    if let Some((loc, addr)) = as_reload(op, self.pool) {
+                    });
+                    if let Some((loc, addr)) = reload {
                         // The register now mirrors the memory word.
-                        establish(&mut ledger, loc, addr, i, &next_use, stats);
+                        establish(ledger, loc, addr, i, index, stats);
                     }
                 }
                 Loc::Mem(s, a) if *s == dm => {
-                    self.apply_store(&mut ledger, op, *a, i, &next_use, stats);
+                    self.apply_store(ledger, op, *a, i, index, stats);
                 }
                 Loc::MemDyn(s) if *s == dm => {
                     // Unknown address: every association may be stale.
@@ -382,7 +404,7 @@ impl Allocator<'_> {
                     // any other loss path.
                     stats.spills += ledger
                         .residents()
-                        .filter(|(_, r)| next_use(r.addr, i).is_some())
+                        .filter(|(_, r)| index.next_use(r.addr, i).is_some())
                         .count();
                     ledger.clear();
                 }
@@ -390,20 +412,17 @@ impl Allocator<'_> {
             }
             // `DestSim::MemAt` with a constant address surfaces as
             // `Loc::Mem` through `RtOp::write`; dynamic ones as `MemDyn`.
-
-            out.push(op.clone());
         }
-        out
     }
 
     /// Ledger effect of a store to constant address `addr`.
-    fn apply_store<F: Fn(u64, usize) -> Option<usize>>(
+    fn apply_store(
         &self,
         ledger: &mut Residency,
         op: &RtOp,
         addr: u64,
         i: usize,
-        next_use: &F,
+        index: &BlockIndex,
         stats: &mut AllocStats,
     ) {
         // The memory word changed: registers holding its old value are
@@ -414,41 +433,59 @@ impl Allocator<'_> {
         if let Some((src, a)) = as_store(op, self.pool) {
             debug_assert_eq!(a, addr);
             let storage = match src {
-                Loc::Reg(s) | Loc::Rf(s, _) => s,
+                Loc::Reg(s) | Loc::Rf(s, _) => *s,
                 _ => unreachable!("as_store returns register locations"),
             };
             if self.pool.store_preserves_value(storage) {
-                establish(ledger, src, addr, i, next_use, stats);
+                establish(ledger, src, addr, i, index, stats);
             }
         }
     }
 
     /// Backward pass: remove stores no one reads before the next definite
-    /// overwrite.  Variable words (below the scratch watermark) count as
-    /// read at program end; scratch words do not.
-    fn dead_store_pass(&self, ops: Vec<RtOp>, stats: &mut AllocStats) -> Vec<RtOp> {
+    /// overwrite, clearing their `keep` marks, and count the data-memory
+    /// traffic of the ops that stay.  Variable words (below the scratch
+    /// watermark) count as read at program end; scratch words do not.
+    /// Returns the number of ops kept.
+    fn dead_store_pass(
+        &self,
+        ops: &[RtOp],
+        keep: &mut [bool],
+        index: &mut BlockIndex,
+        stats: &mut AllocStats,
+    ) -> usize {
         let dm = self.layout.data_mem;
         // `live`: addresses whose current value may still be read.  At the
         // end of the program every variable word is observable (the oracle
         // compares them); scratch words above the watermark are not.
-        let mut live: HashSet<u64> = (0..self.layout.first_scratch).collect();
+        // Addresses the block never names cannot matter, so liveness is
+        // kept over the block's compressed addresses only.
+        let first_scratch = self.layout.first_scratch;
+        index.live.clear();
+        index
+            .live
+            .extend(index.addrs.iter().map(|&a| a < first_scratch));
         let mut all_live = false;
-        let mut keep = vec![true; ops.len()];
+        let mut kept = 0;
 
         for (i, op) in ops.iter().enumerate().rev() {
+            if !keep[i] {
+                continue;
+            }
             if let Some(w) = dm_write(op, dm) {
                 match w {
                     MemAccess::Const(a) => {
-                        if !all_live && !live.contains(&a) {
-                            keep[i] = false;
-                            stats.stores_eliminated += 1;
-                            continue;
-                        }
-                        // This write supplies the observed value; earlier
-                        // values of `a` are dead until an earlier read
-                        // appears.
                         if !all_live {
-                            live.remove(&a);
+                            let k = index.slot(a);
+                            if !index.live[k] {
+                                keep[i] = false;
+                                stats.stores_eliminated += 1;
+                                continue;
+                            }
+                            // This write supplies the observed value;
+                            // earlier values of `a` are dead until an
+                            // earlier read appears.
+                            index.live[k] = false;
                         }
                     }
                     MemAccess::Dynamic => {
@@ -457,20 +494,20 @@ impl Allocator<'_> {
                         all_live = true;
                     }
                 }
+                stats.writes_after += 1;
             }
-            for r in dm_reads(op, dm) {
+            kept += 1;
+            for_each_dm_read(op, dm, |r| {
+                stats.reads_after += 1;
                 match r {
                     MemAccess::Const(a) => {
-                        live.insert(a);
+                        let k = index.slot(a);
+                        index.live[k] = true;
                     }
                     MemAccess::Dynamic => all_live = true,
                 }
-            }
+            });
         }
-
-        ops.into_iter()
-            .zip(keep)
-            .filter_map(|(op, k)| k.then_some(op))
-            .collect()
+        kept
     }
 }

@@ -11,7 +11,6 @@
 use record_codegen::Loc;
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_rtl::{Dest, Pattern, TemplateBase, TemplateId};
-use std::collections::HashMap;
 
 /// One allocatable register resource (a register, or a whole register file
 /// whose cells are interchangeable).
@@ -41,18 +40,25 @@ pub struct RegisterPool {
     data_mem: StorageId,
     mem_width: u16,
     classes: Vec<RegClass>,
-    by_storage: HashMap<StorageId, usize>,
+    /// The class of each storage, indexed by storage id.
+    by_storage: Vec<Option<usize>>,
+}
+
+/// Indexes `classes` by storage id.
+fn index_by_storage(classes: &[RegClass]) -> Vec<Option<usize>> {
+    let len = classes.iter().map(|c| c.storage.0 as usize + 1).max();
+    let mut by_storage = vec![None; len.unwrap_or(0)];
+    for (i, c) in classes.iter().enumerate() {
+        by_storage[c.storage.0 as usize] = Some(i);
+    }
+    by_storage
 }
 
 impl RegisterPool {
     /// A pool from explicit classes (tests and tools; production targets
     /// use [`RegisterPool::discover`]).
     pub fn new(data_mem: StorageId, mem_width: u16, classes: Vec<RegClass>) -> RegisterPool {
-        let by_storage = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.storage, i))
-            .collect();
+        let by_storage = index_by_storage(&classes);
         RegisterPool {
             data_mem,
             mem_width,
@@ -65,7 +71,6 @@ impl RegisterPool {
     /// templates, with spills targeting `data_mem`.
     pub fn discover(netlist: &Netlist, base: &TemplateBase, data_mem: StorageId) -> RegisterPool {
         let mut classes = Vec::new();
-        let mut by_storage = HashMap::new();
         for s in netlist.storages() {
             if s.is_mode
                 || s.is_pc
@@ -104,7 +109,6 @@ impl RegisterPool {
                             Pattern::Reg(r) | Pattern::RegFile(r) if *r == s.id)
                 })
                 .map(|t| t.id);
-            by_storage.insert(s.id, classes.len());
             classes.push(RegClass {
                 storage: s.id,
                 name: s.name.clone(),
@@ -121,8 +125,8 @@ impl RegisterPool {
         RegisterPool {
             data_mem,
             mem_width: netlist.storage(data_mem).width,
+            by_storage: index_by_storage(&classes),
             classes,
-            by_storage,
         }
     }
 
@@ -143,7 +147,8 @@ impl RegisterPool {
 
     /// The class of a storage, if allocatable.
     pub fn class_of(&self, s: StorageId) -> Option<&RegClass> {
-        self.by_storage.get(&s).map(|&i| &self.classes[i])
+        let i = (*self.by_storage.get(s.0 as usize)?)?;
+        Some(&self.classes[i])
     }
 
     /// Total number of allocatable cells.
@@ -154,7 +159,7 @@ impl RegisterPool {
     /// Is `loc` a register resource of this pool?
     pub fn is_allocatable(&self, loc: &Loc) -> bool {
         match loc {
-            Loc::Reg(s) | Loc::Rf(s, _) => self.by_storage.contains_key(s),
+            Loc::Reg(s) | Loc::Rf(s, _) => self.class_of(*s).is_some(),
             _ => false,
         }
     }
@@ -222,6 +227,10 @@ pub struct Residency {
     capacity: usize,
     /// Insertion-ordered (determinism matters for reproducible eviction).
     entries: Vec<(Loc, Resident)>,
+    /// Scratch for insertions, kept so that one allocates nothing: per
+    /// tracked register in first-insertion order, the entry of its oldest
+    /// association and its nearest next use.
+    registers: Vec<(usize, Option<usize>)>,
 }
 
 impl Residency {
@@ -230,6 +239,7 @@ impl Residency {
         Residency {
             capacity: capacity.max(1),
             entries: Vec::new(),
+            registers: Vec::new(),
         }
     }
 
@@ -242,25 +252,32 @@ impl Residency {
     /// Number of distinct registers currently tracked — the quantity the
     /// capacity bounds.
     pub fn distinct_registers(&self) -> usize {
-        self.per_register().len()
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(j, (l, _))| !self.entries[..*j].iter().any(|(k, _)| k == l))
+            .count()
     }
 
-    /// One summary per tracked register, in first-insertion order:
-    /// `(register, nearest next use over its associations)`.
-    fn per_register(&self) -> Vec<(&Loc, Option<usize>)> {
-        let mut regs: Vec<(&Loc, Option<usize>)> = Vec::new();
-        for (l, r) in &self.entries {
-            match regs.iter_mut().find(|(reg, _)| *reg == l) {
+    /// Fills `registers`: one summary per tracked register, in
+    /// first-insertion order.
+    fn summarize_registers(&mut self) {
+        self.registers.clear();
+        for (j, (l, r)) in self.entries.iter().enumerate() {
+            match self
+                .registers
+                .iter_mut()
+                .find(|(first, _)| self.entries[*first].0 == *l)
+            {
                 Some((_, nearest)) => {
                     *nearest = match (*nearest, r.next_use) {
                         (Some(a), Some(b)) => Some(a.min(b)),
                         (a, b) => a.or(b),
                     }
                 }
-                None => regs.push((l, r.next_use)),
+                None => self.registers.push((j, r.next_use)),
             }
         }
-        regs
     }
 
     /// Is the ledger empty?
@@ -308,54 +325,78 @@ impl Residency {
     /// full ledger evicts one whole register (pool overflow) and returns
     /// everything it held.
     pub fn insert(&mut self, loc: Loc, resident: Resident) -> Option<Evicted> {
+        let mut evicted: Option<Evicted> = None;
+        self.insert_with(loc, resident, |victim, r| {
+            evicted
+                .get_or_insert_with(|| Evicted {
+                    loc: victim.clone(),
+                    residents: Vec::new(),
+                })
+                .residents
+                .push(r.clone())
+        });
+        evicted
+    }
+
+    /// [`Residency::insert`], handing each association of an evicted
+    /// register to `dropped`, oldest first, instead of collecting them.
+    pub(crate) fn insert_with(
+        &mut self,
+        loc: Loc,
+        resident: Resident,
+        mut dropped: impl FnMut(&Loc, &Resident),
+    ) {
         if let Some((_, r)) = self
             .entries
             .iter_mut()
             .find(|(l, r)| *l == loc && r.addr == resident.addr)
         {
             r.next_use = resident.next_use;
-            return None;
+            return;
         }
-        // One pass over the entries: per-register nearest next use, in
-        // first-insertion order (the order doubles as the tie-break key).
-        let regs = self.per_register();
-        let tracked = regs.iter().any(|(l, _)| **l == loc);
-        let displaced = if !tracked && regs.len() >= self.capacity {
-            // Overflow: evict the register whose nearest next use lies
-            // farthest in the future (never-again-read registers first);
-            // earliest-inserted register on ties.
-            let victim = regs
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, (_, nearest))| {
-                    (nearest.map_or((1, 0), |u| (0, u)), usize::MAX - i)
-                })
-                .map(|(_, (l, _))| (*l).clone())
-                .expect("capacity >= 1, ledger non-empty");
-            let residents = self.forget(&victim);
-            Some(Evicted {
-                loc: victim,
-                residents,
-            })
-        } else {
-            None
-        };
+        if !self.entries.iter().any(|(l, _)| *l == loc) {
+            // One pass over the entries: per-register nearest next use, in
+            // first-insertion order (the order doubles as the tie-break
+            // key).
+            self.summarize_registers();
+            if self.registers.len() >= self.capacity {
+                // Overflow: evict the register whose nearest next use lies
+                // farthest in the future (never-again-read registers
+                // first); earliest-inserted register on ties.
+                let (first, _) = self
+                    .registers
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(i, (_, nearest))| {
+                        (nearest.map_or((1, 0), |u| (0, u)), usize::MAX - i)
+                    })
+                    .map(|(_, register)| *register)
+                    .expect("capacity >= 1, ledger non-empty");
+                let victim = self.entries[first].0.clone();
+                self.forget_with(&victim, |r| dropped(&victim, r));
+            }
+        }
         self.entries.push((loc, resident));
-        displaced
     }
 
     /// Drops every association of one register (it was overwritten).
     pub fn forget(&mut self, loc: &Loc) -> Vec<Resident> {
         let mut removed = Vec::new();
+        self.forget_with(loc, |r| removed.push(r.clone()));
+        removed
+    }
+
+    /// [`Residency::forget`], handing each dropped association to `f`,
+    /// oldest first, instead of collecting them.
+    pub(crate) fn forget_with(&mut self, loc: &Loc, mut f: impl FnMut(&Resident)) {
         self.entries.retain(|(l, r)| {
             if l == loc {
-                removed.push(r.clone());
+                f(r);
                 false
             } else {
                 true
             }
         });
-        removed
     }
 
     /// Drops every association to `addr` (the memory word was overwritten).

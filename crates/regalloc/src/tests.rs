@@ -1,4 +1,5 @@
 use crate::*;
+use proptest::prelude::*;
 use record_codegen::{Binding, DestSim, Loc, Machine, RtOp, SimExpr};
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_rtl::TemplateId;
@@ -292,7 +293,7 @@ fn allocate_one(
     options: &AllocOptions,
 ) -> (Vec<RtOp>, AllocStats) {
     let (out, _, stats) = allocate(
-        ops,
+        ops.to_vec(),
         std::slice::from_ref(&(0..ops.len())),
         pool,
         layout,
@@ -454,6 +455,518 @@ fn dynamic_access_is_a_barrier() {
     let ops = vec![synth_store(0, 5), dyn_write, synth_reload(0, 5)];
     let (_, stats) = run_synth(&ops, &synth_pool(16), 5);
     assert_eq!(stats.reloads_eliminated, 0);
+}
+
+/// Liveness is kept over the addresses a block names, not over the
+/// declared memory: a watermark of 2^40 variable words costs nothing.
+#[test]
+fn variable_area_size_does_not_cost_memory() {
+    let ops = vec![synth_reload(0, 5), synth_modify(0), synth_store(0, 7)];
+    let (out, stats) = run_synth(&ops, &synth_pool(16), 1 << 40);
+    // Every word is a variable word: nothing is dead, nothing is resident.
+    assert_eq!(out, ops);
+    assert_eq!(stats.stores_eliminated, 0);
+    assert_eq!(stats.reloads_eliminated, 0);
+}
+
+// ------------------------------------------- allocator (reference, property)
+
+/// The allocator before it moved ops and indexed addresses densely, kept
+/// as the reference of [`allocate_matches_clone_and_hash_reference`]: it
+/// copies every kept op, collects each op's data-memory reads into a
+/// fresh vector in both passes, keeps read sites in a `HashMap` and
+/// dead-store liveness in a `HashSet` seeded with every variable word, and
+/// counts traffic with two extra walks.
+mod reference {
+    use crate::{AllocOptions, AllocStats, MemLayout, RegisterPool, Residency, Resident};
+    use record_codegen::{DestSim, Loc, RtOp, SimExpr};
+    use record_netlist::StorageId;
+    use std::collections::{HashMap, HashSet};
+    use std::ops::Range;
+
+    fn mem_traffic(ops: &[RtOp], dm: StorageId) -> (usize, usize) {
+        let mut reads = 0;
+        let mut writes = 0;
+        for op in ops {
+            count_expr_reads(&op.expr, dm, &mut reads);
+            match &op.dest {
+                DestSim::MemAt(s, addr) => {
+                    count_expr_reads(addr, dm, &mut reads);
+                    if *s == dm {
+                        writes += 1;
+                    }
+                }
+                DestSim::Loc(Loc::Mem(s, _)) => {
+                    if *s == dm {
+                        writes += 1;
+                    }
+                }
+                DestSim::Loc(_) => {}
+            }
+        }
+        (reads, writes)
+    }
+
+    fn count_expr_reads(e: &SimExpr, dm: StorageId, n: &mut usize) {
+        match e {
+            SimExpr::Const(_) => {}
+            SimExpr::Read(Loc::Mem(s, _)) => {
+                if *s == dm {
+                    *n += 1;
+                }
+            }
+            SimExpr::Read(_) => {}
+            SimExpr::MemRead(s, addr) => {
+                if *s == dm {
+                    *n += 1;
+                }
+                count_expr_reads(addr, dm, n);
+            }
+            SimExpr::Op(_, args) => args.iter().for_each(|a| count_expr_reads(a, dm, n)),
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum MemAccess {
+        Const(u64),
+        Dynamic,
+    }
+
+    fn dm_reads(op: &RtOp, dm: StorageId) -> Vec<MemAccess> {
+        let mut out = Vec::new();
+        collect_dm_reads(&op.expr, dm, &mut out);
+        if let DestSim::MemAt(_, addr) = &op.dest {
+            collect_dm_reads(addr, dm, &mut out);
+        }
+        out
+    }
+
+    fn collect_dm_reads(e: &SimExpr, dm: StorageId, out: &mut Vec<MemAccess>) {
+        match e {
+            SimExpr::Const(_) => {}
+            SimExpr::Read(Loc::Mem(s, a)) => {
+                if *s == dm {
+                    out.push(MemAccess::Const(*a));
+                }
+            }
+            SimExpr::Read(_) => {}
+            SimExpr::MemRead(s, addr) => {
+                if *s == dm {
+                    match **addr {
+                        SimExpr::Const(a) => out.push(MemAccess::Const(a)),
+                        _ => out.push(MemAccess::Dynamic),
+                    }
+                }
+                collect_dm_reads(addr, dm, out);
+            }
+            SimExpr::Op(_, args) => args.iter().for_each(|a| collect_dm_reads(a, dm, out)),
+        }
+    }
+
+    fn dm_write(op: &RtOp, dm: StorageId) -> Option<MemAccess> {
+        match &op.dest {
+            DestSim::MemAt(s, addr) if *s == dm => match addr {
+                SimExpr::Const(a) => Some(MemAccess::Const(*a)),
+                _ => Some(MemAccess::Dynamic),
+            },
+            DestSim::Loc(Loc::Mem(s, a)) if *s == dm => Some(MemAccess::Const(*a)),
+            _ => None,
+        }
+    }
+
+    fn as_reload(op: &RtOp, pool: &RegisterPool) -> Option<(Loc, u64)> {
+        let DestSim::Loc(loc) = &op.dest else {
+            return None;
+        };
+        if !pool.is_allocatable(loc) {
+            return None;
+        }
+        let addr = match &op.expr {
+            SimExpr::MemRead(s, addr) if *s == pool.data_mem() => match **addr {
+                SimExpr::Const(a) => a,
+                _ => return None,
+            },
+            SimExpr::Read(Loc::Mem(s, a)) if *s == pool.data_mem() => *a,
+            _ => return None,
+        };
+        Some((loc.clone(), addr))
+    }
+
+    fn as_store(op: &RtOp, pool: &RegisterPool) -> Option<(Loc, u64)> {
+        let addr = match &op.dest {
+            DestSim::MemAt(s, SimExpr::Const(a)) if *s == pool.data_mem() => *a,
+            DestSim::Loc(Loc::Mem(s, a)) if *s == pool.data_mem() => *a,
+            _ => return None,
+        };
+        let SimExpr::Read(src) = &op.expr else {
+            return None;
+        };
+        if !pool.is_allocatable(src) {
+            return None;
+        }
+        Some((src.clone(), addr))
+    }
+
+    fn establish<F: Fn(u64, usize) -> Option<usize>>(
+        ledger: &mut Residency,
+        loc: Loc,
+        addr: u64,
+        i: usize,
+        next_use: &F,
+        stats: &mut AllocStats,
+    ) {
+        ledger.refresh_next_uses(|a| next_use(a, i));
+        if let Some(ev) = ledger.insert(
+            loc,
+            Resident {
+                addr,
+                next_use: next_use(addr, i),
+            },
+        ) {
+            stats.spills += ev.live_count();
+        }
+    }
+
+    pub fn allocate(
+        ops: &[RtOp],
+        block_ranges: &[Range<usize>],
+        pool: &RegisterPool,
+        layout: MemLayout,
+        options: &AllocOptions,
+    ) -> (Vec<RtOp>, Vec<Range<usize>>, AllocStats) {
+        let dm = layout.data_mem;
+        let mut stats = AllocStats {
+            ops_before: ops.len(),
+            ..AllocStats::default()
+        };
+        (stats.reads_before, stats.writes_before) = mem_traffic(ops, dm);
+        let alloc = Allocator {
+            pool,
+            layout,
+            capacity: options
+                .max_resident
+                .unwrap_or_else(|| pool.capacity().min(usize::MAX as u64) as usize),
+        };
+        let mut out = Vec::new();
+        let mut ranges = Vec::with_capacity(block_ranges.len());
+        for r in block_ranges {
+            let kept = alloc.residency_pass(&ops[r.clone()], &mut stats);
+            let kept = alloc.dead_store_pass(kept, &mut stats);
+            let start = out.len();
+            out.extend(kept);
+            ranges.push(start..out.len());
+        }
+        stats.ops_after = out.len();
+        (stats.reads_after, stats.writes_after) = mem_traffic(&out, dm);
+        (out, ranges, stats)
+    }
+
+    struct Allocator<'a> {
+        pool: &'a RegisterPool,
+        layout: MemLayout,
+        capacity: usize,
+    }
+
+    impl Allocator<'_> {
+        fn residency_pass(&self, ops: &[RtOp], stats: &mut AllocStats) -> Vec<RtOp> {
+            let dm = self.layout.data_mem;
+            let mut read_sites: HashMap<u64, Vec<usize>> = HashMap::new();
+            for (i, op) in ops.iter().enumerate() {
+                for r in dm_reads(op, dm) {
+                    if let MemAccess::Const(a) = r {
+                        read_sites.entry(a).or_default().push(i);
+                    }
+                }
+            }
+            let next_use = |addr: u64, after: usize| -> Option<usize> {
+                let sites = read_sites.get(&addr)?;
+                let i = sites.partition_point(|&s| s <= after);
+                sites.get(i).copied()
+            };
+            let mut ledger = Residency::with_capacity(self.capacity.max(1));
+            let mut out = Vec::with_capacity(ops.len());
+            for (i, op) in ops.iter().enumerate() {
+                if let Some((loc, addr)) = as_reload(op, self.pool) {
+                    if ledger.holds(&loc, addr) {
+                        stats.reloads_eliminated += 1;
+                        continue;
+                    }
+                }
+                let write = op.write();
+                match &write {
+                    Loc::Reg(_) | Loc::Rf(..) if self.pool.is_allocatable(&write) => {
+                        for r in ledger.forget(&write) {
+                            if next_use(r.addr, i).is_some() {
+                                stats.spills += 1;
+                            }
+                        }
+                        if let Some((loc, addr)) = as_reload(op, self.pool) {
+                            establish(&mut ledger, loc, addr, i, &next_use, stats);
+                        }
+                    }
+                    Loc::Mem(s, a) if *s == dm => {
+                        ledger.forget_addr(*a);
+                        if let Some((src, _)) = as_store(op, self.pool) {
+                            let (Loc::Reg(storage) | Loc::Rf(storage, _)) = src else {
+                                unreachable!("as_store returns register locations")
+                            };
+                            if self.pool.store_preserves_value(storage) {
+                                establish(&mut ledger, src, *a, i, &next_use, stats);
+                            }
+                        }
+                    }
+                    Loc::MemDyn(s) if *s == dm => {
+                        stats.spills += ledger
+                            .residents()
+                            .filter(|(_, r)| next_use(r.addr, i).is_some())
+                            .count();
+                        ledger.clear();
+                    }
+                    _ => {}
+                }
+                out.push(op.clone());
+            }
+            out
+        }
+
+        fn dead_store_pass(&self, ops: Vec<RtOp>, stats: &mut AllocStats) -> Vec<RtOp> {
+            let dm = self.layout.data_mem;
+            let mut live: HashSet<u64> = (0..self.layout.first_scratch).collect();
+            let mut all_live = false;
+            let mut keep = vec![true; ops.len()];
+            for (i, op) in ops.iter().enumerate().rev() {
+                if let Some(w) = dm_write(op, dm) {
+                    match w {
+                        MemAccess::Const(a) => {
+                            if !all_live && !live.contains(&a) {
+                                keep[i] = false;
+                                stats.stores_eliminated += 1;
+                                continue;
+                            }
+                            if !all_live {
+                                live.remove(&a);
+                            }
+                        }
+                        MemAccess::Dynamic => all_live = true,
+                    }
+                }
+                for r in dm_reads(op, dm) {
+                    match r {
+                        MemAccess::Const(a) => {
+                            live.insert(a);
+                        }
+                        MemAccess::Dynamic => all_live = true,
+                    }
+                }
+            }
+            ops.into_iter()
+                .zip(keep)
+                .filter_map(|(op, k)| k.then_some(op))
+                .collect()
+        }
+    }
+}
+
+/// The data memory of the generated sequences, and a second memory the
+/// allocator must leave alone.
+const DM: StorageId = StorageId(9);
+const OTHER_MEM: StorageId = StorageId(8);
+/// A register outside the pool, holding computed addresses.
+const ADDR_REG: StorageId = StorageId(5);
+
+/// Two plain 16-bit registers, a 32-bit one whose stores truncate, and a
+/// three-cell register file: capacity 6.
+fn property_pool() -> RegisterPool {
+    let class = |s: u32, width: u16, cells: u64| RegClass {
+        storage: StorageId(s),
+        name: format!("s{s}"),
+        width,
+        cells,
+        reload: Some(TemplateId(0)),
+        spill: Some(TemplateId(1)),
+    };
+    RegisterPool::new(
+        DM,
+        16,
+        vec![
+            class(0, 16, 1),
+            class(1, 16, 1),
+            class(2, 32, 1),
+            class(3, 16, 3),
+        ],
+    )
+}
+
+/// Register `r` of the generated sequences: the pool's registers and
+/// cells, and (for 6) the non-pool address register.
+fn property_reg(r: u8) -> Loc {
+    match r % 7 {
+        0..=2 => Loc::Reg(StorageId(u32::from(r % 7))),
+        k @ 3..=5 => Loc::Rf(StorageId(3), u64::from(k - 3)),
+        _ => Loc::Reg(ADDR_REG),
+    }
+}
+
+/// `(kind, register, address, fan-out)`: one generated op, or a run of
+/// fan-out stores.
+type AllocOpSpec = (u8, u8, u64, u8);
+
+fn alloc_op_spec() -> impl Strategy<Value = AllocOpSpec> {
+    (0u8..12, 0u8..7, 0u64..6, 1u8..4)
+}
+
+fn property_op(dest: DestSim, expr: SimExpr) -> RtOp {
+    RtOp {
+        template: TemplateId(0),
+        dest,
+        expr,
+        transfer: None,
+        cond: record_bdd::Bdd::TRUE,
+    }
+}
+
+/// The ops of `spec`: reloads and stores in both address forms, register
+/// modifies, computed-address reads and writes, fan-out stores, reads
+/// and stores that are neither plain reloads nor plain stores, and
+/// accesses to a second memory.
+fn build_alloc_ops(spec: &[AllocOpSpec]) -> Vec<RtOp> {
+    let mut ops = Vec::new();
+    for &(kind, r, a, fan) in spec {
+        let reg = property_reg(r);
+        let read = || SimExpr::Read(reg.clone());
+        let mem = |a| SimExpr::MemRead(DM, Box::new(SimExpr::Const(a)));
+        let computed = || SimExpr::Read(Loc::Reg(ADDR_REG));
+        let add = |x, y| SimExpr::Op(record_rtl::OpKind::Add, vec![x, y]);
+        match kind {
+            0 => ops.push(property_op(DestSim::Loc(reg.clone()), mem(a))),
+            1 => ops.push(property_op(
+                DestSim::Loc(reg.clone()),
+                SimExpr::Read(Loc::Mem(DM, a)),
+            )),
+            2 => ops.push(property_op(DestSim::MemAt(DM, SimExpr::Const(a)), read())),
+            3 => ops.push(property_op(DestSim::Loc(Loc::Mem(DM, a)), read())),
+            4 => ops.push(property_op(
+                DestSim::Loc(reg.clone()),
+                add(read(), SimExpr::Const(1)),
+            )),
+            5 => ops.push(property_op(
+                DestSim::Loc(reg.clone()),
+                SimExpr::MemRead(DM, Box::new(computed())),
+            )),
+            6 => ops.push(property_op(DestSim::MemAt(DM, computed()), read())),
+            7 => ops.extend(
+                (0..u64::from(fan))
+                    .map(|k| property_op(DestSim::MemAt(DM, SimExpr::Const(a + k)), read())),
+            ),
+            8 => ops.push(property_op(DestSim::Loc(reg.clone()), add(read(), mem(a)))),
+            9 => ops.push(property_op(
+                DestSim::MemAt(DM, SimExpr::Const(a)),
+                add(read(), mem(a + 1)),
+            )),
+            10 => ops.push(property_op(DestSim::Loc(Loc::Mem(OTHER_MEM, a)), read())),
+            _ => ops.push(property_op(
+                DestSim::Loc(Loc::Reg(ADDR_REG)),
+                SimExpr::MemRead(OTHER_MEM, Box::new(SimExpr::Const(a))),
+            )),
+        }
+    }
+    ops
+}
+
+/// Block ranges tiling `0..n`, cut at `cuts` (mod `n + 1`); repeated cuts
+/// give empty blocks.
+fn block_ranges(n: usize, cuts: &[u16]) -> Vec<std::ops::Range<usize>> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c as usize % (n + 1)).collect();
+    bounds.sort_unstable();
+    bounds.insert(0, 0);
+    bounds.push(n);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// One generated case: ops, block ranges, layout and options.
+type AllocCase = (
+    Vec<RtOp>,
+    Vec<std::ops::Range<usize>>,
+    MemLayout,
+    AllocOptions,
+);
+
+/// `max_resident` 0 stands for `None` (the pool capacity, 6).
+fn alloc_case(
+    spec: &[AllocOpSpec],
+    cuts: &[u16],
+    first_scratch: u64,
+    max_resident: usize,
+) -> AllocCase {
+    let ops = build_alloc_ops(spec);
+    let ranges = block_ranges(ops.len(), cuts);
+    let layout = MemLayout {
+        data_mem: DM,
+        first_scratch,
+    };
+    let options = AllocOptions {
+        max_resident: (max_resident > 0).then_some(max_resident),
+    };
+    (ops, ranges, layout, options)
+}
+
+proptest! {
+    #[test]
+    fn allocate_matches_clone_and_hash_reference(
+        spec in prop::collection::vec(alloc_op_spec(), 0..40),
+        cuts in prop::collection::vec(any::<u16>(), 0..4),
+        first_scratch in 0u64..8,
+        max_resident in 0usize..7,
+    ) {
+        let (ops, ranges, layout, options) = alloc_case(&spec, &cuts, first_scratch, max_resident);
+        let pool = property_pool();
+        let want = reference::allocate(&ops, &ranges, &pool, layout, &options);
+        let got = allocate(
+            ops,
+            &ranges,
+            &pool,
+            layout,
+            &options,
+            &mut record_probe::Probe::disabled(),
+        );
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// The property above is not vacuous: generated sequences span several
+/// blocks and make the allocator eliminate reloads and stores and count
+/// spills.
+#[test]
+fn generated_sequences_exercise_every_counter() {
+    let mut rng = proptest::TestRng::from_name("generated_sequences_exercise_every_counter");
+    let cases = (
+        prop::collection::vec(alloc_op_spec(), 0..40),
+        prop::collection::vec(any::<u16>(), 0..4),
+        0u64..8,
+        0usize..7,
+    );
+    let (mut total, mut blocks) = (AllocStats::default(), 0);
+    for _ in 0..64 {
+        let (spec, cuts, first_scratch, max_resident) = cases.new_value(&mut rng);
+        let (ops, ranges, layout, options) = alloc_case(&spec, &cuts, first_scratch, max_resident);
+        blocks += ranges.iter().filter(|r| !r.is_empty()).count();
+        let (_, _, stats) = allocate(
+            ops,
+            &ranges,
+            &property_pool(),
+            layout,
+            &options,
+            &mut record_probe::Probe::disabled(),
+        );
+        total.reloads_eliminated += stats.reloads_eliminated;
+        total.stores_eliminated += stats.stores_eliminated;
+        total.spills += stats.spills;
+    }
+    assert!(blocks > 64, "{blocks} non-empty blocks");
+    assert!(
+        total.reloads_eliminated > 0 && total.stores_eliminated > 0 && total.spills > 0,
+        "{total:?}"
+    );
 }
 
 // ------------------------------------------------- allocator (end-to-end)

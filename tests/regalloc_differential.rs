@@ -158,3 +158,23 @@ fn c25_allocation_composes_with_compaction() {
         );
     }
 }
+
+/// Allocation costs memory in proportion to the ops, not to the declared
+/// data memory: on manocpu with 2^32 memory cells and a 4·10^9-word
+/// array, `x = y + x` allocates to the same three ops as with allocation
+/// off, without allocating a byte per variable word.
+#[test]
+fn huge_declared_memory_allocates_like_allocation_off() {
+    let hdl = models::model("manocpu")
+        .unwrap()
+        .hdl
+        .replace("memory cells[256]", "memory cells[4294967296]");
+    let target = Record::retarget(&hdl, &RetargetOptions::default()).unwrap();
+    let src = "int x, y; int big[4000000000]; void f() { x = y + x; }";
+    let off = target.compile(&req(src, "f", false)).unwrap();
+    let on = target.compile(&req(src, "f", true)).unwrap();
+    assert_eq!(off.ops.len(), 3);
+    assert_eq!(on.ops, off.ops);
+    let stats = on.alloc.as_ref().expect("allocator ran");
+    assert_eq!((stats.reloads_eliminated, stats.stores_eliminated), (0, 0));
+}
