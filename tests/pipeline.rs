@@ -111,6 +111,37 @@ fn compiled_kernels_compute_correct_results() {
     }
 }
 
+/// manocpu has no multiplier, so every product compiles through the
+/// shift-and-add legalization plan.  The kernels' results are checked on
+/// the machine, and the splits pin how often the plan's statements were
+/// hoisted through scratch memory.  Without commutative variants the
+/// step `res = res + (sa & mask)` has no whole-tree cover and splits once
+/// per step, so that configuration counts every step's work.
+#[test]
+fn legalized_kernels_compute_correct_results_on_manocpu() {
+    let m = models::model("manocpu").unwrap();
+    let mut no_commutativity = RetargetOptions::default();
+    no_commutativity.extension.commutativity = false;
+    for (options, splits) in [
+        (RetargetOptions::default(), [1, 4, 6, 4, 12, 8, 7, 14, 8, 8]),
+        (
+            no_commutativity,
+            [17, 70, 72, 68, 144, 136, 91, 182, 136, 136],
+        ),
+    ] {
+        let target = Record::retarget(m.hdl, &options).unwrap();
+        let mut got = Vec::new();
+        for k in kernels::kernels() {
+            let compiled = target
+                .compile(&CompileRequest::new(k.source, k.function))
+                .unwrap_or_else(|e| panic!("{} failed: {e}", k.name));
+            common::assert_matches_interpreter(&target, &compiled, k.source, k.function, k.name);
+            got.push(compiled.report.counter("emit.splits").unwrap_or(0));
+        }
+        assert_eq!(got, splits, "emit.splits per kernel");
+    }
+}
+
 #[test]
 fn compaction_packs_on_horizontal_machine() {
     let m = models::model("demo").unwrap();
