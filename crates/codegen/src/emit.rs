@@ -70,10 +70,12 @@ pub struct Emitted {
 /// next block in layout order emits no transfer at all, so a
 /// straight-line function needs no PC.
 ///
-/// Statements inside a legalization plan go through one cover memo
-/// that lives as long as this call: a plan repeats its trees (a
-/// shift-and-add multiply is one four-statement step per bit), and a
-/// tree already emitted at the same scratch watermark is replayed
+/// A legalization plan states each repeated step once, as a run (a
+/// shift-and-add multiply is one four-statement step run once per
+/// bit): the step compiles once and its other passes copy the RTs it
+/// emitted.  The statements a plan does compile go through one cover
+/// memo that lives as long as this call, so a tree already emitted at
+/// the same scratch watermark, by an earlier plan or run, is replayed
 /// instead of selected and emitted again.
 ///
 /// `probe` receives one `"statement"` span per source statement and per
@@ -378,6 +380,11 @@ const MAX_LEGALIZE_DEPTH: usize = 4;
 /// shift-and-add, constants via shifts) before the selection error is
 /// accepted as final.
 ///
+/// A plan is a list of runs.  Each run's body compiles once, each
+/// statement under its own scratch mark, and its remaining passes are
+/// copies of the RTs that pass emitted, with its split, spill-store and
+/// reload counts added once per copy.
+///
 /// Trees at `depth` 1 and deeper belong to a legalization plan and go
 /// through `memo`; top-level trees, which rarely repeat, do not.
 #[allow(clippy::too_many_arguments)]
@@ -466,28 +473,45 @@ fn compile_split<M: BddOps>(
     let Some(plan) = legalize(stmt, binding, width) else {
         return Err(err);
     };
-    let mut run = || -> Result<(), CodegenError> {
-        for sub in &plan {
-            let mark = binding.scratch_mark();
-            compile_split(
-                sub,
-                selector,
-                base,
-                binding,
-                netlist,
-                manager,
-                tables,
-                width,
-                out,
-                stats,
-                memo,
-                depth + 1,
-            )?;
-            binding.release_scratch(mark)?;
+    let mut compile_plan = || -> Result<(), CodegenError> {
+        for run in &plan {
+            let Some(copies) = run.times.checked_sub(1) else {
+                continue;
+            };
+            let start = out.len();
+            let counted = (stats.splits, stats.spill_stores, stats.reloads);
+            for sub in &run.body {
+                let mark = binding.scratch_mark();
+                compile_split(
+                    sub,
+                    selector,
+                    base,
+                    binding,
+                    netlist,
+                    manager,
+                    tables,
+                    width,
+                    out,
+                    stats,
+                    memo,
+                    depth + 1,
+                )?;
+                binding.release_scratch(mark)?;
+            }
+            // Every pass over the body starts at the same scratch
+            // watermark with the same binding, so each one emits and
+            // counts what the first did.
+            let end = out.len();
+            for _ in 0..copies {
+                out.extend_from_within(start..end);
+            }
+            stats.splits += copies * (stats.splits - counted.0);
+            stats.spill_stores += copies * (stats.spill_stores - counted.1);
+            stats.reloads += copies * (stats.reloads - counted.2);
         }
         Ok(())
     };
-    if run().is_err() {
+    if compile_plan().is_err() {
         out.truncate(len0);
         binding.release_scratch(mark0)?;
         return Err(err);
@@ -513,7 +537,20 @@ fn scratch_ref(addr: u64) -> record_ir::Ref {
     }
 }
 
-/// Rewrites an unsplittable, uncovered statement into a sequence of
+/// One run of a legalization plan: `body` compiled `times` times in a
+/// row.
+struct Run {
+    body: Vec<FlatStmt>,
+    times: u64,
+}
+
+impl Run {
+    fn once(body: Vec<FlatStmt>) -> Run {
+        Run { body, times: 1 }
+    }
+}
+
+/// Rewrites an unsplittable, uncovered statement into a plan of runs of
 /// statements the machine may be able to cover (the caller compiles the
 /// plan speculatively and rolls back on failure):
 ///
@@ -521,14 +558,15 @@ fn scratch_ref(addr: u64) -> record_ir::Ref {
 /// * `t = a * b` — shift-and-add over the word width, using scratch
 ///   cells for the shifting operands, the running sum and the `-(b & 1)`
 ///   mask (branch-free Horner form needing only `and`, `not`,
-///   `add ±const 1`, `shl`, `shr`).
-/// * `t = c` — constant materialisation by shifting: `width` left
-///   shifts force `t` to zero from any prior value, then the bits of
-///   `c` are rebuilt MSB-first with shift/increment steps.
+///   `add ±const 1`, `shl`, `shr`): a four-statement prologue, one
+///   four-statement step run once per bit, and the copy into `t`.
+/// * `t = c` — constant materialisation by shifting: `t <<= 1` run
+///   `width` times forces `t` to zero from any prior value, then the
+///   bits of `c` are rebuilt MSB-first with shift/increment steps.
 /// * any remaining statement with an embedded constant — hoist one
 ///   constant into a scratch cell (materialised by the rule above) so a
 ///   memory-operand rule can cover the rest.
-fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<FlatStmt>> {
+fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Run>> {
     use record_ir::FlatExpr as E;
     use record_rtl::OpKind as Op;
     let neg = |e: &E| {
@@ -539,23 +577,22 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Fl
         )
     };
     match &stmt.value {
-        E::Binary(Op::Sub, a, b) => Some(vec![FlatStmt {
+        E::Binary(Op::Sub, a, b) => Some(vec![Run::once(vec![FlatStmt {
             target: stmt.target.clone(),
             value: E::Binary(Op::Add, a.clone(), Box::new(neg(b))),
-        }]),
-        E::Unary(Op::Neg, a) => Some(vec![FlatStmt {
+        }])]),
+        E::Unary(Op::Neg, a) => Some(vec![Run::once(vec![FlatStmt {
             target: stmt.target.clone(),
             value: neg(a),
-        }]),
+        }])]),
         E::Binary(Op::Mul, a, b) => {
-            let steps = width.min(64);
             let sa = scratch_ref(binding.scratch().ok()?);
             let sb = scratch_ref(binding.scratch().ok()?);
             let one = scratch_ref(binding.scratch().ok()?);
             let mask = scratch_ref(binding.scratch().ok()?);
             let res = scratch_ref(binding.scratch().ok()?);
             let ld = |r: &record_ir::Ref| E::Load(r.clone());
-            let mut plan = vec![
+            let prologue = vec![
                 FlatStmt {
                     target: sa.clone(),
                     value: (**a).clone(),
@@ -573,34 +610,41 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Fl
                     value: E::Const(0),
                 },
             ];
-            for _ in 0..steps {
-                // mask = -(sb & 1); res += sa & mask; sa <<= 1; sb >>= 1.
-                plan.push(FlatStmt {
+            // mask = -(sb & 1); res += sa & mask; sa <<= 1; sb >>= 1.
+            let step = vec![
+                FlatStmt {
                     target: mask.clone(),
                     value: neg(&E::Binary(Op::And, Box::new(ld(&sb)), Box::new(ld(&one)))),
-                });
-                plan.push(FlatStmt {
+                },
+                FlatStmt {
                     target: res.clone(),
                     value: E::Binary(
                         Op::Add,
                         Box::new(ld(&res)),
                         Box::new(E::Binary(Op::And, Box::new(ld(&sa)), Box::new(ld(&mask)))),
                     ),
-                });
-                plan.push(FlatStmt {
+                },
+                FlatStmt {
                     target: sa.clone(),
                     value: E::Binary(Op::Shl, Box::new(ld(&sa)), Box::new(E::Const(1))),
-                });
-                plan.push(FlatStmt {
+                },
+                FlatStmt {
                     target: sb.clone(),
                     value: E::Binary(Op::Shr, Box::new(ld(&sb)), Box::new(E::Const(1))),
-                });
-            }
-            plan.push(FlatStmt {
+                },
+            ];
+            let result = vec![FlatStmt {
                 target: stmt.target.clone(),
                 value: ld(&res),
-            });
-            Some(plan)
+            }];
+            Some(vec![
+                Run::once(prologue),
+                Run {
+                    body: step,
+                    times: u64::from(width.min(64)),
+                },
+                Run::once(result),
+            ])
         }
         E::Const(c) => {
             let bits = width.min(64);
@@ -610,20 +654,24 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Fl
                 (1u64 << bits) - 1
             };
             let c = (*c as u64) & mask;
-            let shl1 = |t: &record_ir::Ref| FlatStmt {
-                target: t.clone(),
-                value: E::Binary(Op::Shl, Box::new(E::Load(t.clone())), Box::new(E::Const(1))),
+            let shl1 = || FlatStmt {
+                target: stmt.target.clone(),
+                value: E::Binary(
+                    Op::Shl,
+                    Box::new(E::Load(stmt.target.clone())),
+                    Box::new(E::Const(1)),
+                ),
             };
             // `width` left shifts clear the target from any prior value
             // (no load-immediate path needed), then shift/increment
             // rebuilds `c` MSB-first.
-            let mut plan: Vec<FlatStmt> = (0..bits).map(|_| shl1(&stmt.target)).collect();
+            let mut rebuild = Vec::new();
             for i in (0..u64::from(bits)).rev().take_while(|_| c != 0) {
                 if i < 63 && c >> (i + 1) != 0 {
-                    plan.push(shl1(&stmt.target));
+                    rebuild.push(shl1());
                 }
                 if (c >> i) & 1 == 1 {
-                    plan.push(FlatStmt {
+                    rebuild.push(FlatStmt {
                         target: stmt.target.clone(),
                         value: E::Binary(
                             Op::Add,
@@ -633,14 +681,20 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Fl
                     });
                 }
             }
-            Some(plan)
+            Some(vec![
+                Run {
+                    body: vec![shl1()],
+                    times: u64::from(bits),
+                },
+                Run::once(rebuild),
+            ])
         }
         value => {
             // Hoist one embedded constant into a scratch cell; the
             // recursion materialises it and retries with a memory operand.
             let (hoisted, c) = hoist_first_const(value)?;
             let tmp = scratch_ref(binding.scratch().ok()?);
-            Some(vec![
+            Some(vec![Run::once(vec![
                 FlatStmt {
                     target: tmp.clone(),
                     value: E::Const(c),
@@ -649,7 +703,7 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Fl
                     target: stmt.target.clone(),
                     value: replace_const_marker(&hoisted, &tmp),
                 },
-            ])
+            ])])
         }
     }
 }
