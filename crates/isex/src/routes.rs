@@ -15,6 +15,9 @@ use record_rtl::{CondPred, Dest, OpKind, Pattern, TemplateBase, TemplateOrigin};
 pub struct ExtractOptions {
     /// Upper bound on routes enumerated for a single destination; exceeding
     /// it is reported as an error (the model has a combinatorial problem).
+    /// Where a binary operator, a memory write or a conditional branch
+    /// pairs two route lists, the pairs count against it before any is
+    /// tried.
     pub max_routes_per_dest: usize,
     /// Upper bound on backward-traversal depth through combinational logic.
     pub max_depth: usize,
@@ -132,6 +135,9 @@ pub fn extract(netlist: &Netlist, opts: &ExtractOptions) -> Result<Extraction, I
                         }
                     } else {
                         let addr_routes = cx.expand_data_expr(inst, &w.addr, 0)?;
+                        cx.pairs(&addr_routes, &data_routes, || {
+                            format!("at `{}` write", storage.name)
+                        })?;
                         for (addr, acond) in &addr_routes {
                             for (pat, cond) in &data_routes {
                                 let c = cx.m.and(*cond, *acond);
@@ -278,6 +284,9 @@ fn extract_pc(
             }
             Some((port, value, eq)) => {
                 let test_routes = cx.expand_data_expr(inst, &DataExpr::Port(port), 0)?;
+                cx.pairs(&test_routes, &target_routes, || {
+                    format!("at `{}` branch", cx.n.storage(storage).name)
+                })?;
                 for (test, tcond) in &test_routes {
                     for (pat, cond) in &target_routes {
                         let c = cx.m.and(*cond, *tcond);
@@ -361,6 +370,30 @@ impl<'n> Cx<'n> {
                 None
             }
         }
+    }
+
+    /// The number of pairs of an `l` and an `r` route, or the
+    /// route-explosion error, naming `site`, when it exceeds
+    /// [`ExtractOptions::max_routes_per_dest`].  Each pair costs a BDD
+    /// conjunction whether or not it is satisfiable, so the cap bounds
+    /// the pairs tried, not only the routes kept.
+    fn pairs(
+        &self,
+        l: &[(Pattern, Bdd)],
+        r: &[(Pattern, Bdd)],
+        site: impl FnOnce() -> String,
+    ) -> Result<usize, IsexError> {
+        let pairs = l.len().saturating_mul(r.len());
+        if pairs > self.opts.max_routes_per_dest {
+            return Err(IsexError::new(format!(
+                "route explosion {}: {} x {} route pairs, more than {}",
+                site(),
+                l.len(),
+                r.len(),
+                self.opts.max_routes_per_dest
+            )));
+        }
+        Ok(pairs)
     }
 
     /// Enumerates all routes delivering a value onto `net`.
@@ -558,10 +591,8 @@ impl<'n> Cx<'n> {
                 let l = self.expand_data_expr(inst, lhs, depth + 1)?;
                 let r = self.expand_data_expr(inst, rhs, depth + 1)?;
                 let op = OpKind::from_bin(*op);
-                // Reserve for the pairs only up to the explosion check:
-                // two lists under the cap can still pair into billions.
-                let cap = self.opts.max_routes_per_dest.saturating_add(1);
-                let mut out = Vec::with_capacity(l.len().saturating_mul(r.len()).min(cap));
+                let pairs = self.pairs(&l, &r, || format!("in `{}`", self.n.inst(inst).name))?;
+                let mut out = Vec::with_capacity(pairs);
                 for (lp, lc) in &l {
                     for (rp, rc) in &r {
                         let c = self.m.and(*lc, *rc);
@@ -570,13 +601,6 @@ impl<'n> Cx<'n> {
                             continue;
                         }
                         out.push((Pattern::Op(op, vec![lp.clone(), rp.clone()]), c));
-                        if out.len() > self.opts.max_routes_per_dest {
-                            return Err(IsexError::new(format!(
-                                "route explosion in `{}`: more than {} routes",
-                                self.n.inst(inst).name,
-                                self.opts.max_routes_per_dest
-                            )));
-                        }
                     }
                 }
                 Ok(out)

@@ -530,6 +530,41 @@ fn duplicate_routes_merge_conditions() {
     assert!(!m.eval(t.cond, &[true, false, true, false]));
 }
 
+/// A two-way selector: the routes through it fork on its select bit.
+const SEL: &str = r#"
+    module Sel {
+        in a: bit(8);
+        ctrl s: bit(1);
+        out y: bit(8);
+        behavior { case s { 0 => y = a; 1 => y = ~a; } }
+    }
+"#;
+
+/// Appends to `parts` and `conns` a chain `{chain}0`, `{chain}1`, … of
+/// `levels` selectors fed by `input`, level `k` selected by instruction
+/// bit `first_bit + k`: the chain delivers `2^levels` routes, one per
+/// setting of its bits.
+fn selector_chain(
+    chain: &str,
+    input: &str,
+    first_bit: usize,
+    levels: usize,
+    parts: &mut String,
+    conns: &mut String,
+) {
+    for level in 0..levels {
+        let bit = first_bit + level;
+        let from = match level {
+            0 => input.to_owned(),
+            _ => format!("{chain}{}.y", level - 1),
+        };
+        parts.push_str(&format!("{chain}{level}: Sel; "));
+        conns.push_str(&format!(
+            "{chain}{level}.a = {from}; {chain}{level}.s = I[{bit}]; "
+        ));
+    }
+}
+
 /// Two independent chains of `levels` two-way selectors feeding one
 /// adder.  Every selector level reads its own instruction bit, so each
 /// chain delivers `2^levels` routes and all pairs of them are
@@ -537,28 +572,12 @@ fn duplicate_routes_merge_conditions() {
 fn selector_chains(levels: usize) -> String {
     let mut parts = String::new();
     let mut conns = String::new();
-    for (chain, input, first_bit) in [("l", "pa", 0), ("r", "pb", levels)] {
-        for level in 0..levels {
-            let bit = first_bit + level;
-            let from = match level {
-                0 => input.to_owned(),
-                _ => format!("{chain}{}.y", level - 1),
-            };
-            parts.push_str(&format!("{chain}{level}: Sel; "));
-            conns.push_str(&format!(
-                "{chain}{level}.a = {from}; {chain}{level}.s = I[{bit}]; "
-            ));
-        }
-    }
+    selector_chain("l", "pa", 0, levels, &mut parts, &mut conns);
+    selector_chain("r", "pb", levels, levels, &mut parts, &mut conns);
     let last = levels - 1;
     format!(
         r#"
-        module Sel {{
-            in a: bit(8);
-            ctrl s: bit(1);
-            out y: bit(8);
-            behavior {{ case s {{ 0 => y = a; 1 => y = ~a; }} }}
-        }}
+        {SEL}
         module Adder {{
             in a: bit(8);
             in b: bit(8);
@@ -606,4 +625,129 @@ fn selector_chains_enumerate_every_route_under_the_cap() {
     assert_eq!(ex.stats.merged_duplicates, 48);
     assert_eq!(ex.base.len(), 16);
     assert_eq!(ex.stats.unsat_discarded, 0);
+}
+
+/// Extraction options whose route cap the 4096 route pairs of two
+/// six-level chains exceed.
+fn cap_1000() -> ExtractOptions {
+    ExtractOptions {
+        max_routes_per_dest: 1000,
+        ..ExtractOptions::default()
+    }
+}
+
+#[test]
+fn one_chain_feeding_both_operands_is_bounded_by_its_pairs() {
+    // Both adder inputs read the same chain, so a pair of routes is
+    // satisfiable only when both take the same path: 64 of the 4096
+    // pairs survive, far under the cap.  The pairs tried are what costs,
+    // so they count against the cap; at 14 levels this model took
+    // seconds to extract, 4x more per level.
+    let levels = 6;
+    let mut parts = String::new();
+    let mut conns = String::new();
+    selector_chain("c", "pa", 0, levels, &mut parts, &mut conns);
+    let last = levels - 1;
+    let src = format!(
+        r#"
+        {SEL}
+        module Adder {{
+            in a: bit(8);
+            in b: bit(8);
+            out y: bit(8);
+            behavior {{ y = a + b; }}
+        }}
+        module Acc {{
+            in d: bit(8);
+            out q: bit(8);
+            register q = d;
+        }}
+        processor Shared {{
+            instruction word: bit({levels});
+            in pa: bit(8);
+            parts {{ {parts}add: Adder; acc: Acc; }}
+            connections {{ {conns}add.a = c{last}.y; add.b = c{last}.y; acc.d = add.y; }}
+        }}
+        "#
+    );
+    let err = extract(&netlist(&src), &cap_1000()).expect_err("the adder's pairs explode");
+    assert!(err.message().starts_with("route explosion"), "{err}");
+}
+
+#[test]
+fn memory_write_pairs_count_against_the_route_cap() {
+    // A RAM written at one chain's address with another chain's data:
+    // every one of the 4096 address and data route pairs is a satisfiable
+    // write route.
+    let levels = 6;
+    let mut parts = String::new();
+    let mut conns = String::new();
+    selector_chain("a", "pa", 0, levels, &mut parts, &mut conns);
+    selector_chain("d", "pb", levels, levels, &mut parts, &mut conns);
+    let last = levels - 1;
+    let src = format!(
+        r#"
+        {SEL}
+        module Ram {{
+            in addr: bit(8);
+            in din: bit(8);
+            ctrl w: bit(1);
+            out dout: bit(8);
+            memory cells[256]: bit(8);
+            read dout = cells[addr];
+            write cells[addr] = din when w == 1;
+        }}
+        processor RamChains {{
+            instruction word: bit({width});
+            in pa: bit(8);
+            in pb: bit(8);
+            parts {{ {parts}ram: Ram; }}
+            connections {{
+                {conns}ram.addr = a{last}.y; ram.din = d{last}.y; ram.w = I[{w}];
+            }}
+        }}
+        "#,
+        width = 2 * levels + 1,
+        w = 2 * levels,
+    );
+    let err = extract(&netlist(&src), &cap_1000()).expect_err("the write's pairs explode");
+    assert!(err.message().starts_with("route explosion"), "{err}");
+}
+
+#[test]
+fn branch_test_and_target_pairs_count_against_the_route_cap() {
+    // A PC loaded from one chain when another chain's value is zero:
+    // each of the 4096 (test, target) route pairs is a branch template.
+    let levels = 6;
+    let mut parts = String::new();
+    let mut conns = String::new();
+    selector_chain("t", "pa", 0, levels, &mut parts, &mut conns);
+    selector_chain("v", "pb", levels, levels, &mut parts, &mut conns);
+    let last = levels - 1;
+    let src = format!(
+        r#"
+        {SEL}
+        module Pc {{
+            in d: bit(8);
+            in v: bit(8);
+            ctrl br: bit(1);
+            out q: bit(8);
+            register q = d when (br == 1) & (v == 0);
+        }}
+        processor BranchChains {{
+            instruction word: bit({width});
+            in pa: bit(8);
+            in pb: bit(8);
+            parts {{ {parts}pc: Pc; }}
+            pc {{ pc }}
+            connections {{
+                {conns}pc.d = t{last}.y; pc.v = v{last}.y; pc.br = I[{br}];
+            }}
+        }}
+        "#,
+        width = 2 * levels + 1,
+        br = 2 * levels,
+    );
+    let err = extract(&netlist(&src), &cap_1000()).expect_err("the branch's pairs explode");
+    assert!(err.message().starts_with("route explosion"), "{err}");
 }
