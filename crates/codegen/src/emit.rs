@@ -479,7 +479,7 @@ fn compile_split<M: BddOps>(
                 continue;
             };
             let start = out.len();
-            let counted = (stats.splits, stats.spill_stores, stats.reloads);
+            let before = *stats;
             for sub in &run.body {
                 let mark = binding.scratch_mark();
                 compile_split(
@@ -505,9 +505,9 @@ fn compile_split<M: BddOps>(
             for _ in 0..copies {
                 out.extend_from_within(start..end);
             }
-            stats.splits += copies * (stats.splits - counted.0);
-            stats.spill_stores += copies * (stats.spill_stores - counted.1);
-            stats.reloads += copies * (stats.reloads - counted.2);
+            stats.splits += copies * (stats.splits - before.splits);
+            stats.spill_stores += copies * (stats.spill_stores - before.spill_stores);
+            stats.reloads += copies * (stats.reloads - before.reloads);
         }
         Ok(())
     };
@@ -654,13 +654,9 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Ru
                 (1u64 << bits) - 1
             };
             let c = (*c as u64) & mask;
-            let shl1 = || FlatStmt {
-                target: stmt.target.clone(),
-                value: E::Binary(
-                    Op::Shl,
-                    Box::new(E::Load(stmt.target.clone())),
-                    Box::new(E::Const(1)),
-                ),
+            let shl1 = |t: &record_ir::Ref| FlatStmt {
+                target: t.clone(),
+                value: E::Binary(Op::Shl, Box::new(E::Load(t.clone())), Box::new(E::Const(1))),
             };
             // `width` left shifts clear the target from any prior value
             // (no load-immediate path needed), then shift/increment
@@ -668,7 +664,7 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Ru
             let mut rebuild = Vec::new();
             for i in (0..u64::from(bits)).rev().take_while(|_| c != 0) {
                 if i < 63 && c >> (i + 1) != 0 {
-                    rebuild.push(shl1());
+                    rebuild.push(shl1(&stmt.target));
                 }
                 if (c >> i) & 1 == 1 {
                     rebuild.push(FlatStmt {
@@ -683,7 +679,7 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Ru
             }
             Some(vec![
                 Run {
-                    body: vec![shl1()],
+                    body: vec![shl1(&stmt.target)],
                     times: u64::from(bits),
                 },
                 Run::once(rebuild),
@@ -907,6 +903,11 @@ pub(crate) fn compile_statement<M: BddOps>(
 
 /// Covers emitted during one [`compile`] call, keyed by the tree and the
 /// scratch watermark it was emitted at.
+///
+/// A legalization run copies its own repeated passes, so the trees that
+/// repeat here are shared by different runs or plans: the step and
+/// constant covers of a second multiply at the same watermark, or the
+/// shift a constant's rebuild shares with the run that cleared it.
 ///
 /// Replay is exact.  The selector is a tree parser, so a cover depends
 /// only on the tree.  Emission adds the target and the watermark, which

@@ -638,38 +638,12 @@ fn cap_1000() -> ExtractOptions {
 
 #[test]
 fn one_chain_feeding_both_operands_is_bounded_by_its_pairs() {
-    // Both adder inputs read the same chain, so a pair of routes is
-    // satisfiable only when both take the same path: 64 of the 4096
-    // pairs survive, far under the cap.  The pairs tried are what costs,
-    // so they count against the cap; at 14 levels this model took
-    // seconds to extract, 4x more per level.
-    let levels = 6;
-    let mut parts = String::new();
-    let mut conns = String::new();
-    selector_chain("c", "pa", 0, levels, &mut parts, &mut conns);
-    let last = levels - 1;
-    let src = format!(
-        r#"
-        {SEL}
-        module Adder {{
-            in a: bit(8);
-            in b: bit(8);
-            out y: bit(8);
-            behavior {{ y = a + b; }}
-        }}
-        module Acc {{
-            in d: bit(8);
-            out q: bit(8);
-            register q = d;
-        }}
-        processor Shared {{
-            instruction word: bit({levels});
-            in pa: bit(8);
-            parts {{ {parts}add: Adder; acc: Acc; }}
-            connections {{ {conns}add.a = c{last}.y; add.b = c{last}.y; acc.d = add.y; }}
-        }}
-        "#
-    );
+    // The two-chain model with both adder inputs read from the left
+    // chain: a pair of routes is satisfiable only when both take the same
+    // path, so 64 of the 4096 pairs survive, far under the cap.  The
+    // pairs tried are what costs, so they count against the cap; at 14
+    // levels this model took seconds to extract, 4x more per level.
+    let src = selector_chains(6).replace("add.b = r5.y", "add.b = l5.y");
     let err = extract(&netlist(&src), &cap_1000()).expect_err("the adder's pairs explode");
     assert!(err.message().starts_with("route explosion"), "{err}");
 }
