@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use record_core::{CompileRequest, Record, RetargetOptions, Target};
+use record_targets::models;
 
 /// A small machine with a MAC path and an immediate path; rich enough that
 /// random expressions compile, small enough to keep shrinking fast.
@@ -64,6 +65,14 @@ thread_local! {
     // `&Target`.
     static TARGET: Target =
         Record::retarget(MACHINE, &RetargetOptions::default()).expect("machine retargets");
+    // manocpu has no multiplier, no subtractor and no load-immediate, so
+    // the same programs' products, differences and constants compile only
+    // through legalization plans and their run copies.
+    static MANOCPU: Target = Record::retarget(
+        models::model("manocpu").expect("bundled model").hdl,
+        &RetargetOptions::default(),
+    )
+    .expect("manocpu retargets");
 }
 
 /// Random straight-line mini-C programs over four scalars, restricted to
@@ -93,41 +102,53 @@ fn program_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// Compiles `src` on `target`, runs it on the machine from `vals` and
+/// requires every variable to hold what the interpreter computes.
+fn assert_preserves_semantics(
+    target: &Target,
+    label: &str,
+    src: &str,
+    vals: &[u64],
+) -> Result<(), TestCaseError> {
+    let program = record_ir::parse(src).unwrap();
+    let mut mem = record_ir::Memory::new();
+    for (name, v) in ["a", "b", "c", "d"].iter().zip(vals) {
+        mem.insert((*name).to_owned(), vec![*v]);
+    }
+    record_ir::interp(&program, "f", &mut mem, 16).unwrap();
+
+    let compiled = target
+        .compile(&CompileRequest::new(src, "f"))
+        .unwrap_or_else(|e| panic!("{label}: every generated program compiles: {e}\n{src}"));
+    let init: Vec<(&str, Vec<u64>)> = ["a", "b", "c", "d"]
+        .iter()
+        .zip(vals)
+        .map(|(n, v)| (*n, vec![*v]))
+        .collect();
+    let machine = target.execute(&compiled, &init);
+    let dm = target.data_memory().unwrap();
+    for (name, addr) in compiled.binding.assignments() {
+        prop_assert_eq!(
+            machine.mem(dm, addr),
+            mem[name][0],
+            "{}: mismatch at {} in {}",
+            label,
+            name,
+            src
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Compiled machine code computes what the interpreter computes.
+    /// Compiled machine code computes what the interpreter computes, on
+    /// the property machine and through legalization on manocpu.
     #[test]
     fn pipeline_preserves_semantics(src in program_strategy(), vals in prop::collection::vec(0u64..0xFFFF, 4)) {
-        TARGET.with(|target| {
-            let program = record_ir::parse(&src).unwrap();
-            let mut mem = record_ir::Memory::new();
-            for (name, v) in ["a", "b", "c", "d"].iter().zip(&vals) {
-                mem.insert((*name).to_owned(), vec![*v]);
-            }
-            record_ir::interp(&program, "f", &mut mem, 16).unwrap();
-
-            let compiled = target
-                .compile(&CompileRequest::new(&src, "f"))
-                .expect("every generated program is compilable on this machine");
-            let init: Vec<(&str, Vec<u64>)> = ["a", "b", "c", "d"]
-                .iter()
-                .zip(&vals)
-                .map(|(n, v)| (*n, vec![*v]))
-                .collect();
-            let machine = target.execute(&compiled, &init);
-            let dm = target.data_memory().unwrap();
-            for (name, addr) in compiled.binding.assignments() {
-                prop_assert_eq!(
-                    machine.mem(dm, addr),
-                    mem[name][0],
-                    "mismatch at {} in {}",
-                    name,
-                    src
-                );
-            }
-            Ok(())
-        })?;
+        TARGET.with(|target| assert_preserves_semantics(target, "PropMachine", &src, &vals))?;
+        MANOCPU.with(|target| assert_preserves_semantics(target, "manocpu", &src, &vals))?;
     }
 
     /// Compaction never changes results (time-stationary semantics) and
