@@ -219,29 +219,6 @@ impl Binding {
         self.scratch_next = mark;
         Ok(())
     }
-
-    /// Raises the watermark to `mark`, reserving every scratch word below
-    /// it: how a replayed cover claims the spill slots it took when it was
-    /// first emitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::OutOfStorage`] when `mark` lies below the
-    /// current watermark or past the end of the memory.  Either would
-    /// hand one scratch word to two live values.
-    pub(crate) fn reserve_scratch_to(&mut self, mark: u64) -> Result<(), CodegenError> {
-        if mark < self.scratch_next || mark > self.mem_size {
-            return Err(CodegenError::OutOfStorage {
-                storage: self.mem_name.clone(),
-                detail: format!(
-                    "reserve_scratch_to(mark {mark}) outside watermark {} ..= memory size {}",
-                    self.scratch_next, self.mem_size
-                ),
-            });
-        }
-        self.scratch_next = mark;
-        Ok(())
-    }
 }
 
 /// The set of variable names eligible for constant-memory placement in

@@ -73,10 +73,8 @@ pub struct Emitted {
 /// A legalization plan states each repeated step once, as a run (a
 /// shift-and-add multiply is one four-statement step run once per
 /// bit): the step compiles once and its other passes copy the RTs it
-/// emitted.  The statements a plan does compile go through one cover
-/// memo that lives as long as this call, so a tree already emitted at
-/// the same scratch watermark, by an earlier plan or run, is replayed
-/// instead of selected and emitted again.
+/// emitted.  Every other statement is selected and emitted where it
+/// stands.
 ///
 /// `probe` receives one `"statement"` span per source statement and per
 /// branch; pass [`Probe::disabled`] when no trace is wanted.
@@ -101,7 +99,6 @@ pub fn compile<M: BddOps>(
 ) -> Result<Emitted, CodegenError> {
     let mut out = Vec::new();
     let mut stats = EmitStats::default();
-    let mut memo = CoverMemo::default();
     let mut ranges = Vec::with_capacity(cfg.blocks.len());
     let paths = branch_paths(base, netlist);
     for (i, block) in cfg.blocks.iter().enumerate() {
@@ -111,7 +108,7 @@ pub fn compile<M: BddOps>(
             let mark = binding.scratch_mark();
             let r = compile_split(
                 stmt, selector, base, binding, netlist, manager, tables, width, &mut out,
-                &mut stats, &mut memo, 0,
+                &mut stats, 0,
             );
             probe.end("statement");
             r?;
@@ -148,7 +145,6 @@ pub fn compile<M: BddOps>(
                     width,
                     &mut out,
                     &mut stats,
-                    &mut memo,
                 );
                 probe.end("statement");
                 r?;
@@ -262,7 +258,6 @@ fn emit_branch<M: BddOps>(
     width: u16,
     out: &mut Vec<RtOp>,
     stats: &mut EmitStats,
-    memo: &mut CoverMemo,
 ) -> Result<(), CodegenError> {
     // brnz takes the `then` side (cond != 0), brz the `else` side.
     let use_nz = if else_to == next && paths.brnz.is_some() {
@@ -293,7 +288,7 @@ fn emit_branch<M: BddOps>(
         value: cond.clone(),
     };
     compile_split(
-        &stmt, selector, base, binding, netlist, manager, tables, width, out, stats, memo, 0,
+        &stmt, selector, base, binding, netlist, manager, tables, width, out, stats, 0,
     )?;
 
     // ...then into the tested register.  Frequently redundant (the store
@@ -383,10 +378,8 @@ const MAX_LEGALIZE_DEPTH: usize = 4;
 /// A plan is a list of runs.  Each run's body compiles once, each
 /// statement under its own scratch mark, and its remaining passes are
 /// copies of the RTs that pass emitted, with its split, spill-store and
-/// reload counts added once per copy.
-///
-/// Trees at `depth` 1 and deeper belong to a legalization plan and go
-/// through `memo`; top-level trees, which rarely repeat, do not.
+/// reload counts added once per copy.  `depth` counts the plans this
+/// statement is nested in, up to [`MAX_LEGALIZE_DEPTH`].
 #[allow(clippy::too_many_arguments)]
 fn compile_split<M: BddOps>(
     stmt: &FlatStmt,
@@ -399,7 +392,6 @@ fn compile_split<M: BddOps>(
     width: u16,
     out: &mut Vec<RtOp>,
     stats: &mut EmitStats,
-    memo: &mut CoverMemo,
     depth: usize,
 ) -> Result<(), CodegenError> {
     let mut b = record_grammar::EtBuilder::new();
@@ -407,16 +399,10 @@ fn compile_split<M: BddOps>(
     let target = target_addr(binding, &stmt.target)?;
     let addr = b.leaf(record_grammar::EtKind::Const(target));
     let et = record_grammar::Et::store(binding.data_mem(), addr, value, b);
-    let emitted = if depth == 0 {
-        compile_statement(
-            &et, selector, base, binding, netlist, manager, tables, stats,
-        )
-        .map(|ops| out.extend(ops))
-    } else {
-        memo.emit(
-            et, selector, base, binding, netlist, manager, tables, out, stats,
-        )
-    };
+    let emitted = compile_statement(
+        &et, selector, base, binding, netlist, manager, tables, stats,
+    )
+    .map(|ops| out.extend(ops));
     let Err(err) = emitted else {
         return Ok(());
     };
@@ -439,7 +425,6 @@ fn compile_split<M: BddOps>(
             width,
             out,
             stats,
-            memo,
             depth,
         )?;
         let remainder_stmt = FlatStmt {
@@ -457,7 +442,6 @@ fn compile_split<M: BddOps>(
             width,
             out,
             stats,
-            memo,
             depth,
         );
     }
@@ -493,14 +477,15 @@ fn compile_split<M: BddOps>(
                     width,
                     out,
                     stats,
-                    memo,
                     depth + 1,
                 )?;
                 binding.release_scratch(mark)?;
             }
             // Every pass over the body starts at the same scratch
-            // watermark with the same binding, so each one emits and
-            // counts what the first did.
+            // watermark with the same binding.  A cover's RTs depend only
+            // on the tree, the watermark and the target, and execution
+            // conditions are hash-consed in the session's BDD manager, so
+            // each pass would emit and count what the first did.
             let end = out.len();
             for _ in 0..copies {
                 out.extend_from_within(start..end);
@@ -899,82 +884,6 @@ pub(crate) fn compile_statement<M: BddOps>(
     stats.spill_stores += emitter.spill_stores;
     stats.reloads += emitter.reloads;
     result
-}
-
-/// Covers emitted during one [`compile`] call, keyed by the tree and the
-/// scratch watermark it was emitted at.
-///
-/// A legalization run copies its own repeated passes, so the trees that
-/// repeat here are shared by different runs or plans: the step and
-/// constant covers of a second multiply at the same watermark, or the
-/// shift a constant's rebuild shares with the run that cleared it.
-///
-/// Replay is exact.  The selector is a tree parser, so a cover depends
-/// only on the tree.  Emission adds the target and the watermark, which
-/// fixes the addresses of the cover's spill slots.  Execution conditions
-/// are hash-consed in the session's BDD manager, so emitting the tree
-/// again would rebuild the very handles the recorded RTs hold.  Only
-/// successful emissions are recorded: a tree that fails is selected
-/// again every time, so splitting, legalization and every failure class
-/// behave as without the memo.
-#[derive(Debug, Default)]
-pub(crate) struct CoverMemo(HashMap<(Et, u64), Replay>);
-
-/// What emitting one tree did.
-#[derive(Debug)]
-struct Replay {
-    ops: Vec<RtOp>,
-    /// The scratch watermark after the cover's spill slots.
-    end: u64,
-    spill_stores: u64,
-    reloads: u64,
-}
-
-impl CoverMemo {
-    /// Emits `et` into `out`.  When the memo holds a cover of the same
-    /// tree emitted at the current scratch watermark, it replays it:
-    /// appends its RTs, reserves its spill slots and counts its spill
-    /// stores and reloads.  Otherwise it selects and emits the tree as
-    /// [`compile_statement`] does and records the result.
-    ///
-    /// # Errors
-    ///
-    /// See [`compile`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit<M: BddOps>(
-        &mut self,
-        et: Et,
-        selector: &Selector,
-        base: &TemplateBase,
-        binding: &mut Binding,
-        netlist: &Netlist,
-        manager: &mut M,
-        tables: &EmitTables,
-        out: &mut Vec<RtOp>,
-        stats: &mut EmitStats,
-    ) -> Result<(), CodegenError> {
-        let key = (et, binding.scratch_mark());
-        if let Some(r) = self.0.get(&key) {
-            binding.reserve_scratch_to(r.end)?;
-            out.extend_from_slice(&r.ops);
-            stats.spill_stores += r.spill_stores;
-            stats.reloads += r.reloads;
-            return Ok(());
-        }
-        let (spill_stores, reloads) = (stats.spill_stores, stats.reloads);
-        let ops = compile_statement(
-            &key.0, selector, base, binding, netlist, manager, tables, stats,
-        )?;
-        out.extend_from_slice(&ops);
-        let replay = Replay {
-            ops,
-            end: binding.scratch_mark(),
-            spill_stores: stats.spill_stores - spill_stores,
-            reloads: stats.reloads - reloads,
-        };
-        self.0.insert(key, replay);
-        Ok(())
-    }
 }
 
 /// Instruction fields encoding register-file cell choices.

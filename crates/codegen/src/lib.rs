@@ -7,18 +7,18 @@
 //! 1. [`Binding`] places program variables into the target's data memory
 //!    (paper §3.1: "all primary source program inputs and program variables
 //!    are a priori bound to certain memory or register resources").
-//! 2. [`build_et`] shapes each flat statement into a destination-annotated
-//!    expression tree over the target's storages.
-//! 3. [`compile`] runs the generated tree parser and *emits* the cover:
-//!    register-file cells are allocated for intermediates, operand
-//!    evaluation is ordered to avoid register conflicts, and unavoidable
-//!    conflicts are resolved by spill/reload RTs through scratch memory —
-//!    the role of the Araujo/Malik-style scheduling the paper cites.
-//! 4. [`baseline_compile`] is the stand-in for the target-specific C
+//! 2. [`compile`] shapes each flat statement into a destination-annotated
+//!    expression tree over the target's storages, runs the generated tree
+//!    parser on it and *emits* the cover: register-file cells are
+//!    allocated for intermediates, operand evaluation is ordered to avoid
+//!    register conflicts, and unavoidable conflicts are resolved by
+//!    spill/reload RTs through scratch memory — the role of the
+//!    Araujo/Malik-style scheduling the paper cites.
+//! 3. [`baseline_compile`] is the stand-in for the target-specific C
 //!    compiler in the paper's Figure 2: a correct but naive code generator
 //!    that expands every operator separately through memory temporaries,
 //!    never exploiting chained operations.
-//! 5. [`Machine`] executes RT operations concretely — the oracle used to
+//! 4. [`Machine`] executes RT operations concretely — the oracle used to
 //!    prove generated code computes what the mini-C interpreter computes.
 //!
 //! # Example
@@ -31,7 +31,6 @@ mod baseline;
 mod binding;
 mod emit;
 mod error;
-mod etgen;
 mod ops;
 mod sim;
 
@@ -39,7 +38,6 @@ pub use baseline::baseline_compile;
 pub use binding::Binding;
 pub use emit::{compile, EmitStats, EmitTables, Emitted};
 pub use error::CodegenError;
-pub use etgen::build_et;
 pub use ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
 pub use sim::Machine;
 

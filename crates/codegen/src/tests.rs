@@ -341,70 +341,6 @@ fn deep_conflict_forces_spill_and_stays_correct() {
     assert!(n >= 12, "expected spill traffic, got {n} ops");
 }
 
-/// Emits `et` through `memo` at the binding's current watermark; returns
-/// the RTs, the counters and the watermark afterwards.
-fn emit_through(
-    r: &Rig,
-    memo: &mut crate::emit::CoverMemo,
-    et: &record_grammar::Et,
-    binding: &mut Binding,
-) -> (Vec<RtOp>, EmitStats, u64) {
-    let mut ops = Vec::new();
-    let mut stats = EmitStats::default();
-    memo.emit(
-        et.clone(),
-        &r.selector,
-        &r.base,
-        binding,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        &mut ops,
-        &mut stats,
-    )
-    .expect("emits");
-    (ops, stats, binding.scratch_mark())
-}
-
-/// A replayed cover must claim the spill slots its first emission took:
-/// without that, the next scratch request would hand a slot that still
-/// holds a spilled value to a second live value.
-#[test]
-fn replayed_cover_reserves_its_spill_slots() {
-    let r = rig(SPILLY);
-    let prog = record_ir::parse(
-        "int x, p, q, rr, s, t, u; void f() { x = ((p - q) - (rr - s)) - (t - u); }",
-    )
-    .unwrap();
-    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
-    let dm = r.netlist.storage_by_name("ram").unwrap().id;
-    let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let et = build_et(&cfg.blocks[0].stmts[0], &binding, 16).unwrap();
-    let mut memo = crate::emit::CoverMemo::default();
-    let mark = binding.scratch_mark();
-
-    let (first, s1, end1) = emit_through(&r, &mut memo, &et, &mut binding);
-    assert!(s1.spill_stores > 0, "the tree must spill");
-    assert!(s1.select.rules_tried > 0);
-    assert!(end1 > mark, "spill slots raise the watermark");
-
-    binding.release_scratch(mark).unwrap();
-    let (second, s2, end2) = emit_through(&r, &mut memo, &et, &mut binding);
-    assert_eq!(s2.select, Default::default(), "the second pass is a replay");
-    assert_eq!(second, first);
-    assert_eq!(end2, end1, "the replay reserves the same spill slots");
-    assert_eq!((s2.spill_stores, s2.reloads), (s1.spill_stores, s1.reloads));
-
-    // From another watermark the tree is selected again, and its spill
-    // slots move with the watermark.
-    binding.release_scratch(mark).unwrap();
-    binding.scratch().unwrap();
-    let (third, s3, end3) = emit_through(&r, &mut memo, &et, &mut binding);
-    assert!(s3.select.rules_tried > 0, "a new watermark is a new key");
-    assert_ne!(third, first);
-    assert_eq!(end3, end1 + 1);
-}
-
 #[test]
 fn baseline_never_chains() {
     let r = rig(DSP8);

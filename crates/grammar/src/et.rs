@@ -10,13 +10,11 @@
 //! ETs are stored as flat arenas so the selector can attach dynamic-
 //! programming labels by node index.  A node holds its at most two
 //! children inline, so a tree is one `Vec` of `Copy` nodes: cheap to
-//! build, compare and hash (the code generator keys a per-compile cover
-//! memo by whole trees).
+//! build and compare.
 
 use crate::types::{AssignKey, TermKey};
 use record_netlist::{ProcPortId, StorageId};
 use record_rtl::OpKind;
-use std::hash::{Hash, Hasher};
 
 /// Index of a node within an [`Et`].
 pub type NodeIdx = usize;
@@ -24,7 +22,7 @@ pub type NodeIdx = usize;
 /// Node kinds of an expression tree.  These mirror [`TermKey`] minus the
 /// immediate/constant distinction (a source constant may match either a
 /// hardwired-constant terminal or an immediate field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EtKind {
     /// Designated root for register/port destinations; one child.
     Assign(AssignKey),
@@ -46,7 +44,7 @@ pub enum EtKind {
 }
 
 /// The destination of an ET.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EtDest {
     Reg(StorageId),
     /// Register-file cell (cell index fixed by the variable binding, or
@@ -67,19 +65,8 @@ struct Node {
     arity: u8,
 }
 
-/// A node hashes as its kind plus its children packed into one word: one
-/// hasher write instead of three.  Nodes of one kind have one arity, so
-/// the packing leaves it out (equal nodes still hash equal, which is all
-/// `Hash` needs).
-impl Hash for Node {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.kind.hash(state);
-        state.write_u64(((self.kids[0] as u64) << 32) | self.kids[1] as u64);
-    }
-}
-
 /// A flat expression tree with an explicit destination root.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Et {
     dest: EtDest,
     nodes: Vec<Node>,
