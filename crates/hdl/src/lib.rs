@@ -49,14 +49,16 @@ mod parser;
 pub use ast::*;
 pub use error::{HdlError, HdlErrorKind};
 pub use lexer::{Lexer, Token, TokenKind};
+pub use parser::MAX_NESTING;
 
 /// Parses a complete HDL model (modules plus one `processor` block).
 ///
 /// # Errors
 ///
 /// Returns an [`HdlError`] carrying line/column information when the source
-/// is lexically or syntactically malformed, or when basic static rules are
-/// violated (duplicate names, unknown module references, width-zero ports).
+/// is lexically or syntactically malformed, nested deeper than
+/// [`MAX_NESTING`] levels, or when basic static rules are violated
+/// (duplicate names, unknown module references, width-zero ports).
 pub fn parse(source: &str) -> Result<Model, HdlError> {
     parser::Parser::new(source)?.parse_model()
 }

@@ -4,11 +4,22 @@ use crate::ast::*;
 use crate::error::{HdlError, HdlErrorKind};
 use crate::lexer::{Lexer, Token, TokenKind};
 
+/// How deep HDL syntax may nest: the height of every expression and
+/// condition tree, counted in operators and slices (`a + b + c` is two
+/// deep), the slices of one net reference, and the nesting of
+/// parentheses, unary operators, operands and `case` arms.  Parsing and
+/// elaboration recurse once per level, so the cap bounds their stack
+/// use; past it the parser returns an ordinary parse error.  The bundled
+/// models and the model generators nest a few levels.
+pub const MAX_NESTING: usize = 256;
+
 /// Parser over a pre-lexed token stream.
 #[derive(Debug)]
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -21,6 +32,7 @@ impl Parser {
         Ok(Parser {
             tokens: Lexer::new(source).tokenize()?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -44,6 +56,32 @@ impl Parser {
     fn semantic_error(&self, msg: impl Into<String>) -> HdlError {
         let t = self.peek();
         HdlError::new(HdlErrorKind::Semantic, t.line, t.col, msg)
+    }
+
+    fn too_deep(&self) -> HdlError {
+        self.error(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Parses `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, HdlError>,
+    ) -> Result<T, HdlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// The height of an operator over operands at most `below` high.
+    fn height_over(&self, below: usize) -> Result<usize, HdlError> {
+        if below == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(below + 1)
     }
 
     fn expect(&mut self, kind: TokenKind) -> Result<(), HdlError> {
@@ -391,11 +429,13 @@ impl Parser {
     }
 
     fn parse_arm_body(&mut self) -> Result<Vec<Stmt>, HdlError> {
-        if self.peek().kind == TokenKind::LBrace {
-            self.parse_stmt_block()
-        } else {
-            Ok(vec![self.parse_stmt()?])
-        }
+        self.nested(|p| {
+            if p.peek().kind == TokenKind::LBrace {
+                p.parse_stmt_block()
+            } else {
+                Ok(vec![p.parse_stmt()?])
+            }
+        })
     }
 
     // -----------------------------------------------------------------
@@ -404,7 +444,7 @@ impl Parser {
 
     /// Parses a module-level expression.
     pub(crate) fn parse_expr(&mut self) -> Result<Expr, HdlError> {
-        self.parse_bin(0)
+        Ok(self.parse_bin(0)?.0)
     }
 
     fn bin_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
@@ -430,20 +470,25 @@ impl Parser {
         })
     }
 
-    fn parse_bin(&mut self, min_prec: u8) -> Result<Expr, HdlError> {
-        let mut lhs = self.parse_unary()?;
+    /// Parses operators binding at least as tightly as `min_prec`;
+    /// returns the expression and its height.  The loop builds a
+    /// left-leaning chain, so it counts the chain's height as well as the
+    /// nesting of its operands.
+    fn parse_bin(&mut self, min_prec: u8) -> Result<(Expr, usize), HdlError> {
+        let (mut lhs, mut height) = self.parse_unary()?;
         while let Some((op, prec)) = Self::bin_op(&self.peek().kind) {
             if prec < min_prec {
                 break;
             }
             self.bump();
-            let rhs = self.parse_bin(prec + 1)?;
+            let (rhs, rhs_height) = self.nested(|p| p.parse_bin(prec + 1))?;
+            height = self.height_over(height.max(rhs_height))?;
             lhs = Expr::binary(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, HdlError> {
+    fn parse_unary(&mut self) -> Result<(Expr, usize), HdlError> {
         let op = match self.peek().kind {
             TokenKind::Tilde => Some(UnOp::Not),
             TokenKind::Minus => Some(UnOp::Neg),
@@ -452,17 +497,18 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let arg = self.parse_unary()?;
-            return Ok(Expr::Unary {
+            let (arg, height) = self.nested(Self::parse_unary)?;
+            let unary = Expr::Unary {
                 op,
                 arg: Box::new(arg),
-            });
+            };
+            return Ok((unary, self.height_over(height)?));
         }
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr, HdlError> {
-        let mut e = self.parse_primary()?;
+    fn parse_postfix(&mut self) -> Result<(Expr, usize), HdlError> {
+        let (mut e, mut height) = self.parse_primary()?;
         while self.peek().kind == TokenKind::LBracket {
             self.bump();
             let hi = self.int()? as u16;
@@ -475,28 +521,29 @@ impl Parser {
                 return Err(self.semantic_error(format!("slice [{hi}:{lo}] has lo > hi")));
             }
             self.expect(TokenKind::RBracket)?;
+            height = self.height_over(height)?;
             e = Expr::Slice {
                 base: Box::new(e),
                 hi,
                 lo,
             };
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, HdlError> {
+    fn parse_primary(&mut self) -> Result<(Expr, usize), HdlError> {
         match &self.peek().kind {
             TokenKind::Int(v) => {
                 let v = *v;
                 self.bump();
-                Ok(Expr::Const(v))
+                Ok((Expr::Const(v), 0))
             }
-            TokenKind::Ident(_) => Ok(Expr::Port(self.ident()?)),
+            TokenKind::Ident(_) => Ok((Expr::Port(self.ident()?), 0)),
             TokenKind::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let inner = self.nested(|p| p.parse_bin(0))?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                Ok(inner)
             }
             other => Err(self.error(format!("expected expression, found {}", other.describe()))),
         }
@@ -688,6 +735,7 @@ impl Parser {
                 )))
             }
         };
+        let mut height = 0;
         while self.peek().kind == TokenKind::LBracket {
             self.bump();
             let hi = self.int()? as u16;
@@ -700,6 +748,7 @@ impl Parser {
                 return Err(self.semantic_error(format!("slice [{hi}:{lo}] has lo > hi")));
             }
             self.expect(TokenKind::RBracket)?;
+            height = self.height_over(height)?;
             base = NetRef::Slice {
                 base: Box::new(base),
                 hi,
@@ -712,37 +761,41 @@ impl Parser {
     /// Parses a processor-level condition with `!`, `&`, `|`, parentheses
     /// and `net == const` / `net != const` atoms.
     fn parse_cond(&mut self) -> Result<Cond, HdlError> {
-        self.parse_cond_or()
+        Ok(self.parse_cond_or()?.0)
     }
 
-    fn parse_cond_or(&mut self) -> Result<Cond, HdlError> {
-        let mut lhs = self.parse_cond_and()?;
+    /// The `|` chain; returns the condition and its height, as
+    /// [`Parser::parse_bin`] does.
+    fn parse_cond_or(&mut self) -> Result<(Cond, usize), HdlError> {
+        let (mut lhs, mut height) = self.parse_cond_and()?;
         while self.eat(&TokenKind::Pipe) {
-            let rhs = self.parse_cond_and()?;
+            let (rhs, rhs_height) = self.nested(Self::parse_cond_and)?;
+            height = self.height_over(height.max(rhs_height))?;
             lhs = Cond::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_cond_and(&mut self) -> Result<Cond, HdlError> {
-        let mut lhs = self.parse_cond_atom()?;
+    fn parse_cond_and(&mut self) -> Result<(Cond, usize), HdlError> {
+        let (mut lhs, mut height) = self.parse_cond_atom()?;
         while self.eat(&TokenKind::Amp) {
-            let rhs = self.parse_cond_atom()?;
+            let (rhs, rhs_height) = self.nested(Self::parse_cond_atom)?;
+            height = self.height_over(height.max(rhs_height))?;
             lhs = Cond::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_cond_atom(&mut self) -> Result<Cond, HdlError> {
+    fn parse_cond_atom(&mut self) -> Result<(Cond, usize), HdlError> {
         if self.eat(&TokenKind::Bang) {
-            let inner = self.parse_cond_atom()?;
-            return Ok(Cond::Not(Box::new(inner)));
+            let (inner, height) = self.nested(Self::parse_cond_atom)?;
+            return Ok((Cond::Not(Box::new(inner)), self.height_over(height)?));
         }
         if self.peek().kind == TokenKind::LParen {
             self.bump();
-            let c = self.parse_cond()?;
+            let inner = self.nested(Self::parse_cond_or)?;
             self.expect(TokenKind::RParen)?;
-            return Ok(c);
+            return Ok(inner);
         }
         let lhs = self.parse_netref()?;
         let op = if self.eat(&TokenKind::EqEq) {
@@ -756,6 +809,6 @@ impl Parser {
             )));
         };
         let rhs = self.int()?;
-        Ok(Cond::Cmp { lhs, op, rhs })
+        Ok((Cond::Cmp { lhs, op, rhs }, 0))
     }
 }

@@ -354,3 +354,61 @@ proptest! {
         prop_assert_eq!(parsed.len(), arms);
     }
 }
+
+/// `TINY` nesting `levels` deep, one construct at a time: parentheses
+/// around a register input and around its guard, a chain of `levels`
+/// additions, `case` arms, and a driver guard's parentheses, `&` chain and
+/// net slices.
+fn nested_models(levels: usize) -> Vec<String> {
+    let (open, close) = ("(".repeat(levels), ")".repeat(levels));
+    let register = "register q = d when en == 1;";
+    let add = "0 => y = a + b;";
+    let driven = |guard: &str| {
+        TINY.replace(
+            "processor Tiny {",
+            "processor Tiny {\n    bus dbus: bit(8);",
+        )
+        .replace(
+            "alu.b = pin;",
+            &format!("drive dbus = pin when {guard};\n        alu.b = dbus;"),
+        )
+    };
+    vec![
+        TINY.replace(
+            register,
+            &format!("register q = {open}d{close} when en == 1;"),
+        ),
+        TINY.replace(
+            register,
+            &format!("register q = d when {open}en{close} == 1;"),
+        ),
+        TINY.replace(add, &format!("0 => y = a{};", " + b".repeat(levels))),
+        // The arm itself is one level; each inner `case` adds one.
+        TINY.replace(
+            add,
+            &format!(
+                "0 => {}y = a;{}",
+                "case f { 0 => ".repeat(levels - 1),
+                " }".repeat(levels - 1)
+            ),
+        ),
+        driven(&format!("{open}I[0] == 1{close}")),
+        driven(&format!("I[0] == 1{}", " & I[1] == 0".repeat(levels))),
+        driven(&format!("I[7:0]{} == 1", "[7:0]".repeat(levels))),
+    ]
+}
+
+/// At the nesting cap each shape parses; one level past it each gets an
+/// ordinary parse error with a position.
+#[test]
+fn nesting_is_capped() {
+    for src in nested_models(MAX_NESTING) {
+        parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    }
+    for src in nested_models(MAX_NESTING + 1) {
+        let e = parse(&src).unwrap_err();
+        assert_eq!(*e.kind(), HdlErrorKind::Parse, "{e}");
+        assert_eq!(e.message(), "nesting deeper than 256 levels");
+        assert!(e.line() > 1, "{e}");
+    }
+}

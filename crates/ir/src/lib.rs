@@ -39,12 +39,14 @@ pub use ast::*;
 pub use error::CError;
 pub use interp::{interp, Memory};
 pub use lower::{lower_cfg, Block, Cfg, FlatExpr, FlatStmt, Ref, Terminator};
+pub use parser::MAX_NESTING;
 
 /// Parses a mini-C translation unit.
 ///
 /// # Errors
 ///
-/// Returns [`CError`] with line/column info on malformed source.
+/// Returns [`CError`] with line/column info on malformed source, and on
+/// source nested deeper than [`MAX_NESTING`] levels.
 pub fn parse(source: &str) -> Result<Program, CError> {
     parser::parse(source)
 }

@@ -132,15 +132,30 @@ fn lex(src: &str) -> Result<Vec<Token>, CError> {
     Ok(out)
 }
 
+/// How deep mini-C syntax may nest: the height of every expression tree,
+/// counted in operators (`a + b + c` is two deep), and the nesting of
+/// parentheses, brackets, unary operators, operands and statement
+/// blocks.  Parsing, lowering and interpretation recurse once per level,
+/// so the cap bounds their stack use; past it the parser returns an
+/// ordinary error.  The bundled kernels and the program generators nest
+/// a few levels.
+pub const MAX_NESTING: usize = 256;
+
 pub(crate) fn parse(src: &str) -> Result<Program, CError> {
     let tokens = lex(src)?;
-    let mut p = P { tokens, pos: 0 };
+    let mut p = P {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
 struct P {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current token.
+    depth: usize,
 }
 
 impl P {
@@ -159,6 +174,29 @@ impl P {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, CError> {
         let t = self.peek();
         Err(CError::new(t.line, t.col, msg))
+    }
+
+    fn too_deep<T>(&self) -> Result<T, CError> {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Parses `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T, CError>) -> Result<T, CError> {
+        if self.depth == MAX_NESTING {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// The height of an operator over operands at most `below` high.
+    fn height_over(&self, below: usize) -> Result<usize, CError> {
+        if below == MAX_NESTING {
+            return self.too_deep();
+        }
+        Ok(below + 1)
     }
 
     fn at_punct(&self, p: &str) -> bool {
@@ -286,11 +324,13 @@ impl P {
     /// `{ stmt* }`
     fn block(&mut self) -> Result<Vec<Stmt>, CError> {
         self.expect_punct("{")?;
-        let mut body = Vec::new();
-        while !self.eat_punct("}") {
-            body.push(self.stmt()?);
-        }
-        Ok(body)
+        self.nested(|p| {
+            let mut body = Vec::new();
+            while !p.eat_punct("}") {
+                body.push(p.stmt()?);
+            }
+            Ok(body)
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, CError> {
@@ -325,7 +365,7 @@ impl P {
             if self.at_kw("if") {
                 // `else if` chains without braces.
                 let sp = self.span();
-                vec![self.if_stmt(sp)?]
+                vec![self.nested(|p| p.if_stmt(sp))?]
             } else {
                 self.block()?
             }
@@ -469,7 +509,7 @@ impl P {
 
     // Precedence climbing; C-like precedence for the supported subset.
     fn expr(&mut self) -> Result<Expr, CError> {
-        self.bin(0)
+        Ok(self.bin(0)?.0)
     }
 
     fn bin_op(&self) -> Option<(OpKind, u8)> {
@@ -497,62 +537,69 @@ impl P {
         })
     }
 
-    fn bin(&mut self, min: u8) -> Result<Expr, CError> {
-        let mut lhs = self.unary()?;
+    /// Parses operators binding at least as tightly as `min`; returns the
+    /// expression and its height.  The loop builds a left-leaning chain,
+    /// so it counts the chain's height as well as the nesting of its
+    /// operands.
+    fn bin(&mut self, min: u8) -> Result<(Expr, usize), CError> {
+        let (mut lhs, mut height) = self.unary()?;
         while let Some((op, prec)) = self.bin_op() {
             if prec < min {
                 break;
             }
             self.bump();
-            let rhs = self.bin(prec + 1)?;
+            let (rhs, rhs_height) = self.nested(|p| p.bin(prec + 1))?;
+            height = self.height_over(height.max(rhs_height))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, CError> {
+    fn unary(&mut self) -> Result<(Expr, usize), CError> {
         if self.eat_punct("-") {
-            let e = self.unary()?;
+            let (e, height) = self.nested(Self::unary)?;
             // Fold negative literals immediately.
             return Ok(match e {
-                Expr::Const(c) => Expr::Const(-c),
-                other => Expr::Unary(OpKind::Neg, Box::new(other)),
+                Expr::Const(c) => (Expr::Const(-c), height),
+                other => (
+                    Expr::Unary(OpKind::Neg, Box::new(other)),
+                    self.height_over(height)?,
+                ),
             });
         }
         if self.eat_punct("!") {
             // `!x` is `x == 0` in this integer subset.
-            let e = self.unary()?;
-            return Ok(Expr::Binary(
-                OpKind::Eq,
-                Box::new(e),
-                Box::new(Expr::Const(0)),
+            let (e, height) = self.nested(Self::unary)?;
+            return Ok((
+                Expr::Binary(OpKind::Eq, Box::new(e), Box::new(Expr::Const(0))),
+                self.height_over(height)?,
             ));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, CError> {
+    fn primary(&mut self) -> Result<(Expr, usize), CError> {
         match &self.peek().tok {
             Tok::Int(v) => {
                 let v = *v;
                 self.bump();
-                Ok(Expr::Const(v))
+                Ok((Expr::Const(v), 0))
             }
             Tok::Ident(_) => {
                 let name = self.ident()?;
                 if self.eat_punct("[") {
-                    let idx = self.expr()?;
+                    let (idx, height) = self.nested(|p| p.bin(0))?;
                     self.expect_punct("]")?;
-                    Ok(Expr::Elem(name, Box::new(idx)))
+                    Ok((Expr::Elem(name, Box::new(idx)), self.height_over(height)?))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 0))
                 }
             }
             Tok::Punct("(") => {
                 self.bump();
-                let e = self.expr()?;
+                let inner = self.nested(|p| p.bin(0))?;
                 self.expect_punct(")")?;
-                Ok(e)
+                Ok(inner)
             }
             _ => self.err("expected expression"),
         }

@@ -190,6 +190,50 @@ fn parse_error_positions() {
     assert_eq!(e.line(), 2);
 }
 
+/// `f` nesting `levels` deep three ways: parentheses around an operand,
+/// `if` blocks, and a chain of `levels` additions.
+fn nested_programs(levels: usize) -> [String; 3] {
+    let f = |body: String| format!("int a, x; void f() {{ {body} }}");
+    [
+        f(format!(
+            "x = {}a{};",
+            "(".repeat(levels),
+            ")".repeat(levels)
+        )),
+        f(format!(
+            "{}x = a;{}",
+            "if (a) { ".repeat(levels),
+            " }".repeat(levels)
+        )),
+        f(format!("x = a{};", " + a".repeat(levels))),
+    ]
+}
+
+/// At the nesting cap each shape parses, lowers and runs; one level past
+/// it the parser returns an ordinary error with a position, as does an
+/// `else if` chain, whose every link nests.
+#[test]
+fn nesting_is_capped() {
+    for src in nested_programs(MAX_NESTING) {
+        let p = parse(&src).unwrap();
+        lower_cfg(&p, "f").unwrap();
+        let mut mem = Memory::new();
+        mem.insert("a".into(), vec![1]);
+        interp(&p, "f", &mut mem, 16).unwrap();
+    }
+    let else_ifs = format!(
+        "int a, x; void f() {{ if (a) {{ x = a; }}{} }}",
+        " else if (a) { x = a; }".repeat(MAX_NESTING)
+    );
+    let [parens, ifs, chain] = nested_programs(MAX_NESTING + 1);
+    for src in [parens, ifs, chain, else_ifs] {
+        let e = parse(&src).unwrap_err();
+        assert_eq!(e.message(), "nesting deeper than 256 levels");
+        assert_eq!(e.line(), 1);
+        assert!(e.column() > 1, "{e}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property: for loop-free programs, interpretation of the AST agrees with
 // evaluation of the lowered flat statements — lowering preserves semantics.

@@ -411,6 +411,61 @@ fn deeply_nested_request_is_a_protocol_error() {
     server.shutdown();
 }
 
+/// Source nested 10,000 levels deep, far past the front ends' nesting
+/// cap, gets a structured error: the parsers and the passes after them
+/// recurse once per level, and a stack overflow in a worker would abort
+/// the whole process.
+#[test]
+fn deeply_nested_source_is_a_structured_error() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut conn = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+    let demo = models::model("demo").unwrap().hdl;
+    let (open, close) = ("(".repeat(10_000), ")".repeat(10_000));
+    let error_field = |response: &Json, key: &str| {
+        response
+            .get("error")
+            .and_then(|e| e.get(key))
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+    };
+
+    let compile = Json::obj(vec![
+        ("op", Json::str("compile")),
+        ("hdl", Json::str(demo)),
+        (
+            "source",
+            Json::str(format!("int a, x; void f() {{ x = {open}a{close}; }}")),
+        ),
+        ("function", Json::str("f")),
+    ]);
+    let response = raw_call(&mut conn, &compile.to_string());
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    assert_eq!(error_field(&response, "kind").as_deref(), Some("compile"));
+    assert_eq!(error_field(&response, "class").as_deref(), Some("frontend"));
+    assert_eq!(error_field(&response, "phase").as_deref(), Some("parse"));
+
+    let hdl = demo.replace("0 => y = a + b;", &format!("0 => y = {open}a{close} + b;"));
+    assert_ne!(hdl, demo);
+    let retarget = Json::obj(vec![("op", Json::str("retarget")), ("hdl", Json::str(hdl))]);
+    let response = raw_call(&mut conn, &retarget.to_string());
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    assert_eq!(error_field(&response, "kind").as_deref(), Some("pipeline"));
+
+    // The same connection and worker go on serving.
+    let stats = raw_call(&mut conn, r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+
+    drop(conn);
+    server.shutdown();
+}
+
 #[test]
 fn overlong_request_line_is_a_protocol_error() {
     let server = Server::start(

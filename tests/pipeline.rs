@@ -4,7 +4,7 @@
 
 mod common;
 
-use record_core::{CompileRequest, Record, RetargetOptions, Target};
+use record_core::{CompileError, CompileRequest, PipelineError, Record, RetargetOptions, Target};
 use record_targets::{kernels, models};
 
 #[test]
@@ -139,6 +139,54 @@ fn legalized_kernels_compute_correct_results_on_manocpu() {
             got.push(compiled.report.counter("emit.splits").unwrap_or(0));
         }
         assert_eq!(got, splits, "emit.splits per kernel");
+    }
+}
+
+/// Source nested exactly as deep as the front ends allow compiles or
+/// fails with a structured error; it never overflows a 2 MiB test
+/// thread's stack.  mini-C parentheses, `if` blocks and an addition chain
+/// compile on `ref` (and run correctly when they compile); HDL
+/// parentheses around a register input, its guard and a bus driver's
+/// guard, and an addition chain in the ALU, retarget from `demo`.
+#[test]
+fn nesting_at_the_cap_compiles_or_fails_structurally() {
+    let n = record_ir::MAX_NESTING;
+    let target = Record::retarget(
+        models::model("ref").unwrap().hdl,
+        &RetargetOptions::default(),
+    )
+    .unwrap();
+    let f = |body: String| format!("int a, x; void f() {{ {body} }}");
+    for src in [
+        f(format!("x = {}a{};", "(".repeat(n), ")".repeat(n))),
+        f(format!("{}x = a;{}", "if (a) { ".repeat(n), " }".repeat(n))),
+        f(format!("x = a{};", " + a".repeat(n))),
+    ] {
+        match target.compile(&CompileRequest::new(&src, "f")) {
+            Ok(kernel) => common::assert_matches_interpreter(&target, &kernel, &src, "f", "ref"),
+            Err(e) => assert!(!matches!(e, CompileError::Internal { .. }), "{e}"),
+        }
+    }
+
+    let n = record_hdl::MAX_NESTING;
+    let demo = models::model("demo").unwrap().hdl;
+    let (open, close) = ("(".repeat(n), ")".repeat(n));
+    for hdl in [
+        demo.replace("q = d when", &format!("q = {open}d{close} when")),
+        demo.replace("when en == 1", &format!("when {open}en{close} == 1")),
+        demo.replace(
+            "0 => y = a + b;",
+            &format!("0 => y = a{};", " + b".repeat(n)),
+        ),
+        demo.replace(
+            "when I[17:16] == 0",
+            &format!("when {open}I[17:16] == 0{close}"),
+        ),
+    ] {
+        assert_ne!(hdl, demo);
+        if let Err(e) = Record::retarget(&hdl, &RetargetOptions::default()) {
+            assert!(!matches!(e, PipelineError::Internal(_)), "{e}");
+        }
     }
 }
 
