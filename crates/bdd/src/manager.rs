@@ -300,12 +300,6 @@ impl BddManager {
         self.not(x)
     }
 
-    /// Implication `a -> b`.
-    pub fn implies(&mut self, a: Bdd, b: Bdd) -> Bdd {
-        let na = self.not(a);
-        self.or(na, b)
-    }
-
     /// If-then-else `c ? t : e`.
     pub fn ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Bdd {
         let ct = self.and(c, t);

@@ -148,12 +148,6 @@ impl FrozenBdd {
     pub fn to_cubes(&self, f: Bdd) -> String {
         self.inner.to_cubes(f)
     }
-
-    /// Clones the frozen state back into a mutable manager (escape hatch
-    /// for tooling that needs to keep extending a retargeted model).
-    pub fn thaw(&self) -> BddManager {
-        self.inner.clone()
-    }
 }
 
 /// The lifetime-free storage of a reset [`BddOverlay`]: emptied pages

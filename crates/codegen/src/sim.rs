@@ -9,7 +9,7 @@
 //!   time-stationary code as the supported code type).
 
 use crate::ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
-use record_netlist::{Netlist, ProcPortId, StorageId, StorageKind};
+use record_netlist::{Netlist, StorageId, StorageKind};
 use std::collections::HashMap;
 
 /// Execution fuel: compiled code from terminating programs terminates, so
@@ -23,8 +23,6 @@ pub struct Machine {
     regs: HashMap<StorageId, u64>,
     mems: HashMap<StorageId, Vec<u64>>,
     widths: HashMap<StorageId, u16>,
-    ports_in: HashMap<ProcPortId, u64>,
-    ports_out: HashMap<ProcPortId, u64>,
 }
 
 impl Machine {
@@ -44,13 +42,7 @@ impl Machine {
                 }
             }
         }
-        Machine {
-            regs,
-            mems,
-            widths,
-            ports_in: HashMap::new(),
-            ports_out: HashMap::new(),
-        }
+        Machine { regs, mems, widths }
     }
 
     fn mask(&self, s: StorageId) -> u64 {
@@ -92,28 +84,14 @@ impl Machine {
         self.mems.get(&s).expect("memory storage")[addr as usize]
     }
 
-    /// Whole memory contents.
-    pub fn mem_slice(&self, s: StorageId) -> &[u64] {
-        self.mems.get(&s).expect("memory storage")
-    }
-
-    /// Drives a primary input port.
-    pub fn set_port_in(&mut self, p: ProcPortId, v: u64) {
-        self.ports_in.insert(p, v);
-    }
-
-    /// Last value written to a primary output port.
-    pub fn port_out(&self, p: ProcPortId) -> Option<u64> {
-        self.ports_out.get(&p).copied()
-    }
-
     fn read(&self, loc: &Loc) -> u64 {
         match loc {
             Loc::Reg(s) => self.reg(*s),
             Loc::Rf(s, c) => self.mem(*s, *c),
             Loc::Mem(s, a) => self.mem(*s, *a),
             Loc::MemDyn(_) => panic!("dynamic location cannot be read directly"),
-            Loc::Port(p) => self.ports_in.get(p).copied().unwrap_or(0),
+            // Nothing drives the primary inputs: they read as 0.
+            Loc::Port(_) => 0,
         }
     }
 
@@ -159,9 +137,8 @@ impl Machine {
             DestSim::Loc(Loc::Rf(s, c)) => self.set_mem(*s, *c, v),
             DestSim::Loc(Loc::Mem(s, a)) => self.set_mem(*s, *a, v),
             DestSim::Loc(Loc::MemDyn(_)) => panic!("dynamic loc as direct destination"),
-            DestSim::Loc(Loc::Port(p)) => {
-                self.ports_out.insert(*p, v);
-            }
+            // Nothing observes the primary outputs.
+            DestSim::Loc(Loc::Port(_)) => {}
             DestSim::MemAt(s, addr) => {
                 let a = self.eval(addr, 64) % self.mems[s].len() as u64;
                 self.set_mem(*s, a, v);

@@ -1,6 +1,6 @@
 //! BDD variable layout: instruction bits first, then mode-register bits.
 
-use record_bdd::{Bdd, BddManager, VarId};
+use record_bdd::{BddManager, VarId};
 use record_netlist::{Netlist, StorageId};
 use std::collections::BTreeMap;
 
@@ -55,24 +55,9 @@ impl VarMap {
         VarId(bit as u32)
     }
 
-    /// The positive literal of instruction bit `bit`.
-    pub fn ibit_lit(&self, bit: u16, manager: &mut BddManager) -> Bdd {
-        manager.literal(self.ibit(bit), true)
-    }
-
     /// Variable of bit `bit` of mode register `s`, if `s` is a mode
     /// register.
     pub fn mode_bit(&self, s: StorageId, bit: u16) -> Option<VarId> {
         self.mode_base.get(&s).map(|&base| VarId(base + bit as u32))
-    }
-
-    /// Is `var` an instruction-word bit (as opposed to a mode bit)?
-    pub fn is_ibit(&self, var: VarId) -> bool {
-        var.0 < self.iword_width as u32
-    }
-
-    /// Mode registers known to this map.
-    pub fn mode_registers(&self) -> impl Iterator<Item = StorageId> + '_ {
-        self.mode_base.keys().copied()
     }
 }

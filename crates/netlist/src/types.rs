@@ -190,11 +190,6 @@ impl ElabModule {
     pub fn port_idx(&self, name: &str) -> Option<PortIdx> {
         self.ports.iter().position(|p| p.name == name)
     }
-
-    /// Is this a sequential (state-holding) module?
-    pub fn is_sequential(&self) -> bool {
-        !matches!(self.kind, ElabKind::Comb { .. })
-    }
 }
 
 /// A module instance.

@@ -80,17 +80,6 @@ impl Report {
         self.phases.iter().map(|p| p.ns).sum()
     }
 
-    /// Merges another report into this one (phase times and counters
-    /// accumulate by label/name).
-    pub fn absorb(&mut self, other: &Report) {
-        for p in &other.phases {
-            self.phase(p.label, p.ns);
-        }
-        for c in &other.counters {
-            self.count(c.name, c.value);
-        }
-    }
-
     /// Renders the report as an aligned human-readable table:
     /// phases with times and percentage of the instrumented total,
     /// then counters.

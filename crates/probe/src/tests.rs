@@ -137,13 +137,6 @@ fn report_accumulates_and_renders() {
     assert_eq!(r.counter("ops"), Some(12));
     assert_eq!(r.phase_total_ns(), 4_500);
 
-    let mut other = Report::default();
-    other.phase("emit", 1_000);
-    other.count("ops", 1);
-    r.absorb(&other);
-    assert_eq!(r.phase_ns("emit"), Some(4_000));
-    assert_eq!(r.counter("ops"), Some(13));
-
     let table = r.render_table("compile fir on tms320c25");
     assert!(table.contains("select"));
     assert!(table.contains("1.5 µs"));

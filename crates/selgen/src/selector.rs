@@ -212,11 +212,6 @@ impl Selector {
         &self.grammar
     }
 
-    /// A shared handle to the grammar.
-    pub fn grammar_arc(&self) -> Arc<TreeGrammar> {
-        Arc::clone(&self.grammar)
-    }
-
     /// Number of rules reachable through the dispatch tables (diagnostic).
     pub fn table_size(&self) -> usize {
         self.rule_arena.len() + self.const_root_rules.len() + self.chains.len()

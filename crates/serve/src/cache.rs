@@ -275,17 +275,4 @@ impl TargetCache {
             .filter(|e| matches!(e, Entry::Ready { .. }))
             .count()
     }
-
-    /// The counters as a [`record_probe::Report`] (the same vocabulary the
-    /// rest of the pipeline reports in).
-    pub fn report(&self) -> record_probe::Report {
-        let stats = self.stats();
-        let mut report = record_probe::Report::with_capacity(0, 5);
-        report.count("cache.hits", stats.hits);
-        report.count("cache.misses", stats.misses);
-        report.count("cache.retargets", stats.retargets);
-        report.count("cache.inflight-waits", stats.inflight_waits);
-        report.count("cache.evictions", stats.evictions);
-        report
-    }
 }

@@ -118,17 +118,9 @@ impl RetryPolicy {
             .base_delay_ms
             .saturating_mul(1u64 << retry.min(20))
             .min(self.max_delay_ms);
-        let jitter = splitmix64(self.seed.wrapping_add(u64::from(retry)));
+        let jitter = crate::metrics::splitmix64(self.seed.wrapping_add(u64::from(retry)));
         step / 2 + jitter % (step / 2 + 1)
     }
-}
-
-/// SplitMix64: a tiny, well-mixed pure PRNG step (jitter source).
-fn splitmix64(index: u64) -> u64 {
-    let mut z = index.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Runs `op` against a fresh connection, retrying (with the policy's

@@ -584,8 +584,9 @@ impl RequestIds {
     }
 }
 
-/// SplitMix64: a tiny, well-mixed bijective PRNG step.
-fn splitmix64(index: u64) -> u64 {
+/// SplitMix64: a tiny, well-mixed bijective PRNG step (request ids here,
+/// retry jitter in the client).
+pub(crate) fn splitmix64(index: u64) -> u64 {
     let mut z = index.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
