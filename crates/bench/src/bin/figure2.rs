@@ -3,7 +3,8 @@
 //! compiler bar) vs RECORD, plus the register allocator's memory-traffic
 //! reduction per kernel.
 //!
-//! Pass `--no-commutativity` to reproduce ablation A from DESIGN.md.
+//! Pass `--no-commutativity` for the commutativity ablation: the same
+//! table from a template base without commutative variants.
 
 use record_core::RetargetOptions;
 use record_rtl::{ExtensionOptions, TransformLibrary};

@@ -7,8 +7,10 @@
 //!   the TMS320C25-like model, baseline compiler vs RECORD.
 //! * `cargo run -p record-bench --bin perf_snapshot` prints per-phase
 //!   median tables for every model retarget and kernel x model compile.
-//! * `cargo bench -p record-bench` measures retargeting and compilation
-//!   with criterion, plus the ablations called out in DESIGN.md.
+//! * `cargo bench -p record-bench` times compilation with criterion: the
+//!   Figure 2 kernels on the RECORD and baseline paths (`codegen`), the
+//!   register allocator (`regalloc`), and sequential against batched
+//!   compiles (`batch`).  Retargeting time is `table3`'s.
 
 use record_core::{mem_traffic, CompileError, CompileRequest, Record, RetargetOptions, Target};
 use record_targets::{kernels, models, Kernel, TargetModel};

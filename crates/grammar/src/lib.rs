@@ -8,9 +8,11 @@
 //!   constant and instruction immediate field.
 //! * **Non-terminals** — `START` plus one per register, register file and
 //!   primary output port: the locations that can hold (intermediate)
-//!   values.  Memories are *not* non-terminals in this implementation;
-//!   spill placement is handled explicitly by the scheduler (documented
-//!   deviation, see DESIGN.md).
+//!   values.  Memories are *not* non-terminals, a deviation from the
+//!   paper's grammar: no derivation parks an intermediate value in
+//!   memory.  Where a tree has no such cover, cover emission in
+//!   `record_codegen` places spills explicitly, through scratch words of
+//!   the data memory, or splits the tree there.
 //! * **Rules** —
 //!   1. *start rules* `START → ASSIGN(dest, NonTerm(dest))`, cost 0,
 //!   2. *RT rules* `NonTerm(dest) → L(exp)` per template, cost 1
