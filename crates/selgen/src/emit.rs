@@ -6,9 +6,10 @@
 //! grammar, [`emit_rust`] renders a self-contained Rust module with the rule
 //! tables and a hard-coded matcher.  The in-memory [`crate::Selector`] is
 //! what the pipeline actually executes (Rust has no `dlopen`-style in-
-//! process compilation), but the emitted source is a faithful, inspectable
-//! equivalent of iburg's output and its generation cost is part of the
-//! measured retargeting time.
+//! process compilation), and the emitted source is a faithful, inspectable
+//! equivalent of iburg's output.  Retargeting does not render it, so its
+//! cost is not part of the measured retargeting time: Table 3's
+//! selector-generation time measures [`crate::Selector::generate`].
 
 use record_grammar::{GPat, TermKey, TreeGrammar};
 use std::fmt::Write as _;

@@ -12,8 +12,9 @@
 //!   cost and the rule achieving it (with chain-rule closure), then a
 //!   top-down reduction emits the minimum-cost cover.
 //! * [`emit_rust`] additionally renders the grammar-specific matcher as a
-//!   standalone Rust source file, mirroring iburg's code-generation step;
-//!   retargeting-time measurements include this emission.
+//!   standalone Rust source file, mirroring iburg's code-generation step.
+//!   It renders on demand: retargeting does not call it, so Table 3's
+//!   selector-generation time measures [`Selector::generate`] alone.
 //!
 //! Covers are optimal with respect to accumulated rule costs: chained
 //! operations (multiply-accumulate and friends) are exploited, pure data
