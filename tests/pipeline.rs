@@ -261,3 +261,120 @@ fn commutativity_ablation_affects_code_size() {
         assert!(k.code_size() >= sw);
     }
 }
+
+/// A 16-bit accumulator machine whose ALU reads `acc` on its left input:
+/// `acc` loads from the ALU or from `ram`, `ram` stores `acc`, and the
+/// ALU adds or passes its right input through.  The right input is a mux
+/// of `acc` and `ram` when `right_mux` is set, else `acc` itself.  Every
+/// select, enable and function input has its own instruction field.
+fn accumulator_machine(right_mux: bool) -> String {
+    let (mux, right, mux_inputs) = if right_mux {
+        (
+            "bmux: Mux2;",
+            "bmux.y",
+            "bmux.a = acc.q; bmux.b = ram.dout; bmux.s = I[1];",
+        )
+    } else {
+        ("", "acc.q", "")
+    };
+    format!(
+        r#"
+    module Alu {{
+        in a: bit(16);
+        in b: bit(16);
+        ctrl f: bit(1);
+        out y: bit(16);
+        behavior {{
+            case f {{
+                0 => y = a + b;
+                1 => y = b;
+            }}
+        }}
+    }}
+    module Mux2 {{
+        in a: bit(16);
+        in b: bit(16);
+        ctrl s: bit(1);
+        out y: bit(16);
+        behavior {{
+            case s {{ 0 => y = a; 1 => y = b; }}
+        }}
+    }}
+    module Reg16 {{
+        in d: bit(16);
+        ctrl en: bit(1);
+        out q: bit(16);
+        register q = d when en == 1;
+    }}
+    module Ram {{
+        in addr: bit(4);
+        in din: bit(16);
+        ctrl w: bit(1);
+        out dout: bit(16);
+        memory cells[16]: bit(16);
+        read dout = cells[addr];
+        write cells[addr] = din when w == 1;
+    }}
+    processor Acc {{
+        instruction word: bit(16);
+        parts {{ alu: Alu; accmux: Mux2; {mux} acc: Reg16; ram: Ram; }}
+        connections {{
+            alu.a = acc.q;
+            alu.b = {right};
+            alu.f = I[0];
+            {mux_inputs}
+            accmux.a = alu.y;
+            accmux.b = ram.dout;
+            accmux.s = I[2];
+            acc.d = accmux.y;
+            acc.en = I[3];
+            ram.din = acc.q;
+            ram.w = I[4];
+            ram.addr = I[8:5];
+        }}
+    }}
+"#
+    )
+}
+
+/// `(a + b) + (c + d)` has a whole-tree cover that needs both sums in
+/// `acc` at once, so its emission fails after spilling and the splitter
+/// compiles the statement.  The failed cover leaves no RT behind.
+#[test]
+fn a_failed_cover_leaves_no_rts_behind() {
+    let target = Record::retarget(&accumulator_machine(true), &RetargetOptions::default()).unwrap();
+    let src = "int x, a, b, c, d; void f() { x = (a + b) + (c + d); }";
+    for compaction in [false, true] {
+        let kernel = target
+            .compile(&CompileRequest::new(src, "f").compaction(compaction))
+            .unwrap();
+        assert_eq!(kernel.code_size(), 7, "compaction {compaction}");
+        assert_eq!(kernel.report.counter("emit.splits"), Some(1));
+        let init = [
+            ("a", vec![1]),
+            ("b", vec![2]),
+            ("c", vec![30]),
+            ("d", vec![400]),
+        ];
+        let machine = target.execute(&kernel, &init);
+        let x = kernel.binding.assignments().find(|(n, _)| *n == "x");
+        let dm = target.data_memory().unwrap();
+        assert_eq!(machine.mem(dm, x.unwrap().1), 433);
+    }
+}
+
+/// An adder that reads `acc` on both inputs cannot add two variables: the
+/// second operand's load evicts the first, whose reload would evict the
+/// second.  The error names `acc` and counts its RT index from the start
+/// of the failing cover, not of the kernel.
+#[test]
+fn a_cyclic_conflict_fails_at_the_covers_rt_index() {
+    let target =
+        Record::retarget(&accumulator_machine(false), &RetargetOptions::default()).unwrap();
+    let src = "int x, y, a, b, c; void f() { y = c; x = a + b; }";
+    let err = target.compile(&CompileRequest::new(src, "f")).unwrap_err();
+    assert_eq!(err.classify().to_string(), "emit/no-spill-path", "{err}");
+    let diagnostic = err.diagnostic().unwrap();
+    assert_eq!(diagnostic.rt_index, Some(3), "{err}");
+    assert_eq!(diagnostic.storage.as_deref(), Some("acc"), "{err}");
+}
