@@ -13,15 +13,16 @@ use crate::error::CodegenError;
 use crate::ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
 use record_bdd::BddOps;
 use record_grammar::{
-    Et, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, Rule, RuleOrigin, TermKey,
-    TreeGrammar,
+    Et, EtBuilder, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, Rule, RuleOrigin,
+    TermKey, TreeGrammar,
 };
-use record_ir::{Cfg, FlatExpr, FlatStmt, Terminator};
+use record_ir::{Cfg, FlatExpr, FlatStmt, Ref, Terminator};
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_probe::Probe;
 use record_rtl::{CondPred, Dest, Pattern, TemplateBase, TemplateId};
 use record_selgen::{Cover, RuleApp, SelectStats, Selector};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Work counters of one compilation's selection + emission.
@@ -45,7 +46,7 @@ pub struct EmitStats {
     pub select: SelectStats,
 }
 
-/// The result of [`compile`] / [`crate::baseline_compile`]: the RT
+/// The result of [`Codegen::compile`] / [`Codegen::baseline`]: the RT
 /// sequence, the op range each basic block occupies, and the work
 /// counters accumulated while producing them.
 ///
@@ -58,110 +59,540 @@ pub struct Emitted {
     pub ops: Vec<RtOp>,
     /// `ops[block_ranges[b].clone()]` are block `b`'s RTs, terminator
     /// transfers included.
-    pub block_ranges: Vec<std::ops::Range<usize>>,
+    pub block_ranges: Vec<Range<usize>>,
     /// Selection and emission work counters.
     pub stats: EmitStats,
 }
 
-/// Compiles a control-flow graph.  Each block's statements compile in
-/// order, with scratch space recycled between statements; then the
-/// terminator becomes compare-and-branch / jump RTs against the target's
-/// PC-writing templates.  A block whose terminator falls through to the
-/// next block in layout order emits no transfer at all, so a
-/// straight-line function needs no PC.
+/// The code generator of one retargeted machine: its tree parser,
+/// template base, netlist and emission tables, which every compile for
+/// the machine reads and none changes.
 ///
-/// A legalization plan states each repeated step once, as a run (a
-/// shift-and-add multiply is one four-statement step run once per
-/// bit): the step compiles once and its other passes copy the RTs it
-/// emitted.  Every other statement is selected and emitted where it
-/// stands.
-///
-/// `probe` receives one `"statement"` span per source statement and per
-/// branch; pass [`Probe::disabled`] when no trace is wanted.
-///
-/// # Errors
-///
-/// Selection failures, unbound variables and spill-path / storage
-/// exhaustion, plus [`CodegenError::NoBranchPath`] when a terminator
-/// needs a control transfer but the target has no PC (or no usable
-/// jump / conditional-branch template).
-#[allow(clippy::too_many_arguments)]
-pub fn compile<M: BddOps>(
-    cfg: &Cfg,
-    selector: &Selector,
-    base: &TemplateBase,
-    binding: &mut Binding,
-    netlist: &Netlist,
-    manager: &mut M,
-    tables: &EmitTables,
-    width: u16,
-    probe: &mut Probe<'_>,
-) -> Result<Emitted, CodegenError> {
-    let mut out = Vec::new();
-    let mut stats = EmitStats::default();
-    let mut ranges = Vec::with_capacity(cfg.blocks.len());
-    let paths = branch_paths(base, netlist);
-    for (i, block) in cfg.blocks.iter().enumerate() {
-        let start = out.len();
-        for stmt in &block.stmts {
-            probe.begin("statement");
-            let mark = binding.scratch_mark();
-            let r = compile_split(
-                stmt, selector, base, binding, netlist, manager, tables, width, &mut out,
-                &mut stats, 0,
-            );
-            probe.end("statement");
-            r?;
-            stats.statements += 1;
-            binding.release_scratch(mark)?;
-        }
-        match &block.term {
-            Terminator::Halt => {}
-            Terminator::Jump(t) => {
-                if *t != i + 1 {
-                    out.push(jump_op(require_paths(&paths)?, base, *t)?);
+/// Each compile brings what it mutates: the variable binding (scratch
+/// words are reserved from it) and the BDD manager execution conditions
+/// are conjoined in.
+#[derive(Debug, Clone, Copy)]
+pub struct Codegen<'a> {
+    /// The generated tree parser.
+    pub selector: &'a Selector,
+    /// The template base the selector's rules derive from.
+    pub base: &'a TemplateBase,
+    /// The elaborated processor model.
+    pub netlist: &'a Netlist,
+    /// The machine's emission tables.
+    pub tables: &'a EmitTables,
+}
+
+impl Codegen<'_> {
+    /// Compiles a control-flow graph.  Each block's statements compile in
+    /// order, with scratch space recycled between statements; then the
+    /// terminator becomes compare-and-branch / jump RTs against the
+    /// target's PC-writing templates.  A block whose terminator falls
+    /// through to the next block in layout order emits no transfer at
+    /// all, so a straight-line function needs no PC.
+    ///
+    /// A legalization plan states each repeated step once, as a run (a
+    /// shift-and-add multiply is one four-statement step run once per
+    /// bit): the step compiles once and its other passes copy the RTs it
+    /// emitted.  Every other statement is selected and emitted where it
+    /// stands.
+    ///
+    /// `probe` receives one `"statement"` span per source statement and
+    /// per branch; pass [`Probe::disabled`] when no trace is wanted.
+    ///
+    /// # Errors
+    ///
+    /// Selection failures, unbound variables and spill-path / storage
+    /// exhaustion, plus [`CodegenError::NoBranchPath`] when a terminator
+    /// needs a control transfer but the target has no PC (or no usable
+    /// jump / conditional-branch template).
+    pub fn compile<M: BddOps>(
+        &self,
+        cfg: &Cfg,
+        binding: &mut Binding,
+        manager: &mut M,
+        probe: &mut Probe<'_>,
+    ) -> Result<Emitted, CodegenError> {
+        let paths = branch_paths(self.base, self.netlist);
+        let mut gen = Gen::new(*self, binding, manager);
+        let mut ranges = Vec::with_capacity(cfg.blocks.len());
+        for (i, block) in cfg.blocks.iter().enumerate() {
+            let start = gen.out.len();
+            for stmt in &block.stmts {
+                gen.statement(probe, |gen| gen.split(stmt, 0))?;
+            }
+            match &block.term {
+                Terminator::Halt => {}
+                Terminator::Jump(t) => {
+                    if *t != i + 1 {
+                        let jump = jump_op(require_paths(&paths)?, self.base, *t)?;
+                        gen.out.push(jump);
+                    }
+                }
+                Terminator::Branch {
+                    cond,
+                    then_to,
+                    else_to,
+                } => {
+                    let p = require_paths(&paths)?;
+                    gen.statement(probe, |gen| gen.branch(cond, *then_to, *else_to, i + 1, p))?;
                 }
             }
-            Terminator::Branch {
-                cond,
-                then_to,
-                else_to,
-            } => {
-                let p = require_paths(&paths)?;
-                probe.begin("statement");
-                let mark = binding.scratch_mark();
-                let r = emit_branch(
-                    cond,
-                    *then_to,
-                    *else_to,
-                    i + 1,
-                    p,
-                    selector,
-                    base,
-                    binding,
-                    netlist,
-                    manager,
-                    tables,
-                    width,
-                    &mut out,
-                    &mut stats,
-                );
-                probe.end("statement");
-                r?;
-                stats.statements += 1;
-                binding.release_scratch(mark)?;
+            ranges.push(start..gen.out.len());
+        }
+        Ok(gen.finish(ranges))
+    }
+}
+
+/// The state one compile mutates: the binding, the BDD manager, the one
+/// output sequence every cover emits into, and the work counters.
+pub(crate) struct Gen<'a, M: BddOps> {
+    pub(crate) cg: Codegen<'a>,
+    pub(crate) binding: &'a mut Binding,
+    manager: &'a mut M,
+    /// Width of a data-memory word, in bits.
+    width: u16,
+    /// The RTs emitted so far, blocks in CFG order.
+    pub(crate) out: Vec<RtOp>,
+    stats: EmitStats,
+}
+
+impl<'a, M: BddOps> Gen<'a, M> {
+    pub(crate) fn new(cg: Codegen<'a>, binding: &'a mut Binding, manager: &'a mut M) -> Self {
+        let width = cg.netlist.storage(binding.data_mem()).width;
+        Gen {
+            cg,
+            binding,
+            manager,
+            width,
+            out: Vec::new(),
+            stats: EmitStats::default(),
+        }
+    }
+
+    pub(crate) fn finish(self, block_ranges: Vec<Range<usize>>) -> Emitted {
+        Emitted {
+            ops: self.out,
+            block_ranges,
+            stats: self.stats,
+        }
+    }
+
+    /// The values a data-memory word holds.
+    pub(crate) fn word_mask(&self) -> u64 {
+        if self.width >= 64 {
+            u64::MAX
+        } else {
+            (1 << self.width) - 1
+        }
+    }
+
+    /// Compiles one source statement or branch: `body` runs in a
+    /// `"statement"` span, the statement is counted, and the scratch words
+    /// it reserved are released.
+    pub(crate) fn statement(
+        &mut self,
+        probe: &mut Probe<'_>,
+        body: impl FnOnce(&mut Self) -> Result<(), CodegenError>,
+    ) -> Result<(), CodegenError> {
+        probe.begin("statement");
+        let mark = self.binding.scratch_mark();
+        let result = body(self);
+        probe.end("statement");
+        result?;
+        self.stats.statements += 1;
+        self.binding.release_scratch(mark)
+    }
+
+    /// Emits a two-way branch: the condition value is computed into a
+    /// scratch word, reloaded into the register the conditional template
+    /// tests, and a conditional PC-write (plus, when neither side falls
+    /// through, a jump) steers control.  Polarity is chosen so the
+    /// laid-out next block falls through where the repertoire allows.
+    fn branch(
+        &mut self,
+        cond: &FlatExpr,
+        then_to: usize,
+        else_to: usize,
+        next: usize,
+        paths: &BranchPaths,
+    ) -> Result<(), CodegenError> {
+        // brnz takes the `then` side (cond != 0), brz the `else` side.
+        let use_nz = if else_to == next && paths.brnz.is_some() {
+            true
+        } else if then_to == next && paths.brz.is_some() {
+            false
+        } else if paths.brnz.is_some() {
+            true
+        } else if paths.brz.is_some() {
+            false
+        } else {
+            return Err(CodegenError::NoBranchPath {
+                detail: "no conditional PC-write template testing a register against zero".into(),
+            });
+        };
+        let (tid, test_reg, taken_to, fall_to, eq) = if use_nz {
+            let (t, r) = paths.brnz.expect("chosen above");
+            (t, r, then_to, else_to, false)
+        } else {
+            let (t, r) = paths.brz.expect("chosen above");
+            (t, r, else_to, then_to, true)
+        };
+
+        // Condition value into a scratch word...
+        let tmp = self.binding.scratch()?;
+        let stmt = FlatStmt {
+            target: scratch_ref(tmp),
+            value: cond.clone(),
+        };
+        self.split(&stmt, 0)?;
+
+        // ...then into the tested register.  Frequently redundant (the
+        // store above usually leaves the value right there); the
+        // allocator's residency pass deletes the pair when so.
+        let base = self.cg.base;
+        let dm = self.binding.data_mem();
+        let expected = Loc::Reg(test_reg);
+        let reload_tid =
+            find_reload(base, test_reg, dm).ok_or_else(|| CodegenError::NoBranchPath {
+                detail: format!(
+                    "no reload into branch-test register `{}` from data memory",
+                    expected.render(self.cg.netlist)
+                ),
+            })?;
+        let mut rcond = base.template(reload_tid).cond;
+        if let Pattern::MemRead(_, a) = &base.template(reload_tid).src {
+            if let Pattern::Imm { hi, lo } = **a {
+                let bits = self.cg.tables.ibit_range(hi, lo);
+                let eqv = self.manager.vector_equals(bits, tmp);
+                rcond = self.manager.and(rcond, eqv);
             }
         }
-        ranges.push(start..out.len());
+        self.out.push(RtOp {
+            template: reload_tid,
+            dest: DestSim::Loc(expected.clone()),
+            expr: SimExpr::MemRead(dm, Box::new(SimExpr::Const(tmp))),
+            transfer: None,
+            cond: rcond,
+        });
+        self.stats.reloads += 1;
+
+        self.out.push(RtOp {
+            template: tid,
+            dest: DestSim::Loc(Loc::Reg(paths.pc)),
+            expr: SimExpr::Const(taken_to as u64),
+            transfer: Some(Transfer::Cond {
+                test: SimExpr::Read(expected),
+                value: 0,
+                eq,
+            }),
+            cond: base.template(tid).cond,
+        });
+        if fall_to != next {
+            self.out.push(jump_op(paths, base, fall_to)?);
+        }
+        Ok(())
     }
-    Ok(Emitted {
-        ops: out,
-        block_ranges: ranges,
-        stats,
-    })
+
+    /// Compiles one statement, splitting the expression tree through
+    /// scratch memory when no cover exists for the whole tree.
+    ///
+    /// Tree parsing alone cannot cover e.g. `(a+b) + (c+d)` on a single-
+    /// accumulator machine — one operand of every operator pattern must be
+    /// a storage or memory leaf.  The paper resolves this with "an
+    /// extension of the scheduling technique from [8]": computed subtrees
+    /// are evaluated first and stored to memory, then re-read as memory
+    /// operands.  Each hoist strictly reduces nesting, so the recursion
+    /// terminates; when a single-operator tree over leaves still has no
+    /// cover, [`Gen::legalize`] gets one speculative shot at rewriting the
+    /// statement into covered shapes (subtraction via two's complement,
+    /// multiplication via shift-and-add, constants via shifts) before the
+    /// selection error is accepted as final.
+    ///
+    /// `depth` counts the plans this statement is nested in, up to
+    /// [`MAX_LEGALIZE_DEPTH`].
+    fn split(&mut self, stmt: &FlatStmt, depth: usize) -> Result<(), CodegenError> {
+        let mut b = EtBuilder::new();
+        let value = self.tree(&stmt.value, &mut b)?;
+        let target = target_addr(self.binding, &stmt.target)?;
+        let addr = b.leaf(EtKind::Const(target));
+        let et = Et::store(self.binding.data_mem(), addr, value, b);
+        let Err(err) = self.cover(&et) else {
+            return Ok(());
+        };
+        // Hoist a nested computation into scratch memory and retry.
+        if let Some((hoisted, remainder)) = split_deepest(&stmt.value) {
+            self.stats.splits += 1;
+            let tmp = scratch_ref(self.binding.scratch()?);
+            let hoisted_stmt = FlatStmt {
+                target: tmp.clone(),
+                value: hoisted,
+            };
+            self.split(&hoisted_stmt, depth)?;
+            let remainder_stmt = FlatStmt {
+                target: stmt.target.clone(),
+                value: replace_marker(&remainder, &tmp),
+            };
+            return self.split(&remainder_stmt, depth);
+        }
+        // Unsplittable and uncovered: speculatively legalize.  On failure,
+        // roll back everything the attempt emitted or reserved and report
+        // the *original* selection error — legalization only ever converts
+        // failures into successes, never one failure class into another.
+        if depth >= MAX_LEGALIZE_DEPTH {
+            return Err(err);
+        }
+        let len0 = self.out.len();
+        let mark0 = self.binding.scratch_mark();
+        let Some(plan) = self.legalize(stmt) else {
+            return Err(err);
+        };
+        if self.plan(&plan, depth).is_err() {
+            self.out.truncate(len0);
+            self.binding.release_scratch(mark0)?;
+            return Err(err);
+        }
+        Ok(())
+    }
+
+    /// Compiles a legalization plan, a list of runs, nested in `depth`
+    /// plans.  Each run's body compiles once, each statement under its own
+    /// scratch mark, and its remaining passes are copies of the RTs that
+    /// pass emitted, with its split, spill-store and reload counts added
+    /// once per copy.
+    fn plan(&mut self, plan: &[Run], depth: usize) -> Result<(), CodegenError> {
+        for run in plan {
+            let Some(copies) = run.times.checked_sub(1) else {
+                continue;
+            };
+            let start = self.out.len();
+            let before = self.stats;
+            for sub in &run.body {
+                let mark = self.binding.scratch_mark();
+                self.split(sub, depth + 1)?;
+                self.binding.release_scratch(mark)?;
+            }
+            // Every pass over the body starts at the same scratch
+            // watermark with the same binding.  A cover's RTs depend only
+            // on the tree, the watermark and the target, and execution
+            // conditions are hash-consed in the session's BDD manager, so
+            // each pass would emit and count what the first did.
+            let end = self.out.len();
+            for _ in 0..copies {
+                self.out.extend_from_within(start..end);
+            }
+            let stats = &mut self.stats;
+            stats.splits += copies * (stats.splits - before.splits);
+            stats.spill_stores += copies * (stats.spill_stores - before.spill_stores);
+            stats.reloads += copies * (stats.reloads - before.reloads);
+        }
+        Ok(())
+    }
+
+    /// Rewrites an unsplittable, uncovered statement into a plan of runs
+    /// of statements the machine may be able to cover (the caller compiles
+    /// the plan speculatively and rolls back on failure):
+    ///
+    /// * `t = a - b` / `t = -a` — two's complement: `a + (!b + 1)`.
+    /// * `t = a * b` — shift-and-add over the word width, using scratch
+    ///   cells for the shifting operands, the running sum and the
+    ///   `-(b & 1)` mask (branch-free Horner form needing only `and`,
+    ///   `not`, `add ±const 1`, `shl`, `shr`): a four-statement prologue,
+    ///   one four-statement step run once per bit, and the copy into `t`.
+    /// * `t = c` — constant materialisation by shifting: `t <<= 1` run
+    ///   `width` times forces `t` to zero from any prior value, then the
+    ///   bits of `c` are rebuilt MSB-first with shift/increment steps.
+    /// * any remaining statement with an embedded constant — hoist one
+    ///   constant into a scratch cell (materialised by the rule above) so
+    ///   a memory-operand rule can cover the rest.
+    fn legalize(&mut self, stmt: &FlatStmt) -> Option<Vec<Run>> {
+        use record_rtl::OpKind as Op;
+        use FlatExpr as E;
+        let neg = |e: &E| {
+            E::Binary(
+                Op::Add,
+                Box::new(E::Unary(Op::Not, Box::new(e.clone()))),
+                Box::new(E::Const(1)),
+            )
+        };
+        let bits = self.width.min(64);
+        match &stmt.value {
+            E::Binary(Op::Sub, a, b) => Some(vec![Run::once(vec![FlatStmt {
+                target: stmt.target.clone(),
+                value: E::Binary(Op::Add, a.clone(), Box::new(neg(b))),
+            }])]),
+            E::Unary(Op::Neg, a) => Some(vec![Run::once(vec![FlatStmt {
+                target: stmt.target.clone(),
+                value: neg(a),
+            }])]),
+            E::Binary(Op::Mul, a, b) => {
+                let sa = scratch_ref(self.binding.scratch().ok()?);
+                let sb = scratch_ref(self.binding.scratch().ok()?);
+                let one = scratch_ref(self.binding.scratch().ok()?);
+                let mask = scratch_ref(self.binding.scratch().ok()?);
+                let res = scratch_ref(self.binding.scratch().ok()?);
+                let ld = |r: &Ref| E::Load(r.clone());
+                let prologue = vec![
+                    FlatStmt {
+                        target: sa.clone(),
+                        value: (**a).clone(),
+                    },
+                    FlatStmt {
+                        target: sb.clone(),
+                        value: (**b).clone(),
+                    },
+                    FlatStmt {
+                        target: one.clone(),
+                        value: E::Const(1),
+                    },
+                    FlatStmt {
+                        target: res.clone(),
+                        value: E::Const(0),
+                    },
+                ];
+                // mask = -(sb & 1); res += sa & mask; sa <<= 1; sb >>= 1.
+                let step = vec![
+                    FlatStmt {
+                        target: mask.clone(),
+                        value: neg(&E::Binary(Op::And, Box::new(ld(&sb)), Box::new(ld(&one)))),
+                    },
+                    FlatStmt {
+                        target: res.clone(),
+                        value: E::Binary(
+                            Op::Add,
+                            Box::new(ld(&res)),
+                            Box::new(E::Binary(Op::And, Box::new(ld(&sa)), Box::new(ld(&mask)))),
+                        ),
+                    },
+                    FlatStmt {
+                        target: sa.clone(),
+                        value: E::Binary(Op::Shl, Box::new(ld(&sa)), Box::new(E::Const(1))),
+                    },
+                    FlatStmt {
+                        target: sb.clone(),
+                        value: E::Binary(Op::Shr, Box::new(ld(&sb)), Box::new(E::Const(1))),
+                    },
+                ];
+                let result = vec![FlatStmt {
+                    target: stmt.target.clone(),
+                    value: ld(&res),
+                }];
+                Some(vec![
+                    Run::once(prologue),
+                    Run {
+                        body: step,
+                        times: u64::from(bits),
+                    },
+                    Run::once(result),
+                ])
+            }
+            E::Const(c) => {
+                let c = (*c as u64) & self.word_mask();
+                let shl1 = |t: &Ref| FlatStmt {
+                    target: t.clone(),
+                    value: E::Binary(Op::Shl, Box::new(E::Load(t.clone())), Box::new(E::Const(1))),
+                };
+                // `width` left shifts clear the target from any prior value
+                // (no load-immediate path needed), then shift/increment
+                // rebuilds `c` MSB-first.
+                let mut rebuild = Vec::new();
+                for i in (0..u64::from(bits)).rev().take_while(|_| c != 0) {
+                    if i < 63 && c >> (i + 1) != 0 {
+                        rebuild.push(shl1(&stmt.target));
+                    }
+                    if (c >> i) & 1 == 1 {
+                        rebuild.push(FlatStmt {
+                            target: stmt.target.clone(),
+                            value: E::Binary(
+                                Op::Add,
+                                Box::new(E::Load(stmt.target.clone())),
+                                Box::new(E::Const(1)),
+                            ),
+                        });
+                    }
+                }
+                Some(vec![
+                    Run {
+                        body: vec![shl1(&stmt.target)],
+                        times: u64::from(bits),
+                    },
+                    Run::once(rebuild),
+                ])
+            }
+            value => {
+                // Hoist one embedded constant into a scratch cell; the
+                // recursion materialises it and retries with a memory
+                // operand.
+                let (hoisted, c) = hoist_first_const(value)?;
+                let tmp = scratch_ref(self.binding.scratch().ok()?);
+                Some(vec![Run::once(vec![
+                    FlatStmt {
+                        target: tmp.clone(),
+                        value: E::Const(c),
+                    },
+                    FlatStmt {
+                        target: stmt.target.clone(),
+                        value: replace_marker(&hoisted, &tmp),
+                    },
+                ])])
+            }
+        }
+    }
+
+    /// Builds an ET value from a flat expression, resolving `$scratch`
+    /// names to raw addresses.
+    fn tree(&self, e: &FlatExpr, b: &mut EtBuilder) -> Result<NodeIdx, CodegenError> {
+        Ok(match e {
+            FlatExpr::Const(c) => b.leaf(EtKind::Const((*c as u64) & self.word_mask())),
+            FlatExpr::Load(r) if r.name.starts_with("$scratch") => {
+                let a = b.leaf(EtKind::Const(r.offset));
+                b.node(EtKind::MemRead(self.binding.data_mem()), &[a])
+            }
+            FlatExpr::Load(r) => {
+                let addr = self.binding.addr_of(r)?;
+                let a = b.leaf(EtKind::Const(addr));
+                b.node(EtKind::MemRead(self.binding.storage_of(r)), &[a])
+            }
+            FlatExpr::Unary(op, a) => {
+                let an = self.tree(a, b)?;
+                b.node(EtKind::Op(*op), &[an])
+            }
+            FlatExpr::Binary(op, l, r) => {
+                let ln = self.tree(l, b)?;
+                let rn = self.tree(r, b)?;
+                b.node(EtKind::Op(*op), &[ln, rn])
+            }
+        })
+    }
+
+    /// Selects a cover for `et` and emits it into the output.  A cover
+    /// whose emission fails leaves no RT behind: the output is truncated
+    /// back to where the cover began.  Scratch words it reserved stay
+    /// reserved until the statement's mark is released.
+    ///
+    /// # Errors
+    ///
+    /// See [`Codegen::compile`].
+    pub(crate) fn cover(&mut self, et: &Et) -> Result<(), CodegenError> {
+        let t0 = Instant::now();
+        let selected = self.cg.selector.select(et);
+        self.stats.select_ns += t0.elapsed().as_nanos() as u64;
+        let cover = selected.map_err(|e| CodegenError::Select {
+            missing_op: e.missing_op,
+            message: e.to_string(),
+        })?;
+        self.stats.select.absorb(&cover.stats);
+        let start = self.out.len();
+        let emitted = Emitter::new(self, et, &cover).run();
+        if emitted.is_err() {
+            self.out.truncate(start);
+        }
+        emitted
+    }
 }
 
 /// The target's control-transfer repertoire: its PC storage and the
+/// extracted templates that write it.
 /// extracted templates that write it.
 struct BranchPaths {
     pc: StorageId,
@@ -237,105 +668,6 @@ fn jump_op(paths: &BranchPaths, base: &TemplateBase, target: usize) -> Result<Rt
     })
 }
 
-/// Emits a two-way branch: the condition value is computed into a scratch
-/// word, reloaded into the register the conditional template tests, and a
-/// conditional PC-write (plus, when neither side falls through, a jump)
-/// steers control.  Polarity is chosen so the laid-out next block falls
-/// through where the repertoire allows.
-#[allow(clippy::too_many_arguments)]
-fn emit_branch<M: BddOps>(
-    cond: &FlatExpr,
-    then_to: usize,
-    else_to: usize,
-    next: usize,
-    paths: &BranchPaths,
-    selector: &Selector,
-    base: &TemplateBase,
-    binding: &mut Binding,
-    netlist: &Netlist,
-    manager: &mut M,
-    tables: &EmitTables,
-    width: u16,
-    out: &mut Vec<RtOp>,
-    stats: &mut EmitStats,
-) -> Result<(), CodegenError> {
-    // brnz takes the `then` side (cond != 0), brz the `else` side.
-    let use_nz = if else_to == next && paths.brnz.is_some() {
-        true
-    } else if then_to == next && paths.brz.is_some() {
-        false
-    } else if paths.brnz.is_some() {
-        true
-    } else if paths.brz.is_some() {
-        false
-    } else {
-        return Err(CodegenError::NoBranchPath {
-            detail: "no conditional PC-write template testing a register against zero".into(),
-        });
-    };
-    let (tid, test_reg, taken_to, fall_to, eq) = if use_nz {
-        let (t, r) = paths.brnz.expect("chosen above");
-        (t, r, then_to, else_to, false)
-    } else {
-        let (t, r) = paths.brz.expect("chosen above");
-        (t, r, else_to, then_to, true)
-    };
-
-    // Condition value into a scratch word...
-    let tmp = binding.scratch()?;
-    let stmt = FlatStmt {
-        target: scratch_ref(tmp),
-        value: cond.clone(),
-    };
-    compile_split(
-        &stmt, selector, base, binding, netlist, manager, tables, width, out, stats, 0,
-    )?;
-
-    // ...then into the tested register.  Frequently redundant (the store
-    // above usually leaves the value right there); the allocator's
-    // residency pass deletes the pair when so.
-    let dm = binding.data_mem();
-    let expected = Loc::Reg(test_reg);
-    let reload_tid = find_reload(base, test_reg, dm).ok_or_else(|| CodegenError::NoBranchPath {
-        detail: format!(
-            "no reload into branch-test register `{}` from data memory",
-            expected.render(netlist)
-        ),
-    })?;
-    let mut rcond = base.template(reload_tid).cond;
-    if let Pattern::MemRead(_, a) = &base.template(reload_tid).src {
-        if let Pattern::Imm { hi, lo } = **a {
-            let bits = tables.ibit_range(hi, lo);
-            let eqv = manager.vector_equals(bits, tmp);
-            rcond = manager.and(rcond, eqv);
-        }
-    }
-    out.push(RtOp {
-        template: reload_tid,
-        dest: DestSim::Loc(expected.clone()),
-        expr: SimExpr::MemRead(dm, Box::new(SimExpr::Const(tmp))),
-        transfer: None,
-        cond: rcond,
-    });
-    stats.reloads += 1;
-
-    out.push(RtOp {
-        template: tid,
-        dest: DestSim::Loc(Loc::Reg(paths.pc)),
-        expr: SimExpr::Const(taken_to as u64),
-        transfer: Some(Transfer::Cond {
-            test: SimExpr::Read(expected),
-            value: 0,
-            eq,
-        }),
-        cond: base.template(tid).cond,
-    });
-    if fall_to != next {
-        out.push(jump_op(paths, base, fall_to)?);
-    }
-    Ok(())
-}
-
 /// Finds an unpredicated `reg := dm[#imm]`: the reload path of both
 /// branch steering and spilling.  Each caller raises its own error when
 /// there is none.
@@ -360,153 +692,9 @@ fn find_reload(base: &TemplateBase, reg: StorageId, dm: StorageId) -> Option<Tem
 /// re-deriving the same shapes forever.
 const MAX_LEGALIZE_DEPTH: usize = 4;
 
-/// Compiles one statement, splitting the expression tree through scratch
-/// memory when no cover exists for the whole tree.
-///
-/// Tree parsing alone cannot cover e.g. `(a+b) + (c+d)` on a single-
-/// accumulator machine — one operand of every operator pattern must be a
-/// storage or memory leaf.  The paper resolves this with "an extension of
-/// the scheduling technique from [8]": computed subtrees are evaluated
-/// first and stored to memory, then re-read as memory operands.  Each
-/// hoist strictly reduces nesting, so the recursion terminates; when a
-/// single-operator tree over leaves still has no cover, [`legalize`]
-/// gets one speculative shot at rewriting the statement into covered
-/// shapes (subtraction via two's complement, multiplication via
-/// shift-and-add, constants via shifts) before the selection error is
-/// accepted as final.
-///
-/// A plan is a list of runs.  Each run's body compiles once, each
-/// statement under its own scratch mark, and its remaining passes are
-/// copies of the RTs that pass emitted, with its split, spill-store and
-/// reload counts added once per copy.  `depth` counts the plans this
-/// statement is nested in, up to [`MAX_LEGALIZE_DEPTH`].
-#[allow(clippy::too_many_arguments)]
-fn compile_split<M: BddOps>(
-    stmt: &FlatStmt,
-    selector: &Selector,
-    base: &TemplateBase,
-    binding: &mut Binding,
-    netlist: &Netlist,
-    manager: &mut M,
-    tables: &EmitTables,
-    width: u16,
-    out: &mut Vec<RtOp>,
-    stats: &mut EmitStats,
-    depth: usize,
-) -> Result<(), CodegenError> {
-    let mut b = record_grammar::EtBuilder::new();
-    let value = build_flat(&stmt.value, binding, width, &mut b)?;
-    let target = target_addr(binding, &stmt.target)?;
-    let addr = b.leaf(record_grammar::EtKind::Const(target));
-    let et = record_grammar::Et::store(binding.data_mem(), addr, value, b);
-    let emitted = compile_statement(
-        &et, selector, base, binding, netlist, manager, tables, stats,
-    )
-    .map(|ops| out.extend(ops));
-    let Err(err) = emitted else {
-        return Ok(());
-    };
-    // Hoist a nested computation into scratch memory and retry.
-    if let Some((hoisted, remainder)) = split_deepest(&stmt.value) {
-        stats.splits += 1;
-        let tmp = binding.scratch()?;
-        let hoisted_stmt = FlatStmt {
-            target: scratch_ref(tmp),
-            value: hoisted,
-        };
-        compile_split(
-            &hoisted_stmt,
-            selector,
-            base,
-            binding,
-            netlist,
-            manager,
-            tables,
-            width,
-            out,
-            stats,
-            depth,
-        )?;
-        let remainder_stmt = FlatStmt {
-            target: stmt.target.clone(),
-            value: replace_marker(&remainder, tmp),
-        };
-        return compile_split(
-            &remainder_stmt,
-            selector,
-            base,
-            binding,
-            netlist,
-            manager,
-            tables,
-            width,
-            out,
-            stats,
-            depth,
-        );
-    }
-    // Unsplittable and uncovered: speculatively legalize.  On failure,
-    // roll back everything the attempt emitted or reserved and report
-    // the *original* selection error — legalization only ever converts
-    // failures into successes, never one failure class into another.
-    if depth >= MAX_LEGALIZE_DEPTH {
-        return Err(err);
-    }
-    let len0 = out.len();
-    let mark0 = binding.scratch_mark();
-    let Some(plan) = legalize(stmt, binding, width) else {
-        return Err(err);
-    };
-    let mut compile_plan = || -> Result<(), CodegenError> {
-        for run in &plan {
-            let Some(copies) = run.times.checked_sub(1) else {
-                continue;
-            };
-            let start = out.len();
-            let before = *stats;
-            for sub in &run.body {
-                let mark = binding.scratch_mark();
-                compile_split(
-                    sub,
-                    selector,
-                    base,
-                    binding,
-                    netlist,
-                    manager,
-                    tables,
-                    width,
-                    out,
-                    stats,
-                    depth + 1,
-                )?;
-                binding.release_scratch(mark)?;
-            }
-            // Every pass over the body starts at the same scratch
-            // watermark with the same binding.  A cover's RTs depend only
-            // on the tree, the watermark and the target, and execution
-            // conditions are hash-consed in the session's BDD manager, so
-            // each pass would emit and count what the first did.
-            let end = out.len();
-            for _ in 0..copies {
-                out.extend_from_within(start..end);
-            }
-            stats.splits += copies * (stats.splits - before.splits);
-            stats.spill_stores += copies * (stats.spill_stores - before.spill_stores);
-            stats.reloads += copies * (stats.reloads - before.reloads);
-        }
-        Ok(())
-    };
-    if compile_plan().is_err() {
-        out.truncate(len0);
-        binding.release_scratch(mark0)?;
-        return Err(err);
-    }
-    Ok(())
-}
-
 /// Store address of a statement target: named variables resolve through
 /// the binding, `$scratch` temporaries carry their address directly.
-fn target_addr(binding: &Binding, r: &record_ir::Ref) -> Result<u64, CodegenError> {
+fn target_addr(binding: &Binding, r: &Ref) -> Result<u64, CodegenError> {
     if r.name.starts_with("$scratch") {
         Ok(r.offset)
     } else {
@@ -515,8 +703,8 @@ fn target_addr(binding: &Binding, r: &record_ir::Ref) -> Result<u64, CodegenErro
 }
 
 /// A reference naming scratch word `addr`.
-fn scratch_ref(addr: u64) -> record_ir::Ref {
-    record_ir::Ref {
+fn scratch_ref(addr: u64) -> Ref {
+    Ref {
         name: format!("$scratch{addr}"),
         offset: addr,
     }
@@ -535,157 +723,29 @@ impl Run {
     }
 }
 
-/// Rewrites an unsplittable, uncovered statement into a plan of runs of
-/// statements the machine may be able to cover (the caller compiles the
-/// plan speculatively and rolls back on failure):
-///
-/// * `t = a - b` / `t = -a` — two's complement: `a + (!b + 1)`.
-/// * `t = a * b` — shift-and-add over the word width, using scratch
-///   cells for the shifting operands, the running sum and the `-(b & 1)`
-///   mask (branch-free Horner form needing only `and`, `not`,
-///   `add ±const 1`, `shl`, `shr`): a four-statement prologue, one
-///   four-statement step run once per bit, and the copy into `t`.
-/// * `t = c` — constant materialisation by shifting: `t <<= 1` run
-///   `width` times forces `t` to zero from any prior value, then the
-///   bits of `c` are rebuilt MSB-first with shift/increment steps.
-/// * any remaining statement with an embedded constant — hoist one
-///   constant into a scratch cell (materialised by the rule above) so a
-///   memory-operand rule can cover the rest.
-fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Run>> {
-    use record_ir::FlatExpr as E;
-    use record_rtl::OpKind as Op;
-    let neg = |e: &E| {
-        E::Binary(
-            Op::Add,
-            Box::new(E::Unary(Op::Not, Box::new(e.clone()))),
-            Box::new(E::Const(1)),
-        )
-    };
-    match &stmt.value {
-        E::Binary(Op::Sub, a, b) => Some(vec![Run::once(vec![FlatStmt {
-            target: stmt.target.clone(),
-            value: E::Binary(Op::Add, a.clone(), Box::new(neg(b))),
-        }])]),
-        E::Unary(Op::Neg, a) => Some(vec![Run::once(vec![FlatStmt {
-            target: stmt.target.clone(),
-            value: neg(a),
-        }])]),
-        E::Binary(Op::Mul, a, b) => {
-            let sa = scratch_ref(binding.scratch().ok()?);
-            let sb = scratch_ref(binding.scratch().ok()?);
-            let one = scratch_ref(binding.scratch().ok()?);
-            let mask = scratch_ref(binding.scratch().ok()?);
-            let res = scratch_ref(binding.scratch().ok()?);
-            let ld = |r: &record_ir::Ref| E::Load(r.clone());
-            let prologue = vec![
-                FlatStmt {
-                    target: sa.clone(),
-                    value: (**a).clone(),
-                },
-                FlatStmt {
-                    target: sb.clone(),
-                    value: (**b).clone(),
-                },
-                FlatStmt {
-                    target: one.clone(),
-                    value: E::Const(1),
-                },
-                FlatStmt {
-                    target: res.clone(),
-                    value: E::Const(0),
-                },
-            ];
-            // mask = -(sb & 1); res += sa & mask; sa <<= 1; sb >>= 1.
-            let step = vec![
-                FlatStmt {
-                    target: mask.clone(),
-                    value: neg(&E::Binary(Op::And, Box::new(ld(&sb)), Box::new(ld(&one)))),
-                },
-                FlatStmt {
-                    target: res.clone(),
-                    value: E::Binary(
-                        Op::Add,
-                        Box::new(ld(&res)),
-                        Box::new(E::Binary(Op::And, Box::new(ld(&sa)), Box::new(ld(&mask)))),
-                    ),
-                },
-                FlatStmt {
-                    target: sa.clone(),
-                    value: E::Binary(Op::Shl, Box::new(ld(&sa)), Box::new(E::Const(1))),
-                },
-                FlatStmt {
-                    target: sb.clone(),
-                    value: E::Binary(Op::Shr, Box::new(ld(&sb)), Box::new(E::Const(1))),
-                },
-            ];
-            let result = vec![FlatStmt {
-                target: stmt.target.clone(),
-                value: ld(&res),
-            }];
-            Some(vec![
-                Run::once(prologue),
-                Run {
-                    body: step,
-                    times: u64::from(width.min(64)),
-                },
-                Run::once(result),
-            ])
-        }
-        E::Const(c) => {
-            let bits = width.min(64);
-            let mask = if bits >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-            let c = (*c as u64) & mask;
-            let shl1 = |t: &record_ir::Ref| FlatStmt {
-                target: t.clone(),
-                value: E::Binary(Op::Shl, Box::new(E::Load(t.clone())), Box::new(E::Const(1))),
-            };
-            // `width` left shifts clear the target from any prior value
-            // (no load-immediate path needed), then shift/increment
-            // rebuilds `c` MSB-first.
-            let mut rebuild = Vec::new();
-            for i in (0..u64::from(bits)).rev().take_while(|_| c != 0) {
-                if i < 63 && c >> (i + 1) != 0 {
-                    rebuild.push(shl1(&stmt.target));
-                }
-                if (c >> i) & 1 == 1 {
-                    rebuild.push(FlatStmt {
-                        target: stmt.target.clone(),
-                        value: E::Binary(
-                            Op::Add,
-                            Box::new(E::Load(stmt.target.clone())),
-                            Box::new(E::Const(1)),
-                        ),
-                    });
-                }
-            }
-            Some(vec![
-                Run {
-                    body: vec![shl1(&stmt.target)],
-                    times: u64::from(bits),
-                },
-                Run::once(rebuild),
-            ])
-        }
-        value => {
-            // Hoist one embedded constant into a scratch cell; the
-            // recursion materialises it and retries with a memory operand.
-            let (hoisted, c) = hoist_first_const(value)?;
-            let tmp = scratch_ref(binding.scratch().ok()?);
-            Some(vec![Run::once(vec![
-                FlatStmt {
-                    target: tmp.clone(),
-                    value: E::Const(c),
-                },
-                FlatStmt {
-                    target: stmt.target.clone(),
-                    value: replace_const_marker(&hoisted, &tmp),
-                },
-            ])])
-        }
+/// Marker name used while splitting; replaced by a scratch-address load.
+const SPLIT_MARKER: &str = "$split";
+
+/// A load of the split marker, standing for a value hoisted out of an
+/// expression until [`replace_marker`] names the scratch word holding it.
+fn split_marker() -> FlatExpr {
+    FlatExpr::Load(Ref {
+        name: SPLIT_MARKER.to_owned(),
+        offset: 0,
+    })
+}
+
+/// Replaces the split marker with a load of `tmp`.
+fn replace_marker(e: &FlatExpr, tmp: &Ref) -> FlatExpr {
+    match e {
+        FlatExpr::Load(r) if r.name == SPLIT_MARKER => FlatExpr::Load(tmp.clone()),
+        FlatExpr::Unary(op, a) => FlatExpr::Unary(*op, Box::new(replace_marker(a, tmp))),
+        FlatExpr::Binary(op, l, r) => FlatExpr::Binary(
+            *op,
+            Box::new(replace_marker(l, tmp)),
+            Box::new(replace_marker(r, tmp)),
+        ),
+        other => other.clone(),
     }
 }
 
@@ -693,28 +753,22 @@ fn legalize(stmt: &FlatStmt, binding: &mut Binding, width: u16) -> Option<Vec<Ru
 /// expression with the split marker; returns the rewritten expression and
 /// the constant.  `None` when the expression has no constant leaf to
 /// hoist (then legalization has nothing left to try).
-fn hoist_first_const(e: &record_ir::FlatExpr) -> Option<(record_ir::FlatExpr, i64)> {
-    use record_ir::FlatExpr as E;
-    let marker = || {
-        E::Load(record_ir::Ref {
-            name: SPLIT_MARKER.to_owned(),
-            offset: 0,
-        })
-    };
+fn hoist_first_const(e: &FlatExpr) -> Option<(FlatExpr, i64)> {
+    use FlatExpr as E;
     match e {
         E::Unary(op, a) => {
             if let E::Const(c) = **a {
-                return Some((E::Unary(*op, Box::new(marker())), c));
+                return Some((E::Unary(*op, Box::new(split_marker())), c));
             }
             let (ra, c) = hoist_first_const(a)?;
             Some((E::Unary(*op, Box::new(ra)), c))
         }
         E::Binary(op, l, r) => {
             if let E::Const(c) = **l {
-                return Some((E::Binary(*op, Box::new(marker()), r.clone()), c));
+                return Some((E::Binary(*op, Box::new(split_marker()), r.clone()), c));
             }
             if let E::Const(c) = **r {
-                return Some((E::Binary(*op, l.clone(), Box::new(marker())), c));
+                return Some((E::Binary(*op, l.clone(), Box::new(split_marker())), c));
             }
             if let Some((rl, c)) = hoist_first_const(l) {
                 return Some((E::Binary(*op, Box::new(rl), r.clone()), c));
@@ -726,164 +780,45 @@ fn hoist_first_const(e: &record_ir::FlatExpr) -> Option<(record_ir::FlatExpr, i6
     }
 }
 
-/// Replaces the split marker with a load of `tmp`.
-fn replace_const_marker(e: &record_ir::FlatExpr, tmp: &record_ir::Ref) -> record_ir::FlatExpr {
-    use record_ir::FlatExpr as E;
-    match e {
-        E::Load(r) if r.name == SPLIT_MARKER => E::Load(tmp.clone()),
-        E::Unary(op, a) => E::Unary(*op, Box::new(replace_const_marker(a, tmp))),
-        E::Binary(op, l, r) => E::Binary(
-            *op,
-            Box::new(replace_const_marker(l, tmp)),
-            Box::new(replace_const_marker(r, tmp)),
-        ),
-        other => other.clone(),
-    }
-}
-
-/// Marker name used while splitting; replaced by a scratch-address load.
-const SPLIT_MARKER: &str = "$split";
-
 /// Splits off the deepest-leftmost computed subtree that has a computed
 /// parent; returns `(hoisted, remainder-with-marker)`.
-fn split_deepest(e: &record_ir::FlatExpr) -> Option<(record_ir::FlatExpr, record_ir::FlatExpr)> {
-    use record_ir::FlatExpr;
+fn split_deepest(e: &FlatExpr) -> Option<(FlatExpr, FlatExpr)> {
     fn is_computed(e: &FlatExpr) -> bool {
         matches!(e, FlatExpr::Unary(..) | FlatExpr::Binary(..))
     }
-    fn rec(e: &FlatExpr) -> Option<(FlatExpr, FlatExpr)> {
-        match e {
-            FlatExpr::Binary(op, l, r) => {
-                if let Some((h, rem)) = rec(l) {
-                    return Some((h, FlatExpr::Binary(*op, Box::new(rem), r.clone())));
-                }
-                if let Some((h, rem)) = rec(r) {
-                    return Some((h, FlatExpr::Binary(*op, l.clone(), Box::new(rem))));
-                }
-                // No nested splits below: hoist a computed child, if any.
-                for (child, left) in [(l, true), (r, false)] {
-                    if is_computed(child) {
-                        let marker = FlatExpr::Load(record_ir::Ref {
-                            name: SPLIT_MARKER.to_owned(),
-                            offset: 0,
-                        });
-                        let rem = if left {
-                            FlatExpr::Binary(*op, Box::new(marker), r.clone())
-                        } else {
-                            FlatExpr::Binary(*op, l.clone(), Box::new(marker))
-                        };
-                        return Some(((**child).clone(), rem));
-                    }
-                }
-                None
-            }
-            FlatExpr::Unary(op, a) => {
-                if let Some((h, rem)) = rec(a) {
-                    return Some((h, FlatExpr::Unary(*op, Box::new(rem))));
-                }
-                if is_computed(a) {
-                    let marker = FlatExpr::Load(record_ir::Ref {
-                        name: SPLIT_MARKER.to_owned(),
-                        offset: 0,
-                    });
-                    return Some(((**a).clone(), FlatExpr::Unary(*op, Box::new(marker))));
-                }
-                None
-            }
-            _ => None,
-        }
-    }
-    rec(e)
-}
-
-/// Replaces the split marker with a load of the scratch address.
-fn replace_marker(e: &record_ir::FlatExpr, tmp: u64) -> record_ir::FlatExpr {
-    use record_ir::FlatExpr;
     match e {
-        FlatExpr::Load(r) if r.name == SPLIT_MARKER => FlatExpr::Load(record_ir::Ref {
-            name: format!("$scratch{tmp}"),
-            offset: tmp,
-        }),
-        FlatExpr::Unary(op, a) => FlatExpr::Unary(*op, Box::new(replace_marker(a, tmp))),
-        FlatExpr::Binary(op, l, r) => FlatExpr::Binary(
-            *op,
-            Box::new(replace_marker(l, tmp)),
-            Box::new(replace_marker(r, tmp)),
-        ),
-        other => other.clone(),
-    }
-}
-
-/// Builds an ET value from a flat expression, resolving `$scratch` names
-/// to raw addresses.
-fn build_flat(
-    e: &record_ir::FlatExpr,
-    binding: &Binding,
-    width: u16,
-    b: &mut record_grammar::EtBuilder,
-) -> Result<record_grammar::NodeIdx, CodegenError> {
-    use record_grammar::EtKind;
-    use record_ir::FlatExpr;
-    let mask = if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    Ok(match e {
-        FlatExpr::Const(c) => b.leaf(EtKind::Const((*c as u64) & mask)),
-        FlatExpr::Load(r) if r.name.starts_with("$scratch") => {
-            let a = b.leaf(EtKind::Const(r.offset));
-            b.node(EtKind::MemRead(binding.data_mem()), &[a])
-        }
-        FlatExpr::Load(r) => {
-            let addr = binding.addr_of(r)?;
-            let a = b.leaf(EtKind::Const(addr));
-            b.node(EtKind::MemRead(binding.storage_of(r)), &[a])
+        FlatExpr::Binary(op, l, r) => {
+            if let Some((h, rem)) = split_deepest(l) {
+                return Some((h, FlatExpr::Binary(*op, Box::new(rem), r.clone())));
+            }
+            if let Some((h, rem)) = split_deepest(r) {
+                return Some((h, FlatExpr::Binary(*op, l.clone(), Box::new(rem))));
+            }
+            // No nested splits below: hoist a computed child, if any.
+            if is_computed(l) {
+                let rem = FlatExpr::Binary(*op, Box::new(split_marker()), r.clone());
+                return Some(((**l).clone(), rem));
+            }
+            if is_computed(r) {
+                let rem = FlatExpr::Binary(*op, l.clone(), Box::new(split_marker()));
+                return Some(((**r).clone(), rem));
+            }
+            None
         }
         FlatExpr::Unary(op, a) => {
-            let an = build_flat(a, binding, width, b)?;
-            b.node(EtKind::Op(*op), &[an])
+            if let Some((h, rem)) = split_deepest(a) {
+                return Some((h, FlatExpr::Unary(*op, Box::new(rem))));
+            }
+            if is_computed(a) {
+                return Some((
+                    (**a).clone(),
+                    FlatExpr::Unary(*op, Box::new(split_marker())),
+                ));
+            }
+            None
         }
-        FlatExpr::Binary(op, l, r) => {
-            let ln = build_flat(l, binding, width, b)?;
-            let rn = build_flat(r, binding, width, b)?;
-            b.node(EtKind::Op(*op), &[ln, rn])
-        }
-    })
-}
-
-/// Selects and emits a single expression tree, accumulating work
-/// counters into `stats`.
-///
-/// # Errors
-///
-/// See [`compile`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compile_statement<M: BddOps>(
-    et: &Et,
-    selector: &Selector,
-    base: &TemplateBase,
-    binding: &mut Binding,
-    netlist: &Netlist,
-    manager: &mut M,
-    tables: &EmitTables,
-    stats: &mut EmitStats,
-) -> Result<Vec<RtOp>, CodegenError> {
-    let t0 = Instant::now();
-    let selected = selector.select(et);
-    stats.select_ns += t0.elapsed().as_nanos() as u64;
-    let cover = selected.map_err(|e| CodegenError::Select {
-        missing_op: e.missing_op,
-        message: e.to_string(),
-    })?;
-    stats.select.absorb(&cover.stats);
-    let mut emitter = Emitter::new(
-        et, &cover, selector, base, binding, netlist, manager, tables,
-    );
-    let result = emitter.run();
-    stats.spill_stores += emitter.spill_stores;
-    stats.reloads += emitter.reloads;
-    result
+        _ => None,
+    }
 }
 
 /// Instruction fields encoding register-file cell choices.
@@ -1028,19 +963,18 @@ fn remove<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: &K) -> Option<V> {
     Some(list.swap_remove(i).1)
 }
 
-/// Emits one cover.  It borrows the cover's applications and the
-/// grammar's rules, and keeps its per-cover tables as association lists
-/// searched in place: a cover holds a handful of values, too few to repay
-/// building and hashing into a map.
-struct Emitter<'a, M: BddOps> {
-    et: &'a Et,
-    cover: &'a Cover,
+/// Emits one cover into the compile's output.  It borrows the compile's
+/// [`Gen`], the cover's applications and the grammar's rules, and keeps
+/// its per-cover tables as association lists searched in place: a cover
+/// holds a handful of values, too few to repay building and hashing into
+/// a map.
+struct Emitter<'e, 'a, M: BddOps> {
+    gen: &'e mut Gen<'a, M>,
+    et: &'e Et,
+    cover: &'e Cover,
     grammar: &'a TreeGrammar,
-    base: &'a TemplateBase,
-    binding: &'a mut Binding,
-    netlist: &'a Netlist,
-    manager: &'a mut M,
-    tables: &'a EmitTables,
+    /// Length of the output when the cover began.
+    start: usize,
     /// Field constraints (hi, lo, value) collected for the op being built.
     field_constraints: Vec<(u16, u16, u64)>,
     /// Current location of produced, not-yet-consumed values.
@@ -1051,49 +985,32 @@ struct Emitter<'a, M: BddOps> {
     rf_free: RfFree,
     /// Cells we allocated (to distinguish temp cells from variable cells).
     rf_temp: Vec<(Value, (StorageId, u64))>,
-    out: Vec<RtOp>,
-    /// Spill stores emitted (reported through [`EmitStats`]).
-    spill_stores: u64,
-    /// Reloads emitted (reported through [`EmitStats`]).
-    reloads: u64,
 }
 
-impl<'a, M: BddOps> Emitter<'a, M> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        et: &'a Et,
-        cover: &'a Cover,
-        selector: &'a Selector,
-        base: &'a TemplateBase,
-        binding: &'a mut Binding,
-        netlist: &'a Netlist,
-        manager: &'a mut M,
-        tables: &'a EmitTables,
-    ) -> Self {
+impl<'e, 'a, M: BddOps> Emitter<'e, 'a, M> {
+    fn new(gen: &'e mut Gen<'a, M>, et: &'e Et, cover: &'e Cover) -> Self {
         Emitter {
+            grammar: gen.cg.selector.grammar(),
+            start: gen.out.len(),
+            gen,
             et,
             cover,
-            grammar: selector.grammar(),
-            base,
-            binding,
-            netlist,
-            manager,
-            tables,
             field_constraints: Vec::new(),
             value_loc: Vec::new(),
             holder: Vec::new(),
             rf_free: RfFree::default(),
             rf_temp: Vec::new(),
-            out: Vec::new(),
-            spill_stores: 0,
-            reloads: 0,
         }
     }
 
-    fn run(&mut self) -> Result<Vec<RtOp>, CodegenError> {
+    fn run(mut self) -> Result<(), CodegenError> {
         let root = self.cover.apps.len() - 1;
-        self.emit_app(root)?;
-        Ok(std::mem::take(&mut self.out))
+        self.emit_app(root)
+    }
+
+    /// How many RTs this cover has emitted.
+    fn at_op(&self) -> usize {
+        self.gen.out.len() - self.start
     }
 
     /// Index of the application producing `v` (the last, if several do).
@@ -1102,7 +1019,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
     }
 
     fn emit_app(&mut self, idx: usize) -> Result<(), CodegenError> {
-        let app: &'a RuleApp = &self.cover.apps[idx];
+        let app: &'e RuleApp = &self.cover.apps[idx];
         let rule: &'a Rule = self.grammar.rule(app.rule);
         match rule.origin {
             RuleOrigin::Stop(_) => {
@@ -1129,7 +1046,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
 
     fn emit_template(
         &mut self,
-        app: &'a RuleApp,
+        app: &'e RuleApp,
         rule: &'a Rule,
         tid: TemplateId,
     ) -> Result<(), CodegenError> {
@@ -1185,12 +1102,12 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         //    execution condition (the binary *partial instruction* of the
         //    paper includes operand fields; compaction relies on it).
         if let Some(Loc::Rf(s, c)) = &produced {
-            if let Some(f) = self.tables.rf.get(s).and_then(|f| f.write) {
+            if let Some(f) = self.gen.cg.tables.rf.get(s).and_then(|f| f.write) {
                 self.field_constraints.push((f.0, f.1, *c));
             }
         }
-        let cond = self.conjoin_fields(self.base.template(tid).cond);
-        self.out.push(RtOp {
+        let cond = self.conjoin_fields(self.gen.cg.base.template(tid).cond);
+        self.gen.out.push(RtOp {
             template: tid,
             dest,
             expr,
@@ -1213,10 +1130,11 @@ impl<'a, M: BddOps> Emitter<'a, M> {
     /// per-bit allocation.
     fn conjoin_fields(&mut self, cond: record_bdd::Bdd) -> record_bdd::Bdd {
         let mut acc = cond;
+        let tables = self.gen.cg.tables;
         for (hi, lo, v) in self.field_constraints.drain(..) {
-            let bits = self.tables.ibit_range(hi, lo);
-            let eq = self.manager.vector_equals(bits, v);
-            acc = self.manager.and(acc, eq);
+            let bits = tables.ibit_range(hi, lo);
+            let eq = self.gen.manager.vector_equals(bits, v);
+            acc = self.gen.manager.and(acc, eq);
         }
         acc
     }
@@ -1252,7 +1170,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
                         return Ok(Loc::Rf(s, *cell as u64));
                     }
                 }
-                let file = self.netlist.storage(s);
+                let file = self.gen.cg.netlist.storage(s);
                 let cell =
                     self.rf_free
                         .take(s, file.size)
@@ -1348,25 +1266,23 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         }
         // Find a store template for this register.
         let (store_tid, spill_reg) = self.find_spill_store(loc)?;
-        let addr = self.binding.scratch()?;
-        if let Dest::Mem(_, Pattern::Imm { hi, lo }) = &self.base.template(store_tid).dest {
+        let base = self.gen.cg.base;
+        let dm = self.gen.binding.data_mem();
+        let addr = self.gen.binding.scratch()?;
+        if let Dest::Mem(_, Pattern::Imm { hi, lo }) = &base.template(store_tid).dest {
             self.field_constraints.push((*hi, *lo, addr));
         }
-        let cond = self.conjoin_fields(self.base.template(store_tid).cond);
-        self.out.push(RtOp {
+        let cond = self.conjoin_fields(base.template(store_tid).cond);
+        self.gen.out.push(RtOp {
             template: store_tid,
-            dest: DestSim::MemAt(self.binding.data_mem(), SimExpr::Const(addr)),
+            dest: DestSim::MemAt(dm, SimExpr::Const(addr)),
             expr: SimExpr::Read(spill_reg),
             transfer: None,
             cond,
         });
-        self.spill_stores += 1;
+        self.gen.stats.spill_stores += 1;
         remove(&mut self.holder, loc);
-        set(
-            &mut self.value_loc,
-            victim,
-            Loc::Mem(self.binding.data_mem(), addr),
-        );
+        set(&mut self.value_loc, victim, Loc::Mem(dm, addr));
         Ok(())
     }
 
@@ -1397,40 +1313,40 @@ impl<'a, M: BddOps> Emitter<'a, M> {
         // of one operation need the same register: unimplementable.
         if lookup(&self.holder, &expected).is_some_and(|h| protected.contains(h) && *h != v) {
             return Err(CodegenError::NoSpillPath {
-                loc: expected.render(self.netlist),
-                at_op: self.out.len(),
+                loc: expected.render(self.gen.cg.netlist),
+                at_op: self.at_op(),
                 detail: "cyclic register conflict: two operands need the register".into(),
             });
         }
-        let reload_tid =
-            find_reload(self.base, reg, dm).ok_or_else(|| CodegenError::NoSpillPath {
-                loc: expected.render(self.netlist),
-                at_op: self.out.len(),
-                detail: "no reload template into the register from data memory".into(),
-            })?;
+        let base = self.gen.cg.base;
+        let reload_tid = find_reload(base, reg, dm).ok_or_else(|| CodegenError::NoSpillPath {
+            loc: expected.render(self.gen.cg.netlist),
+            at_op: self.at_op(),
+            detail: "no reload template into the register from data memory".into(),
+        })?;
         self.evict(&expected, protected)?;
-        if let Pattern::MemRead(_, a) = &self.base.template(reload_tid).src {
+        if let Pattern::MemRead(_, a) = &base.template(reload_tid).src {
             if let Pattern::Imm { hi, lo } = **a {
                 self.field_constraints.push((hi, lo, addr));
             }
         }
-        let cond = self.conjoin_fields(self.base.template(reload_tid).cond);
-        self.out.push(RtOp {
+        let cond = self.conjoin_fields(base.template(reload_tid).cond);
+        self.gen.out.push(RtOp {
             template: reload_tid,
             dest: DestSim::Loc(expected.clone()),
             expr: SimExpr::MemRead(dm, Box::new(SimExpr::Const(addr))),
             transfer: None,
             cond,
         });
-        self.reloads += 1;
+        self.gen.stats.reloads += 1;
         self.produce(v, expected);
         Ok(())
     }
 
     /// Finds `dm[#imm] := reg` for the register behind `loc`.
     fn find_spill_store(&self, loc: &Loc) -> Result<(TemplateId, Loc), CodegenError> {
-        let dm = self.binding.data_mem();
-        for t in self.base.templates() {
+        let dm = self.gen.binding.data_mem();
+        for t in self.gen.cg.base.templates() {
             let Dest::Mem(s, Pattern::Imm { .. }) = &t.dest else {
                 continue;
             };
@@ -1447,8 +1363,8 @@ impl<'a, M: BddOps> Emitter<'a, M> {
             }
         }
         Err(CodegenError::NoSpillPath {
-            loc: loc.render(self.netlist),
-            at_op: self.out.len(),
+            loc: loc.render(self.gen.cg.netlist),
+            at_op: self.at_op(),
             detail: "no store template from the register to data memory".into(),
         })
     }
@@ -1472,7 +1388,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
                             missing_op: None,
                         })?;
                 if let Loc::Rf(s, c) = &loc {
-                    if let Some(f) = self.tables.rf.get(s).and_then(|f| f.read) {
+                    if let Some(f) = self.gen.cg.tables.rf.get(s).and_then(|f| f.read) {
                         self.field_constraints.push((f.0, f.1, *c));
                     }
                 }
@@ -1492,7 +1408,7 @@ impl<'a, M: BddOps> Emitter<'a, M> {
                     TermKey::RegLeaf(s) => Ok(SimExpr::Read(Loc::Reg(*s))),
                     TermKey::RfLeaf(s) => match self.et.kind(node) {
                         EtKind::RfLeaf(_, c) => {
-                            if let Some(f) = self.tables.rf.get(s).and_then(|f| f.read) {
+                            if let Some(f) = self.gen.cg.tables.rf.get(s).and_then(|f| f.read) {
                                 self.field_constraints.push((f.0, f.1, c as u64));
                             }
                             Ok(SimExpr::Read(Loc::Rf(*s, c as u64)))

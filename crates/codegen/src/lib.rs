@@ -7,14 +7,14 @@
 //! 1. [`Binding`] places program variables into the target's data memory
 //!    (paper §3.1: "all primary source program inputs and program variables
 //!    are a priori bound to certain memory or register resources").
-//! 2. [`compile`] shapes each flat statement into a destination-annotated
+//! 2. [`Codegen::compile`] shapes each flat statement into a destination-annotated
 //!    expression tree over the target's storages, runs the generated tree
 //!    parser on it and *emits* the cover: register-file cells are
 //!    allocated for intermediates, operand evaluation is ordered to avoid
 //!    register conflicts, and unavoidable conflicts are resolved by
 //!    spill/reload RTs through scratch memory — the role of the
 //!    Araujo/Malik-style scheduling the paper cites.
-//! 3. [`baseline_compile`] is the stand-in for the target-specific C
+//! 3. [`Codegen::baseline`] is the stand-in for the target-specific C
 //!    compiler in the paper's Figure 2: a correct but naive code generator
 //!    that expands every operator separately through memory temporaries,
 //!    never exploiting chained operations.
@@ -34,9 +34,8 @@ mod error;
 mod ops;
 mod sim;
 
-pub use baseline::baseline_compile;
 pub use binding::Binding;
-pub use emit::{compile, EmitStats, EmitTables, Emitted};
+pub use emit::{Codegen, EmitStats, EmitTables, Emitted};
 pub use error::CodegenError;
 pub use ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
 pub use sim::Machine;

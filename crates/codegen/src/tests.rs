@@ -162,6 +162,17 @@ struct Rig {
     tables: crate::EmitTables,
 }
 
+impl Rig {
+    fn codegen(&self) -> Codegen<'_> {
+        Codegen {
+            selector: &self.selector,
+            base: &self.base,
+            netlist: &self.netlist,
+            tables: &self.tables,
+        }
+    }
+}
+
 fn rig(src: &str) -> Rig {
     let model = record_hdl::parse(src).expect("parses");
     let netlist = record_netlist::elaborate(&model).expect("elaborates");
@@ -195,19 +206,16 @@ fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
         .expect("data memory")
         .id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
-    let ops = compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut binding,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .expect("compiles")
-    .ops;
+    let ops = r
+        .codegen()
+        .compile(
+            &cfg,
+            &mut binding,
+            &mut *r.manager.borrow_mut(),
+            &mut record_probe::Probe::disabled(),
+        )
+        .expect("compiles")
+        .ops;
 
     // Oracle: the mini-C interpreter.
     let mut mem = Memory::new();
@@ -349,34 +357,28 @@ fn baseline_never_chains() {
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
 
     let mut b1 = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let smart = compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut b1,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .unwrap()
-    .ops;
+    let smart = r
+        .codegen()
+        .compile(
+            &cfg,
+            &mut b1,
+            &mut *r.manager.borrow_mut(),
+            &mut record_probe::Probe::disabled(),
+        )
+        .unwrap()
+        .ops;
 
     let mut b2 = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let naive = baseline_compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut b2,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .unwrap()
-    .ops;
+    let naive = r
+        .codegen()
+        .baseline(
+            &cfg,
+            &mut b2,
+            &mut *r.manager.borrow_mut(),
+            &mut record_probe::Probe::disabled(),
+        )
+        .unwrap()
+        .ops;
 
     assert!(
         naive.len() > smart.len(),
@@ -404,18 +406,15 @@ fn select_error_reports_subtree() {
     let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let err = compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut binding,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .unwrap_err();
+    let err = r
+        .codegen()
+        .compile(
+            &cfg,
+            &mut binding,
+            &mut *r.manager.borrow_mut(),
+            &mut record_probe::Probe::disabled(),
+        )
+        .unwrap_err();
     assert!(matches!(err, CodegenError::Select { .. }), "{err}");
     assert!(err.to_string().contains("div"));
     // The DSP8 machine genuinely has no divider, and the selector proves
@@ -454,19 +453,16 @@ fn rendered_listing_is_readable() {
     let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let ops = compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut binding,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .unwrap()
-    .ops;
+    let ops = r
+        .codegen()
+        .compile(
+            &cfg,
+            &mut binding,
+            &mut *r.manager.borrow_mut(),
+            &mut record_probe::Probe::disabled(),
+        )
+        .unwrap()
+        .ops;
     let listing: Vec<String> = ops.iter().map(|o| o.render(&r.netlist)).collect();
     assert!(listing.iter().any(|l| l.contains("acc :=")), "{listing:?}");
     assert!(listing.iter().any(|l| l.contains("t :=")), "{listing:?}");

@@ -95,19 +95,21 @@ fn compile(r: &mut Rig, src: &str) -> (Vec<record_codegen::RtOp>, Binding) {
     let cfg = record_ir::lower_cfg(&prog, "f").expect("lowers");
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
-    let ops = record_codegen::compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut binding,
-        &r.netlist,
-        &mut r.manager,
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .expect("compiles")
-    .ops;
+    let codegen = record_codegen::Codegen {
+        selector: &r.selector,
+        base: &r.base,
+        netlist: &r.netlist,
+        tables: &r.tables,
+    };
+    let ops = codegen
+        .compile(
+            &cfg,
+            &mut binding,
+            &mut r.manager,
+            &mut record_probe::Probe::disabled(),
+        )
+        .expect("compiles")
+        .ops;
     (ops, binding)
 }
 

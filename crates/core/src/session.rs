@@ -12,7 +12,7 @@
 use crate::error::{panic_message, CompileError, CompilePhase};
 use crate::pipeline::{CompileOptions, CompileReport, CompiledKernel, Target};
 use record_bdd::BddOverlay;
-use record_codegen::{baseline_compile, compile, Binding, Emitted, SimExpr};
+use record_codegen::{Binding, Codegen, Emitted, SimExpr};
 use record_compact::compact;
 use record_probe::{Collector, Probe, Trace, TraceSink};
 use record_regalloc::{allocate, AllocOptions, MemLayout};
@@ -279,40 +279,33 @@ impl<'t> CompileSession<'t> {
             .const_mem
             .filter(|_| !options.baseline)
             .map(|rom| (rom, &cfg));
-        let (mut binding, width) = phases.run(CompilePhase::Bind, |_| {
-            let dm = target.data_memory()?;
-            let binding = Binding::allocate_with_const_mem(
+        let mut binding = phases.run(CompilePhase::Bind, |_| {
+            Binding::allocate_with_const_mem(
                 &program,
                 function,
                 &target.netlist,
-                dm,
+                target.data_memory()?,
                 const_mem,
             )
-            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Bind, e))?;
-            Ok((binding, target.netlist.storage(dm).width))
+            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Bind, e))
         })?;
 
         // Selection and emission interleave inside codegen, under one
         // span: a panic there is attributed to the emit phase.
         phases.enter(CompilePhase::Select);
+        let codegen = Codegen {
+            selector: &target.selector,
+            base: &target.base,
+            netlist: &target.netlist,
+            tables: &target.emit_tables,
+        };
         let (emitted, codegen_ns) = phases.timed(CompilePhase::Emit, "codegen", |probe| {
-            let codegen = if options.baseline {
-                baseline_compile
+            let emitted = if options.baseline {
+                codegen.baseline(&cfg, &mut binding, &mut self.bdd, probe)
             } else {
-                compile
+                codegen.compile(&cfg, &mut binding, &mut self.bdd, probe)
             };
-            codegen(
-                &cfg,
-                &target.selector,
-                &target.base,
-                &mut binding,
-                &target.netlist,
-                &mut self.bdd,
-                &target.emit_tables,
-                width,
-                probe,
-            )
-            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Emit, e))
+            emitted.map_err(|e| CompileError::from_codegen(function, CompilePhase::Emit, e))
         })?;
         let Emitted {
             ops,

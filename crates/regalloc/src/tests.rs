@@ -1072,19 +1072,21 @@ fn compile_both(
         .expect("data memory")
         .id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
-    let ops = record_codegen::compile(
-        &cfg,
-        &r.selector,
-        &r.base,
-        &mut binding,
-        &r.netlist,
-        &mut *r.manager.borrow_mut(),
-        &r.tables,
-        16,
-        &mut record_probe::Probe::disabled(),
-    )
-    .expect("compiles")
-    .ops;
+    let codegen = record_codegen::Codegen {
+        selector: &r.selector,
+        base: &r.base,
+        netlist: &r.netlist,
+        tables: &r.tables,
+    };
+    let ops = codegen
+        .compile(
+            &cfg,
+            &mut binding,
+            &mut *r.manager.borrow_mut(),
+            &mut record_probe::Probe::disabled(),
+        )
+        .expect("compiles")
+        .ops;
 
     let pool = RegisterPool::discover(&r.netlist, &r.base, dm);
     let (alloc_ops, stats) = allocate_one(
