@@ -28,7 +28,10 @@ use std::time::Instant;
 /// Work counters of one compilation's selection + emission.
 ///
 /// Plain fields incremented at statement granularity — always on, and
-/// independent of whether a trace sink is installed.
+/// independent of whether a trace sink is installed.  `splits`,
+/// `spill_stores` and `reloads` count what the output holds: a cover or
+/// legalization plan whose RTs are discarded takes its counts with them.
+/// `select_ns` and `select` count the work done, discarded or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EmitStats {
     /// Source statements compiled.
@@ -344,15 +347,26 @@ impl<'a, M: BddOps> Gen<'a, M> {
         }
         let len0 = self.out.len();
         let mark0 = self.binding.scratch_mark();
+        let before = self.stats;
         let Some(plan) = self.legalize(stmt) else {
             return Err(err);
         };
         if self.plan(&plan, depth).is_err() {
-            self.out.truncate(len0);
+            self.roll_back(len0, before);
             self.binding.release_scratch(mark0)?;
             return Err(err);
         }
         Ok(())
+    }
+
+    /// Drops the RTs emitted past `len` and the split, spill-store and
+    /// reload counts gained since `before`: those counts describe the
+    /// output, so discarded work leaves them.
+    fn roll_back(&mut self, len: usize, before: EmitStats) {
+        self.out.truncate(len);
+        self.stats.splits = before.splits;
+        self.stats.spill_stores = before.spill_stores;
+        self.stats.reloads = before.reloads;
     }
 
     /// Compiles a legalization plan, a list of runs, nested in `depth`
@@ -566,9 +580,10 @@ impl<'a, M: BddOps> Gen<'a, M> {
     }
 
     /// Selects a cover for `et` and emits it into the output.  A cover
-    /// whose emission fails leaves no RT behind: the output is truncated
-    /// back to where the cover began.  Scratch words it reserved stay
-    /// reserved until the statement's mark is released.
+    /// whose emission fails leaves no RT and no spill or reload count
+    /// behind: the output is truncated back to where the cover began.
+    /// Scratch words it reserved stay reserved until the statement's mark
+    /// is released.
     ///
     /// # Errors
     ///
@@ -583,9 +598,10 @@ impl<'a, M: BddOps> Gen<'a, M> {
         })?;
         self.stats.select.absorb(&cover.stats);
         let start = self.out.len();
+        let before = self.stats;
         let emitted = Emitter::new(self, et, &cover).run();
         if emitted.is_err() {
-            self.out.truncate(start);
+            self.roll_back(start, before);
         }
         emitted
     }

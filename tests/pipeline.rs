@@ -339,7 +339,8 @@ fn accumulator_machine(right_mux: bool) -> String {
 
 /// `(a + b) + (c + d)` has a whole-tree cover that needs both sums in
 /// `acc` at once, so its emission fails after spilling and the splitter
-/// compiles the statement.  The failed cover leaves no RT behind.
+/// compiles the statement.  The failed cover leaves no RT behind, and
+/// its spill store is not counted.
 #[test]
 fn a_failed_cover_leaves_no_rts_behind() {
     let target = Record::retarget(&accumulator_machine(true), &RetargetOptions::default()).unwrap();
@@ -350,6 +351,7 @@ fn a_failed_cover_leaves_no_rts_behind() {
             .unwrap();
         assert_eq!(kernel.code_size(), 7, "compaction {compaction}");
         assert_eq!(kernel.report.counter("emit.splits"), Some(1));
+        assert_eq!(kernel.report.counter("emit.spill-stores"), Some(0));
         let init = [
             ("a", vec![1]),
             ("b", vec![2]),
