@@ -6,11 +6,13 @@ use crate::lexer::{Lexer, Token, TokenKind};
 
 /// How deep HDL syntax may nest: the height of every expression and
 /// condition tree, counted in operators and slices (`a + b + c` is two
-/// deep), the slices of one net reference, and the nesting of
-/// parentheses, unary operators, operands and `case` arms.  Parsing and
-/// elaboration recurse once per level, so the cap bounds their stack
-/// use; past it the parser returns an ordinary parse error.  The bundled
-/// models and the model generators nest a few levels.
+/// deep), the slices of one net reference, the nesting of parentheses,
+/// unary operators, operands and `case` arms, and the labels of one
+/// `case`, which elaboration chains into its default arm's condition.
+/// Parsing and elaboration recurse once per level, so the cap bounds
+/// their stack use; past it the parser returns an ordinary parse error.
+/// The bundled models and the model generators nest a few levels, and
+/// their widest `case` has 43 labels.
 pub const MAX_NESTING: usize = 256;
 
 /// Parser over a pre-lexed token stream.
@@ -403,6 +405,13 @@ impl Parser {
         self.expect(TokenKind::LBrace)?;
         let mut arms = Vec::new();
         let mut default = None;
+        // Elaboration chains every label into the default arm's
+        // condition, so the labels of one `case` count as its nesting.
+        let mut labelled = 0;
+        let mut label = |p: &mut Self| {
+            labelled = p.height_over(labelled)?;
+            p.int()
+        };
         while !self.eat(&TokenKind::RBrace) {
             if self.at_keyword("default") {
                 if default.is_some() {
@@ -413,9 +422,9 @@ impl Parser {
                 default = Some(self.parse_arm_body()?);
                 continue;
             }
-            let mut labels = vec![self.int()?];
+            let mut labels = vec![label(self)?];
             while self.eat(&TokenKind::Comma) {
-                labels.push(self.int()?);
+                labels.push(label(self)?);
             }
             self.expect(TokenKind::FatArrow)?;
             let body = self.parse_arm_body()?;

@@ -357,8 +357,8 @@ proptest! {
 
 /// `TINY` nesting `levels` deep, one construct at a time: parentheses
 /// around a register input and around its guard, a chain of `levels`
-/// additions, `case` arms, and a driver guard's parentheses, `&` chain and
-/// net slices.
+/// additions, `case` arms, `levels` labels in one `case`, and a driver
+/// guard's parentheses, `&` chain and net slices.
 fn nested_models(levels: usize) -> Vec<String> {
     let (open, close) = ("(".repeat(levels), ")".repeat(levels));
     let register = "register q = d when en == 1;";
@@ -391,6 +391,19 @@ fn nested_models(levels: usize) -> Vec<String> {
                 "case f { 0 => ".repeat(levels - 1),
                 " }".repeat(levels - 1)
             ),
+        ),
+        // Labels 0 to 2 stay; the rest go three to an arm.
+        TINY.replace(
+            "3 => y = a;",
+            &(3..levels)
+                .collect::<Vec<_>>()
+                .chunks(3)
+                .map(|arm| {
+                    let labels: Vec<String> = arm.iter().map(usize::to_string).collect();
+                    format!("{} => y = a;\n", labels.join(", "))
+                })
+                .chain(["default => y = b;".to_owned()])
+                .collect::<String>(),
         ),
         driven(&format!("{open}I[0] == 1{close}")),
         driven(&format!("I[0] == 1{}", " & I[1] == 0".repeat(levels))),

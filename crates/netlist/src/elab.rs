@@ -556,7 +556,7 @@ fn flatten_stmts(
                             value: label,
                         });
                     }
-                    covered = covered.clone().or(arm_guard.clone());
+                    covered = covered.or(arm_guard.clone());
                     flatten_stmts(m, &arm.body, guard.clone().and(arm_guard), out)?;
                 }
                 if let Some(body) = default {

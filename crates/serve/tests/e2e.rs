@@ -466,6 +466,45 @@ fn deeply_nested_source_is_a_structured_error() {
     server.shutdown();
 }
 
+/// A `case` of 30,000 labels and a default arm, inside the request line
+/// cap, gets a structured error: elaboration chains every label into the
+/// default arm's condition, and recursing down that chain overflowed a
+/// worker's stack and aborted the whole process.
+#[test]
+fn a_case_of_thirty_thousand_labels_is_a_structured_error() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut conn = BufReader::new(TcpStream::connect(server.addr()).expect("connect"));
+    let demo = models::model("demo").unwrap().hdl;
+    let arms: String = (7..30_000)
+        .map(|label| format!("{label} => y = b;\n"))
+        .chain(["default => y = a;".to_owned()])
+        .collect();
+    let hdl = demo.replace("7 => y = b;", &arms);
+    assert_ne!(hdl, demo);
+    let retarget = Json::obj(vec![("op", Json::str("retarget")), ("hdl", Json::str(hdl))]);
+    let response = raw_call(&mut conn, &retarget.to_string());
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let kind = response
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("pipeline"), "{response}");
+
+    // The same connection and worker go on serving.
+    let stats = raw_call(&mut conn, r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats}");
+
+    drop(conn);
+    server.shutdown();
+}
+
 #[test]
 fn overlong_request_line_is_a_protocol_error() {
     let server = Server::start(

@@ -147,7 +147,8 @@ fn legalized_kernels_compute_correct_results_on_manocpu() {
 /// thread's stack.  mini-C parentheses, `if` blocks and an addition chain
 /// compile on `ref` (and run correctly when they compile); HDL
 /// parentheses around a register input, its guard and a bus driver's
-/// guard, and an addition chain in the ALU, retarget from `demo`.
+/// guard, an addition chain in the ALU, and an ALU `case` of as many
+/// labels plus a default arm, retarget from `demo`.
 #[test]
 fn nesting_at_the_cap_compiles_or_fails_structurally() {
     let n = record_ir::MAX_NESTING;
@@ -181,6 +182,13 @@ fn nesting_at_the_cap_compiles_or_fails_structurally() {
         demo.replace(
             "when I[17:16] == 0",
             &format!("when {open}I[17:16] == 0{close}"),
+        ),
+        demo.replace(
+            "7 => y = b;",
+            &(7..n)
+                .map(|label| format!("{label} => y = b;\n"))
+                .chain(["default => y = a;".to_owned()])
+                .collect::<String>(),
         ),
     ] {
         assert_ne!(hdl, demo);
