@@ -1,31 +1,27 @@
 //! Pipeline error types.
 //!
-//! Retargeting failures keep the original [`PipelineError`] shape (they
-//! are one-shot, operator-facing).  Compilation failures use the
-//! structured [`CompileError`]/[`Diagnostic`] pair: they carry the phase
-//! that failed, the source position or RT index reached, and the names of
-//! the storages/templates involved, so a service front-end can attribute
-//! a failed request without parsing message strings.
+//! Retargeting failures are [`PipelineError`]s: one message per failing
+//! retarget phase (they are one-shot, operator-facing).  Compilation
+//! failures use the structured [`CompileError`]/[`Diagnostic`] pair: they
+//! carry the phase that failed, the source position or RT index reached,
+//! and the names of the storages/templates involved, so a service
+//! front-end can attribute a failed request without parsing message
+//! strings.
 
 use record_codegen::CodegenError;
 use std::error::Error;
 use std::fmt;
 
-/// Any error of the end-to-end pipeline.
+/// A retargeting failure.
 ///
-/// Retargeting ([`crate::Record::retarget`]) reports `Hdl`, `Netlist` and
-/// `Extract`; the `From<CompileError>` impl folds structured
-/// [`CompileError`]s into the legacy string variants for callers that
-/// want one error type across both pipelines.
+/// [`crate::Record::retarget`] reports `Hdl`, `Netlist` and `Extract`,
+/// each with the failing phase's message; compilation reports
+/// [`CompileError`]s instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     Hdl(String),
     Netlist(String),
     Extract(String),
-    Frontend(String),
-    Codegen(String),
-    /// The model has no memory suitable as data memory.
-    NoDataMemory,
     /// The retargeting pipeline panicked; the payload is the panic
     /// message.  Produced by panic-containment boundaries (the serve
     /// layer's target cache, the fuzz oracle) that run
@@ -39,9 +35,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Hdl(s) => write!(f, "HDL frontend: {s}"),
             PipelineError::Netlist(s) => write!(f, "elaboration: {s}"),
             PipelineError::Extract(s) => write!(f, "instruction-set extraction: {s}"),
-            PipelineError::Frontend(s) => write!(f, "mini-C frontend: {s}"),
-            PipelineError::Codegen(s) => write!(f, "code generation: {s}"),
-            PipelineError::NoDataMemory => write!(f, "model has no data memory"),
             PipelineError::Internal(s) => write!(f, "internal retargeting error: {s}"),
         }
     }
@@ -457,29 +450,5 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-impl From<CompileError> for PipelineError {
-    fn from(e: CompileError) -> PipelineError {
-        match e {
-            CompileError::NoDataMemory { .. } => PipelineError::NoDataMemory,
-            CompileError::UnknownStorage { .. } | CompileError::NotAMemory { .. } => {
-                PipelineError::Codegen(e.to_string())
-            }
-            CompileError::Frontend { ref diagnostic, .. } => {
-                let mut msg = diagnostic.message.clone();
-                if let Some((l, c)) = diagnostic.span {
-                    msg = format!("mini-C error at {l}:{c}: {}", diagnostic.message);
-                }
-                PipelineError::Frontend(msg)
-            }
-            CompileError::Codegen { ref diagnostic, .. } => {
-                PipelineError::Codegen(diagnostic.to_string())
-            }
-            CompileError::DeadlineExceeded { .. } | CompileError::Internal { .. } => {
-                PipelineError::Codegen(e.to_string())
-            }
-        }
     }
 }
