@@ -51,7 +51,9 @@ pub struct EmitStats {
 
 /// The result of [`Codegen::compile`] / [`Codegen::baseline`]: the RT
 /// sequence, the op range each basic block occupies, and the work
-/// counters accumulated while producing them.
+/// counters accumulated while producing them.  `ops` holds only RTs of
+/// covers that emitted in full: a failed cover or legalization plan
+/// leaves none behind.
 ///
 /// Transfer targets inside `ops` are still *block ids*
 /// (`SimExpr::Const(block)`); the caller patches them to vertical op

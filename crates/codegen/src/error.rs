@@ -25,11 +25,10 @@ pub enum CodegenError {
     NoSpillPath {
         /// Rendered name of the register/location involved.
         loc: String,
-        /// How many RTs the *failing statement's* emitter had produced
-        /// when it stopped.  Each statement (and each speculative split
-        /// attempt) emits into a fresh sequence, so this is
-        /// statement-relative — a failed compile yields no kernel-wide op
-        /// list this could index into.
+        /// How many RTs the *failing cover* had emitted when it stopped,
+        /// counted from where the cover began in the compile's output.
+        /// A failed cover's RTs are truncated away, and a failed compile
+        /// yields no kernel-wide op list this could index into.
         at_op: usize,
         /// What exactly went wrong.
         detail: String,

@@ -109,9 +109,10 @@ pub struct Diagnostic {
     /// a source position (parse/lower errors).
     pub span: Option<(u32, u32)>,
     /// RT index reached when the phase stopped, when the failure has one
-    /// (emission errors).  Relative to the *failing statement's* partial
-    /// emission, not to any kernel-wide sequence — a failed compile
-    /// produces no kernel to index into.
+    /// (spill-path errors).  Counted from where the *failing cover*
+    /// began, not from the start of the kernel: emission discards a
+    /// failed cover's RTs, and a failed compile produces no kernel to
+    /// index into.
     pub rt_index: Option<usize>,
     /// Rendered name of the storage or location involved, when one is:
     /// a bare instance name for capacity failures (`"rf"`, `"dmem"`) or a
