@@ -2,7 +2,7 @@
 //!
 //! It carries the serving layer's newline-delimited wire protocol, the
 //! benchmark's result lines and the Chrome trace export.  Keeping
-//! it in-tree (like the vendored `criterion`/`proptest` shims) keeps the
+//! it in-tree (like the vendored `proptest` shim) keeps the
 //! workspace zero-dependency.  Only what those formats need is
 //! implemented: objects keep insertion order, numbers are `f64`, and the
 //! printer always emits a single line (strings escape control
