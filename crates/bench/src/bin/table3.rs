@@ -2,30 +2,48 @@
 //! time per target processor, plus aggregate register-allocation counters
 //! over the Figure 2 kernels that compile on each model.
 
-use record_core::CompileRequest;
-use record_targets::kernels;
+use record_core::{CompileRequest, Record};
+use record_targets::{kernels, models};
+use std::time::Duration;
+
+/// The retarget phases, in pipeline order, as the report labels them.
+const PHASES: [&str; 6] = [
+    "parse",
+    "extract",
+    "template-gen",
+    "rule-gen",
+    "selector-gen",
+    "freeze",
+];
 
 fn main() {
     println!("Table 3: retargeting statistics (paper: templates / SPARC-20 CPU s)");
     println!(
-        "{:<12} {:>10} {:>10} {:>8} {:>12}   {:>7} {:>7} {:>7}   phases (frontend/ISE/extend/grammar/selector)",
-        "processor", "extracted", "extended", "rules", "time", "kernels", "saved", "spills"
+        "{:<12} {:>10} {:>10} {:>8} {:>12}   {:>7} {:>7} {:>7}   phases ({})",
+        "processor",
+        "extracted",
+        "extended",
+        "rules",
+        "time",
+        "kernels",
+        "saved",
+        "spills",
+        PHASES.join("/")
     );
-    for model in record_bench::all_models() {
-        match record_bench::retarget(&model, &Default::default()) {
+    for model in models::models() {
+        match Record::retarget(model.hdl, &Default::default()) {
             Ok(target) => {
                 // Aggregate allocator counters over the kernels this
-                // machine can compile at all, batched through the
-                // frozen artifact (only allocator counters are read:
-                // skip compaction).
-                let requests: Vec<_> = kernels::kernels()
-                    .iter()
-                    .map(|k| CompileRequest::new(k.source, k.function).compaction(false))
-                    .collect();
+                // machine can compile at all (only allocator counters
+                // are read: skip compaction).
                 let mut compiled = 0usize;
                 let mut saved = 0usize;
                 let mut spills = 0usize;
-                for c in target.compile_batch(&requests).into_iter().flatten() {
+                for k in kernels::kernels() {
+                    let request = CompileRequest::new(k.source, k.function).compaction(false);
+                    let Ok(c) = target.compile(&request) else {
+                        continue;
+                    };
                     compiled += 1;
                     if let Some(a) = &c.alloc {
                         saved += a.accesses_saved();
@@ -33,8 +51,15 @@ fn main() {
                     }
                 }
                 let s = target.report();
+                let phases: Vec<String> = PHASES
+                    .iter()
+                    .map(|label| {
+                        let ns = s.report.phase_ns(label).unwrap_or(0);
+                        format!("{:.2?}", Duration::from_nanos(ns))
+                    })
+                    .collect();
                 println!(
-                    "{:<12} {:>10} {:>10} {:>8} {:>10.2?}   {:>7} {:>7} {:>7}   {:.2?}/{:.2?}/{:.2?}/{:.2?}/{:.2?}",
+                    "{:<12} {:>10} {:>10} {:>8} {:>10.2?}   {:>7} {:>7} {:>7}   {}",
                     model.name,
                     s.templates_extracted,
                     s.templates_extended,
@@ -43,11 +68,7 @@ fn main() {
                     compiled,
                     saved,
                     spills,
-                    s.t_frontend(),
-                    s.t_extract(),
-                    s.t_extend(),
-                    s.t_grammar(),
-                    s.t_selector(),
+                    phases.join("/"),
                 );
             }
             Err(e) => println!("{:<12} FAILED: {e}", model.name),

@@ -1,11 +1,14 @@
-//! CI trace smoke test: records a Chrome trace for one retarget plus a
-//! traced compile batch, validates it, and writes it out.
+//! CI trace smoke test: records a Chrome trace of one traced compile per
+//! Figure 2 kernel, validates it, and writes it out.
 //!
 //! ```text
 //! trace_smoke [--model NAME] [--out FILE]
 //! ```
 //!
-//! Two layers of validation run before the file is written:
+//! Each kernel compiles in its own session, collecting into its own lane
+//! (lane id = kernel index); the lanes merge with [`Trace::merge`].  The
+//! retarget is not traced: its [`record_core::RetargetReport`] is its
+//! record.  Two layers of validation run before the file is written:
 //!
 //! 1. [`Trace::validate`] on the in-memory trace — balanced begin/end
 //!    pairs, monotonic timestamps per lane;
@@ -15,9 +18,7 @@
 //! The written file loads directly in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 
-use record_core::{
-    validate_chrome_json, Collector, CompileRequest, Probe, Record, RetargetOptions, Trace,
-};
+use record_core::{validate_chrome_json, CompileRequest, Record, RetargetOptions, Trace};
 use record_targets::{kernels, models};
 use std::process::ExitCode;
 
@@ -44,26 +45,22 @@ fn main() -> ExitCode {
     let model =
         models::model(&model_name).unwrap_or_else(|| panic!("no model named `{model_name}`"));
 
-    // Lane 1000: the retarget run (batch lanes are request indices, so a
-    // high id keeps the retarget lane visually separate).
-    let mut sink = Collector::new(1000);
-    let target = {
-        let mut probe = Probe::new(&mut sink);
-        Record::retarget_probed(model.hdl, &RetargetOptions::default(), &mut probe)
-            .expect("model retargets")
-    };
-    let retarget_trace = sink.into_trace();
+    let target = Record::retarget(model.hdl, &RetargetOptions::default()).expect("model retargets");
 
-    // A traced batch over every kernel: one lane per request, merged
-    // lock-free at join.
-    let requests: Vec<_> = kernels()
-        .iter()
-        .map(|k| CompileRequest::new(k.source, k.function))
-        .collect();
-    let (results, compile_trace) = target.compile_batch_traced(&requests);
-    let compiled = results.iter().filter(|r| r.is_ok()).count();
-
-    let trace = Trace::merge([retarget_trace, compile_trace]);
+    let kernels = kernels();
+    let mut compiled = 0usize;
+    let mut lanes = Vec::with_capacity(kernels.len());
+    for (lane, k) in kernels.iter().enumerate() {
+        let mut session = target.session();
+        session.install_collector(lane as u32);
+        compiled += usize::from(
+            session
+                .compile(&CompileRequest::new(k.source, k.function))
+                .is_ok(),
+        );
+        lanes.push(session.take_trace().expect("collector installed above"));
+    }
+    let trace = Trace::merge(lanes);
     if let Err(e) = trace.validate() {
         eprintln!("trace validation failed: {e}");
         return ExitCode::FAILURE;
@@ -79,7 +76,7 @@ fn main() -> ExitCode {
         "trace ok: {} lanes, {} events ({compiled}/{} kernels compile on {model_name})",
         trace.lanes.len(),
         trace.event_count(),
-        requests.len()
+        kernels.len()
     );
     match out {
         Some(path) => {

@@ -7,13 +7,13 @@
 //!   the TMS320C25-like model, baseline compiler vs RECORD.
 //! * `cargo run -p record-bench --bin perf_snapshot` prints per-phase
 //!   median tables for every model retarget and kernel x model compile.
-//! * `cargo bench -p record-bench` times compilation with criterion: the
-//!   Figure 2 kernels on the RECORD and baseline paths (`codegen`), the
-//!   register allocator (`regalloc`), and sequential against batched
-//!   compiles (`batch`).  Retargeting time is `table3`'s.
+//! * `cargo run -p record-bench --bin trace_smoke` writes and validates a
+//!   Chrome trace of one traced compile per Figure 2 kernel.
+//!
+//! The timing ledger is the repository benchmark (`perfbench/`).
 
 use record_core::{mem_traffic, CompileError, CompileRequest, Record, RetargetOptions, Target};
-use record_targets::{kernels, models, Kernel, TargetModel};
+use record_targets::{kernels, models, Kernel};
 
 /// One Figure 2 data point.
 #[derive(Debug, Clone)]
@@ -55,18 +55,6 @@ impl Figure2Row {
         }
         100.0 * (self.unalloc_mem - self.record_mem) as f64 / self.unalloc_mem as f64
     }
-}
-
-/// Retargets a model (convenience wrapper).
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn retarget(
-    model: &TargetModel,
-    options: &RetargetOptions,
-) -> Result<Target, record_core::PipelineError> {
-    Record::retarget(model.hdl, options)
 }
 
 /// Compiles one kernel both ways on an already-retargeted C25 target.
@@ -125,9 +113,4 @@ pub fn figure2(options: &RetargetOptions) -> Result<Vec<Figure2Row>, Box<dyn std
         .iter()
         .map(|k| figure2_row(&target, k))
         .collect::<Result<Vec<_>, _>>()?)
-}
-
-/// All models, for Table 3 sweeps.
-pub fn all_models() -> [TargetModel; 6] {
-    models::models()
 }

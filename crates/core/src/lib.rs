@@ -14,10 +14,10 @@
 //! records are the rows of the paper's Table 3.  Compilation happens over
 //! and over against that artifact — [`Target::compile`] maps one mini-C
 //! kernel to machine code (selection, spill-aware emission, allocation,
-//! compaction), [`Target::compile_batch`] fans a batch out across
-//! threads, and [`Target::session`] exposes the per-compilation scratch
-//! ([`CompileSession`]) explicitly.  This split powers the Figure 2
-//! experiment and lets one retargeted compiler serve concurrent traffic.
+//! compaction), and [`Target::session`] exposes the per-compilation
+//! scratch ([`CompileSession`]) explicitly, one per thread when
+//! compiling in parallel.  This split powers the Figure 2 experiment and
+//! lets one retargeted compiler serve concurrent traffic.
 //!
 //! # Example
 //!
@@ -30,12 +30,12 @@
 //! # Ok::<(), record_core::PipelineError>(())
 //! ```
 //!
-//! Every phase of both pipelines is instrumented through `record-probe`:
-//! [`Record::retarget_probed`] and [`CompileSession::install_collector`]
-//! stream spans into a [`record_probe::Trace`] (exportable as Chrome
-//! trace JSON), and every [`Target`] / [`CompiledKernel`] carries an
-//! always-on [`RetargetReport`] / [`CompileReport`] with per-phase times
-//! and work counters.
+//! Every [`Target`] / [`CompiledKernel`] carries an always-on
+//! [`RetargetReport`] / [`CompileReport`] with per-phase times and work
+//! counters; the retarget report is the one record of a retarget.  A
+//! compile can also be traced: [`CompileSession::install_collector`]
+//! streams its spans into a [`record_probe::Trace`] (exportable as
+//! Chrome trace JSON), timed by the same clock readings as its report.
 
 mod error;
 mod pipeline;
@@ -51,7 +51,7 @@ pub use record_bdd::FrozenBdd;
 pub use record_codegen::{Machine, RtOp};
 pub use record_probe::{
     json, validate_chrome_json, Collector, CounterId, CounterVal, GaugeId, HistogramId,
-    MetricsBuilder, MetricsRegistry, MetricsShard, PhaseNs, Probe, Report, Trace, TraceSink,
+    MetricsBuilder, MetricsRegistry, MetricsShard, PhaseNs, Probe, Report, Trace,
 };
 pub use record_regalloc::{mem_traffic, AllocStats, RegisterPool};
 pub use session::{CompileRequest, CompileSession, SessionPages};

@@ -6,7 +6,7 @@
 //! variable binding, allocation state — lives in a per-compilation
 //! [`crate::CompileSession`], so one retargeted `Target` can serve any
 //! number of concurrent compilations through [`Target::compile`] and
-//! [`Target::compile_batch`].
+//! [`Target::session`].
 
 use crate::error::{CompileError, PipelineError};
 use crate::session::{CompileRequest, CompileSession};
@@ -36,11 +36,10 @@ pub struct RetargetOptions {
 /// columns) plus the per-phase time/counter breakdown as a
 /// [`record_probe::Report`].
 ///
-/// This is the single retarget-side statistics struct — phase times that
-/// used to be separate `t_*` `Duration` fields live in [`Self::report`]
-/// under the phase labels `"parse"`, `"extract"`, `"template-gen"`,
-/// `"rule-gen"`, `"selector-gen"` and `"freeze"`, with accessor methods
-/// preserving the old vocabulary.
+/// This is the one record of a retarget.  Phase times live in
+/// [`Self::report`] under the phase labels `"parse"`, `"extract"`,
+/// `"template-gen"`, `"rule-gen"`, `"selector-gen"` and `"freeze"`;
+/// read them with [`record_probe::Report::phase_ns`].
 #[derive(Debug, Clone)]
 pub struct RetargetReport {
     /// Processor name from the HDL model.
@@ -69,35 +68,6 @@ pub struct RetargetReport {
 }
 
 impl RetargetReport {
-    fn phase_dur(&self, label: &str) -> Duration {
-        Duration::from_nanos(self.report.phase_ns(label).unwrap_or(0))
-    }
-
-    /// Time in the HDL frontend (parsing + elaboration; phase `"parse"`).
-    pub fn t_frontend(&self) -> Duration {
-        self.phase_dur("parse")
-    }
-
-    /// Time in instruction-set extraction (phase `"extract"`).
-    pub fn t_extract(&self) -> Duration {
-        self.phase_dur("extract")
-    }
-
-    /// Time in algebraic template extension (phase `"template-gen"`).
-    pub fn t_extend(&self) -> Duration {
-        self.phase_dur("template-gen")
-    }
-
-    /// Time constructing the tree grammar (phase `"rule-gen"`).
-    pub fn t_grammar(&self) -> Duration {
-        self.phase_dur("rule-gen")
-    }
-
-    /// Time generating the selector tables (phase `"selector-gen"`).
-    pub fn t_selector(&self) -> Duration {
-        self.phase_dur("selector-gen")
-    }
-
     /// Total retargeting time.
     pub fn t_total(&self) -> Duration {
         Duration::from_nanos(self.total_ns)
@@ -113,63 +83,44 @@ impl Record {
     ///
     /// The returned [`Target`] is frozen: the netlist, template base,
     /// grammar, selector, execution-condition BDDs and register pool are
-    /// all fixed at this point, and compilation never mutates them.
+    /// all fixed at this point, and compilation never mutates them.  Its
+    /// [`RetargetReport`] times each phase (`parse`, `extract`,
+    /// `template-gen`, `rule-gen`, `selector-gen`, `freeze`) and counts
+    /// what each produced.
     ///
     /// # Errors
     ///
     /// Fails on malformed HDL, elaboration errors or extraction errors
     /// (combinational cycles, route explosion).
     pub fn retarget(hdl: &str, options: &RetargetOptions) -> Result<Target, PipelineError> {
-        Record::retarget_probed(hdl, options, &mut Probe::disabled())
-    }
-
-    /// [`Record::retarget`] with a trace probe: every retargeting phase
-    /// (`parse`, `extract`, `template-gen`, `rule-gen`, `selector-gen`,
-    /// `freeze`) is bracketed by a span on `probe`, and phase sizes are
-    /// reported as counters.  The same phase labels appear in the
-    /// returned target's [`RetargetReport`], probe or not.
-    ///
-    /// # Errors
-    ///
-    /// As [`Record::retarget`].  Spans stay balanced on the error path.
-    pub fn retarget_probed(
-        hdl: &str,
-        options: &RetargetOptions,
-        probe: &mut Probe<'_>,
-    ) -> Result<Target, PipelineError> {
         let t0 = Instant::now();
         let mut report = Report::with_capacity(6, 8);
 
-        let netlist = phase(probe, &mut report, "parse", |_| {
+        let netlist = phase(&mut report, "parse", || {
             let model = record_hdl::parse(hdl).map_err(|e| PipelineError::Hdl(e.to_string()))?;
             record_netlist::elaborate(&model).map_err(|e| PipelineError::Netlist(e.to_string()))
         })?;
 
-        let extraction = phase(probe, &mut report, "extract", |_| {
+        let extraction = phase(&mut report, "extract", || {
             record_isex::extract(&netlist, &options.extract)
                 .map_err(|e| PipelineError::Extract(e.to_string()))
         })?;
         let templates_extracted = extraction.base.len();
-        probe.count("extract.templates", templates_extracted as u64);
         report.count("extract.templates", templates_extracted as u64);
 
         let mut base = extraction.base;
-        phase(probe, &mut report, "template-gen", |_| {
+        phase(&mut report, "template-gen", || {
             record_rtl::extend(&mut base, &options.extension)
         });
-        probe.count("template-gen.templates", base.len() as u64);
         report.count("template-gen.templates", base.len() as u64);
 
-        let grammar = phase(probe, &mut report, "rule-gen", |probe| {
-            let grammar = TreeGrammar::from_base(&base, &netlist);
-            probe.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
-            probe.count("rule-gen.rules", grammar.rules().len() as u64);
-            Arc::new(grammar)
+        let grammar = phase(&mut report, "rule-gen", || {
+            Arc::new(TreeGrammar::from_base(&base, &netlist))
         });
         report.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
         report.count("rule-gen.rules", grammar.rules().len() as u64);
 
-        let selector = phase(probe, &mut report, "selector-gen", |_| {
+        let selector = phase(&mut report, "selector-gen", || {
             Selector::generate(Arc::clone(&grammar))
         });
 
@@ -180,7 +131,7 @@ impl Record {
         // handles must be created before `freeze` so sessions see them as
         // frozen-base handles.
         let mut manager = extraction.manager;
-        let (emit_tables, data_mem, const_mem, pool) = phase(probe, &mut report, "freeze", |_| {
+        let (emit_tables, data_mem, const_mem, pool) = phase(&mut report, "freeze", || {
             let emit_tables =
                 EmitTables::build(&netlist, &mut manager, extraction.varmap.iword_width());
             let data_mem = netlist
@@ -223,15 +174,10 @@ impl Record {
     }
 }
 
-/// Runs `body` as retarget phase `label`: its span and its report entry
-/// come from the same two clock readings.
-fn phase<'s, T>(
-    probe: &mut Probe<'s>,
-    report: &mut Report,
-    label: &'static str,
-    body: impl FnOnce(&mut Probe<'s>) -> T,
-) -> T {
-    let (out, span) = probe.time(label, body);
+/// Runs `body` as retarget phase `label` and records its time in the
+/// report, read from the clock compile phases use.
+fn phase<T>(report: &mut Report, label: &'static str, body: impl FnOnce() -> T) -> T {
+    let (out, span) = Probe::disabled().time(label, |_| body());
     report.phase(label, span.ns());
     out
 }
@@ -373,10 +319,10 @@ impl CompiledKernel {
 /// A retargeted compiler for one processor: the frozen retarget artifact.
 ///
 /// `Target` is immutable and `Send + Sync`.  Compilation goes through
-/// [`Target::compile`] (one-shot), [`Target::session`] (an explicit
-/// reusable session) or [`Target::compile_batch`] (thread-parallel
-/// fan-out); none of them takes `&mut self`, so a single retargeted
-/// artifact can be shared across threads and serve concurrent traffic.
+/// [`Target::compile`] (one-shot) or [`Target::session`] (an explicit
+/// reusable session); neither takes `&mut self`, so a single retargeted
+/// artifact can be shared across threads and serve concurrent traffic,
+/// one session per thread.
 #[derive(Debug)]
 pub struct Target {
     pub(crate) netlist: Netlist,
@@ -494,8 +440,7 @@ impl Target {
     ///
     /// A session owns all per-compilation mutable state (the BDD overlay
     /// arena) and can compile any number of requests; open one per thread
-    /// when rolling your own parallelism, or use
-    /// [`Target::compile_batch`].
+    /// to compile in parallel.
     pub fn session(&self) -> CompileSession<'_> {
         CompileSession::new(self)
     }
@@ -515,7 +460,7 @@ impl Target {
     ///
     /// Shorthand for `self.session().compile(request)` — a fresh session
     /// is created and dropped, which keeps results bit-identical whether a
-    /// request is compiled here, in an explicit session, or in a batch.
+    /// request is compiled here or in a fresh session on any thread.
     ///
     /// # Errors
     ///
@@ -523,33 +468,6 @@ impl Target {
     /// failures (no cover, storage exhaustion, missing spill paths).
     pub fn compile(&self, request: &CompileRequest<'_>) -> Result<CompiledKernel, CompileError> {
         self.session().compile(request)
-    }
-
-    /// Compiles a batch of requests, fanning out across OS threads.
-    ///
-    /// Results come back in request order and are byte-identical to
-    /// compiling each request sequentially with [`Target::compile`]: every
-    /// request gets its own session over the same frozen base, so neither
-    /// thread count nor scheduling can leak into the output.
-    pub fn compile_batch(
-        &self,
-        requests: &[CompileRequest<'_>],
-    ) -> Vec<Result<CompiledKernel, CompileError>> {
-        crate::session::compile_batch(self, requests)
-    }
-
-    /// [`Target::compile_batch`] with tracing: each request's session
-    /// records into its own trace lane (lane id = request index) and the
-    /// lanes merge lock-free after the workers join.  Results are
-    /// byte-identical to the untraced batch.
-    pub fn compile_batch_traced(
-        &self,
-        requests: &[CompileRequest<'_>],
-    ) -> (
-        Vec<Result<CompiledKernel, CompileError>>,
-        record_probe::Trace,
-    ) {
-        crate::session::compile_batch_traced(self, requests)
     }
 
     /// Runs compiled code on a zeroed machine with `init` memory words

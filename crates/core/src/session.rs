@@ -1,24 +1,24 @@
-//! Compilation sessions and the parallel batch API.
+//! Compilation sessions.
 //!
 //! The retarget artifact ([`crate::Target`]) is frozen; everything a
 //! compilation mutates lives here.  A [`CompileSession`] owns the
 //! session-local BDD overlay arena (emission and compaction conjoin
 //! execution conditions, which creates nodes) plus whatever binding and
 //! allocation state each request needs.  Sessions are cheap to open —
-//! the overlay starts empty and pages grow on demand — so the batch API
-//! simply opens one per request, which also makes batch output
-//! byte-identical to sequential output.
+//! the overlay starts empty and pages grow on demand — so
+//! [`crate::Target::compile`] opens one per request, and threads sharing
+//! one target each compile in their own, with output byte-identical to
+//! sequential compiles.
 
 use crate::error::{panic_message, CompileError, CompilePhase};
 use crate::pipeline::{CompileOptions, CompileReport, CompiledKernel, Target};
 use record_bdd::BddOverlay;
 use record_codegen::{Binding, Codegen, Emitted, SimExpr};
 use record_compact::compact;
-use record_probe::{Collector, Probe, Trace, TraceSink};
+use record_probe::{Collector, Probe, Trace};
 use record_regalloc::{allocate, AllocOptions, MemLayout};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One compilation request: a mini-C translation unit, the function to
 /// compile, and the options to compile it under.
@@ -115,7 +115,7 @@ pub struct CompileSession<'t> {
     bdd: BddOverlay<'t>,
     /// Trace collector, when the caller wants the span stream.  Owned by
     /// the session (one lane per session), so concurrent sessions never
-    /// contend — batch tracing merges lanes after the workers join.
+    /// contend — their traces merge with [`Trace::merge`] afterwards.
     collector: Option<Collector>,
     /// Set when a compilation panicked inside this session (see
     /// [`CompileSession::poisoned`]).
@@ -252,7 +252,7 @@ impl<'t> CompileSession<'t> {
         let bdd_before = self.bdd.counters();
         // Disjoint-field borrows: the probe holds `self.collector` for the
         // whole compilation while codegen and compaction mutate `self.bdd`.
-        let mut probe = Probe::attached(self.collector.as_mut().map(|c| c as &mut dyn TraceSink));
+        let mut probe = Probe::attached(self.collector.as_mut());
         if let Some(budget) = options.deadline_ns {
             probe.set_deadline_ns(Some(record_probe::now_ns().saturating_add(budget)));
         }
@@ -464,90 +464,4 @@ impl<'s> Phases<'_, 's> {
 #[derive(Debug, Default)]
 pub struct SessionPages {
     bdd: record_bdd::OverlayPages,
-}
-
-/// Thread-parallel batch compilation over one frozen target.
-///
-/// Each request is compiled in its *own* fresh session, so output is
-/// byte-identical to sequential [`Target::compile`] calls no matter how
-/// the requests land on threads.
-pub(crate) fn compile_batch(
-    target: &Target,
-    requests: &[CompileRequest<'_>],
-) -> Vec<Result<CompiledKernel, CompileError>> {
-    fan_out(requests, |_, request| target.compile(request))
-}
-
-/// [`compile_batch`] with tracing: every request compiles in a fresh
-/// session whose collector records into lane = request index, and the
-/// lanes merge — by moving event buffers, no locks — after the workers
-/// join.  Lanes come back sorted by request index, so the merged trace
-/// is deterministic regardless of scheduling.
-pub(crate) fn compile_batch_traced(
-    target: &Target,
-    requests: &[CompileRequest<'_>],
-) -> (Vec<Result<CompiledKernel, CompileError>>, Trace) {
-    let (results, traces): (Vec<_>, Vec<_>) = fan_out(requests, |i, request| {
-        let mut session = target.session();
-        session.install_collector(i as u32);
-        let result = session.compile(request);
-        (
-            result,
-            session.take_trace().expect("collector installed above"),
-        )
-    })
-    .into_iter()
-    .unzip();
-    (results, Trace::merge(traces))
-}
-
-/// Runs `work` on every request and returns the results in request order.
-///
-/// Worker threads pull request indices off a shared atomic counter.  Uses
-/// `std::thread::scope` — no runtime, no extra dependencies — and caps
-/// workers at the smaller of the request count and available
-/// parallelism.
-fn fan_out<R: Send>(
-    requests: &[CompileRequest<'_>],
-    work: impl Fn(usize, &CompileRequest<'_>) -> R + Sync,
-) -> Vec<R> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(requests.len());
-    if workers <= 1 {
-        return requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| work(i, r))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..requests.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(request) = requests.get(i) else {
-                            break;
-                        };
-                        done.push((i, work(i, request)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("batch worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every request index was claimed by exactly one worker"))
-        .collect()
 }

@@ -3,8 +3,7 @@
 //! The [trace-event format] is the lingua franca of timeline viewers:
 //! the emitted file loads in Perfetto (<https://ui.perfetto.dev>) and
 //! `chrome://tracing`.  Span events map to `"B"`/`"E"` duration events,
-//! counters to `"C"` events, and each lane becomes a `tid` with a
-//! `thread_name` metadata record.
+//! and each lane becomes a `tid` with a `thread_name` metadata record.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -61,14 +60,6 @@ impl Trace {
                          \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}}}",
                         Json::str(ev.label),
                         lane.id
-                    ),
-                    EventKind::Counter => format!(
-                        "{{\"name\": {}, \"cat\": \"record\", \"ph\": \"C\", \
-                         \"ts\": {ts_us:.3}, \"pid\": 1, \"tid\": {}, \
-                         \"args\": {{\"value\": {}}}}}",
-                        Json::str(ev.label),
-                        lane.id,
-                        ev.value
                     ),
                 };
                 push(&line, &mut first);

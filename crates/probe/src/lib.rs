@@ -12,12 +12,12 @@
 //!   nanoseconds plus the counter snapshot at phase end.  Reports are
 //!   cheap enough to attach to every result (a dozen clock reads and
 //!   two small `Vec`s per compilation).
-//! * **[`TraceSink`]s** receive the full span stream — nested
-//!   begin/end events with monotonic timestamps — for timeline tooling.
-//!   No sink is installed by default, and the [`Probe`] handle that
-//!   pipeline code talks to degrades to a branch-on-null when disabled:
-//!   the hot paths (BDD apply, grammar labelling) never see the probe
-//!   at all, only phase boundaries do.
+//! * **[`Collector`]s** receive the full span stream of a compile —
+//!   nested begin/end events with monotonic timestamps — for timeline
+//!   tooling.  No collector is installed by default, and the [`Probe`]
+//!   handle that pipeline code talks to degrades to a branch-on-null
+//!   when disabled: the hot paths (BDD apply, grammar labelling) never
+//!   see the probe at all, only phase boundaries do.
 //! * **Fleet [`metrics`]** aggregate across requests and threads: a
 //!   [`MetricsRegistry`] of counters, gauges and log-bucketed latency
 //!   [`Histogram`]s, recorded on lock-free per-worker
@@ -25,10 +25,9 @@
 //!   what a serving layer exports to a monitoring system; see the
 //!   module docs.
 //!
-//! The first-party sink is [`Collector`], which records events into a
-//! per-session [`Trace`] lane.  Lanes from concurrent sessions (e.g.
-//! `compile_batch` workers) merge lock-free at join time — each worker
-//! owns its collector, merging moves the event vectors.  A merged
+//! A [`Collector`] records events into a per-session [`Trace`] lane.
+//! Lanes from concurrent sessions merge lock-free at join time — each
+//! thread owns its collector, merging moves the event vectors.  A merged
 //! [`Trace`] exports as Chrome trace-event JSON
 //! ([`Trace::to_chrome_json`]) loadable in Perfetto or `chrome://tracing`,
 //! and validates itself ([`Trace::validate`]): balanced begin/end pairs,
@@ -45,12 +44,11 @@
 //! use record_probe::{validate_chrome_json, Collector, Probe, Trace};
 //!
 //! let mut sink = Collector::new(0);
-//! let mut probe = Probe::new(&mut sink);
-//! probe.begin("retarget");
+//! let mut probe = Probe::attached(Some(&mut sink));
+//! probe.begin("compile");
 //! probe.begin("parse");
-//! probe.count("hdl.modules", 3);
 //! probe.end("parse");
-//! probe.end("retarget");
+//! probe.end("compile");
 //! drop(probe);
 //!
 //! let trace = sink.into_trace();
@@ -71,7 +69,7 @@ pub use metrics::{
     MetricsShard,
 };
 pub use report::{CounterVal, PhaseNs, Report};
-pub use trace::{Collector, EventKind, Lane, Trace, TraceEvent, TraceSink};
+pub use trace::{Collector, EventKind, Lane, Trace, TraceEvent};
 
 use std::time::Instant;
 
@@ -92,7 +90,7 @@ pub fn now_ns() -> u64 {
 
 /// The handle pipeline code is threaded with.
 ///
-/// A probe either borrows a [`TraceSink`] or is disabled.  Every method
+/// A probe either borrows a [`Collector`] or is disabled.  Every method
 /// starts with a null check, so a disabled probe costs one predictable
 /// branch per *phase boundary* — the per-operation hot paths are not
 /// instrumented through the probe at all (see the crate docs).
@@ -103,7 +101,7 @@ pub fn now_ns() -> u64 {
 /// checking it is a branch on an `Option`, paid only at boundaries.
 #[derive(Default)]
 pub struct Probe<'s> {
-    sink: Option<&'s mut dyn TraceSink>,
+    sink: Option<&'s mut Collector>,
     /// Absolute deadline in [`now_ns`] time, if any.
     deadline_ns: Option<u64>,
 }
@@ -117,7 +115,7 @@ impl std::fmt::Debug for Probe<'_> {
 }
 
 impl<'s> Probe<'s> {
-    /// A probe with no sink: every call is a no-op.
+    /// A probe with no collector: every call is a no-op.
     #[inline]
     pub fn disabled() -> Probe<'static> {
         Probe {
@@ -126,29 +124,19 @@ impl<'s> Probe<'s> {
         }
     }
 
-    /// A probe feeding `sink`.
-    pub fn new(sink: &'s mut dyn TraceSink) -> Probe<'s> {
+    /// A probe recording into `sink` when one is given, disabled
+    /// otherwise.
+    pub fn attached(sink: Option<&'s mut Collector>) -> Probe<'s> {
         // Touch the epoch now so the first event does not pay for the
         // OnceLock initialisation inside a span.
         let _ = epoch();
         Probe {
-            sink: Some(sink),
+            sink,
             deadline_ns: None,
         }
     }
 
-    /// A probe feeding `sink` when one is given, disabled otherwise.
-    pub fn attached(sink: Option<&'s mut dyn TraceSink>) -> Probe<'s> {
-        match sink {
-            Some(s) => Probe::new(s),
-            None => Probe {
-                sink: None,
-                deadline_ns: None,
-            },
-        }
-    }
-
-    /// Is a sink installed?
+    /// Is a collector installed?
     #[inline]
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
@@ -178,10 +166,7 @@ impl<'s> Probe<'s> {
     #[inline]
     pub fn reborrow(&mut self) -> Probe<'_> {
         Probe {
-            sink: match &mut self.sink {
-                Some(s) => Some(&mut **s),
-                None => None,
-            },
+            sink: self.sink.as_deref_mut(),
             deadline_ns: self.deadline_ns,
         }
     }
@@ -202,23 +187,14 @@ impl<'s> Probe<'s> {
         }
     }
 
-    /// Records a named counter sample (an absolute value or a delta —
-    /// the convention is per counter and documented at the call site).
-    #[inline]
-    pub fn count(&mut self, name: &'static str, value: u64) {
-        if let Some(s) = &mut self.sink {
-            s.counter(name, value, now_ns());
-        }
-    }
-
     /// Runs `body` inside span `label` and returns its result with the
     /// span's timestamps.
     ///
     /// The clock is read once when the span opens and once when it
-    /// closes, and the sink receives those same two readings, so a
+    /// closes, and the collector receives those same two readings, so a
     /// [`Report`] phase recorded from the returned [`Span`] equals the
-    /// traced span exactly.  The clock is read whether or not a sink is
-    /// installed: reports are always on.
+    /// traced span exactly.  The clock is read whether or not a
+    /// collector is installed: reports are always on.
     pub fn time<T>(
         &mut self,
         label: &'static str,

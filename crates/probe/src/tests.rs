@@ -1,20 +1,19 @@
-use crate::{Collector, Probe, Report, Trace, TraceSink};
+use crate::{Collector, Probe, Report, Trace};
 
 #[test]
 fn spans_nest_and_validate() {
     let mut sink = Collector::new(0);
     {
-        let mut probe = Probe::new(&mut sink);
+        let mut probe = Probe::attached(Some(&mut sink));
         probe.begin("outer");
         probe.begin("inner");
-        probe.count("items", 3);
         probe.end("inner");
         probe.begin("inner"); // same label twice is fine
         probe.end("inner");
         probe.end("outer");
     }
     let trace = sink.into_trace();
-    assert_eq!(trace.event_count(), 7);
+    assert_eq!(trace.event_count(), 6);
     trace.validate().expect("well-formed");
     // Span totals see both `inner` intervals under one label.
     let totals = trace.span_totals();
@@ -53,7 +52,6 @@ fn disabled_probe_is_inert() {
     let mut probe = Probe::disabled();
     assert!(!probe.enabled());
     probe.begin("x");
-    probe.count("y", 1);
     probe.end("x");
     let mut re = probe.reborrow();
     assert!(!re.enabled());
@@ -62,7 +60,7 @@ fn disabled_probe_is_inert() {
 
 #[test]
 fn collectors_merge_lock_free_under_thread_scope() {
-    // The compile_batch shape: one collector per worker, owned by its
+    // Concurrent sessions: one collector per thread, owned by its
     // thread, merged by move after join.
     let workers = 4;
     let mut collectors: Vec<Option<Collector>> = Vec::new();
@@ -72,11 +70,10 @@ fn collectors_merge_lock_free_under_thread_scope() {
                 scope.spawn(move || {
                     let mut sink = Collector::new(w);
                     {
-                        let mut probe = Probe::new(&mut sink);
+                        let mut probe = Probe::attached(Some(&mut sink));
                         for _ in 0..10 {
                             probe.begin("compile");
                             probe.begin("select");
-                            probe.count("select.rules-tried", 7);
                             probe.end("select");
                             probe.end("compile");
                         }
@@ -91,7 +88,7 @@ fn collectors_merge_lock_free_under_thread_scope() {
     });
     let trace = Trace::merge(collectors.into_iter().flatten().map(Collector::into_trace));
     assert_eq!(trace.lanes.len(), workers as usize);
-    assert_eq!(trace.event_count(), workers as usize * 10 * 5);
+    assert_eq!(trace.event_count(), workers as usize * 10 * 4);
     trace
         .validate()
         .expect("each lane independently well-formed");
@@ -105,14 +102,12 @@ fn collectors_merge_lock_free_under_thread_scope() {
 fn chrome_export_is_shaped_and_escaped() {
     let mut sink = Collector::new(0);
     sink.begin("phase", 1_500);
-    sink.counter("nodes", 42, 2_000);
     sink.end("phase", 2_500);
     let trace = sink.into_trace();
     let json = trace.to_chrome_json("demo \"quoted\"\n");
     crate::validate_chrome_json(&json).expect("parses and balances");
     assert!(json.contains("\\\"quoted\\\"\\n"), "escapes applied");
     assert!(json.contains("\"ts\": 1.500"), "ns -> µs conversion");
-    assert!(json.contains("\"ph\": \"C\""));
 
     // Validation catches an unbalanced document, one that is not JSON,
     // and one without the event array.

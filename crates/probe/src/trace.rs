@@ -1,4 +1,5 @@
-//! Trace events, sinks, and the collected [`Trace`].
+//! Trace events, the [`Collector`] that records them, and the collected
+//! [`Trace`].
 
 /// What a [`TraceEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -7,44 +8,26 @@ pub enum EventKind {
     Begin,
     /// The innermost open span with the same label closed.
     End,
-    /// A counter sample; `value` carries the payload.
-    Counter,
 }
 
 /// One recorded event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub kind: EventKind,
-    /// Span or counter name.  `&'static str` by design: labels are part
-    /// of the instrumentation vocabulary, not data, so recording one is
-    /// a pointer copy.
+    /// Span name.  `&'static str` by design: labels are part of the
+    /// instrumentation vocabulary, not data, so recording one is a
+    /// pointer copy.
     pub label: &'static str,
     /// Nanoseconds since the process trace epoch ([`crate::now_ns`]).
     pub ts_ns: u64,
-    /// Counter payload (0 for spans).
-    pub value: u64,
 }
 
-/// A sink receiving trace events from a [`crate::Probe`].
+/// The event buffer a [`crate::Probe`] records into: one lane.
 ///
-/// Implementations must be cheap — they are called at phase boundaries
-/// of latency-sensitive code.  The first-party implementation is
-/// [`Collector`].
-pub trait TraceSink {
-    /// A span opened at `ts_ns`.
-    fn begin(&mut self, label: &'static str, ts_ns: u64);
-    /// A span closed at `ts_ns`.
-    fn end(&mut self, label: &'static str, ts_ns: u64);
-    /// A counter sample.
-    fn counter(&mut self, name: &'static str, value: u64, ts_ns: u64);
-}
-
-/// The first-party sink: an append-only event buffer for one lane.
-///
-/// A lane is one logical thread of work — one compile session, one
-/// retarget run, one batch worker.  Collectors are owned by exactly one
-/// thread; merging happens after join by moving buffers into a
-/// [`Trace`], so no lock or atomic is involved anywhere.
+/// A lane is one logical thread of work, such as one compile session.
+/// Collectors are owned by exactly one thread; merging happens after
+/// join by moving buffers into a [`Trace`], so no lock or atomic is
+/// involved anywhere.
 #[derive(Debug, Clone)]
 pub struct Collector {
     lane: u32,
@@ -84,33 +67,22 @@ impl Collector {
             }],
         }
     }
-}
 
-impl TraceSink for Collector {
-    fn begin(&mut self, label: &'static str, ts_ns: u64) {
+    /// A span opened at `ts_ns`.
+    pub(crate) fn begin(&mut self, label: &'static str, ts_ns: u64) {
         self.events.push(TraceEvent {
             kind: EventKind::Begin,
             label,
             ts_ns,
-            value: 0,
         });
     }
 
-    fn end(&mut self, label: &'static str, ts_ns: u64) {
+    /// A span closed at `ts_ns`.
+    pub(crate) fn end(&mut self, label: &'static str, ts_ns: u64) {
         self.events.push(TraceEvent {
             kind: EventKind::End,
             label,
             ts_ns,
-            value: 0,
-        });
-    }
-
-    fn counter(&mut self, name: &'static str, value: u64, ts_ns: u64) {
-        self.events.push(TraceEvent {
-            kind: EventKind::Counter,
-            label: name,
-            ts_ns,
-            value,
         });
     }
 }
@@ -131,7 +103,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Merges traces (e.g. one per batch worker) into one.
+    /// Merges traces (e.g. one per compile session) into one.
     ///
     /// Pure moves — event buffers change owner, nothing is copied or
     /// locked.  Lane ids are kept as recorded; give each concurrent
@@ -188,7 +160,6 @@ impl Trace {
                             ));
                         }
                     },
-                    EventKind::Counter => {}
                 }
             }
             if let Some(open) = stack.last() {
@@ -216,7 +187,6 @@ impl Trace {
                             }
                         }
                     }
-                    EventKind::Counter => {}
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! Quickstart: retarget the compiler to a tiny accumulator machine
 //! described in HDL, compile one mini-C statement, inspect the result,
-//! and record a Chrome trace of the whole thing for Perfetto.
+//! and record a Chrome trace of the compile for Perfetto.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use record_core::{Collector, CompileRequest, Probe, Record, RetargetOptions, Trace};
+use record_core::{CompileRequest, Record, RetargetOptions};
 
 /// A complete HDL processor model: an 8-entry memory, an accumulator and a
 /// three-function ALU controlled by instruction fields.
@@ -57,14 +57,8 @@ const HDL: &str = r#"
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Retargeting: HDL -> netlist -> RT templates -> grammar -> selector.
     // The result is a frozen artifact: compiling borrows it immutably.
-    // The probed variant streams every phase into a trace collector;
-    // `Record::retarget` is the same pipeline with the probe disabled.
-    let mut sink = Collector::new(0);
-    let target = {
-        let mut probe = Probe::new(&mut sink);
-        Record::retarget_probed(HDL, &RetargetOptions::default(), &mut probe)?
-    };
-    let retarget_trace = sink.into_trace();
+    // Its report is the record of the retarget: counts and phase times.
+    let target = Record::retarget(HDL, &RetargetOptions::default())?;
     let stats = target.report();
     println!(
         "retargeted `{}`: {} RT templates, {} grammar rules in {:.2?}",
@@ -84,12 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // with a collector installed traces the compile too; the generated
     // code is byte-identical to the untraced `target.compile` path.
     let mut session = target.session();
-    session.install_collector(1);
+    session.install_collector(0);
     let kernel = session.compile(&CompileRequest::new(
         "int x, a, b; void f() { x = x + a * b; }",
         "f",
     ))?;
-    let compile_trace = session.take_trace().expect("collector was installed");
+    let trace = session.take_trace().expect("collector was installed");
     println!(
         "\ncompiled `x = x + a * b;` to {} words:",
         kernel.code_size()
@@ -101,14 +95,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dm = target.data_memory()?;
     println!("result: x = {}", machine.mem(dm, 0));
 
-    // Where did the time go?  The always-on report answers in text...
-    print!("\n{}", kernel.report.render_table("compile phases"));
+    // Where did the time go?  The always-on reports answer in text...
+    print!("\n{}", stats.report.render_table("retarget phases"));
+    print!("{}", kernel.report.render_table("compile phases"));
 
-    // ...and the merged trace answers visually: open the written file in
-    // Perfetto (https://ui.perfetto.dev) or chrome://tracing.  Lane 0 is
-    // the retarget, lane 1 the compile; per-statement selector and
-    // emission spans nest inside the `codegen` span.
-    let trace = Trace::merge([retarget_trace, compile_trace]);
+    // ...and the compile trace answers visually: open the written file in
+    // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+    // Per-statement spans nest inside the `codegen` span.
     let path = std::env::temp_dir().join("record-quickstart-trace.json");
     std::fs::write(&path, trace.to_chrome_json("record quickstart"))?;
     println!("chrome trace written to {}", path.display());

@@ -1,5 +1,6 @@
-//! Parallelism differential: a frozen `Target` shared across threads via
-//! `compile_batch` must produce *byte-identical* results to sequential
+//! Parallelism differential: a frozen `Target` shared across threads,
+//! each request compiled in a fresh session on its own thread (the
+//! server's pattern), must produce *byte-identical* results to sequential
 //! one-shot compiles — op sequences, schedules and allocation counters —
 //! for every kernel × model pair, under every option set.  This is the
 //! contract that makes the retarget-once/compile-many split safe to serve
@@ -9,10 +10,12 @@ mod common;
 
 use record_core::{CompileError, CompileRequest, CompiledKernel, Record, RetargetOptions, Target};
 use record_targets::{kernels, models};
+use std::sync::Barrier;
 
 /// Compile-time check: the frozen artifact is shareable across threads.
-/// (`compile_batch` would not compile otherwise, but the assertion
-/// documents the API contract independently of any runtime path.)
+/// (The scoped threads below would not compile otherwise, but the
+/// assertion documents the API contract independently of any runtime
+/// path.)
 #[test]
 fn target_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -20,13 +23,40 @@ fn target_is_send_and_sync() {
     assert_send_sync::<record_core::FrozenBdd>();
 }
 
+/// Compiles every request on its own scoped thread, in a fresh session
+/// over the one shared `target`, and returns the results in request
+/// order.  A barrier holds every thread until all have started, so the
+/// compiles overlap.
+fn compile_concurrently(
+    target: &Target,
+    requests: &[CompileRequest<'_>],
+) -> Vec<Result<CompiledKernel, CompileError>> {
+    let start = Barrier::new(requests.len());
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = requests
+            .iter()
+            .map(|request| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    target.session().compile(request)
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("compile thread panicked"))
+            .collect()
+    })
+}
+
 fn assert_identical(
-    batch: &[Result<CompiledKernel, CompileError>],
+    concurrent: &[Result<CompiledKernel, CompileError>],
     sequential: &[Result<CompiledKernel, CompileError>],
     label: &str,
 ) {
-    assert_eq!(batch.len(), sequential.len(), "{label}: result count");
-    for (i, (b, s)) in batch.iter().zip(sequential).enumerate() {
+    assert_eq!(concurrent.len(), sequential.len(), "{label}: result count");
+    for (i, (b, s)) in concurrent.iter().zip(sequential).enumerate() {
         match (b, s) {
             (Ok(bk), Ok(sk)) => {
                 assert_eq!(bk.ops, sk.ops, "{label}[{i}]: op sequences differ");
@@ -41,7 +71,7 @@ fn assert_identical(
             (Err(be), Err(se)) => {
                 assert_eq!(be, se, "{label}[{i}]: errors differ");
             }
-            _ => panic!("{label}[{i}]: batch and sequential disagree on success"),
+            _ => panic!("{label}[{i}]: concurrent and sequential disagree on success"),
         }
     }
 }
@@ -63,16 +93,16 @@ fn batch_output_is_identical_to_sequential_on_every_model() {
             .collect();
 
         let sequential: Vec<_> = requests.iter().map(|r| target.compile(r)).collect();
-        let batch = target.compile_batch(&requests);
-        assert_identical(&batch, &sequential, model.name);
-        checked_pairs += batch.len();
+        let concurrent = compile_concurrently(&target, &requests);
+        assert_identical(&concurrent, &sequential, model.name);
+        checked_pairs += concurrent.len();
     }
     assert!(checked_pairs >= 50, "checked {checked_pairs} pairs");
 }
 
 /// The equality holds under every option combination, including the ones
 /// that exercise the allocator and the compactor differently, and the
-/// compiled batch output still matches the mini-C interpreter.
+/// concurrently compiled output still matches the mini-C interpreter.
 #[test]
 fn batch_equals_sequential_under_all_option_sets_on_c25() {
     let model = models::model("tms320c25").unwrap();
@@ -93,44 +123,45 @@ fn batch_equals_sequential_under_all_option_sets_on_c25() {
         );
     }
     let sequential: Vec<_> = requests.iter().map(|r| target.compile(r)).collect();
-    let batch = target.compile_batch(&requests);
-    assert_identical(&batch, &sequential, "c25/options");
+    let concurrent = compile_concurrently(&target, &requests);
+    assert_identical(&concurrent, &sequential, "c25/options");
 
     // The parallel-compiled kernels are not just self-consistent — they
     // compute what the interpreter computes.
-    for (req, result) in requests.iter().zip(&batch) {
+    for (req, result) in requests.iter().zip(&concurrent) {
         let kernel = result.as_ref().expect("all C25 kernels compile");
         common::assert_matches_interpreter(
             &target,
             kernel,
             req.source(),
             req.function(),
-            &format!("batch {}", req.function()),
+            &format!("concurrent {}", req.function()),
         );
     }
 }
 
 /// Stress the session isolation: many copies of the same requests racing
-/// over one artifact, several batch rounds in a row, never diverging.
+/// over one artifact, several concurrent rounds in a row, never
+/// diverging.
 #[test]
 fn repeated_batches_are_stable() {
     let model = models::model("tms320c25").unwrap();
     let target = Record::retarget(model.hdl, &RetargetOptions::default()).unwrap();
-    // Duplicate the kernel set so the worker pool has to interleave
-    // identical requests — any cross-session leakage would show up as a
-    // divergence between duplicates.
+    // Duplicate the kernel set so identical requests run side by side —
+    // any cross-session leakage would show up as a divergence between
+    // duplicates.
     let requests: Vec<CompileRequest<'_>> = kernels::kernels()
         .iter()
         .chain(kernels::kernels().iter())
         .chain(kernels::kernels().iter())
         .map(|k| CompileRequest::new(k.source, k.function))
         .collect();
-    let first = target.compile_batch(&requests);
+    let first = compile_concurrently(&target, &requests);
     for round in 0..3 {
-        let again = target.compile_batch(&requests);
+        let again = compile_concurrently(&target, &requests);
         assert_identical(&again, &first, &format!("round {round}"));
     }
-    // Duplicates within one batch are identical to each other too.
+    // Duplicates within one round are identical to each other too.
     let n = kernels::kernels().len();
     for i in 0..n {
         let a = first[i].as_ref().unwrap();
