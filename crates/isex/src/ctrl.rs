@@ -74,6 +74,15 @@ impl SymVec {
 
 type CtrlResult<T> = Result<T, CtrlIssue>;
 
+/// The condition "`vec`'s bits equal `value`", without definedness.
+/// False when `value` has a bit set above the vector's width.
+fn bits_equal(vec: &SymVec, value: u64, m: &mut BddManager) -> Bdd {
+    if vec.bits.len() < 64 && value >> vec.bits.len() != 0 {
+        return Bdd::FALSE;
+    }
+    m.vector_equals(&vec.bits, value)
+}
+
 /// Symbolic evaluator for control nets with memoisation.
 #[derive(Debug)]
 pub struct CtrlAnalysis<'n> {
@@ -101,20 +110,8 @@ impl<'n> CtrlAnalysis<'n> {
 
     /// Builds the condition "`vec == value`" (including definedness).
     pub fn vec_equals(&self, vec: &SymVec, value: u64, m: &mut BddManager) -> Bdd {
-        let mut acc = vec.defined;
-        for (i, &b) in vec.bits.iter().enumerate() {
-            let want = (value >> i) & 1 == 1;
-            let lit = if want { b } else { m.not(b) };
-            acc = m.and(acc, lit);
-            if acc == Bdd::FALSE {
-                break;
-            }
-        }
-        // Bits of `value` above the vector width must be zero.
-        if vec.bits.len() < 64 && value >> vec.bits.len() != 0 {
-            return Bdd::FALSE;
-        }
-        acc
+        let eq = bits_equal(vec, value, m);
+        m.and(vec.defined, eq)
     }
 
     /// Symbolic value of a processor-level net, as a `width`-bit vector.
@@ -432,23 +429,10 @@ impl<'n> CtrlAnalysis<'n> {
             BusGuard::Cmp { net, eq, value } => {
                 let w = self.netlist.net_width(net).max(1);
                 let vec = self.net_vec(net, w, m)?;
-                let cond = self.vec_equals(&vec, *value, m);
-                Ok(if *eq {
-                    cond
-                } else {
-                    // != keeps definedness: defined && !(bits == value)
-                    let eq_bits = {
-                        let mut acc = Bdd::TRUE;
-                        for (i, &b) in vec.bits.iter().enumerate() {
-                            let want = (*value >> i) & 1 == 1;
-                            let lit = if want { b } else { m.not(b) };
-                            acc = m.and(acc, lit);
-                        }
-                        acc
-                    };
-                    let ne = m.not(eq_bits);
-                    m.and(vec.defined, ne)
-                })
+                let eq_bits = bits_equal(&vec, *value, m);
+                // != keeps definedness: defined && !(bits == value)
+                let cond = if *eq { eq_bits } else { m.not(eq_bits) };
+                Ok(m.and(vec.defined, cond))
             }
             BusGuard::Not(inner) => {
                 let x = self.bus_guard_bdd(inner, m)?;

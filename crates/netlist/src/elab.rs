@@ -101,6 +101,7 @@ impl<'a> Elaborator<'a> {
         }
 
         let ctx = NetCtx {
+            processor: &proc.name,
             defs: &self.defs,
             insts: &insts,
             bus_index: &bus_index,
@@ -325,6 +326,7 @@ fn validate_regfile(
 
 /// Context for resolving processor-level references.
 struct NetCtx<'a> {
+    processor: &'a str,
     defs: &'a [ElabModule],
     insts: &'a [Instance],
     bus_index: &'a BTreeMap<String, BusId>,
@@ -409,11 +411,23 @@ impl NetCtx<'_> {
 
     fn resolve_cond(&self, c: &hdl::Cond) -> Result<BusGuard> {
         Ok(match c {
-            hdl::Cond::Cmp { lhs, op, rhs } => BusGuard::Cmp {
-                net: self.resolve_netref(lhs)?,
-                eq: *op == hdl::CmpOp::Eq,
-                value: *rhs,
-            },
+            hdl::Cond::Cmp { lhs, op, rhs } => {
+                let net = self.resolve_netref(lhs)?;
+                // Bus and constant nets report width 0: not known here.
+                let width = u32::from(self.net_width(&net));
+                if width != 0 && !fits(*rhs, width) {
+                    return err(format!(
+                        "`drive` guard constant {rhs} does not fit the {width}-bit net it is \
+                         compared with in processor `{}`",
+                        self.processor
+                    ));
+                }
+                BusGuard::Cmp {
+                    net,
+                    eq: *op == hdl::CmpOp::Eq,
+                    value: *rhs,
+                }
+            }
             hdl::Cond::Not(inner) => BusGuard::Not(Box::new(self.resolve_cond(inner)?)),
             hdl::Cond::And(a, b) => BusGuard::And(
                 Box::new(self.resolve_cond(a)?),
@@ -547,10 +561,18 @@ fn flatten_stmts(
                 default,
             } => {
                 let sel = ctrl_expr(m, selector)?;
+                let width = ctrl_width(m, &sel);
                 let mut covered = Guard::False;
                 for arm in arms {
                     let mut arm_guard = Guard::False;
                     for &label in &arm.labels {
+                        if !fits(label, width) {
+                            return err(format!(
+                                "case label {label} does not fit the {width}-bit selector in \
+                                 module `{}`",
+                                m.name
+                            ));
+                        }
                         arm_guard = arm_guard.or(Guard::Cmp {
                             sel: sel.clone(),
                             value: label,
@@ -637,11 +659,21 @@ fn ctrl_expr(m: &hdl::ModuleDef, e: &hdl::Expr) -> Result<CtrlExpr> {
             CtrlExpr::Port(pidx)
         }
         hdl::Expr::Const(v) => CtrlExpr::Const(*v),
-        hdl::Expr::Slice { base, hi, lo } => CtrlExpr::Slice {
-            base: Box::new(ctrl_expr(m, base)?),
-            hi: *hi,
-            lo: *lo,
-        },
+        hdl::Expr::Slice { base, hi, lo } => {
+            let base = ctrl_expr(m, base)?;
+            let width = ctrl_width(m, &base);
+            if u32::from(*hi) >= width {
+                return err(format!(
+                    "selector slice [{hi}:{lo}] exceeds width {width} of its base in module `{}`",
+                    m.name
+                ));
+            }
+            CtrlExpr::Slice {
+                base: Box::new(base),
+                hi: *hi,
+                lo: *lo,
+            }
+        }
         other => {
             return err(format!(
                 "unsupported selector expression {:?} in module `{}`",
@@ -657,17 +689,49 @@ fn ctrl_expr(m: &hdl::ModuleDef, e: &hdl::Expr) -> Result<CtrlExpr> {
 /// runtime condition (the branch-if-zero idiom of PC update paths) rather
 /// than a decodable instruction-word condition.
 fn guard_cmp(m: &hdl::ModuleDef, sel: &hdl::Expr, value: u64) -> Result<Guard> {
-    if let hdl::Expr::Port(name) = sel {
-        if let Some(pidx) = m.ports.iter().position(|p| p.name == *name) {
-            if m.ports[pidx].dir == PortDir::In {
-                return Ok(Guard::DataCmp { port: pidx, value });
-            }
+    let data_port = match sel {
+        hdl::Expr::Port(name) => m
+            .ports
+            .iter()
+            .position(|p| p.name == *name)
+            .filter(|&p| m.ports[p].dir == PortDir::In),
+        _ => None,
+    };
+    let (guard, width) = match data_port {
+        Some(port) => (
+            Guard::DataCmp { port, value },
+            u32::from(m.ports[port].width),
+        ),
+        None => {
+            let sel = ctrl_expr(m, sel)?;
+            let width = ctrl_width(m, &sel);
+            (Guard::Cmp { sel, value }, width)
         }
+    };
+    if !fits(value, width) {
+        return err(format!(
+            "`when` constant {value} does not fit the {width}-bit operand it is compared with \
+             in module `{}`",
+            m.name
+        ));
     }
-    Ok(Guard::Cmp {
-        sel: ctrl_expr(m, sel)?,
-        value,
-    })
+    Ok(guard)
+}
+
+/// Width of a control expression in bits (64 for a constant, which
+/// control analysis evaluates as a 64-bit vector).
+fn ctrl_width(m: &hdl::ModuleDef, e: &CtrlExpr) -> u32 {
+    match e {
+        CtrlExpr::Port(p) => u32::from(m.ports[*p].width),
+        CtrlExpr::Const(_) => 64,
+        CtrlExpr::Slice { hi, lo, .. } => u32::from(hi - lo) + 1,
+    }
+}
+
+/// Can a `width`-bit value equal `value`?  A comparison constant that
+/// fails this is a model error: its arm or guard could never hold.
+fn fits(value: u64, width: u32) -> bool {
+    width >= 64 || value >> width == 0
 }
 
 /// Converts a `when` expression into a [`Guard`].

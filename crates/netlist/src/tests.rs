@@ -356,6 +356,59 @@ fn rejects_constant_too_wide_for_port() {
     assert!(e.message().contains("does not fit"));
 }
 
+/// A comparison constant that its operand can never equal is an error
+/// naming the module or processor and the constant: a `case` label, a
+/// module `when` constant on a control or a data operand, and a
+/// `drive … when` constant.
+#[test]
+fn rejects_comparison_constants_wider_than_their_operand() {
+    let drive = r#"
+        module R { in d: bit(8); out q: bit(8); register q = d; }
+        processor P {
+            instruction word: bit(4);
+            in pin: bit(8);
+            bus dbus: bit(8);
+            parts { r: R; }
+            connections {
+                drive dbus = pin when I[1:0] != 5;
+                r.d = dbus;
+            }
+        }
+    "#;
+    for (src, wants) in [
+        (
+            ACC_MACHINE.replace("2 => y = a & b;", "2 => y = a & b; 4 => y = b;"),
+            ["case label 4 ", "2-bit selector", "module `Alu`"],
+        ),
+        (
+            ACC_MACHINE.replace("when en == 1", "when en == 2"),
+            ["`when` constant 2 ", "1-bit operand", "module `Acc`"],
+        ),
+        (
+            ACC_MACHINE.replace("when en == 1", "when d == 256"),
+            ["`when` constant 256 ", "8-bit operand", "module `Acc`"],
+        ),
+        (
+            drive.to_owned(),
+            ["`drive` guard constant 5 ", "2-bit net", "processor `P`"],
+        ),
+    ] {
+        let e = elab(&src).unwrap_err();
+        for want in wants {
+            assert!(e.message().contains(want), "missing `{want}` in: {e}");
+        }
+    }
+    elab(&drive.replace("!= 5", "!= 3")).expect("3 fits a 2-bit field");
+
+    // A selector slice is as wide as it reads: it may not reach past its
+    // port, which control analysis cannot slice.
+    let e = elab(&ACC_MACHINE.replace("when en == 1", "when en[3:2] == 1")).unwrap_err();
+    assert!(
+        e.message().contains("slice [3:2] exceeds width 1") && e.message().contains("`Acc`"),
+        "{e}"
+    );
+}
+
 #[test]
 fn guard_and_or_folding() {
     assert_eq!(Guard::True.and(Guard::True), Guard::True);

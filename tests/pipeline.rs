@@ -147,8 +147,9 @@ fn legalized_kernels_compute_correct_results_on_manocpu() {
 /// thread's stack.  mini-C parentheses, `if` blocks and an addition chain
 /// compile on `ref` (and run correctly when they compile); HDL
 /// parentheses around a register input, its guard and a bus driver's
-/// guard, an addition chain in the ALU, and an ALU `case` of as many
-/// labels plus a default arm, retarget from `demo`.
+/// guard, and an addition chain in the ALU, retarget from `demo` or fail
+/// structurally; and an ALU `case` of as many labels plus a default arm,
+/// on a selector widened to hold them, retargets.
 #[test]
 fn nesting_at_the_cap_compiles_or_fails_structurally() {
     let n = record_ir::MAX_NESTING;
@@ -183,19 +184,26 @@ fn nesting_at_the_cap_compiles_or_fails_structurally() {
             "when I[17:16] == 0",
             &format!("when {open}I[17:16] == 0{close}"),
         ),
-        demo.replace(
-            "7 => y = b;",
-            &(7..n)
-                .map(|label| format!("{label} => y = b;\n"))
-                .chain(["default => y = a;".to_owned()])
-                .collect::<String>(),
-        ),
     ] {
         assert_ne!(hdl, demo);
         if let Err(e) = Record::retarget(&hdl, &RetargetOptions::default()) {
             assert!(!matches!(e, PipelineError::Internal(_)), "{e}");
         }
     }
+
+    // The widest `case`: an 8-bit ALU selector holds every label.
+    let labels = demo
+        .replace("ctrl f: bit(3);", "ctrl f: bit(8);")
+        .replace("alu.f = I[23:21];", "alu.f = I[28:21];")
+        .replace(
+            "7 => y = b;",
+            &(7..n)
+                .map(|label| format!("{label} => y = b;\n"))
+                .chain(["default => y = a;".to_owned()])
+                .collect::<String>(),
+        );
+    assert_ne!(labels, demo);
+    Record::retarget(&labels, &RetargetOptions::default()).expect("a case at the cap retargets");
 }
 
 #[test]
