@@ -396,3 +396,56 @@ fn a_cyclic_conflict_fails_at_the_covers_rt_index() {
     assert_eq!(diagnostic.rt_index, Some(3), "{err}");
     assert_eq!(diagnostic.storage.as_deref(), Some("acc"), "{err}");
 }
+
+/// The diagnostic a selection failure reports names the subtree that
+/// has no cover and why, after the statement was split through scratch
+/// memory or legalized: a product on machines without a multiplier, and
+/// a store of a constant no rule can place on `bass_boost`.
+#[test]
+fn failed_selections_report_the_uncovered_subtree() {
+    let no_mul = "the grammar has no rule for operator `mul`";
+    for (model, kernel, subtree, reason, op, class) in [
+        (
+            "tanenbaum",
+            "real_update",
+            "mul(mem(0), mem(1))",
+            no_mul,
+            Some("mul"),
+            "select/missing-hardware(mul)",
+        ),
+        (
+            "demo",
+            "fir",
+            "mul(mem(0), mem(8))",
+            no_mul,
+            Some("mul"),
+            "select/missing-hardware(mul)",
+        ),
+        (
+            "bass_boost",
+            "dot_product",
+            "store(8, 0)",
+            "no rule matches this subtree for any location",
+            None,
+            "select/selector-gap",
+        ),
+    ] {
+        let target = Record::retarget(
+            models::model(model).unwrap().hdl,
+            &RetargetOptions::default(),
+        )
+        .unwrap();
+        let k = kernels::kernel(kernel).unwrap();
+        let err = target
+            .compile(&CompileRequest::new(k.source, k.function))
+            .unwrap_err();
+        let diagnostic = err.diagnostic().unwrap();
+        assert_eq!(
+            diagnostic.message,
+            format!("no cover for `{subtree}`: {reason}"),
+            "{model}/{kernel}"
+        );
+        assert_eq!(diagnostic.op, op, "{model}/{kernel}");
+        assert_eq!(err.classify().to_string(), class, "{model}/{kernel}");
+    }
+}
