@@ -9,6 +9,9 @@
 //!   median tables for every model retarget and kernel x model compile.
 //! * `cargo run -p record-bench --bin trace_smoke` writes and validates a
 //!   Chrome trace of one traced compile per Figure 2 kernel.
+//! * `cargo run -p record-bench --bin compile_dump` prints every op,
+//!   schedule word, failure and report counter of 2,652 compiles, for
+//!   diffing what two commits generate.
 //!
 //! The timing ledger is the repository benchmark (`perfbench/`).
 
