@@ -98,11 +98,17 @@ impl<M: BddOps> Gen<'_, M> {
         Ok(operand)
     }
 
-    /// Builds `dm[dst] := <value>` and compiles it as one cover.
+    /// Builds `dm[dst] := <value>` and compiles it as one cover.  Nothing
+    /// splits an uncovered mini-tree here, so its selection error is
+    /// built at once.
     fn assign(&mut self, mut b: EtBuilder, value: NodeIdx, dst: u64) -> Result<(), CodegenError> {
         let addr = b.leaf(EtKind::Const(dst));
         let et = Et::store(self.binding.data_mem(), addr, value, b);
-        self.cover(&et)
+        if self.cover(&et)? {
+            Ok(())
+        } else {
+            Err(self.no_cover(&et))
+        }
     }
 }
 

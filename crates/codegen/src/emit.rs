@@ -11,7 +11,7 @@
 use crate::binding::Binding;
 use crate::error::CodegenError;
 use crate::ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
-use record_bdd::BddOps;
+use record_bdd::{Bdd, BddOps};
 use record_grammar::{
     Et, EtBuilder, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, Rule, RuleOrigin,
     TermKey, TreeGrammar,
@@ -23,6 +23,7 @@ use record_rtl::{CondPred, Dest, Pattern, TemplateBase, TemplateId};
 use record_selgen::{Cover, RuleApp, SelectStats, Selector};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Work counters of one compilation's selection + emission.
@@ -99,8 +100,11 @@ impl Codegen<'_> {
     /// A legalization plan states each repeated step once, as a run (a
     /// shift-and-add multiply is one four-statement step run once per
     /// bit): the step compiles once and its other passes copy the RTs it
-    /// emitted.  Every other statement is selected and emitted where it
-    /// stands.
+    /// emitted, sharing their expression trees.  Every other statement is
+    /// selected and emitted where it stands.  Each instruction-field cube
+    /// an execution condition conjoins is built once per compile, and a
+    /// tree the selector finds no cover for is diagnosed only when its
+    /// error is returned: most such trees are split or legalized instead.
     ///
     /// `probe` receives one `"statement"` span per source statement and
     /// per branch; pass [`Probe::disabled`] when no trace is wanted.
@@ -149,12 +153,16 @@ impl Codegen<'_> {
     }
 }
 
-/// The state one compile mutates: the binding, the BDD manager, the one
-/// output sequence every cover emits into, and the work counters.
+/// The state one compile mutates: the binding, the BDD manager, the
+/// field cubes built in it, the one output sequence every cover emits
+/// into, and the work counters.
 pub(crate) struct Gen<'a, M: BddOps> {
     pub(crate) cg: Codegen<'a>,
     pub(crate) binding: &'a mut Binding,
     manager: &'a mut M,
+    /// The cube of every `(hi, lo, value)` field constraint built so far
+    /// (see [`Gen::field_equals`]).
+    cubes: HashMap<(u16, u16, u64), Bdd>,
     /// Width of a data-memory word, in bits.
     width: u16,
     /// The RTs emitted so far, blocks in CFG order.
@@ -169,6 +177,7 @@ impl<'a, M: BddOps> Gen<'a, M> {
             cg,
             binding,
             manager,
+            cubes: HashMap::new(),
             width,
             out: Vec::new(),
             stats: EmitStats::default(),
@@ -181,6 +190,21 @@ impl<'a, M: BddOps> Gen<'a, M> {
             block_ranges,
             stats: self.stats,
         }
+    }
+
+    /// The condition "instruction bits `hi..=lo` hold `value`".
+    ///
+    /// Each cube is built once per compile, on its first use.  That
+    /// changes no handle: the first build runs [`BddOps::vector_equals`]
+    /// where a build on every use would, creating the same nodes in the
+    /// same order, and a rebuild would only find those nodes again, since
+    /// session nodes are hash-consed and live as long as the compile.
+    fn field_equals(&mut self, hi: u16, lo: u16, value: u64) -> Bdd {
+        let bits = self.cg.tables.ibit_range(hi, lo);
+        *self
+            .cubes
+            .entry((hi, lo, value))
+            .or_insert_with(|| self.manager.vector_equals(bits, value))
     }
 
     /// The values a data-memory word holds.
@@ -268,15 +292,14 @@ impl<'a, M: BddOps> Gen<'a, M> {
         let mut rcond = base.template(reload_tid).cond;
         if let Pattern::MemRead(_, a) = &base.template(reload_tid).src {
             if let Pattern::Imm { hi, lo } = **a {
-                let bits = self.cg.tables.ibit_range(hi, lo);
-                let eqv = self.manager.vector_equals(bits, tmp);
+                let eqv = self.field_equals(hi, lo, tmp);
                 rcond = self.manager.and(rcond, eqv);
             }
         }
         self.out.push(RtOp {
             template: reload_tid,
             dest: DestSim::Loc(expected.clone()),
-            expr: SimExpr::MemRead(dm, Box::new(SimExpr::Const(tmp))),
+            expr: SimExpr::MemRead(dm, Arc::new(SimExpr::Const(tmp))),
             transfer: None,
             cond: rcond,
         });
@@ -316,14 +339,23 @@ impl<'a, M: BddOps> Gen<'a, M> {
     ///
     /// `depth` counts the plans this statement is nested in, up to
     /// [`MAX_LEGALIZE_DEPTH`].
+    ///
+    /// When the whole tree has no cover, its selection error is built
+    /// (by [`Gen::no_cover`]) only on the three paths that return it:
+    /// most uncovered trees split or legalize, and their diagnosis would
+    /// be thrown away.
     fn split(&mut self, stmt: &FlatStmt, depth: usize) -> Result<(), CodegenError> {
         let mut b = EtBuilder::new();
         let value = self.tree(&stmt.value, &mut b)?;
         let target = target_addr(self.binding, &stmt.target)?;
         let addr = b.leaf(EtKind::Const(target));
         let et = Et::store(self.binding.data_mem(), addr, value, b);
-        let Err(err) = self.cover(&et) else {
-            return Ok(());
+        // `None`: no cover was selected.  `Some`: the cover's emission
+        // failed.
+        let emit_err = match self.cover(&et) {
+            Ok(true) => return Ok(()),
+            Ok(false) => None,
+            Err(e) => Some(e),
         };
         // Hoist a nested computation into scratch memory and retry.
         if let Some((hoisted, remainder)) = split_deepest(&stmt.value) {
@@ -345,18 +377,18 @@ impl<'a, M: BddOps> Gen<'a, M> {
         // the *original* selection error — legalization only ever converts
         // failures into successes, never one failure class into another.
         if depth >= MAX_LEGALIZE_DEPTH {
-            return Err(err);
+            return Err(emit_err.unwrap_or_else(|| self.no_cover(&et)));
         }
         let len0 = self.out.len();
         let mark0 = self.binding.scratch_mark();
         let before = self.stats;
         let Some(plan) = self.legalize(stmt) else {
-            return Err(err);
+            return Err(emit_err.unwrap_or_else(|| self.no_cover(&et)));
         };
         if self.plan(&plan, depth).is_err() {
             self.roll_back(len0, before);
             self.binding.release_scratch(mark0)?;
-            return Err(err);
+            return Err(emit_err.unwrap_or_else(|| self.no_cover(&et)));
         }
         Ok(())
     }
@@ -392,7 +424,8 @@ impl<'a, M: BddOps> Gen<'a, M> {
             // watermark with the same binding.  A cover's RTs depend only
             // on the tree, the watermark and the target, and execution
             // conditions are hash-consed in the session's BDD manager, so
-            // each pass would emit and count what the first did.
+            // each pass would emit and count what the first did.  A copy
+            // shares the expression trees of the RT it copies.
             let end = self.out.len();
             for _ in 0..copies {
                 self.out.extend_from_within(start..end);
@@ -581,23 +614,24 @@ impl<'a, M: BddOps> Gen<'a, M> {
         })
     }
 
-    /// Selects a cover for `et` and emits it into the output.  A cover
-    /// whose emission fails leaves no RT and no spill or reload count
-    /// behind: the output is truncated back to where the cover began.
-    /// Scratch words it reserved stay reserved until the statement's mark
-    /// is released.
+    /// Selects a cover for `et` and emits it into the output, returning
+    /// `true`.  Returns `false`, having emitted nothing, when the
+    /// selector finds no cover; a caller that reports the failure builds
+    /// its error with [`Gen::no_cover`].  A cover whose emission fails
+    /// leaves no RT and no spill or reload count behind: the output is
+    /// truncated back to where the cover began.  Scratch words it
+    /// reserved stay reserved until the statement's mark is released.
     ///
     /// # Errors
     ///
-    /// See [`Codegen::compile`].
-    pub(crate) fn cover(&mut self, et: &Et) -> Result<(), CodegenError> {
+    /// Emission failures; see [`Codegen::compile`].
+    pub(crate) fn cover(&mut self, et: &Et) -> Result<bool, CodegenError> {
         let t0 = Instant::now();
         let selected = self.cg.selector.select(et);
         self.stats.select_ns += t0.elapsed().as_nanos() as u64;
-        let cover = selected.map_err(|e| CodegenError::Select {
-            missing_op: e.missing_op,
-            message: e.to_string(),
-        })?;
+        let Some(cover) = selected else {
+            return Ok(false);
+        };
         self.stats.select.absorb(&cover.stats);
         let start = self.out.len();
         let before = self.stats;
@@ -605,7 +639,22 @@ impl<'a, M: BddOps> Gen<'a, M> {
         if emitted.is_err() {
             self.roll_back(start, before);
         }
-        emitted
+        emitted.map(|()| true)
+    }
+
+    /// The selection error of `et`, a tree [`Gen::cover`] found no cover
+    /// for.  [`Selector::diagnose`] labels the tree again, so only a
+    /// failure that is reported pays for it; the time counts as
+    /// selection, and the labelling work is not counted, as a failed
+    /// selection's never was.
+    pub(crate) fn no_cover(&mut self, et: &Et) -> CodegenError {
+        let t0 = Instant::now();
+        let e = self.cg.selector.diagnose(et);
+        self.stats.select_ns += t0.elapsed().as_nanos() as u64;
+        CodegenError::Select {
+            missing_op: e.missing_op,
+            message: e.to_string(),
+        }
     }
 }
 
@@ -859,7 +908,7 @@ struct RfFields {
 #[derive(Debug, Clone)]
 pub struct EmitTables {
     rf: HashMap<StorageId, RfFields>,
-    ibits: Vec<record_bdd::Bdd>,
+    ibits: Vec<Bdd>,
 }
 
 impl EmitTables {
@@ -877,7 +926,7 @@ impl EmitTables {
     }
 
     /// Positive literals of instruction bits `lo..=hi` (`lo` first).
-    fn ibit_range(&self, hi: u16, lo: u16) -> &[record_bdd::Bdd] {
+    fn ibit_range(&self, hi: u16, lo: u16) -> &[Bdd] {
         &self.ibits[lo as usize..=hi as usize]
     }
 }
@@ -1143,15 +1192,13 @@ impl<'e, 'a, M: BddOps> Emitter<'e, 'a, M> {
     }
 
     /// Conjoins the collected field constraints into `cond` and clears
-    /// them.  The bit literals come precomputed from the frozen
-    /// [`EmitTables`], so this is pure BDD work — no name formatting, no
-    /// per-bit allocation.
-    fn conjoin_fields(&mut self, cond: record_bdd::Bdd) -> record_bdd::Bdd {
+    /// them.  Each constraint's cube comes from [`Gen::field_equals`],
+    /// built over the frozen bit literals of [`EmitTables`] at most once
+    /// per compile.
+    fn conjoin_fields(&mut self, cond: Bdd) -> Bdd {
         let mut acc = cond;
-        let tables = self.gen.cg.tables;
         for (hi, lo, v) in self.field_constraints.drain(..) {
-            let bits = tables.ibit_range(hi, lo);
-            let eq = self.gen.manager.vector_equals(bits, v);
+            let eq = self.gen.field_equals(hi, lo, v);
             acc = self.gen.manager.and(acc, eq);
         }
         acc
@@ -1352,7 +1399,7 @@ impl<'e, 'a, M: BddOps> Emitter<'e, 'a, M> {
         self.gen.out.push(RtOp {
             template: reload_tid,
             dest: DestSim::Loc(expected.clone()),
-            expr: SimExpr::MemRead(dm, Box::new(SimExpr::Const(addr))),
+            expr: SimExpr::MemRead(dm, Arc::new(SimExpr::Const(addr))),
             transfer: None,
             cond,
         });
@@ -1436,15 +1483,20 @@ impl<'e, 'a, M: BddOps> Emitter<'e, 'a, M> {
                     TermKey::PortLeaf(p) => Ok(SimExpr::Read(Loc::Port(*p))),
                     TermKey::MemRead(s) => {
                         let addr = self.sim_of(&kids[0], children[0], operands)?;
-                        Ok(SimExpr::MemRead(*s, Box::new(addr)))
+                        Ok(SimExpr::MemRead(*s, Arc::new(addr)))
                     }
-                    TermKey::Op(op) => {
-                        let mut args = Vec::with_capacity(kids.len());
-                        for (k, &c) in kids.iter().zip(children) {
-                            args.push(self.sim_of(k, c, operands)?);
-                        }
-                        Ok(SimExpr::Op(*op, args))
-                    }
+                    // One allocation per node, arguments in place.
+                    TermKey::Op(op) => Ok(SimExpr::Op(
+                        *op,
+                        match (kids.as_slice(), children) {
+                            ([k], &[c]) => Arc::new([self.sim_of(k, c, operands)?]),
+                            ([k0, k1], &[c0, c1]) => {
+                                let a0 = self.sim_of(k0, c0, operands)?;
+                                Arc::new([a0, self.sim_of(k1, c1, operands)?])
+                            }
+                            _ => unreachable!("an operator takes one or two arguments"),
+                        },
+                    )),
                     TermKey::Assign(_) | TermKey::Store(_) => {
                         unreachable!("designated root keys handled by caller")
                     }

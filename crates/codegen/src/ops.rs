@@ -3,6 +3,7 @@
 use record_bdd::Bdd;
 use record_netlist::{Netlist, ProcPortId, StorageId};
 use record_rtl::{OpKind, TemplateId};
+use std::sync::Arc;
 
 /// A concrete storage location.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -45,14 +46,24 @@ impl Loc {
 }
 
 /// A concrete value expression, executable by the simulator.
+///
+/// Subexpressions sit behind [`Arc`]s, so a clone shares its trees
+/// instead of copying them: the copies of a legalization run share the
+/// expressions of the body they repeat (see [`Codegen::compile`]), and
+/// the RTs of a kernel can cross threads.  Read them through `Deref` as
+/// owned values; `Debug` and `PartialEq` see the values, not the
+/// sharing.
+///
+/// [`Codegen::compile`]: crate::Codegen::compile
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimExpr {
     Const(u64),
     /// Read a register / regfile cell / fixed memory word / input port.
     Read(Loc),
     /// Memory read at a computed address.
-    MemRead(StorageId, Box<SimExpr>),
-    Op(OpKind, Vec<SimExpr>),
+    MemRead(StorageId, Arc<SimExpr>),
+    /// An operator applied to its arguments (one or two).
+    Op(OpKind, Arc<[SimExpr]>),
 }
 
 impl SimExpr {

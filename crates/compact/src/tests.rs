@@ -6,6 +6,7 @@ use record_grammar::TreeGrammar;
 use record_netlist::{ProcPortId, StorageId};
 use record_rtl::{OpKind, TemplateId};
 use record_selgen::Selector;
+use std::sync::Arc;
 
 /// A horizontal two-register machine: r1 and r2 load from independent
 /// fields, so independent RTs pack into one word; the shared ALU writes
@@ -331,7 +332,7 @@ fn address(i: u64) -> SimExpr {
 fn operand((kind, s, i): LocSpec) -> SimExpr {
     match kind {
         0..=3 => SimExpr::Read(fixed_loc(kind, s, i)),
-        4 => SimExpr::MemRead(StorageId(s), Box::new(address(i))),
+        4 => SimExpr::MemRead(StorageId(s), Arc::new(address(i))),
         _ => SimExpr::Const(i),
     }
 }
@@ -353,7 +354,7 @@ fn build_ops(spec: &[OpSpec], m: &mut BddManager) -> Vec<RtOp> {
             let expr = operands
                 .iter()
                 .map(|&o| operand(o))
-                .reduce(|a, b| SimExpr::Op(OpKind::Add, vec![a, b]))
+                .reduce(|a, b| SimExpr::Op(OpKind::Add, Arc::new([a, b])))
                 .unwrap_or(SimExpr::Const(0));
             let cond = literals.iter().fold(m.constant(true), |c, &(v, phase)| {
                 let lit = m.literal(vars[v as usize], phase);

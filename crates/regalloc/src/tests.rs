@@ -4,6 +4,7 @@ use record_codegen::{Binding, DestSim, Loc, Machine, RtOp, SimExpr};
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_rtl::TemplateId;
 use record_selgen::Selector;
+use std::sync::Arc;
 
 // ------------------------------------------------------------------- pool
 
@@ -256,7 +257,7 @@ fn synth_reload(reg: u32, addr: u64) -> RtOp {
     RtOp {
         template: TemplateId(0),
         dest: DestSim::Loc(Loc::Reg(StorageId(reg))),
-        expr: SimExpr::MemRead(StorageId(9), Box::new(SimExpr::Const(addr))),
+        expr: SimExpr::MemRead(StorageId(9), Arc::new(SimExpr::Const(addr))),
         transfer: None,
         cond: record_bdd::Bdd::TRUE,
     }
@@ -278,7 +279,7 @@ fn synth_modify(reg: u32) -> RtOp {
         dest: DestSim::Loc(Loc::Reg(StorageId(reg))),
         expr: SimExpr::Op(
             record_rtl::OpKind::Add,
-            vec![SimExpr::Read(Loc::Reg(StorageId(reg))), SimExpr::Const(1)],
+            Arc::new([SimExpr::Read(Loc::Reg(StorageId(reg))), SimExpr::Const(1)]),
         ),
         transfer: None,
         cond: record_bdd::Bdd::TRUE,
@@ -432,7 +433,7 @@ fn dynamic_access_is_a_barrier() {
         dest: DestSim::Loc(Loc::Reg(StorageId(1))),
         expr: SimExpr::MemRead(
             StorageId(9),
-            Box::new(SimExpr::Read(Loc::Reg(StorageId(1)))),
+            Arc::new(SimExpr::Read(Loc::Reg(StorageId(1)))),
         ),
         transfer: None,
         cond: record_bdd::Bdd::TRUE,
@@ -834,9 +835,9 @@ fn build_alloc_ops(spec: &[AllocOpSpec]) -> Vec<RtOp> {
     for &(kind, r, a, fan) in spec {
         let reg = property_reg(r);
         let read = || SimExpr::Read(reg.clone());
-        let mem = |a| SimExpr::MemRead(DM, Box::new(SimExpr::Const(a)));
+        let mem = |a| SimExpr::MemRead(DM, Arc::new(SimExpr::Const(a)));
         let computed = || SimExpr::Read(Loc::Reg(ADDR_REG));
-        let add = |x, y| SimExpr::Op(record_rtl::OpKind::Add, vec![x, y]);
+        let add = |x, y| SimExpr::Op(record_rtl::OpKind::Add, Arc::new([x, y]));
         match kind {
             0 => ops.push(property_op(DestSim::Loc(reg.clone()), mem(a))),
             1 => ops.push(property_op(
@@ -851,7 +852,7 @@ fn build_alloc_ops(spec: &[AllocOpSpec]) -> Vec<RtOp> {
             )),
             5 => ops.push(property_op(
                 DestSim::Loc(reg.clone()),
-                SimExpr::MemRead(DM, Box::new(computed())),
+                SimExpr::MemRead(DM, Arc::new(computed())),
             )),
             6 => ops.push(property_op(DestSim::MemAt(DM, computed()), read())),
             7 => ops.extend(
@@ -866,7 +867,7 @@ fn build_alloc_ops(spec: &[AllocOpSpec]) -> Vec<RtOp> {
             10 => ops.push(property_op(DestSim::Loc(Loc::Mem(OTHER_MEM, a)), read())),
             _ => ops.push(property_op(
                 DestSim::Loc(Loc::Reg(ADDR_REG)),
-                SimExpr::MemRead(OTHER_MEM, Box::new(SimExpr::Const(a))),
+                SimExpr::MemRead(OTHER_MEM, Arc::new(SimExpr::Const(a))),
             )),
         }
     }

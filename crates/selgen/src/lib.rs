@@ -10,7 +10,10 @@
 //! * [`Selector::select`] is the generated parser: a bottom-up labelling
 //!   pass computes, per ET node and non-terminal, the cheapest derivation
 //!   cost and the rule achieving it (with chain-rule closure), then a
-//!   top-down reduction emits the minimum-cost cover.
+//!   top-down reduction emits the minimum-cost cover.  When the tree has
+//!   none, [`Selector::diagnose`] labels it again and names the subtree
+//!   where derivation broke, so only a failure that is reported pays for
+//!   its message.
 //! * [`emit_rust`] additionally renders the grammar-specific matcher as a
 //!   standalone Rust source file, mirroring iburg's code-generation step.
 //!   It renders on demand: retargeting does not call it, so Table 3's
@@ -48,8 +51,18 @@
 //! let mut b = EtBuilder::new();
 //! b.leaf(EtKind::Const(42));
 //! let et = Et::assign(EtDest::Reg(acc), b);
-//! let cover = selector.select(&et)?;
+//! let cover = selector.select(&et).ok_or_else(|| selector.diagnose(&et))?;
 //! assert_eq!(cover.cost, 1); // one immediate-load RT
+//!
+//! // 300 fits no 8-bit immediate: no cover, and a diagnosis on request.
+//! let mut b = EtBuilder::new();
+//! b.leaf(EtKind::Const(300));
+//! let et = Et::assign(EtDest::Reg(acc), b);
+//! assert!(selector.select(&et).is_none());
+//! assert_eq!(
+//!     selector.diagnose(&et).to_string(),
+//!     "no cover for `assign(300)`: no rule matches this subtree for any location"
+//! );
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

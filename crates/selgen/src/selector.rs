@@ -6,7 +6,8 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// Code selection failed: some subtree has no derivation.
+/// Why code selection failed: some subtree has no derivation.  Built by
+/// [`Selector::diagnose`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectError {
     /// Rendered subtree that could not be covered.
@@ -217,24 +218,31 @@ impl Selector {
         self.rule_arena.len() + self.const_root_rules.len() + self.chains.len()
     }
 
-    /// Computes a minimum-cost cover of `et`.
+    /// Computes a minimum-cost cover of `et`, or `None` when no
+    /// derivation of the whole tree from `START` exists — e.g. an
+    /// operator the data path lacks, or a constant that fits no immediate
+    /// field and no hardwired constant.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SelectError`] when no derivation of the whole tree from
-    /// `START` exists — e.g. an operator the data path lacks, or a constant
-    /// that fits no immediate field and no hardwired constant.
-    pub fn select(&self, et: &Et) -> Result<Cover, SelectError> {
+    /// A failure costs only the labelling: [`Selector::diagnose`] says
+    /// why, for a caller that reports it.  A code generator that splits
+    /// an uncovered tree and selects its parts never needs to know.
+    pub fn select(&self, et: &Et) -> Option<Cover> {
         let mut stats = SelectStats::default();
         let labels = self.label(et, &mut stats);
-        let root_entry = labels.at(et.root(), NonTermId::START);
-        if root_entry.is_none() {
-            return Err(self.diagnose(et, &labels));
-        }
+        let cost = labels.at(et.root(), NonTermId::START)?.cost;
         let mut apps = Vec::new();
         self.reduce(et, &labels, et.root(), NonTermId::START, &mut apps);
-        let cost = root_entry.expect("checked above").cost;
-        Ok(Cover { cost, apps, stats })
+        Some(Cover { cost, apps, stats })
+    }
+
+    /// Why `et`, a tree [`Selector::select`] finds no cover for, has
+    /// none: labels the tree again and names the node where derivation
+    /// broke (see [`SelectError`]).  Labelling is deterministic, so this
+    /// sees the labels the failed selection saw.  On a tree that has a
+    /// cover, the error names no real failure.
+    pub fn diagnose(&self, et: &Et) -> SelectError {
+        let labels = self.label(et, &mut SelectStats::default());
+        self.explain(et, &labels)
     }
 
     /// Bottom-up labelling: per node, per non-terminal, cheapest cost and
@@ -411,7 +419,7 @@ impl Selector {
     /// derivation actually broke (bare constants such as addresses are
     /// matched structurally inside patterns and are expected to be
     /// unlabelled, so inner nodes are preferred over leaves).
-    fn diagnose(&self, et: &Et, labels: &LabelMatrix) -> SelectError {
+    fn explain(&self, et: &Et, labels: &LabelMatrix) -> SelectError {
         let unlabelled = |i: NodeIdx| labels.unlabelled(i);
         let mut best: Option<NodeIdx> = None;
         for idx in 0..et.len() {
