@@ -618,11 +618,22 @@ fn data_expr(m: &hdl::ModuleDef, e: &hdl::Expr) -> Result<DataExpr> {
             }
         }
         hdl::Expr::Const(v) => DataExpr::Const(*v),
-        hdl::Expr::Slice { base, hi, lo } => DataExpr::Slice {
-            base: Box::new(data_expr(m, base)?),
-            hi: *hi,
-            lo: *lo,
-        },
+        hdl::Expr::Slice { base, hi, lo } => {
+            let base = data_expr(m, base)?;
+            // A constant base has no width of its own (0) to check.
+            let width = expr_width(m, &base);
+            if width != 0 && *hi >= width {
+                return err(format!(
+                    "slice [{hi}:{lo}] exceeds width {width} of its base in module `{}`",
+                    m.name
+                ));
+            }
+            DataExpr::Slice {
+                base: Box::new(base),
+                hi: *hi,
+                lo: *lo,
+            }
+        }
         hdl::Expr::Unary { op, arg } => {
             if *op == UnOp::LogicNot {
                 return err(format!("`!` is only valid in guards (module `{}`)", m.name));

@@ -359,7 +359,7 @@ fn rejects_constant_too_wide_for_port() {
 /// A comparison constant that its operand can never equal is an error
 /// naming the module or processor and the constant: a `case` label, a
 /// module `when` constant on a control or a data operand, and a
-/// `drive … when` constant.
+/// `drive … when` constant.  So is a slice that reaches past its base.
 #[test]
 fn rejects_comparison_constants_wider_than_their_operand() {
     let drive = r#"
@@ -392,6 +392,12 @@ fn rejects_comparison_constants_wider_than_their_operand() {
             drive.to_owned(),
             ["`drive` guard constant 5 ", "2-bit net", "processor `P`"],
         ),
+        // A data slice as wide as its sink that reads bits its port does
+        // not have: `a[20:5]` on a 16-bit port, here on the 8-bit `a`.
+        (
+            ACC_MACHINE.replace("0 => y = a + b;", "0 => y = a[12:5] + b;"),
+            ["slice [12:5] ", "exceeds width 8", "module `Alu`"],
+        ),
     ] {
         let e = elab(&src).unwrap_err();
         for want in wants {
@@ -399,6 +405,8 @@ fn rejects_comparison_constants_wider_than_their_operand() {
         }
     }
     elab(&drive.replace("!= 5", "!= 3")).expect("3 fits a 2-bit field");
+    elab(&ACC_MACHINE.replace("0 => y = a + b;", "0 => y = a[7:0] + b;"))
+        .expect("a slice within its port elaborates");
 
     // A selector slice is as wide as it reads: it may not reach past its
     // port, which control analysis cannot slice.
