@@ -644,9 +644,9 @@ impl<'a, M: BddOps> Gen<'a, M> {
 
     /// The selection error of `et`, a tree [`Gen::cover`] found no cover
     /// for.  [`Selector::diagnose`] labels the tree again, so only a
-    /// failure that is reported pays for it; the time counts as
-    /// selection, and the labelling work is not counted, as a failed
-    /// selection's never was.
+    /// failure that is reported pays for it.  Its time counts as
+    /// selection; its labelling, like a failed selection's, is not
+    /// counted in [`EmitStats::select`].
     pub(crate) fn no_cover(&mut self, et: &Et) -> CodegenError {
         let t0 = Instant::now();
         let e = self.cg.selector.diagnose(et);
