@@ -674,6 +674,13 @@ fn apply_seq_ref(m: &mut RefManager, nvars: u32, seq: &[RandOp]) -> Vec<u32> {
 
 fn apply_seq_fast<M: BddOps>(m: &mut M, nvars: u32, seq: &[RandOp]) -> Vec<Bdd> {
     let mut pool: Vec<Bdd> = (0..nvars).map(|v| m.var(&format!("v{v}"))).collect();
+    extend_pool(m, &mut pool, seq);
+    pool
+}
+
+/// Runs `seq` on top of an existing pool (operand picks index the whole
+/// pool, as in [`apply_seq_ref`]).
+fn extend_pool<M: BddOps>(m: &mut M, pool: &mut Vec<Bdd>, seq: &[RandOp]) {
     for &(opc, x, y) in seq {
         let a = pool[x as usize % pool.len()];
         let b = pool[y as usize % pool.len()];
@@ -685,7 +692,6 @@ fn apply_seq_fast<M: BddOps>(m: &mut M, nvars: u32, seq: &[RandOp]) -> Vec<Bdd> 
         };
         pool.push(r);
     }
-    pool
 }
 
 proptest! {
@@ -738,22 +744,50 @@ proptest! {
         let frozen = m.freeze();
         let mut session = frozen.overlay();
         let mut pool = pre;
-        for &(opc, x, y) in &seq[split..] {
-            let a = pool[x as usize % pool.len()];
-            let b = pool[y as usize % pool.len()];
-            let r = match opc % 4 {
-                0 => session.and(a, b),
-                1 => session.or(a, b),
-                2 => session.xor(a, b),
-                _ => session.not(a),
-            };
-            pool.push(r);
-        }
+        extend_pool(&mut session, &mut pool, &seq[split..]);
         prop_assert_eq!(ref_pool.len(), pool.len());
         for (r, f) in ref_pool.iter().zip(&pool) {
             prop_assert_eq!(*r, f.0);
         }
     }
+}
+
+/// The random sequences above are too short to fill a retarget-scale
+/// op-cache; this fixed one runs 2,000 ops in the manager, so its
+/// cache sees thousands of inserts, then continues for 500 more in a
+/// session overlay.  Every handle must still be the reference's.
+#[test]
+fn long_sequence_matches_reference_across_freeze() {
+    let seq: Vec<RandOp> = (0..2_500u32)
+        .map(|i| {
+            let x = i.wrapping_mul(0x2545_F491);
+            ((x >> 3) as u8, x, x.rotate_left(17))
+        })
+        .collect();
+    let (retarget, session) = seq.split_at(2_000);
+    let nvars = NVARS as u32;
+    let mut reference = RefManager::new(nvars);
+    let ref_pool = apply_seq_ref(&mut reference, nvars, &seq);
+
+    let mut m = fresh_manager();
+    let mut pool = apply_seq_fast(&mut m, nvars, retarget);
+    let handles: Vec<u32> = pool.iter().map(|f| f.0).collect();
+    assert_eq!(handles, ref_pool[..pool.len()]);
+    let counters = m.counters();
+    assert!(
+        counters.op_misses > 2_000,
+        "every miss is an insert; only {} happened",
+        counters.op_misses
+    );
+    assert!(counters.op_hits > 0);
+
+    let frozen = m.freeze();
+    let mut overlay = frozen.overlay();
+    extend_pool(&mut overlay, &mut pool, session);
+    let handles: Vec<u32> = pool.iter().map(|f| f.0).collect();
+    assert_eq!(handles, ref_pool);
+    assert!(overlay.local_node_count() > 0, "the session made nodes");
+    assert_eq!(reference.nodes.len() - 2, overlay.node_count());
 }
 
 /// The direct-mapped op-cache is lossy by design: a tiny cache must
