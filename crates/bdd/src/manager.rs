@@ -1,7 +1,7 @@
 //! The BDD node store and Boolean operations.
 
 use crate::symbol::{Symbol, SymbolInterner};
-use crate::table::{OpCache, UniqueTable, MANAGER_OP_CACHE};
+use crate::table::{OpCache, UniqueTable, MANAGER_OP_CACHE, MANAGER_OP_CACHE_FIRST};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -132,17 +132,11 @@ impl Default for BddManager {
 
 impl BddManager {
     /// Creates an empty manager containing only the two terminal nodes.
-    pub fn new() -> Self {
-        Self::with_op_cache_capacity(MANAGER_OP_CACHE)
-    }
-
-    /// Creates an empty manager whose direct-mapped op-cache holds
-    /// `capacity` entries (rounded up to a power of two).
     ///
-    /// The cache is lossy, so capacity affects only speed, never results —
-    /// a property the test suite pins.  [`BddManager::new`] picks a
-    /// retarget-scale default.
-    pub fn with_op_cache_capacity(capacity: usize) -> Self {
+    /// Its op cache starts small and grows with the work; the cache is
+    /// lossy, so its size affects only speed, never results — a property
+    /// the test suite pins.
+    pub fn new() -> Self {
         // Slots 0 and 1 are the terminals; their `Node` payloads are dummies
         // that are never looked at (every accessor checks for terminals
         // first), they only keep indices aligned.
@@ -154,19 +148,9 @@ impl BddManager {
         BddManager {
             nodes: vec![dummy, dummy],
             unique: UniqueTable::default(),
-            cache: OpCache::new(capacity),
+            cache: OpCache::new(MANAGER_OP_CACHE_FIRST, MANAGER_OP_CACHE),
             interner: SymbolInterner::new(),
         }
-    }
-
-    /// Fraction of op-cache lookups answered from the cache so far.
-    pub fn op_cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-
-    /// `(hits, misses)` of the operation cache.
-    pub fn op_cache_counters(&self) -> (u64, u64) {
-        self.cache.counters()
     }
 
     /// Snapshot of all kernel counters at this instant.
@@ -180,12 +164,6 @@ impl BddManager {
             unique_probes,
             unique_lookups,
         }
-    }
-
-    /// Mean probe-chain length of unique-table lookups (1.0 = every lookup
-    /// hit its home slot).
-    pub fn unique_avg_probe_len(&self) -> f64 {
-        self.unique.avg_probe_len()
     }
 
     /// Number of live (hash-consed) internal nodes, excluding terminals.
@@ -475,8 +453,12 @@ impl BddManager {
     ///
     /// Every handle handed out so far stays valid against the frozen store;
     /// new nodes can only be created through per-session
-    /// [`BddOverlay`](crate::BddOverlay)s layered on top of it.
-    pub fn freeze(self) -> crate::FrozenBdd {
+    /// [`BddOverlay`](crate::BddOverlay)s layered on top of it.  The op
+    /// cache's lines are freed (sessions look only in their own cache);
+    /// its hit and miss counters stay, so [`crate::FrozenBdd::counters`]
+    /// still reports this manager's work.
+    pub fn freeze(mut self) -> crate::FrozenBdd {
+        self.cache.release();
         crate::FrozenBdd::new(self)
     }
 }

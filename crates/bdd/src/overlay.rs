@@ -7,12 +7,14 @@
 //! If the manager stayed shared, every compile would have to lock or own
 //! it, serialising a workload that is conceptually read-only.
 //!
-//! [`FrozenBdd`] is the immutable snapshot: the complete node store, unique
-//! table and operation cache of the retarget-time manager, shareable across
-//! threads (`Send + Sync`).  [`BddOverlay`] is the per-compilation scratch
-//! arena layered on top: new nodes land in session-local pages addressed
-//! *above* the frozen range, so every frozen handle keeps its meaning and
-//! two sessions never observe each other.  Because the overlay consults the
+//! [`FrozenBdd`] is the immutable snapshot: the complete node store and
+//! unique table of the retarget-time manager, shareable across threads
+//! (`Send + Sync`).  It holds no operation cache: the manager's lines are
+//! freed at freeze, and each overlay caches only its own results.
+//! [`BddOverlay`] is the per-compilation scratch arena layered on top: new
+//! nodes land in session-local pages addressed *above* the frozen range,
+//! so every frozen handle keeps its meaning and two sessions never observe
+//! each other.  Because the overlay consults the
 //! frozen unique table before allocating, a session that recreates a
 //! function already known to the base gets the canonical frozen handle
 //! back — canonicity (equal handles ⇔ equal functions) holds across the
@@ -20,7 +22,7 @@
 
 use crate::manager::{Apply, BddManager, BddOps, Node, OpKey};
 use crate::symbol::SymbolInterner;
-use crate::table::{OpCache, UniqueTable, OVERLAY_OP_CACHE};
+use crate::table::{OpCache, UniqueTable};
 use crate::{Bdd, VarId};
 
 /// An immutable, `Send + Sync` snapshot of a [`BddManager`].
@@ -29,9 +31,13 @@ use crate::{Bdd, VarId};
 /// freeze remain valid.  Read-only queries (satisfiability, evaluation,
 /// support, rendering) are available directly; node-creating operations
 /// require a per-session [`BddOverlay`] from [`FrozenBdd::overlay`].
+///
+/// It keeps the manager's nodes, unique table, variable names and
+/// counters, but no op-cache lines: what a `Target` retains of its
+/// retarget's BDD work is the nodes and their index.
 #[derive(Debug, Clone)]
 pub struct FrozenBdd {
-    inner: BddManager,
+    pub(crate) inner: BddManager,
 }
 
 impl FrozenBdd {
@@ -44,15 +50,10 @@ impl FrozenBdd {
     /// Opening is allocation-free: the local node page, unique table,
     /// op-cache and name interner all materialise on first use, so
     /// spinning up a batch of sessions costs nothing until they create
-    /// nodes.
+    /// nodes.  The overlay's op cache is its own fixed 4Ki lines; it
+    /// never consults the base, which keeps none.
     pub fn overlay(&self) -> BddOverlay<'_> {
-        BddOverlay {
-            base: self,
-            nodes: Vec::new(),
-            unique: UniqueTable::default(),
-            cache: OpCache::new(OVERLAY_OP_CACHE),
-            interner: SymbolInterner::new(),
-        }
+        self.overlay_from(OverlayPages::default())
     }
 
     /// Re-opens an overlay from pages returned by
@@ -73,7 +74,7 @@ impl FrozenBdd {
     /// Fraction of op-cache lookups the retarget-time manager answered
     /// from cache before freezing.
     pub fn op_cache_hit_rate(&self) -> f64 {
-        self.inner.op_cache_hit_rate()
+        self.counters().op_cache_hit_rate()
     }
 
     /// Counter snapshot taken at freeze time (frozen counters no longer
@@ -225,11 +226,6 @@ impl<'a> BddOverlay<'a> {
         self.base.var_count() + self.interner.len()
     }
 
-    /// `(hits, misses)` of this session's op-cache lookups.
-    pub fn op_cache_counters(&self) -> (u64, u64) {
-        self.cache.counters()
-    }
-
     /// Snapshot of this session's own counters: nodes it allocated and
     /// lookups it performed, excluding everything frozen in the base.
     pub fn counters(&self) -> crate::BddCounters {
@@ -327,13 +323,9 @@ impl Apply for BddOverlay<'_> {
         self.node(f)
     }
 
-    /// Cache lookup: frozen results first (they only mention frozen
-    /// handles and stay valid forever), then the session page.
+    /// Cache lookup in the session's own cache only: the frozen base
+    /// keeps no op-cache lines.
     fn cached(&mut self, key: OpKey) -> Option<Bdd> {
-        if let Some(r) = self.base.inner.cache.probe(key) {
-            self.cache.count_hit();
-            return Some(r);
-        }
         self.cache.lookup(key)
     }
 

@@ -15,13 +15,18 @@
 //!   and a lookup is a multiply, a mask and (almost always) one probe.
 //!   Nothing is ever deleted (hash-consed nodes are immortal), so there
 //!   are no tombstones and probe chains never degrade.
-//! * [`OpCache`] — a fixed-size direct-mapped *lossy* cache for `apply`
-//!   results.  A new result simply overwrites whatever hashed to the same
-//!   slot.  Losing an entry can only cause recomputation, and
-//!   recomputation is hash-consed, so results are node-for-node identical
-//!   to an unbounded cache — only the hit rate changes (there is a unit
-//!   test pinning exactly that).  The win is bounded memory and no
-//!   rehashing on the compile hot path.
+//! * [`OpCache`] — a direct-mapped *lossy* cache for `apply` results.  A
+//!   new result simply overwrites whatever hashed to the same slot.
+//!   Losing an entry can only cause recomputation, and recomputation is
+//!   hash-consed, so results are node-for-node identical to an unbounded
+//!   cache — only the hit rate changes (there is a unit test pinning
+//!   exactly that).  A retarget-time manager's cache starts at 256 lines
+//!   and doubles with its inserts up to [`MANAGER_OP_CACHE`], so a small
+//!   model pays for a few KiB instead of the cap; a session overlay's
+//!   stays at a fixed [`OVERLAY_OP_CACHE`], so the compile hot path never
+//!   rehashes.  [`crate::BddManager::freeze`] frees the manager's lines:
+//!   sessions look only in their own cache, and a frozen cache would be
+//!   memory every cached target holds for nothing.
 //!
 //! Both tables start unallocated so a [`crate::BddOverlay`] costs nothing
 //! to open until its session actually creates nodes.
@@ -84,16 +89,7 @@ pub(crate) struct UniqueTable {
 }
 
 impl UniqueTable {
-    /// Mean probe-chain length over all lookups so far (1.0 is a perfect
-    /// hash; linear probing at our load factor stays well under 2).
-    pub(crate) fn avg_probe_len(&self) -> f64 {
-        if self.lookups == 0 {
-            return 0.0;
-        }
-        self.probes as f64 / self.lookups as f64
-    }
-
-    /// Raw `(probes, lookups)` counters behind [`Self::avg_probe_len`].
+    /// `(probes, lookups)` counters.
     pub(crate) fn probe_counters(&self) -> (u64, u64) {
         (self.probes, self.lookups)
     }
@@ -199,50 +195,67 @@ impl OpKey {
     }
 }
 
-/// Fixed-size direct-mapped lossy cache of `apply` results.
+/// Direct-mapped lossy cache of `apply` results whose line array grows
+/// with the work it serves.
+///
+/// The lines are allocated at `first` on the first insert.  Whenever the
+/// inserts since then reach half the lines, the next insert doubles the
+/// array (up to `cap`) and re-places the live entries, so below the cap
+/// there are two to four lines per insert.  Each old line maps to one of
+/// two new ones, so growing loses nothing.  A cache built with
+/// `first == cap` never grows.
 #[derive(Debug, Clone)]
 pub(crate) struct OpCache {
-    /// Allocated lazily at `capacity` entries on first insert.
-    entries: Vec<OpEntry>,
-    capacity: usize,
+    /// Power-of-two line array; empty until the first insert and again
+    /// after [`Self::release`].
+    lines: Vec<OpEntry>,
+    first: usize,
+    cap: usize,
+    /// Inserts since `lines` was first allocated (or last cleared).
+    inserts: usize,
     hits: u64,
     misses: u64,
 }
 
-/// Default capacity: 64Ki entries x 16 bytes = 1 MiB, sized for
-/// retarget-scale managers.
+const VACANT_LINE: OpEntry = OpEntry {
+    tag: VACANT,
+    a: 0,
+    b: 0,
+    result: 0,
+};
+
+/// A retarget-time manager's first size: 256 lines x 16 bytes = 4 KiB.
+pub(crate) const MANAGER_OP_CACHE_FIRST: usize = 1 << 8;
+/// A retarget-time manager's cap: 64Ki lines x 16 bytes = 1 MiB, reached
+/// after 16Ki inserts.  The Table 3 models insert 15 (`bass_boost`) to
+/// about 4,000 (`ref`).
 pub(crate) const MANAGER_OP_CACHE: usize = 1 << 16;
-/// Session overlays see far fewer distinct operand pairs; 4Ki entries keep
-/// a batch of concurrent sessions cheap.
+/// A session overlay's fixed size: 4Ki lines keep a batch of concurrent
+/// sessions cheap.  Growing from 256 lines instead added misses on
+/// manocpu's kernels and saved no time.
 pub(crate) const OVERLAY_OP_CACHE: usize = 1 << 12;
 
 /// Defaults to overlay sizing — the only context that needs a
 /// `Default` (recycled [`crate::OverlayPages`]) is the session overlay.
 impl Default for OpCache {
     fn default() -> OpCache {
-        OpCache::new(OVERLAY_OP_CACHE)
+        OpCache::new(OVERLAY_OP_CACHE, OVERLAY_OP_CACHE)
     }
 }
 
 impl OpCache {
-    /// An empty cache that will allocate `capacity` slots (rounded up to a
-    /// power of two) on first insert.
-    pub(crate) fn new(capacity: usize) -> OpCache {
+    /// An empty cache that allocates `first` lines on its first insert
+    /// and grows to at most `cap` (both rounded up to powers of two).
+    pub(crate) fn new(first: usize, cap: usize) -> OpCache {
+        let first = first.next_power_of_two().max(2);
         OpCache {
-            entries: Vec::new(),
-            capacity: capacity.next_power_of_two().max(2),
+            lines: Vec::new(),
+            first,
+            cap: cap.next_power_of_two().max(first),
+            inserts: 0,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Cache hits over total lookups so far.
-    pub(crate) fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
     }
 
     /// `(hits, misses)` counters.
@@ -250,75 +263,73 @@ impl OpCache {
         (self.hits, self.misses)
     }
 
-    /// Records a hit served elsewhere (an overlay probing its frozen
-    /// base's cache counts the hit against its own session).
-    #[inline]
-    pub(crate) fn count_hit(&mut self) {
-        self.hits += 1;
+    /// Number of allocated lines.
+    #[cfg(test)]
+    pub(crate) fn lines(&self) -> usize {
+        self.lines.len()
     }
 
     #[inline]
     fn index(&self, tag: u8, a: u32, b: u32) -> usize {
         let h = fxmix(fxmix(fxmix(0, u64::from(tag)), u64::from(a)), u64::from(b));
-        (h as usize) & (self.entries.len() - 1)
+        (h as usize) & (self.lines.len() - 1)
     }
 
-    /// Counting lookup for the owner of the cache.
+    /// Looks `key` up, counting the hit or miss.
     #[inline]
     pub(crate) fn lookup(&mut self, key: OpKey) -> Option<Bdd> {
-        match self.probe(key) {
-            Some(r) => {
+        if !self.lines.is_empty() {
+            let (tag, a, b) = key.flatten();
+            let e = self.lines[self.index(tag, a, b)];
+            if e.tag == tag && e.a == a && e.b == b {
                 self.hits += 1;
-                Some(r)
-            }
-            None => {
-                self.misses += 1;
-                None
+                return Some(Bdd(e.result));
             }
         }
-    }
-
-    /// Read-only probe (used by overlays against a frozen base cache; the
-    /// overlay does its own counting).
-    #[inline]
-    pub(crate) fn probe(&self, key: OpKey) -> Option<Bdd> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let (tag, a, b) = key.flatten();
-        let e = self.entries[self.index(tag, a, b)];
-        (e.tag == tag && e.a == a && e.b == b).then_some(Bdd(e.result))
+        self.misses += 1;
+        None
     }
 
     /// Vacates every line while keeping the allocation (hit/miss counters
     /// are lifetime-cumulative and survive, like the unique table's).
     pub(crate) fn clear(&mut self) {
-        for e in &mut self.entries {
-            e.tag = VACANT;
-        }
+        self.lines.fill(VACANT_LINE);
+        self.inserts = 0;
+    }
+
+    /// Frees the lines; the hit/miss counters stay readable.
+    pub(crate) fn release(&mut self) {
+        self.lines = Vec::new();
+        self.inserts = 0;
     }
 
     /// Stores `result`, overwriting whatever occupied the slot (lossy).
     #[inline]
     pub(crate) fn insert(&mut self, key: OpKey, result: Bdd) {
-        if self.entries.is_empty() {
-            self.entries = vec![
-                OpEntry {
-                    tag: VACANT,
-                    a: 0,
-                    b: 0,
-                    result: 0,
-                };
-                self.capacity
-            ];
+        if self.lines.is_empty() {
+            self.lines = vec![VACANT_LINE; self.first];
+        } else if self.inserts * 2 >= self.lines.len() && self.lines.len() < self.cap {
+            self.grow();
         }
+        self.inserts += 1;
         let (tag, a, b) = key.flatten();
         let i = self.index(tag, a, b);
-        self.entries[i] = OpEntry {
+        self.lines[i] = OpEntry {
             tag,
             a,
             b,
             result: result.0,
         };
+    }
+
+    /// Doubles the line array and re-places every live entry.
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = vec![VACANT_LINE; self.lines.len() * 2];
+        let old = std::mem::replace(&mut self.lines, doubled);
+        for e in old.into_iter().filter(|e| e.tag != VACANT) {
+            let i = self.index(e.tag, e.a, e.b);
+            self.lines[i] = e;
+        }
     }
 }

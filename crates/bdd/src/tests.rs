@@ -1,3 +1,4 @@
+use crate::table::{OpCache, MANAGER_OP_CACHE, MANAGER_OP_CACHE_FIRST};
 use crate::{Assignment, Bdd, BddManager, BddOps, BddOverlay, FrozenBdd};
 use proptest::prelude::*;
 
@@ -780,8 +781,15 @@ fn long_sequence_matches_reference_across_freeze() {
         counters.op_misses
     );
     assert!(counters.op_hits > 0);
+    // The cache grew from its first size by at least three doublings,
+    // and no further than its cap.
+    let lines = m.cache.lines();
+    assert!(lines >= MANAGER_OP_CACHE_FIRST << 3, "only {lines} lines");
+    assert!(lines <= MANAGER_OP_CACHE, "{lines} lines");
 
     let frozen = m.freeze();
+    assert_eq!(frozen.inner.cache.lines(), 0, "freeze frees the lines");
+    assert_eq!(frozen.counters(), counters, "but keeps the counters");
     let mut overlay = frozen.overlay();
     extend_pool(&mut overlay, &mut pool, session);
     let handles: Vec<u32> = pool.iter().map(|f| f.0).collect();
@@ -809,8 +817,9 @@ fn lossy_op_cache_changes_hit_rate_not_results() {
     }
     let big_pool = apply_seq_fast(&mut big, nvars, &seq);
 
-    // Two entries: essentially permanent collision pressure.
-    let mut tiny = BddManager::with_op_cache_capacity(2);
+    // Two lines: essentially permanent collision pressure.
+    let mut tiny = BddManager::new();
+    tiny.cache = OpCache::new(2, 2);
     for v in 0..nvars {
         tiny.var(&format!("v{v}"));
     }
@@ -819,16 +828,16 @@ fn lossy_op_cache_changes_hit_rate_not_results() {
     assert_eq!(big_pool, tiny_pool, "handles must not depend on cache size");
     assert_eq!(big.node_count(), tiny.node_count());
 
-    let (big_hits, _) = big.op_cache_counters();
-    let (tiny_hits, tiny_misses) = tiny.op_cache_counters();
-    assert!(tiny_hits + tiny_misses > 0, "cache was exercised");
+    assert_eq!(tiny.cache.lines(), 2, "the cap held");
+    let (big, tiny) = (big.counters(), tiny.counters());
+    assert!(tiny.op_hits + tiny.op_misses > 0, "cache was exercised");
     assert!(
         tiny.op_cache_hit_rate() <= big.op_cache_hit_rate(),
         "tiny cache {} should not out-hit the big one {}",
         tiny.op_cache_hit_rate(),
         big.op_cache_hit_rate()
     );
-    assert!(big_hits >= tiny_hits);
+    assert!(big.op_hits >= tiny.op_hits);
 }
 
 /// The probe-length counter observes real work: after enough inserts the
@@ -843,7 +852,7 @@ fn unique_table_probe_counter_is_sane() {
         })
         .collect();
     apply_seq_fast(&mut m, NVARS as u32, &seq);
-    let p = m.unique_avg_probe_len();
+    let p = m.counters().unique_avg_probe_len();
     assert!(p >= 1.0, "lookups happened, so probes were counted: {p}");
     assert!(p < 4.0, "linear probing at 3/4 load should stay short: {p}");
 }
