@@ -232,7 +232,7 @@ pub(crate) const MANAGER_OP_CACHE_FIRST: usize = 1 << 8;
 pub(crate) const MANAGER_OP_CACHE: usize = 1 << 16;
 /// A session overlay's fixed size: 4Ki lines keep a batch of concurrent
 /// sessions cheap.  Growing from 256 lines instead added misses on
-/// manocpu's kernels and saved no time.
+/// manocpu's kernels and slowed their compiles.
 pub(crate) const OVERLAY_OP_CACHE: usize = 1 << 12;
 
 /// Defaults to overlay sizing — the only context that needs a
