@@ -1,3 +1,4 @@
+use crate::manager::{Apply, Node};
 use crate::table::{OpCache, MANAGER_OP_CACHE, MANAGER_OP_CACHE_FIRST};
 use crate::{Assignment, Bdd, BddManager, BddOps, BddOverlay, FrozenBdd};
 use proptest::prelude::*;
@@ -796,6 +797,42 @@ fn long_sequence_matches_reference_across_freeze() {
     assert_eq!(handles, ref_pool);
     assert!(overlay.local_node_count() > 0, "the session made nodes");
     assert_eq!(reference.nodes.len() - 2, overlay.node_count());
+}
+
+/// Every frozen node with its handle, in handle order.
+fn frozen_nodes(frozen: &FrozenBdd) -> Vec<(Bdd, Node)> {
+    let nodes = &frozen.inner.nodes;
+    (2..nodes.len())
+        .map(|i| (Bdd(i as u32), nodes[i]))
+        .collect()
+}
+
+/// Freezing keeps every node reachable through the frozen unique table,
+/// not only the few a reference-path test happens to recreate: an
+/// overlay that re-makes each frozen node's `(var, lo, hi)` gets that
+/// node's frozen handle back and allocates nothing of its own.
+#[test]
+fn freezing_keeps_every_node_findable() {
+    let nvars = 12;
+    let mut m = BddManager::new();
+    let seq: Vec<RandOp> = (0..400u32)
+        .map(|i| {
+            let x = i.wrapping_mul(0x27D4_EB2F);
+            ((x >> 13) as u8, x, x.rotate_left(11))
+        })
+        .collect();
+    apply_seq_fast(&mut m, nvars, &seq);
+    let count = m.node_count();
+    assert!(count >= 300, "only {count} nodes");
+
+    let frozen = m.freeze();
+    let nodes = frozen_nodes(&frozen);
+    assert_eq!(nodes.len(), count);
+    let mut s = frozen.overlay();
+    for (handle, n) in nodes {
+        assert_eq!(Apply::mk_node(&mut s, n.var, n.lo, n.hi), handle);
+    }
+    assert_eq!(s.local_node_count(), 0, "every node was found, none made");
 }
 
 /// The direct-mapped op-cache is lossy by design: a tiny cache must
