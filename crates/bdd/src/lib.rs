@@ -10,13 +10,13 @@
 //! their conditions.  Both uses need cheap `and`/`not` plus a constant-time
 //! unsatisfiability check, which is exactly what hash-consed ROBDDs give us.
 //!
-//! The crate separates the *retarget-time* mutable store from *compile-time*
-//! scratch: [`BddManager`] owns nodes while the instruction set is being
-//! extracted, [`BddManager::freeze`] turns it into an immutable, shareable
-//! [`FrozenBdd`], and each compilation session layers a private
-//! [`BddOverlay`] arena on top for the nodes its conjunctions create.  Code
-//! that only combines conditions is generic over [`BddOps`], implemented by
-//! both the manager and the overlay.
+//! There is one node store, [`BddOverlay`]: a mutable page of nodes over
+//! an immutable, shareable [`FrozenBdd`].  A [`BddManager`] is an overlay
+//! on the empty base and owns nodes while the instruction set is being
+//! extracted; [`BddManager::freeze`] turns its pages into a `FrozenBdd`,
+//! and each compilation session layers a private overlay on top for the
+//! nodes its conjunctions create.  Code that combines conditions takes
+//! `&mut BddOverlay<'_>`, which is either.
 //!
 //! # Example
 //!
@@ -38,7 +38,7 @@ mod sat;
 mod symbol;
 mod table;
 
-pub use manager::{Bdd, BddCounters, BddManager, BddOps, VarId};
+pub use manager::{Bdd, BddCounters, BddManager, VarId};
 pub use overlay::{BddOverlay, FrozenBdd, OverlayPages};
 pub use sat::Assignment;
 pub use symbol::{Symbol, SymbolInterner};

@@ -1,6 +1,6 @@
 //! Assignment utilities shared by instruction encoding and compaction.
 
-use crate::{Bdd, BddManager, VarId};
+use crate::{Bdd, BddOverlay, VarId};
 
 /// A partial assignment of Boolean variables, used to materialise a binary
 /// partial instruction from an RT template's execution condition.
@@ -29,7 +29,7 @@ impl Assignment {
 
     /// Extracts one satisfying assignment of `f`, or `None` if `f` is
     /// unsatisfiable.
-    pub fn satisfying(manager: &BddManager, f: Bdd) -> Option<Assignment> {
+    pub fn satisfying(manager: &BddOverlay<'_>, f: Bdd) -> Option<Assignment> {
         let lits = manager.one_sat(f)?;
         let mut asg = Assignment::new();
         for (var, phase) in lits {

@@ -30,8 +30,11 @@ pub struct SymbolInterner {
 
 impl SymbolInterner {
     /// An empty interner.
-    pub fn new() -> SymbolInterner {
-        SymbolInterner::default()
+    pub const fn new() -> SymbolInterner {
+        SymbolInterner {
+            names: Vec::new(),
+            slots: Vec::new(),
+        }
     }
 
     /// Number of interned names.

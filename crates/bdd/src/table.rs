@@ -10,9 +10,10 @@
 //!
 //! * [`UniqueTable`] — an insert-only open-addressing table over
 //!   power-of-two capacities with FxHash-style multiplicative hashing and
-//!   linear probing.  Entries are node handles; the node payloads stay in
-//!   the manager's dense `Vec<Node>`, so the table is four bytes per slot
-//!   and a lookup is a multiply, a mask and (almost always) one probe.
+//!   linear probing.  Entries are indices into one dense node page (a
+//!   frozen store's or an overlay's `Vec<Node>`), which holds the
+//!   payloads, so the table is four bytes per slot and a lookup is a
+//!   multiply, a mask and (almost always) one probe.
 //!   Nothing is ever deleted (hash-consed nodes are immortal), so there
 //!   are no tombstones and probe chains never degrade.
 //! * [`OpCache`] — a direct-mapped *lossy* cache for `apply` results.  A
@@ -24,9 +25,10 @@
 //!   and doubles with its inserts up to [`MANAGER_OP_CACHE`], so a small
 //!   model pays for a few KiB instead of the cap; a session overlay's
 //!   stays at a fixed [`OVERLAY_OP_CACHE`], so the compile hot path never
-//!   rehashes.  [`crate::BddManager::freeze`] frees the manager's lines:
-//!   sessions look only in their own cache, and a frozen cache would be
-//!   memory every cached target holds for nothing.
+//!   rehashes.  [`crate::BddManager::freeze`] drops the manager's cache:
+//!   a [`crate::FrozenBdd`] has none, since sessions look only in their
+//!   own, and a frozen cache would be memory every cached target holds
+//!   for nothing.
 //!
 //! Both tables start unallocated so a [`crate::BddOverlay`] costs nothing
 //! to open until its session actually creates nodes.
@@ -73,13 +75,13 @@ pub(crate) fn hash_str(s: &str) -> u64 {
 const EMPTY: u32 = u32::MAX;
 
 /// Insert-only open-addressing unique table mapping `Node` triples to
-/// their canonical handles.
+/// their indices in one node page.
 ///
-/// Slots hold handles; the caller passes the dense node store to every
+/// Slots hold page indices; the caller passes the page to every
 /// operation so keys can be compared without duplicating the payload.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UniqueTable {
-    /// Power-of-two slot array of node handles (`EMPTY` = vacant).
+    /// Power-of-two slot array of page indices (`EMPTY` = vacant).
     slots: Vec<u32>,
     len: usize,
     /// Probe steps taken across all lookups (first slot touched counts as
@@ -89,14 +91,24 @@ pub(crate) struct UniqueTable {
 }
 
 impl UniqueTable {
+    /// An empty table (what `Default` gives, usable in a `static`).
+    pub(crate) const fn new() -> UniqueTable {
+        UniqueTable {
+            slots: Vec::new(),
+            len: 0,
+            probes: 0,
+            lookups: 0,
+        }
+    }
+
     /// `(probes, lookups)` counters.
     pub(crate) fn probe_counters(&self) -> (u64, u64) {
         (self.probes, self.lookups)
     }
 
-    /// Looks up the handle of `node`, resolving slot handles through
-    /// `nodes` (handle `h` refers to `nodes[h]`).
-    pub(crate) fn get(&mut self, node: &Node, nodes: &[Node]) -> Option<Bdd> {
+    /// Looks up the page index of `node` in `nodes`, counting the
+    /// lookup and its probes.
+    pub(crate) fn get(&mut self, node: &Node, nodes: &[Node]) -> Option<u32> {
         self.lookups += 1;
         let (found, probes) = self.find(node, nodes);
         self.probes += probes;
@@ -104,12 +116,12 @@ impl UniqueTable {
     }
 
     /// Read-only lookup (used against frozen tables, which cannot count).
-    pub(crate) fn probe(&self, node: &Node, nodes: &[Node]) -> Option<Bdd> {
+    pub(crate) fn probe(&self, node: &Node, nodes: &[Node]) -> Option<u32> {
         self.find(node, nodes).0
     }
 
     #[inline]
-    fn find(&self, node: &Node, nodes: &[Node]) -> (Option<Bdd>, u64) {
+    fn find(&self, node: &Node, nodes: &[Node]) -> (Option<u32>, u64) {
         if self.slots.is_empty() {
             return (None, 1);
         }
@@ -123,26 +135,26 @@ impl UniqueTable {
                 return (None, probes);
             }
             if nodes[slot as usize] == *node {
-                return (Some(Bdd(slot)), probes);
+                return (Some(slot), probes);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Inserts `handle` for its node (which must not be present yet).
-    pub(crate) fn insert(&mut self, handle: Bdd, nodes: &[Node]) {
+    /// Inserts `nodes[index]` (which must not be present yet).
+    pub(crate) fn insert(&mut self, index: u32, nodes: &[Node]) {
         // Grow at 3/4 load so probe chains stay short; insert-only tables
         // never shrink.
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow(nodes);
         }
         let mask = self.slots.len() - 1;
-        let node = &nodes[handle.0 as usize];
+        let node = &nodes[index as usize];
         let mut i = (hash_node(node) as usize) & mask;
         while self.slots[i] != EMPTY {
             i = (i + 1) & mask;
         }
-        self.slots[i] = handle.0;
+        self.slots[i] = index;
         self.len += 1;
     }
 
@@ -206,8 +218,7 @@ impl OpKey {
 /// `first == cap` never grows.
 #[derive(Debug, Clone)]
 pub(crate) struct OpCache {
-    /// Power-of-two line array; empty until the first insert and again
-    /// after [`Self::release`].
+    /// Power-of-two line array; empty until the first insert.
     lines: Vec<OpEntry>,
     first: usize,
     cap: usize,
@@ -294,12 +305,6 @@ impl OpCache {
     /// are lifetime-cumulative and survive, like the unique table's).
     pub(crate) fn clear(&mut self) {
         self.lines.fill(VACANT_LINE);
-        self.inserts = 0;
-    }
-
-    /// Frees the lines; the hit/miss counters stay readable.
-    pub(crate) fn release(&mut self) {
-        self.lines = Vec::new();
         self.inserts = 0;
     }
 

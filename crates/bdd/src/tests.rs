@@ -1,6 +1,6 @@
-use crate::manager::{Apply, Node};
+use crate::manager::Node;
 use crate::table::{OpCache, MANAGER_OP_CACHE, MANAGER_OP_CACHE_FIRST};
-use crate::{Assignment, Bdd, BddManager, BddOps, BddOverlay, FrozenBdd};
+use crate::{Assignment, Bdd, BddManager, BddOverlay, FrozenBdd};
 use proptest::prelude::*;
 
 fn three_vars() -> (BddManager, Bdd, Bdd, Bdd) {
@@ -170,12 +170,14 @@ fn frozen_preserves_handles_and_queries() {
     let frozen = m.freeze();
     assert_eq!(frozen.node_count(), count);
     assert_eq!(frozen.var_count(), 3);
-    assert!(frozen.is_sat(ab));
-    assert_eq!(frozen.sat_count(ab), 2); // a&b over 3 vars
-    assert_eq!(frozen.to_cubes(ab), "a&b");
+    // Queries read the frozen store through an overlay.
+    let q = frozen.overlay();
+    assert!(q.is_sat(ab));
+    assert_eq!(q.sat_count(ab), 2); // a&b over 3 vars
+    assert_eq!(q.to_cubes(ab), "a&b");
     assert_eq!(frozen.var_id_of("a"), Some(crate::VarId(0)));
     assert_eq!(frozen.var_id_of("nope"), None);
-    let sup = frozen.support(ab);
+    let sup = q.support(ab);
     assert_eq!(sup.len(), 2);
 }
 
@@ -244,9 +246,9 @@ fn overlay_vector_equals_matches_manager() {
     let f5 = m.vector_equals(&bits, 5);
     let frozen = m.freeze();
     let mut s = frozen.overlay();
-    let again = BddOps::vector_equals(&mut s, &bits, 5);
+    let again = s.vector_equals(&bits, 5);
     assert_eq!(again, f5);
-    let f3 = BddOps::vector_equals(&mut s, &bits, 3);
+    let f3 = s.vector_equals(&bits, 3);
     let both = s.and(f5, f3);
     assert!(s.is_false(both));
 }
@@ -293,7 +295,7 @@ fn eval_bexp(e: &BExp, asg: &[bool]) -> bool {
     }
 }
 
-fn build_bdd(m: &mut BddManager, e: &BExp) -> Bdd {
+fn build_bdd(m: &mut BddOverlay<'_>, e: &BExp) -> Bdd {
     match e {
         BExp::Var(i) => m.var(&format!("v{i}")),
         BExp::Const(c) => m.constant(*c),
@@ -314,38 +316,6 @@ fn build_bdd(m: &mut BddManager, e: &BExp) -> Bdd {
         BExp::Xor(a, b) => {
             let x = build_bdd(m, a);
             let y = build_bdd(m, b);
-            m.xor(x, y)
-        }
-    }
-}
-
-fn build_bdd_ops<M: BddOps>(m: &mut M, e: &BExp) -> Bdd {
-    match e {
-        BExp::Var(i) => m.var(&format!("v{i}")),
-        BExp::Const(c) => {
-            if *c {
-                Bdd::TRUE
-            } else {
-                Bdd::FALSE
-            }
-        }
-        BExp::Not(a) => {
-            let x = build_bdd_ops(m, a);
-            m.not(x)
-        }
-        BExp::And(a, b) => {
-            let x = build_bdd_ops(m, a);
-            let y = build_bdd_ops(m, b);
-            m.and(x, y)
-        }
-        BExp::Or(a, b) => {
-            let x = build_bdd_ops(m, a);
-            let y = build_bdd_ops(m, b);
-            m.or(x, y)
-        }
-        BExp::Xor(a, b) => {
-            let x = build_bdd_ops(m, a);
-            let y = build_bdd_ops(m, b);
             m.xor(x, y)
         }
     }
@@ -440,7 +410,7 @@ proptest! {
         let fa2 = build_bdd(&mut m2, &a);
         let frozen = m2.freeze();
         let mut s = frozen.overlay();
-        let fb2 = build_bdd_ops(&mut s, &b);
+        let fb2 = build_bdd(&mut s, &b);
         let and2 = s.and(fa2, fb2);
         let or2 = s.or(fa2, fb2);
 
@@ -674,7 +644,7 @@ fn apply_seq_ref(m: &mut RefManager, nvars: u32, seq: &[RandOp]) -> Vec<u32> {
     pool
 }
 
-fn apply_seq_fast<M: BddOps>(m: &mut M, nvars: u32, seq: &[RandOp]) -> Vec<Bdd> {
+fn apply_seq_fast(m: &mut BddOverlay<'_>, nvars: u32, seq: &[RandOp]) -> Vec<Bdd> {
     let mut pool: Vec<Bdd> = (0..nvars).map(|v| m.var(&format!("v{v}"))).collect();
     extend_pool(m, &mut pool, seq);
     pool
@@ -682,7 +652,7 @@ fn apply_seq_fast<M: BddOps>(m: &mut M, nvars: u32, seq: &[RandOp]) -> Vec<Bdd> 
 
 /// Runs `seq` on top of an existing pool (operand picks index the whole
 /// pool, as in [`apply_seq_ref`]).
-fn extend_pool<M: BddOps>(m: &mut M, pool: &mut Vec<Bdd>, seq: &[RandOp]) {
+fn extend_pool(m: &mut BddOverlay<'_>, pool: &mut Vec<Bdd>, seq: &[RandOp]) {
     for &(opc, x, y) in seq {
         let a = pool[x as usize % pool.len()];
         let b = pool[y as usize % pool.len()];
@@ -788,8 +758,8 @@ fn long_sequence_matches_reference_across_freeze() {
     assert!(lines >= MANAGER_OP_CACHE_FIRST << 3, "only {lines} lines");
     assert!(lines <= MANAGER_OP_CACHE, "{lines} lines");
 
+    // A frozen store has no op cache, so freezing frees the lines.
     let frozen = m.freeze();
-    assert_eq!(frozen.inner.cache.lines(), 0, "freeze frees the lines");
     assert_eq!(frozen.counters(), counters, "but keeps the counters");
     let mut overlay = frozen.overlay();
     extend_pool(&mut overlay, &mut pool, session);
@@ -801,9 +771,9 @@ fn long_sequence_matches_reference_across_freeze() {
 
 /// Every frozen node with its handle, in handle order.
 fn frozen_nodes(frozen: &FrozenBdd) -> Vec<(Bdd, Node)> {
-    let nodes = &frozen.inner.nodes;
-    (2..nodes.len())
-        .map(|i| (Bdd(i as u32), nodes[i]))
+    let nodes = &frozen.nodes;
+    (0..nodes.len())
+        .map(|i| (Bdd(i as u32 + 2), nodes[i]))
         .collect()
 }
 
@@ -830,7 +800,7 @@ fn freezing_keeps_every_node_findable() {
     assert_eq!(nodes.len(), count);
     let mut s = frozen.overlay();
     for (handle, n) in nodes {
-        assert_eq!(Apply::mk_node(&mut s, n.var, n.lo, n.hi), handle);
+        assert_eq!(s.mk(n.var, n.lo, n.hi), handle);
     }
     assert_eq!(s.local_node_count(), 0, "every node was found, none made");
 }

@@ -14,7 +14,7 @@
 use crate::binding::Binding;
 use crate::emit::{Codegen, Emitted, Gen};
 use crate::error::CodegenError;
-use record_bdd::BddOps;
+use record_bdd::BddOverlay;
 use record_grammar::{Et, EtBuilder, EtKind, NodeIdx};
 use record_ir::{Cfg, FlatExpr};
 use record_probe::Probe;
@@ -34,11 +34,11 @@ impl Codegen<'_> {
     /// Same failure modes as [`Codegen::compile`], and
     /// [`CodegenError::NoBranchPath`] for a function with more than one
     /// block: the baseline has no control-flow support.
-    pub fn baseline<M: BddOps>(
+    pub fn baseline(
         &self,
         cfg: &Cfg,
         binding: &mut Binding,
-        manager: &mut M,
+        manager: &mut BddOverlay<'_>,
         probe: &mut Probe<'_>,
     ) -> Result<Emitted, CodegenError> {
         let [block] = cfg.blocks.as_slice() else {
@@ -60,7 +60,7 @@ impl Codegen<'_> {
     }
 }
 
-impl<M: BddOps> Gen<'_, M> {
+impl Gen<'_, '_> {
     /// Expands `e`; the result lands at `target` (or a fresh temp if
     /// `None`).  Returns the operand describing where the value is.
     fn expand(&mut self, e: &FlatExpr, target: Option<u64>) -> Result<Operand, CodegenError> {

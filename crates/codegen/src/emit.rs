@@ -11,7 +11,7 @@
 use crate::binding::Binding;
 use crate::error::CodegenError;
 use crate::ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
-use record_bdd::{Bdd, BddOps};
+use record_bdd::{Bdd, BddOverlay};
 use record_grammar::{
     Et, EtBuilder, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, Rule, RuleOrigin,
     TermKey, TreeGrammar,
@@ -115,11 +115,11 @@ impl Codegen<'_> {
     /// exhaustion, plus [`CodegenError::NoBranchPath`] when a terminator
     /// needs a control transfer but the target has no PC (or no usable
     /// jump / conditional-branch template).
-    pub fn compile<M: BddOps>(
+    pub fn compile(
         &self,
         cfg: &Cfg,
         binding: &mut Binding,
-        manager: &mut M,
+        manager: &mut BddOverlay<'_>,
         probe: &mut Probe<'_>,
     ) -> Result<Emitted, CodegenError> {
         let paths = branch_paths(self.base, self.netlist);
@@ -153,13 +153,13 @@ impl Codegen<'_> {
     }
 }
 
-/// The state one compile mutates: the binding, the BDD manager, the
+/// The state one compile mutates: the binding, the BDD node store, the
 /// field cubes built in it, the one output sequence every cover emits
 /// into, and the work counters.
-pub(crate) struct Gen<'a, M: BddOps> {
+pub(crate) struct Gen<'a, 'm> {
     pub(crate) cg: Codegen<'a>,
     pub(crate) binding: &'a mut Binding,
-    manager: &'a mut M,
+    manager: &'a mut BddOverlay<'m>,
     /// The cube of every `(hi, lo, value)` field constraint built so far
     /// (see [`Gen::field_equals`]).
     cubes: HashMap<(u16, u16, u64), Bdd>,
@@ -170,8 +170,12 @@ pub(crate) struct Gen<'a, M: BddOps> {
     stats: EmitStats,
 }
 
-impl<'a, M: BddOps> Gen<'a, M> {
-    pub(crate) fn new(cg: Codegen<'a>, binding: &'a mut Binding, manager: &'a mut M) -> Self {
+impl<'a, 'm> Gen<'a, 'm> {
+    pub(crate) fn new(
+        cg: Codegen<'a>,
+        binding: &'a mut Binding,
+        manager: &'a mut BddOverlay<'m>,
+    ) -> Self {
         let width = cg.netlist.storage(binding.data_mem()).width;
         Gen {
             cg,
@@ -195,7 +199,7 @@ impl<'a, M: BddOps> Gen<'a, M> {
     /// The condition "instruction bits `hi..=lo` hold `value`".
     ///
     /// Each cube is built once per compile, on its first use.  That
-    /// changes no handle: the first build runs [`BddOps::vector_equals`]
+    /// changes no handle: the first build runs [`BddOverlay::vector_equals`]
     /// where a build on every use would, creating the same nodes in the
     /// same order, and a rebuild would only find those nodes again, since
     /// session nodes are hash-consed and live as long as the compile.
@@ -915,7 +919,7 @@ impl EmitTables {
     /// Builds the tables against the retarget-time manager (the literals
     /// must be created before [`record_bdd::BddManager::freeze`] so they
     /// are frozen handles).
-    pub fn build<M: BddOps>(netlist: &Netlist, manager: &mut M, iword_width: u16) -> EmitTables {
+    pub fn build(netlist: &Netlist, manager: &mut BddOverlay<'_>, iword_width: u16) -> EmitTables {
         let ibits = (0..iword_width)
             .map(|b| manager.var(&format!("I[{b}]")))
             .collect();
@@ -1035,8 +1039,8 @@ fn remove<K: PartialEq, V>(list: &mut Vec<(K, V)>, key: &K) -> Option<V> {
 /// its per-cover tables as association lists searched in place: a cover
 /// holds a handful of values, too few to repay building and hashing into
 /// a map.
-struct Emitter<'e, 'a, M: BddOps> {
-    gen: &'e mut Gen<'a, M>,
+struct Emitter<'e, 'a, 'm> {
+    gen: &'e mut Gen<'a, 'm>,
     et: &'e Et,
     cover: &'e Cover,
     grammar: &'a TreeGrammar,
@@ -1054,8 +1058,8 @@ struct Emitter<'e, 'a, M: BddOps> {
     rf_temp: Vec<(Value, (StorageId, u64))>,
 }
 
-impl<'e, 'a, M: BddOps> Emitter<'e, 'a, M> {
-    fn new(gen: &'e mut Gen<'a, M>, et: &'e Et, cover: &'e Cover) -> Self {
+impl<'e, 'a, 'm> Emitter<'e, 'a, 'm> {
+    fn new(gen: &'e mut Gen<'a, 'm>, et: &'e Et, cover: &'e Cover) -> Self {
         Emitter {
             grammar: gen.cg.selector.grammar(),
             start: gen.out.len(),

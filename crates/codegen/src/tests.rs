@@ -211,7 +211,7 @@ fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
         .compile(
             &cfg,
             &mut binding,
-            &mut *r.manager.borrow_mut(),
+            &mut r.manager.borrow_mut(),
             &mut record_probe::Probe::disabled(),
         )
         .expect("compiles")
@@ -362,7 +362,7 @@ fn baseline_never_chains() {
         .compile(
             &cfg,
             &mut b1,
-            &mut *r.manager.borrow_mut(),
+            &mut r.manager.borrow_mut(),
             &mut record_probe::Probe::disabled(),
         )
         .unwrap()
@@ -374,7 +374,7 @@ fn baseline_never_chains() {
         .baseline(
             &cfg,
             &mut b2,
-            &mut *r.manager.borrow_mut(),
+            &mut r.manager.borrow_mut(),
             &mut record_probe::Probe::disabled(),
         )
         .unwrap()
@@ -411,7 +411,7 @@ fn select_error_reports_subtree() {
         .compile(
             &cfg,
             &mut binding,
-            &mut *r.manager.borrow_mut(),
+            &mut r.manager.borrow_mut(),
             &mut record_probe::Probe::disabled(),
         )
         .unwrap_err();
@@ -458,7 +458,7 @@ fn rendered_listing_is_readable() {
         .compile(
             &cfg,
             &mut binding,
-            &mut *r.manager.borrow_mut(),
+            &mut r.manager.borrow_mut(),
             &mut record_probe::Probe::disabled(),
         )
         .unwrap()

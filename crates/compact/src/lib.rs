@@ -56,7 +56,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use record_bdd::{Bdd, BddOps};
+use record_bdd::{Bdd, BddOverlay};
 use record_codegen::{Loc, RtOp, SimExpr};
 
 /// One horizontal instruction word: indices into the original op sequence.
@@ -145,11 +145,11 @@ impl Schedule {
     /// Compacts `ops[run]` into fresh words appended to this schedule,
     /// over `board`, which it clears first.  `reads` is scratch space for
     /// the keys of one op's reads.
-    fn compact_run<M: BddOps>(
+    fn compact_run(
         &mut self,
         ops: &[RtOp],
         run: Range<usize>,
-        manager: &mut M,
+        manager: &mut BddOverlay<'_>,
         board: &mut Scoreboard,
         reads: &mut Vec<Key>,
     ) {
@@ -346,13 +346,12 @@ impl Scoreboard {
 /// constrain — or be constrained by — neighbours).  Block entries always
 /// start a fresh word, keeping branch targets aligned to word boundaries.
 ///
-/// Generic over [`BddOps`]: at retarget time this is the mutable
-/// [`record_bdd::BddManager`], during compilation against a frozen target
-/// it is the session's [`record_bdd::BddOverlay`].
-pub fn compact<M: BddOps>(
+/// `manager` is the session's overlay during compilation against a
+/// frozen target, or a [`record_bdd::BddManager`] in unit tests.
+pub fn compact(
     ops: &[RtOp],
     block_ranges: &[Range<usize>],
-    manager: &mut M,
+    manager: &mut BddOverlay<'_>,
 ) -> Schedule {
     let mut schedule = Schedule::default();
     let mut board = Scoreboard::default();

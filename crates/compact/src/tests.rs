@@ -115,7 +115,7 @@ fn compile(r: &mut Rig, src: &str) -> (Vec<record_codegen::RtOp>, Binding) {
 }
 
 /// Compacts `ops` as one block.
-fn compact_one<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
+fn compact_one(ops: &[RtOp], manager: &mut BddOverlay<'_>) -> Schedule {
     compact(ops, std::slice::from_ref(&(0..ops.len())), manager)
 }
 
@@ -210,7 +210,7 @@ fn reads_of(op: &RtOp) -> Vec<Loc> {
 /// The all-pairs dependence scan the scoreboard replaced, kept as its
 /// reference: every op rescans every op already placed, pair by pair
 /// through [`Loc::may_alias`].  The encoding scan is the same.
-fn reference_compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
+fn reference_compact(ops: &[RtOp], manager: &mut BddOverlay<'_>) -> Schedule {
     let mut schedule = Schedule::default();
     let mut word_conds: Vec<Bdd> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -257,13 +257,13 @@ fn reference_compact<M: BddOps>(ops: &[RtOp], manager: &mut M) -> Schedule {
 
 /// Per-block reference: each stretch compacted on its own by
 /// [`reference_compact`], its words shifted back to absolute indices.
-fn reference_compact_cfg<M: BddOps>(
+fn reference_compact_cfg(
     ops: &[RtOp],
     block_ranges: &[Range<usize>],
-    manager: &mut M,
+    manager: &mut BddOverlay<'_>,
 ) -> Schedule {
     let mut out = Schedule::default();
-    let flush = |run: Range<usize>, out: &mut Schedule, manager: &mut M| {
+    let flush = |run: Range<usize>, out: &mut Schedule, manager: &mut BddOverlay<'_>| {
         let s = reference_compact(&ops[run.clone()], manager);
         out.stats.sat_checks += s.stats.sat_checks;
         out.stats.sat_rejects += s.stats.sat_rejects;

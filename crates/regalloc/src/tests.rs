@@ -1083,7 +1083,7 @@ fn compile_both(
         .compile(
             &cfg,
             &mut binding,
-            &mut *r.manager.borrow_mut(),
+            &mut r.manager.borrow_mut(),
             &mut record_probe::Probe::disabled(),
         )
         .expect("compiles")

@@ -122,7 +122,7 @@ fn mode_registers_condition_addressing() {
     // fires when ARP selects AR1.
     let cond = t.base().template(id).cond;
     let mode_var = t.varmap().mode_bit(arp.id, 0).expect("arp mode bit");
-    let support = t.manager().support(cond);
+    let support = t.manager().overlay().support(cond);
     assert!(
         support.contains(&mode_var),
         "indirect-addressing condition must depend on ARP"
