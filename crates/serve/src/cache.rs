@@ -203,6 +203,13 @@ impl TargetCache {
         }
     }
 
+    /// Is `target` the ready artifact for `key`?  Counts no hit or miss.
+    pub(crate) fn holds(&self, key: ModelKey, target: &Arc<Target>) -> bool {
+        let state = self.state.lock().expect("cache lock poisoned");
+        matches!(state.map.get(&key),
+            Some(Entry::Ready { target: held, .. }) if Arc::ptr_eq(held, target))
+    }
+
     /// Evicts least-recently-used ready entries until the bound holds.
     /// In-flight markers are never evicted (their requester will insert
     /// over them) and do not count against capacity.

@@ -511,15 +511,23 @@ fn resolve(shared: &Shared, model: &ModelRef) -> Result<(ModelKey, Arc<Target>),
     }
 }
 
+/// The session pool over `target`, the artifact the cache resolved for
+/// `key`.  A pool lives only while the cache holds its target: one over
+/// an earlier artifact of `key` (evicted, then retargeted again) is
+/// replaced, and opening a pool drops every pool whose target the cache
+/// no longer holds, so an evicted target is not kept alive by its pool.
 fn pool_for(shared: &Shared, key: ModelKey, target: &Arc<Target>) -> Arc<SessionPool> {
     let mut pools = shared.pools.lock().expect("pools lock poisoned");
-    let pool = Arc::clone(pools.entry(key).or_insert_with(|| {
-        Arc::new(SessionPool::with_counters(
-            Arc::clone(target),
-            shared.pool_max_idle,
-            shared.metrics.pool_counters(),
-        ))
-    }));
+    if let Some(pool) = pools.get(&key).filter(|p| Arc::ptr_eq(p.target(), target)) {
+        return Arc::clone(pool);
+    }
+    pools.retain(|k, pool| shared.cache.holds(*k, pool.target()));
+    let pool = Arc::new(SessionPool::with_counters(
+        Arc::clone(target),
+        shared.pool_max_idle,
+        shared.metrics.pool_counters(),
+    ));
+    pools.insert(key, Arc::clone(&pool));
     shared.metrics.set_pool_count(pools.len());
     pool
 }

@@ -1,9 +1,12 @@
 //! Cache-layer tests: retarget-once under concurrency, shared `Arc`
-//! handout, LRU eviction order.
+//! handout, LRU eviction order, and a server's session pools following
+//! what its cache holds.
 
 use record_core::RetargetOptions;
-use record_serve::{model_key, TargetCache};
-use record_targets::models;
+use record_serve::{
+    model_key, Client, CompileSpec, Json, Model, Server, ServerConfig, TargetCache,
+};
+use record_targets::{kernels, models};
 use std::sync::Arc;
 
 #[test]
@@ -85,4 +88,50 @@ fn content_addressing_survives_reformatting() {
     let (k2, _) = cache.get_or_retarget(&reformatted).unwrap();
     assert_eq!(k1, k2);
     assert_eq!(cache.stats().retargets, 1);
+}
+
+/// A server keeps a session pool only for a target its cache holds.  With
+/// room for one target, each compile on another model evicts the last
+/// one, and its pool must go with it; `ref` compiled again after its
+/// eviction must run on its new target, not on the old target's pool.
+#[test]
+fn session_pools_follow_the_cached_targets() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            cache_capacity: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let kernel = kernels::kernel("real_update").unwrap();
+    let spec = CompileSpec::new(kernel.source, kernel.function);
+    for name in ["ref", "tms320c25", "bass_boost", "ref"] {
+        let hdl = models::model(name).unwrap().hdl;
+        client
+            .compile(&Model::Hdl(hdl), &spec)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+
+    let stats = client.stats().expect("stats");
+    let count = |section: &str, field: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{section}.{field} in {stats}"))
+    };
+    assert_eq!(count("cache", "entries"), 1, "{stats}");
+    assert_eq!(count("cache", "evictions"), 3, "{stats}");
+    assert_eq!(count("cache", "retargets"), 4, "{stats}");
+    assert!(
+        count("pools", "count") <= count("cache", "entries"),
+        "a pool outlived its target: {stats}"
+    );
+    assert_eq!(
+        count("pools", "reused"),
+        0,
+        "the second `ref` compile reused the evicted target's pool: {stats}"
+    );
 }
