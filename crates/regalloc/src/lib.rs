@@ -9,8 +9,7 @@
 //! statements; this crate closes that gap as a separate backend phase:
 //!
 //! * [`RegisterPool`] discovers, per target, the registers and register
-//!   files the extracted RT templates can actually route values through,
-//!   along with their spill/reload templates into data memory.
+//!   files the extracted RT templates can actually route values through.
 //! * [`allocate`] rewrites the emitted [`record_codegen::RtOp`] sequence
 //!   block by block: values stay register-resident across statements,
 //!   identity reloads disappear, dead result stores disappear, and

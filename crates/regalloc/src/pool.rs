@@ -3,14 +3,13 @@
 //! Discovered per target from the elaborated netlist and the extracted RT
 //! template base: a register (or register file) is allocatable when the
 //! templates can actually *route* values through it — something writes it,
-//! something reads it.  Spill and reload templates (`dmem[#imm] := r`,
-//! `r := dmem[#imm]`) are recorded when the instruction set provides them;
-//! a register without them can hold values but never migrate them to
-//! memory, so residency lost there is unrecoverable.
+//! something reads it.  The allocator only deletes ops, so it needs no
+//! spill or reload template of its own; emission finds those when it
+//! needs them.
 
 use record_codegen::Loc;
 use record_netlist::{Netlist, StorageId, StorageKind};
-use record_rtl::{Dest, Pattern, TemplateBase, TemplateId};
+use record_rtl::TemplateBase;
 
 /// One allocatable register resource (a register, or a whole register file
 /// whose cells are interchangeable).
@@ -24,14 +23,6 @@ pub struct RegClass {
     pub width: u16,
     /// Number of independently allocatable cells (1 for plain registers).
     pub cells: u64,
-    /// `r := dmem[#imm]` template, when the ISA has one.  Informational:
-    /// the current rewriter only ever deletes ops, so this records the
-    /// target capability (for diagnostics and the planned
-    /// template-switching follow-on) rather than something the allocator
-    /// instantiates.
-    pub reload: Option<TemplateId>,
-    /// `dmem[#imm] := r` template, when the ISA has one (same caveat).
-    pub spill: Option<TemplateId>,
 }
 
 /// The set of register resources the allocator may place values in.
@@ -86,29 +77,6 @@ impl RegisterPool {
             if !written || !read {
                 continue;
             }
-            let reload = base
-                .templates()
-                .iter()
-                .find(|t| {
-                    t.dest.storage() == Some(s.id)
-                        && matches!(t.dest, Dest::Reg(_) | Dest::RegFile(_))
-                        && matches!(
-                            &t.src,
-                            Pattern::MemRead(m, a)
-                                if *m == data_mem && matches!(**a, Pattern::Imm { .. })
-                        )
-                })
-                .map(|t| t.id);
-            let spill = base
-                .templates()
-                .iter()
-                .find(|t| {
-                    matches!(&t.dest, Dest::Mem(m, a)
-                        if *m == data_mem && matches!(a, Pattern::Imm { .. }))
-                        && matches!(&t.src,
-                            Pattern::Reg(r) | Pattern::RegFile(r) if *r == s.id)
-                })
-                .map(|t| t.id);
             classes.push(RegClass {
                 storage: s.id,
                 name: s.name.clone(),
@@ -118,8 +86,6 @@ impl RegisterPool {
                 } else {
                     1
                 },
-                reload,
-                spill,
             });
         }
         RegisterPool {

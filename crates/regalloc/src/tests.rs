@@ -209,11 +209,7 @@ fn pool_discovery_single_register_target() {
     };
     let acc = by_name("acc").expect("acc allocatable");
     assert_eq!(acc.cells, 1);
-    assert!(acc.reload.is_some(), "LAC reloads acc from dmem");
-    assert!(acc.spill.is_some(), "SACL spills acc to dmem");
-    let t = by_name("t").expect("t allocatable");
-    assert!(t.reload.is_some(), "LT reloads t from dmem");
-    assert!(t.spill.is_none(), "nothing stores t back");
+    by_name("t").expect("t allocatable");
     // The mode register (arp) is never allocatable.
     let arp = netlist.storage_by_name("arp").expect("arp exists");
     assert!(pool.class_of(arp.id).is_none());
@@ -247,8 +243,6 @@ fn synth_pool(reg_width: u16) -> RegisterPool {
             name: "reg0".into(),
             width: reg_width,
             cells: 1,
-            reload: Some(TemplateId(0)),
-            spill: Some(TemplateId(1)),
         }],
     )
 }
@@ -375,16 +369,12 @@ fn spill_on_overflow_with_capped_pool() {
                 name: "r0".into(),
                 width: 16,
                 cells: 1,
-                reload: Some(TemplateId(0)),
-                spill: Some(TemplateId(1)),
             },
             RegClass {
                 storage: StorageId(1),
                 name: "r1".into(),
                 width: 16,
                 cells: 1,
-                reload: Some(TemplateId(0)),
-                spill: Some(TemplateId(1)),
             },
         ],
     );
@@ -783,8 +773,6 @@ fn property_pool() -> RegisterPool {
         name: format!("s{s}"),
         width,
         cells,
-        reload: Some(TemplateId(0)),
-        spill: Some(TemplateId(1)),
     };
     RegisterPool::new(
         DM,
