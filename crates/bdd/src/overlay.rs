@@ -74,6 +74,7 @@ impl FrozenBdd {
     pub fn overlay_from(&self, pages: OverlayPages) -> BddOverlay<'_> {
         BddOverlay {
             base: self,
+            first_local: TERMINALS + self.nodes.len() as u32,
             nodes: pages.nodes,
             unique: pages.unique,
             cache: pages.cache,
@@ -161,7 +162,9 @@ pub struct OverlayPages {
 #[derive(Debug, Clone)]
 pub struct BddOverlay<'a> {
     pub(crate) base: &'a FrozenBdd,
-    /// Local node page; handle = [`TERMINALS`] + frozen length + index.
+    /// The handle of local node 0: [`TERMINALS`] + the frozen length.
+    first_local: u32,
+    /// Local node page; handle = `first_local` + index.
     pub(crate) nodes: Vec<Node>,
     /// Unique table over the local page.
     pub(crate) unique: UniqueTable,
@@ -281,10 +284,9 @@ impl<'a> BddOverlay<'a> {
     /// The node behind a non-terminal handle: the base's page holds the
     /// frozen range, this overlay's page the rest.
     fn node(&self, f: Bdd) -> Node {
-        let i = f.index() - TERMINALS as usize;
-        match self.base.nodes.get(i) {
-            Some(&n) => n,
-            None => self.nodes[i - self.base.nodes.len()],
+        match f.0.checked_sub(self.first_local) {
+            Some(i) => self.nodes[i as usize],
+            None => self.base.nodes[f.index() - TERMINALS as usize],
         }
     }
 
@@ -299,28 +301,22 @@ impl<'a> BddOverlay<'a> {
         if let Some(i) = self.base.unique.probe(&node, &self.base.nodes) {
             return Bdd(TERMINALS + i);
         }
-        let first_local = TERMINALS + self.base.nodes.len() as u32;
         if let Some(i) = self.unique.get(&node, &self.nodes) {
-            return Bdd(first_local + i);
+            return Bdd(self.first_local + i);
         }
         let i = self.nodes.len() as u32;
         self.nodes.push(node);
         self.unique.insert(i, &self.nodes);
-        Bdd(first_local + i)
+        Bdd(self.first_local + i)
     }
 
-    /// Shannon cofactors of `f` with respect to `var` (assumes `var` is
-    /// at or above the top variable of `f`).
-    fn cofactors(&self, f: Bdd, var: VarId) -> (Bdd, Bdd) {
-        if f == Bdd::FALSE || f == Bdd::TRUE {
-            return (f, f);
-        }
-        let n = self.node(f);
-        if n.var == var {
-            (n.lo, n.hi)
-        } else {
-            (f, f)
-        }
+    /// The top variable of two non-terminal operands and each operand's
+    /// Shannon cofactors with respect to it.
+    fn split(&self, a: Bdd, b: Bdd) -> (VarId, (Bdd, Bdd), (Bdd, Bdd)) {
+        let (na, nb) = (self.node(a), self.node(b));
+        let v = na.var.min(nb.var);
+        let cofactors = |f: Bdd, n: Node| if n.var == v { (n.lo, n.hi) } else { (f, f) };
+        (v, cofactors(a, na), cofactors(b, nb))
     }
 
     /// Conjunction `a && b`.
@@ -339,9 +335,7 @@ impl<'a> BddOverlay<'a> {
         if let Some(r) = self.cache.lookup(OpKey::And(a, b)) {
             return r;
         }
-        let v = self.node(a).var.min(self.node(b).var);
-        let (a0, a1) = self.cofactors(a, v);
-        let (b0, b1) = self.cofactors(b, v);
+        let (v, (a0, a1), (b0, b1)) = self.split(a, b);
         let lo = self.and(a0, b0);
         let hi = self.and(a1, b1);
         let r = self.mk(v, lo, hi);
@@ -364,9 +358,7 @@ impl<'a> BddOverlay<'a> {
         if let Some(r) = self.cache.lookup(OpKey::Or(a, b)) {
             return r;
         }
-        let v = self.node(a).var.min(self.node(b).var);
-        let (a0, a1) = self.cofactors(a, v);
-        let (b0, b1) = self.cofactors(b, v);
+        let (v, (a0, a1), (b0, b1)) = self.split(a, b);
         let lo = self.or(a0, b0);
         let hi = self.or(a1, b1);
         let r = self.mk(v, lo, hi);
@@ -395,9 +387,7 @@ impl<'a> BddOverlay<'a> {
         if let Some(r) = self.cache.lookup(OpKey::Xor(a, b)) {
             return r;
         }
-        let v = self.node(a).var.min(self.node(b).var);
-        let (a0, a1) = self.cofactors(a, v);
-        let (b0, b1) = self.cofactors(b, v);
+        let (v, (a0, a1), (b0, b1)) = self.split(a, b);
         let lo = self.xor(a0, b0);
         let hi = self.xor(a1, b1);
         let r = self.mk(v, lo, hi);

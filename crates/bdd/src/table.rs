@@ -116,6 +116,7 @@ impl UniqueTable {
     }
 
     /// Read-only lookup (used against frozen tables, which cannot count).
+    #[inline]
     pub(crate) fn probe(&self, node: &Node, nodes: &[Node]) -> Option<u32> {
         self.find(node, nodes).0
     }

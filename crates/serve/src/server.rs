@@ -512,10 +512,10 @@ fn resolve(shared: &Shared, model: &ModelRef) -> Result<(ModelKey, Arc<Target>),
 }
 
 /// The session pool over `target`, the artifact the cache resolved for
-/// `key`.  A pool lives only while the cache holds its target: one over
-/// an earlier artifact of `key` (evicted, then retargeted again) is
-/// replaced, and opening a pool drops every pool whose target the cache
-/// no longer holds, so an evicted target is not kept alive by its pool.
+/// `key`.  A pool over an earlier artifact of `key` (evicted, then
+/// retargeted again) is replaced, and opening a pool drops every pool
+/// whose target the cache no longer holds: an evicted target outlives
+/// its eviction through its pool only until the next pool opens.
 fn pool_for(shared: &Shared, key: ModelKey, target: &Arc<Target>) -> Arc<SessionPool> {
     let mut pools = shared.pools.lock().expect("pools lock poisoned");
     if let Some(pool) = pools.get(&key).filter(|p| Arc::ptr_eq(p.target(), target)) {
