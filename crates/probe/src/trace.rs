@@ -169,8 +169,9 @@ impl Trace {
         Ok(())
     }
 
-    /// Sums the exclusive time under each top-level span label of lane
-    /// events (diagnostic helper for tests and quick printing).
+    /// Sums the inclusive time of every span by label, at any depth and
+    /// across lanes, labels in the order their first span closed
+    /// (diagnostic helper for tests and quick printing).
     pub fn span_totals(&self) -> Vec<(&'static str, u64)> {
         let mut totals: Vec<(&'static str, u64)> = Vec::new();
         for lane in &self.lanes {

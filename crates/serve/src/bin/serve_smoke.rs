@@ -4,7 +4,7 @@
 //! a deliberately overloaded request, rides out that overload with the
 //! client retry policy, scrapes `GET /metrics` while eight concurrent
 //! clients compile (validating the Prometheus exposition shape), and
-//! dumps the slow-request flight recorder through the `debug-traces`
+//! dumps the slow-compile flight recorder through the `debug-traces`
 //! op.  Exits non-zero with a message on any failure.
 
 use record_core::validate_chrome_json;

@@ -399,7 +399,7 @@ impl Client {
         self.request(&Json::obj(vec![("op", Json::str("stats"))]))
     }
 
-    /// Dumps the server's slow-request flight recorder: every retained
+    /// Dumps the server's slow-compile flight recorder: every retained
     /// trace with its request id, function and latency, oldest first.
     ///
     /// # Errors

@@ -34,7 +34,7 @@
 //!   per-worker shards, merged at read time); the cache, the pools, the
 //!   `stats` op and the optional `GET /metrics` HTTP listener are all
 //!   views over it.  Every response carries a `request_id`, the
-//!   optional NDJSON access log and the slow-request [`FlightRecorder`]
+//!   optional NDJSON access log and the slow-compile [`FlightRecorder`]
 //!   key by it, and the `debug-traces` op dumps retained Chrome traces
 //!   over the wire.
 //!

@@ -1,4 +1,4 @@
-//! The serving layer's metric schema, plus the slow-request flight
+//! The serving layer's metric schema, plus the slow-compile flight
 //! recorder and the NDJSON access log.
 //!
 //! One [`ServeMetrics`] per server instance owns the
@@ -139,7 +139,7 @@ impl ServeMetrics {
         );
         let slow_traces = b.counter(
             "record_slow_traces_total",
-            "Requests whose latency crossed the flight-recorder threshold",
+            "Compiles whose time reached the flight-recorder threshold",
             &[],
         );
         let cache_entries = b.gauge(
@@ -449,23 +449,24 @@ impl PoolCounters {
     }
 }
 
-/// One captured slow request: its correlation id and the full Chrome
-/// trace of its compile, ready for Perfetto.
+/// One captured slow compile: the correlation id of its request and the
+/// full Chrome trace of the compile, ready for Perfetto.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowTrace {
-    /// Correlation id of the request that crossed the threshold.
+    /// Correlation id of the request whose compile crossed the threshold.
     pub request_id: String,
     /// The function that was being compiled.
     pub function: String,
-    /// End-to-end latency of the request, in nanoseconds.
+    /// Time the compile took, in nanoseconds (not the whole request: a
+    /// batch request times, and may record, each of its compiles).
     pub latency_ns: u64,
     /// Chrome trace-event JSON of the compile (Perfetto-loadable).
     pub chrome_json: String,
 }
 
-/// A bounded ring of [`SlowTrace`]s: requests slower than the threshold
-/// get their full trace captured here for postmortems, oldest evicted
-/// first.  Dump it over the wire with the `debug-traces` op.
+/// A bounded ring of [`SlowTrace`]s: compiles that take at least the
+/// threshold get their full trace captured here for postmortems, oldest
+/// evicted first.  Dump it over the wire with the `debug-traces` op.
 #[derive(Debug)]
 pub struct FlightRecorder {
     threshold_ns: u64,
@@ -474,8 +475,8 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder capturing requests slower than `threshold_ns`, keeping
-    /// the most recent `capacity` traces (clamped to at least 1).
+    /// A recorder capturing compiles that take at least `threshold_ns`,
+    /// keeping the most recent `capacity` traces (clamped to at least 1).
     pub fn new(threshold_ns: u64, capacity: usize) -> FlightRecorder {
         FlightRecorder {
             threshold_ns,
@@ -489,7 +490,7 @@ impl FlightRecorder {
         self.threshold_ns
     }
 
-    /// Records one slow request, evicting the oldest beyond capacity.
+    /// Records one slow compile, evicting the oldest beyond capacity.
     pub fn record(&self, trace: SlowTrace) {
         let mut ring = self.ring.lock().expect("flight recorder lock");
         if ring.len() >= self.capacity {
@@ -555,7 +556,8 @@ impl AccessLog {
 
 /// Request-id generation: a per-server sequence fed through SplitMix64
 /// (a bijection, so ids never collide within a process) and salted with
-/// the server's start time so ids from restarts do not repeat either.
+/// the wall-clock time the generator was made, so ids from restarts do
+/// not repeat either.
 #[derive(Debug)]
 pub struct RequestIds {
     seq: AtomicU64,
@@ -569,11 +571,17 @@ impl Default for RequestIds {
 }
 
 impl RequestIds {
-    /// A generator salted with the current trace-epoch offset.
+    /// A generator salted with the wall clock's nanoseconds since the
+    /// Unix epoch.  (The trace clock, [`record_probe::now_ns`], would not
+    /// do: it counts from the process's first read, so every fresh
+    /// process starts it near zero.)
     pub fn new() -> RequestIds {
+        let wall_ns = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos() as u64);
         RequestIds {
             seq: AtomicU64::new(0),
-            salt: splitmix64(record_probe::now_ns() | 1),
+            salt: splitmix64(wall_ns | 1),
         }
     }
 

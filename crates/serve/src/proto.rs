@@ -11,7 +11,7 @@
 //! * `{"op":"batch-compile", "hdl"|"key":..., "items":[...]}` — compile
 //!   several kernels on one warm session.
 //! * `{"op":"stats"}` — cache/pool/server counters.
-//! * `{"op":"debug-traces"}` — dump the slow-request flight recorder:
+//! * `{"op":"debug-traces"}` — dump the slow-compile flight recorder:
 //!   the retained Chrome traces with their request ids and latencies.
 //!
 //! Responses are `{"ok":true, ...}` or `{"ok":false, "error":{"kind":...,

@@ -13,8 +13,8 @@
 //! per-thread lock-free shards; the optional `/metrics` HTTP listener
 //! ([`ServerConfig::metrics_addr`]) and the NDJSON `stats` op both read
 //! the merged registry.  Every response line carries a `request_id`, the
-//! same id the optional NDJSON access log and the slow-request
-//! [`FlightRecorder`] key their entries by — a slow request's full
+//! same id the optional NDJSON access log and the slow-compile
+//! [`FlightRecorder`] key their entries by — a slow compile's full
 //! Chrome trace is retrievable over the wire with the `debug-traces` op.
 
 use crate::cache::TargetCache;
@@ -80,8 +80,8 @@ pub struct ServerConfig {
     /// Bind address for the plain-HTTP metrics listener (`GET /metrics`
     /// in Prometheus text exposition format); `None` disables it.
     pub metrics_addr: Option<String>,
-    /// Flight-recorder threshold: compiles slower than this capture
-    /// their full Chrome trace into the bounded trace ring.  `None`
+    /// Flight-recorder threshold: compiles that take at least this long
+    /// capture their full Chrome trace into the bounded trace ring.  `None`
     /// disables capture entirely (no collector is installed).
     pub slow_threshold_ms: Option<u64>,
     /// Slow traces retained (oldest evicted first).
