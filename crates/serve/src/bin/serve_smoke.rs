@@ -3,7 +3,8 @@
 //! hits, proves a worker survives an injected mid-compile panic, drives
 //! a deliberately overloaded request, rides out that overload with the
 //! client retry policy, scrapes `GET /metrics` while eight concurrent
-//! clients compile (validating the Prometheus exposition shape), and
+//! clients compile (validating the Prometheus exposition shape, then
+//! checking that `stats` reports the numbers the final scrape did), and
 //! dumps the slow-compile flight recorder through the `debug-traces`
 //! op.  Exits non-zero with a message on any failure.
 
@@ -46,6 +47,28 @@ const TINY: &str = r#"
         }
     }
 "#;
+
+/// Each number of the `stats` response and the `/metrics` series that
+/// reports it.
+const SHARED_NUMBERS: [(&str, &str, &str); 13] = [
+    ("cache", "hits", "record_cache_hits_total"),
+    ("cache", "misses", "record_cache_misses_total"),
+    ("cache", "retargets", "record_cache_retargets_total"),
+    (
+        "cache",
+        "inflight_waits",
+        "record_cache_inflight_waits_total",
+    ),
+    ("cache", "evictions", "record_cache_evictions_total"),
+    ("cache", "entries", "record_cache_entries"),
+    ("pools", "count", "record_pools"),
+    ("pools", "created", "record_pool_sessions_created_total"),
+    ("pools", "reused", "record_pool_sessions_reused_total"),
+    ("pools", "returned", "record_pool_sessions_returned_total"),
+    ("pools", "dropped", "record_pool_sessions_dropped_total"),
+    ("server", "served", "record_requests_served_total"),
+    ("server", "rejected", "record_requests_rejected_total"),
+];
 
 /// Kernels the concurrent clients cycle through.
 const SOURCES: [(&str, &str); 2] = [
@@ -222,6 +245,24 @@ fn metrics_under_load_check(addr: SocketAddr, metrics_addr: SocketAddr, key: &st
         sample_value(&text, "record_request_latency_ns_count ") >= served,
         "every served request is one latency observation"
     );
+
+    // With the load over, `stats` reports what the scrape just did: it
+    // reads the same store, and the scrape came first, so neither
+    // counts the other.
+    let mut client = Client::connect(addr).expect("connect for stats");
+    let stats = client.stats().expect("stats after the load");
+    for (section, field, series) in SHARED_NUMBERS {
+        let from_stats = stats
+            .get(section)
+            .and_then(|s| s.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{section}.{field} in {stats}"));
+        assert_eq!(
+            from_stats as i64,
+            sample_value(&text, &format!("{series} ")),
+            "stats {section}.{field} disagrees with {series}"
+        );
+    }
 }
 
 /// One plain-HTTP `GET /metrics` against the sidecar listener; returns
