@@ -50,8 +50,7 @@ pub use pipeline::{
 pub use record_bdd::FrozenBdd;
 pub use record_codegen::{Machine, RtOp};
 pub use record_probe::{
-    json, validate_chrome_json, Collector, CounterId, CounterVal, GaugeId, HistogramId,
-    MetricsBuilder, MetricsRegistry, MetricsShard, PhaseNs, Probe, Report, Trace,
+    json, validate_chrome_json, Collector, CounterVal, PhaseNs, Probe, Report, Trace,
 };
 pub use record_regalloc::{mem_traffic, AllocStats, RegisterPool};
 pub use session::{CompileRequest, CompileSession, SessionPages};

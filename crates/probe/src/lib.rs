@@ -18,12 +18,13 @@
 //!   handle that pipeline code talks to degrades to a branch-on-null
 //!   when disabled: the hot paths (BDD apply, grammar labelling) never
 //!   see the probe at all, only phase boundaries do.
-//! * **Fleet [`metrics`]** aggregate across requests and threads: a
-//!   [`MetricsRegistry`] of counters, gauges and log-bucketed latency
-//!   [`Histogram`]s, recorded on lock-free per-worker
-//!   [`MetricsShard`]s and merged only at read (scrape) time.  This is
-//!   what a serving layer exports to a monitoring system; see the
-//!   module docs.
+//! * **Fleet [`metrics`]** aggregate across requests and threads: the
+//!   log-bucketed latency [`metrics::Histogram`], its lock-free
+//!   [`metrics::AtomicHistogram`] form that every thread observes into
+//!   in place, and a [`metrics::TextWriter`] for the Prometheus text
+//!   exposition format.  A serving layer keeps these next to its atomic
+//!   counters and exports them to a monitoring system; see the module
+//!   docs.
 //!
 //! A [`Collector`] records events into a per-session [`Trace`] lane.
 //! Lanes from concurrent sessions merge lock-free at join time — each
@@ -64,10 +65,6 @@ mod report;
 mod trace;
 
 pub use chrome::validate_chrome_json;
-pub use metrics::{
-    CounterId, FamilyId, GaugeId, Histogram, HistogramId, MetricsBuilder, MetricsRegistry,
-    MetricsShard,
-};
 pub use report::{CounterVal, PhaseNs, Report};
 pub use trace::{Collector, EventKind, Lane, Trace, TraceEvent};
 

@@ -1,37 +1,36 @@
-//! Cross-thread determinism of the log-bucketed latency histogram: the
-//! shard merge a `/metrics` scrape reads equals a sequential reference.
+//! Cross-thread determinism of the log-bucketed latency histogram: what
+//! four threads observe into one shared histogram, as a `/metrics`
+//! scrape reads it, equals a sequential reference.
 
-use record_probe::metrics::{Histogram, MetricsBuilder};
+use record_probe::metrics::{AtomicHistogram, Histogram, TextWriter};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Four threads hammer their own shards; the merged readout must equal
-/// the sequential reference and reproduce run-to-run — scrape output may
-/// not depend on thread scheduling or shard layout.
+/// Four threads observe into one histogram and bump one counter; the
+/// readout must equal the sequential reference and reproduce run to run,
+/// so scrape output may not depend on thread scheduling.
 #[test]
-fn shard_merge_is_deterministic_across_threads() {
+fn concurrent_observations_are_deterministic_across_threads() {
     let run = || {
-        let mut b = MetricsBuilder::new();
-        let hist = b.histogram("latency_ns", "per-thread observations", &[]);
-        let total = b.counter("events_total", "per-thread increments", &[]);
-        let registry = b.build();
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                let shard = registry.shard();
-                std::thread::spawn(move || {
+        let hist = AtomicHistogram::new();
+        let total = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (hist, total) = (&hist, &total);
+                s.spawn(move || {
                     for i in 0..1_000u64 {
-                        shard.observe(hist, t * 1_000 + i);
-                        shard.incr(total);
+                        hist.observe(t * 1_000 + i);
+                        total.fetch_add(1, Ordering::Relaxed);
                     }
-                })
-            })
-            .collect();
-        for thread in threads {
-            thread.join().expect("worker thread");
-        }
-        (
-            registry.histogram(hist),
-            registry.counter_value(total),
-            registry.render_prometheus(),
-        )
+                });
+            }
+        });
+        let (h, count) = (hist.snapshot(), total.load(Ordering::Relaxed));
+        let mut w = TextWriter::new();
+        w.family("events_total", "per-thread increments", "counter");
+        w.sample("events_total", &[], count);
+        w.family("latency_ns", "per-thread observations", "histogram");
+        w.histogram("latency_ns", &[], &h);
+        (h, count, w.finish())
     };
     let (h1, c1, text1) = run();
     let (h2, c2, text2) = run();
@@ -45,5 +44,8 @@ fn shard_merge_is_deterministic_across_threads() {
             reference.observe(t * 1_000 + i);
         }
     }
-    assert_eq!(h1, reference, "shard merge equals sequential reference");
+    assert_eq!(
+        h1, reference,
+        "concurrent observations equal the sequential reference"
+    );
 }

@@ -15,7 +15,7 @@
 //! typically fail the same way, each seeing the real error).
 
 use crate::digest::{model_key, ModelKey};
-use crate::metrics::CacheCounters;
+use crate::metrics::{incr, ServeMetrics};
 use record_core::{PipelineError, Record, RetargetOptions, Target};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,15 +52,13 @@ struct CacheState {
 
 /// A bounded, content-addressed store of retargeted compilers.
 ///
-/// Behaviour counters record through a [`CacheCounters`] view — either a
-/// private standalone registry ([`TargetCache::new`]) or a server's
-/// shared [`crate::metrics::ServeMetrics`] registry
-/// ([`TargetCache::with_counters`]), so the `stats` op and the
-/// `/metrics` exposition read the very same numbers.
+/// Behaviour counters live in a [`ServeMetrics`] store: a private one
+/// ([`TargetCache::new`]) or a server's ([`TargetCache::with_counters`]),
+/// whose `stats` op and `/metrics` exposition read the same fields.
 pub struct TargetCache {
     capacity: usize,
     options: RetargetOptions,
-    counters: CacheCounters,
+    metrics: Arc<ServeMetrics>,
     state: Mutex<CacheState>,
     cv: Condvar,
 }
@@ -78,20 +76,20 @@ impl TargetCache {
     /// A cache holding at most `capacity` ready artifacts (clamped to at
     /// least 1), all retargeted under `options`.
     pub fn new(capacity: usize, options: RetargetOptions) -> TargetCache {
-        TargetCache::with_counters(capacity, options, CacheCounters::standalone())
+        TargetCache::with_counters(capacity, options, Arc::default())
     }
 
-    /// Like [`TargetCache::new`], recording into the given counter view
-    /// (a server passes its shared registry's view here).
+    /// Like [`TargetCache::new`], counting into `metrics` (a server
+    /// passes its own store here).
     pub fn with_counters(
         capacity: usize,
         options: RetargetOptions,
-        counters: CacheCounters,
+        metrics: Arc<ServeMetrics>,
     ) -> TargetCache {
         TargetCache {
             capacity: capacity.max(1),
             options,
-            counters,
+            metrics,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
                 tick: 0,
@@ -119,7 +117,7 @@ impl TargetCache {
             };
             match ready {
                 Some(Some(target)) => {
-                    self.counters.hit();
+                    incr(&self.metrics.cache_hits);
                     state.tick += 1;
                     let tick = state.tick;
                     if let Some(Entry::Ready { last_used, .. }) = state.map.get_mut(&key) {
@@ -129,14 +127,14 @@ impl TargetCache {
                 }
                 Some(None) => {
                     if !waited {
-                        self.counters.inflight_wait();
+                        incr(&self.metrics.cache_inflight_waits);
                         waited = true;
                     }
                     state = self.cv.wait(state).expect("cache lock poisoned");
                 }
                 None => {
-                    self.counters.miss();
-                    self.counters.retarget();
+                    incr(&self.metrics.cache_misses);
+                    incr(&self.metrics.cache_retargets);
                     state.map.insert(key, Entry::InFlight);
                     drop(state);
 
@@ -156,7 +154,7 @@ impl TargetCache {
                     let mut state = self.state.lock().expect("cache lock poisoned");
                     match retargeted {
                         Ok(target) => {
-                            self.counters.retarget_report(&target.report().report);
+                            self.metrics.record_retarget_phases(&target.report().report);
                             let target = Arc::new(target);
                             state.tick += 1;
                             let tick = state.tick;
@@ -168,7 +166,6 @@ impl TargetCache {
                                 },
                             );
                             self.evict_to_capacity(&mut state);
-                            self.sync_entries(&state);
                             self.cv.notify_all();
                             return Ok((key, target));
                         }
@@ -193,11 +190,11 @@ impl TargetCache {
             Some(Entry::Ready { target, last_used }) => {
                 *last_used = tick;
                 let target = Arc::clone(target);
-                self.counters.hit();
+                incr(&self.metrics.cache_hits);
                 Some(target)
             }
             _ => {
-                self.counters.miss();
+                incr(&self.metrics.cache_misses);
                 None
             }
         }
@@ -234,21 +231,11 @@ impl TargetCache {
                 .map(|(_, k)| k);
             if let Some(k) = victim {
                 state.map.remove(&k);
-                self.counters.eviction();
+                incr(&self.metrics.cache_evictions);
             } else {
                 return;
             }
         }
-    }
-
-    /// Publishes the ready-entry count to the entries gauge.
-    fn sync_entries(&self, state: &CacheState) {
-        let ready = state
-            .map
-            .values()
-            .filter(|e| matches!(e, Entry::Ready { .. }))
-            .count();
-        self.counters.set_entries(ready);
     }
 
     /// Keys of ready entries, most recently used first (diagnostics and
@@ -267,10 +254,10 @@ impl TargetCache {
         keys.into_iter().map(|(_, k)| k).collect()
     }
 
-    /// A snapshot of the behaviour counters (merged from the registry;
-    /// the same numbers the `/metrics` exposition reports).
+    /// A snapshot of the behaviour counters (the same fields the
+    /// `/metrics` exposition reads).
     pub fn stats(&self) -> CacheStats {
-        self.counters.snapshot()
+        self.metrics.cache_stats()
     }
 
     /// Ready entries currently cached.

@@ -29,14 +29,15 @@
 //!   pooled.  Shutdown drains the admission queue before closing, and
 //!   [`call_with_retry`] gives clients bounded exponential backoff with
 //!   deterministic jitter on `overloaded`/transport failures.
-//! * Observability — one [`ServeMetrics`] registry holds every service
-//!   counter, gauge and latency histogram (recorded on lock-free
-//!   per-worker shards, merged at read time); the cache, the pools, the
-//!   `stats` op and the optional `GET /metrics` HTTP listener are all
-//!   views over it.  Every response carries a `request_id`, the
-//!   optional NDJSON access log and the slow-compile [`FlightRecorder`]
-//!   key by it, and the `debug-traces` op dumps retained Chrome traces
-//!   over the wire.
+//! * Observability — one [`ServeMetrics`] store holds every service
+//!   counter and latency histogram as a named atomic field: workers, the
+//!   cache and the pools update it in place, and the `stats` op and the
+//!   optional `GET /metrics` HTTP listener read the same fields (the
+//!   entries, pools and queue-depth gauges are read from the cache, the
+//!   pools map and the admission queue).  Every response carries a
+//!   `request_id`, the optional NDJSON access log and the slow-compile
+//!   [`FlightRecorder`] key by it, and the `debug-traces` op dumps
+//!   retained Chrome traces over the wire.
 //!
 //! Like the rest of the workspace, the crate has no external
 //! dependencies.  The wire codec is the workspace's one JSON codec,
@@ -56,9 +57,7 @@ pub use client::{
     RetryPolicy, ServeError,
 };
 pub use digest::{model_key, parse_key, render_key, ModelKey};
-pub use metrics::{
-    AccessLog, CacheCounters, FlightRecorder, PoolCounters, RequestIds, ServeMetrics, SlowTrace,
-};
+pub use metrics::{AccessLog, FlightRecorder, RequestIds, ServeMetrics, SlowTrace};
 pub use pool::{PoolStats, PooledSession, SessionPool};
 pub use proto::{parse_request, CompileItem, ModelRef, Request};
 pub use record_probe::json::{parse as parse_json, Json};

@@ -1,29 +1,27 @@
-//! The serving layer's metric schema, plus the slow-compile flight
+//! The serving layer's metrics store, plus the slow-compile flight
 //! recorder and the NDJSON access log.
 //!
-//! One [`ServeMetrics`] per server instance owns the
-//! [`MetricsRegistry`] and every slot id.  It is the *single source of
-//! truth* for service counters: [`crate::TargetCache`] and
-//! [`crate::SessionPool`] record through views ([`CacheCounters`],
-//! [`PoolCounters`]) over this registry, the NDJSON `stats` op reads the
-//! merged values back out of it, and the `/metrics` HTTP listener
-//! renders the same registry in Prometheus text exposition format —
-//! three read paths, one set of numbers.
+//! One [`ServeMetrics`] per server instance holds every service counter
+//! and latency histogram as a named atomic field.  Workers, the
+//! [`crate::TargetCache`] and the [`crate::SessionPool`]s update the
+//! fields in place, and the NDJSON `stats` op and the `/metrics` HTTP
+//! listener read the same fields, so the two can never disagree.  The
+//! gauges that restate server state (cached entries, open pools, queued
+//! connections) are not stored at all: the server reads them from that
+//! state when it renders.
 //!
-//! Recording is lock-free on the request path: each worker thread gets
-//! its own [`MetricsShard`] at startup and every counter bump or
-//! histogram observation is a relaxed atomic op.  Only rare events
-//! (per-class failure counts) and scrape-time merging touch a mutex.
+//! Recording is lock-free on the request path: a counter bump or a
+//! histogram observation is a relaxed atomic op.  Only the rare
+//! per-class failure counts take a mutex.
 
+use crate::{CacheStats, PoolStats};
 use record_core::{FailureClass, Report};
 use record_probe::json::Json;
-use record_probe::metrics::{
-    CounterId, FamilyId, GaugeId, HistogramId, MetricsBuilder, MetricsRegistry, MetricsShard,
-};
-use std::collections::VecDeque;
+use record_probe::metrics::{AtomicHistogram, TextWriter};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Compile phase labels, in pipeline order (the same vocabulary as
 /// [`record_core::CompilePhase`] plus the select/emit split the
@@ -42,410 +40,246 @@ const RETARGET_PHASES: [&str; 6] = [
     "freeze",
 ];
 
-/// The full metric schema of one server instance.
-#[derive(Debug)]
+/// Every counter and latency histogram of one server instance.
+#[derive(Debug, Default)]
 pub struct ServeMetrics {
-    registry: MetricsRegistry,
-    /// Shard for increments that do not happen on a worker thread (the
-    /// accept loop, the cache, the pools).  Shared-shard increments are
-    /// still lock-free, just potentially contended.
-    base: Arc<MetricsShard>,
-    cache_hits: CounterId,
-    cache_misses: CounterId,
-    cache_retargets: CounterId,
-    cache_inflight_waits: CounterId,
-    cache_evictions: CounterId,
-    pool_created: CounterId,
-    pool_reused: CounterId,
-    pool_returned: CounterId,
-    pool_dropped: CounterId,
-    served: CounterId,
-    rejected: CounterId,
-    slow_traces: CounterId,
-    cache_entries: GaugeId,
-    pool_count: GaugeId,
-    queue_depth: GaugeId,
-    inflight: GaugeId,
-    request_latency: HistogramId,
-    compile_phase: Vec<(&'static str, HistogramId)>,
-    retarget_phase: Arc<Vec<(&'static str, HistogramId)>>,
-    failures: FamilyId,
+    pub(crate) cache_hits: AtomicU64,
+    pub(crate) cache_misses: AtomicU64,
+    pub(crate) cache_retargets: AtomicU64,
+    pub(crate) cache_inflight_waits: AtomicU64,
+    pub(crate) cache_evictions: AtomicU64,
+    pub(crate) pool_created: AtomicU64,
+    pub(crate) pool_reused: AtomicU64,
+    pub(crate) pool_returned: AtomicU64,
+    pub(crate) pool_dropped: AtomicU64,
+    pub(crate) served: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) slow_traces: AtomicU64,
+    /// Requests being handled right now.
+    pub(crate) inflight: AtomicI64,
+    request_latency: AtomicHistogram,
+    compile_phases: [AtomicHistogram; COMPILE_PHASES.len()],
+    retarget_phases: [AtomicHistogram; RETARGET_PHASES.len()],
+    /// Compile failures by class (`phase/kind`), sorted for rendering.
+    failures: Mutex<BTreeMap<String, u64>>,
 }
 
-impl Default for ServeMetrics {
-    fn default() -> ServeMetrics {
-        ServeMetrics::new()
+/// Adds one to a counter.
+#[inline]
+pub(crate) fn incr(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A counter's value.
+fn read(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// Observes each phase of `report` whose label is in `labels` into the
+/// histogram at the same index.
+fn observe_phases(labels: &[&str], histograms: &[AtomicHistogram], report: &Report) {
+    for p in &report.phases {
+        if let Some(i) = labels.iter().position(|&label| label == p.label) {
+            histograms[i].observe(p.ns);
+        }
     }
 }
 
 impl ServeMetrics {
-    /// Builds the schema and its base shard.
+    /// A store with every counter at zero.
     pub fn new() -> ServeMetrics {
-        let mut b = MetricsBuilder::new();
-        let cache_hits = b.counter(
-            "record_cache_hits_total",
-            "Artifact-cache lookups served from a ready entry",
-            &[],
-        );
-        let cache_misses = b.counter(
-            "record_cache_misses_total",
-            "Artifact-cache lookups that found nothing",
-            &[],
-        );
-        let cache_retargets = b.counter(
-            "record_cache_retargets_total",
-            "Retargets actually run (misses minus in-flight coalescing)",
-            &[],
-        );
-        let cache_inflight_waits = b.counter(
-            "record_cache_inflight_waits_total",
-            "Waits behind another requester's in-flight retarget",
-            &[],
-        );
-        let cache_evictions = b.counter(
-            "record_cache_evictions_total",
-            "Ready artifacts discarded to respect the capacity bound",
-            &[],
-        );
-        let pool_created = b.counter(
-            "record_pool_sessions_created_total",
-            "Sessions opened cold (no idle pages available)",
-            &[],
-        );
-        let pool_reused = b.counter(
-            "record_pool_sessions_reused_total",
-            "Sessions rebuilt warm from pooled pages",
-            &[],
-        );
-        let pool_returned = b.counter(
-            "record_pool_sessions_returned_total",
-            "Sessions whose pages went back to the pool on drop",
-            &[],
-        );
-        let pool_dropped = b.counter(
-            "record_pool_sessions_dropped_total",
-            "Sessions dropped (pool full or poisoned by a contained panic)",
-            &[],
-        );
-        let served = b.counter(
-            "record_requests_served_total",
-            "Requests handled (all ops, success or failure)",
-            &[],
-        );
-        let rejected = b.counter(
-            "record_requests_rejected_total",
-            "Connections rejected by admission control",
-            &[],
-        );
-        let slow_traces = b.counter(
-            "record_slow_traces_total",
-            "Compiles whose time reached the flight-recorder threshold",
-            &[],
-        );
-        let cache_entries = b.gauge(
-            "record_cache_entries",
-            "Ready artifacts currently cached",
-            &[],
-        );
-        let pool_count = b.gauge("record_pools", "Session pools currently open", &[]);
-        let queue_depth = b.gauge(
-            "record_queue_depth",
-            "Connections waiting in the admission queue",
-            &[],
-        );
-        let inflight = b.gauge(
-            "record_inflight_requests",
-            "Requests currently being handled by workers",
-            &[],
-        );
-        let request_latency = b.histogram(
-            "record_request_latency_ns",
-            "End-to-end request handling latency in nanoseconds",
-            &[],
-        );
-        let compile_phase = COMPILE_PHASES
-            .iter()
-            .map(|&phase| {
-                (
-                    phase,
-                    b.histogram(
-                        "record_compile_phase_latency_ns",
-                        "Per-phase compile latency in nanoseconds",
-                        &[("phase", phase)],
-                    ),
-                )
-            })
-            .collect();
-        let retarget_phase = Arc::new(
-            RETARGET_PHASES
-                .iter()
-                .map(|&phase| {
-                    (
-                        phase,
-                        b.histogram(
-                            "record_retarget_phase_latency_ns",
-                            "Per-phase retarget latency in nanoseconds",
-                            &[("phase", phase)],
-                        ),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-        let failures = b.counter_family(
-            "record_failures_total",
-            "Compile failures by failure class (phase/kind)",
-            "class",
-        );
-        let registry = b.build();
-        let base = registry.shard();
-        ServeMetrics {
-            registry,
-            base,
-            cache_hits,
-            cache_misses,
-            cache_retargets,
-            cache_inflight_waits,
-            cache_evictions,
-            pool_created,
-            pool_reused,
-            pool_returned,
-            pool_dropped,
-            served,
-            rejected,
-            slow_traces,
-            cache_entries,
-            pool_count,
-            queue_depth,
-            inflight,
-            request_latency,
-            compile_phase,
-            retarget_phase,
-            failures,
-        }
-    }
-
-    /// The underlying registry (scrape rendering, gauges).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// A fresh recording shard for one worker thread.
-    pub fn worker_shard(&self) -> Arc<MetricsShard> {
-        self.registry.shard()
-    }
-
-    /// The cache's view over this registry.
-    pub fn cache_counters(&self) -> CacheCounters {
-        CacheCounters {
-            registry: self.registry.clone(),
-            shard: Arc::clone(&self.base),
-            hits: self.cache_hits,
-            misses: self.cache_misses,
-            retargets: self.cache_retargets,
-            inflight_waits: self.cache_inflight_waits,
-            evictions: self.cache_evictions,
-            entries: self.cache_entries,
-            retarget_phase: Arc::clone(&self.retarget_phase),
-        }
-    }
-
-    /// The pools' view over this registry.  Every pool of one server
-    /// shares this view, so the counters aggregate across pools — the
-    /// same aggregation the `stats` op always reported.
-    pub fn pool_counters(&self) -> PoolCounters {
-        PoolCounters {
-            registry: self.registry.clone(),
-            shard: Arc::clone(&self.base),
-            created: self.pool_created,
-            reused: self.pool_reused,
-            returned: self.pool_returned,
-            dropped: self.pool_dropped,
-        }
+        ServeMetrics::default()
     }
 
     /// Counts one handled request and observes its end-to-end latency.
-    pub fn record_request(&self, shard: &MetricsShard, latency_ns: u64) {
-        shard.incr(self.served);
-        shard.observe(self.request_latency, latency_ns);
-    }
-
-    /// Counts one admission rejection (accept-loop thread; base shard).
-    pub fn record_rejection(&self) {
-        self.base.incr(self.rejected);
-    }
-
-    /// Counts one flight-recorder capture.
-    pub fn record_slow_trace(&self, shard: &MetricsShard) {
-        shard.incr(self.slow_traces);
+    pub fn record_request(&self, latency_ns: u64) {
+        incr(&self.served);
+        self.request_latency.observe(latency_ns);
     }
 
     /// Observes every phase of a compile [`Report`] into the per-phase
     /// latency histograms.
-    pub fn record_compile_phases(&self, shard: &MetricsShard, report: &Report) {
-        for p in &report.phases {
-            if let Some(&(_, id)) = self
-                .compile_phase
-                .iter()
-                .find(|(label, _)| *label == p.label)
-            {
-                shard.observe(id, p.ns);
-            }
-        }
+    pub fn record_compile_phases(&self, report: &Report) {
+        observe_phases(&COMPILE_PHASES, &self.compile_phases, report);
     }
 
-    /// Counts one classified compile failure (rare path; takes the
-    /// family mutex).
+    /// Observes the phases of one retarget that actually ran (not a hit
+    /// or a wait on another requester's retarget) into the per-phase
+    /// latency histograms.
+    pub fn record_retarget_phases(&self, report: &Report) {
+        observe_phases(&RETARGET_PHASES, &self.retarget_phases, report);
+    }
+
+    /// Counts one classified compile failure (rare path; takes a mutex).
     pub fn record_failure(&self, class: &FailureClass) {
-        self.registry.incr_family(self.failures, &class.to_string());
+        let mut failures = self.failures.lock().expect("failures lock poisoned");
+        *failures.entry(class.to_string()).or_insert(0) += 1;
     }
 
-    /// Sets the pool-count gauge.
-    pub fn set_pool_count(&self, n: usize) {
-        self.registry.gauge_set(self.pool_count, n as i64);
+    /// The cache counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: read(&self.cache_hits),
+            misses: read(&self.cache_misses),
+            retargets: read(&self.cache_retargets),
+            inflight_waits: read(&self.cache_inflight_waits),
+            evictions: read(&self.cache_evictions),
+        }
     }
 
-    /// Sets the admission-queue depth gauge.
-    pub fn set_queue_depth(&self, n: usize) {
-        self.registry.gauge_set(self.queue_depth, n as i64);
+    /// The session-pool counters, summed over every pool of the server.
+    pub fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            created: read(&self.pool_created),
+            reused: read(&self.pool_reused),
+            returned: read(&self.pool_returned),
+            dropped: read(&self.pool_dropped),
+        }
     }
 
-    /// Adjusts the inflight-requests gauge.
-    pub fn inflight_add(&self, delta: i64) {
-        self.registry.gauge_add(self.inflight, delta);
-    }
-
-    /// Merged served/rejected counters (the `stats` op's `server`
-    /// section).
+    /// Requests handled and connections rejected.
     pub fn server_counters(&self) -> (u64, u64) {
-        (
-            self.registry.counter_value(self.served),
-            self.registry.counter_value(self.rejected),
-        )
+        (read(&self.served), read(&self.rejected))
     }
 
-    /// Renders the whole registry in Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
-        self.registry.render_prometheus()
-    }
-}
+    /// Renders the store in Prometheus text exposition format.  The
+    /// server passes the gauges it reads from its own state: ready cache
+    /// entries, open session pools and queued connections.
+    pub fn render_prometheus(
+        &self,
+        cache_entries: usize,
+        pools: usize,
+        queue_depth: usize,
+    ) -> String {
+        let mut w = TextWriter::new();
+        let cache = self.cache_stats();
+        let pool = self.pool_stats();
+        let (served, rejected) = self.server_counters();
+        for (name, help, value) in [
+            (
+                "record_cache_hits_total",
+                "Artifact-cache lookups served from a ready entry",
+                cache.hits,
+            ),
+            (
+                "record_cache_misses_total",
+                "Artifact-cache lookups that found nothing",
+                cache.misses,
+            ),
+            (
+                "record_cache_retargets_total",
+                "Retargets actually run (misses minus in-flight coalescing)",
+                cache.retargets,
+            ),
+            (
+                "record_cache_inflight_waits_total",
+                "Waits behind another requester's in-flight retarget",
+                cache.inflight_waits,
+            ),
+            (
+                "record_cache_evictions_total",
+                "Ready artifacts discarded to respect the capacity bound",
+                cache.evictions,
+            ),
+            (
+                "record_pool_sessions_created_total",
+                "Sessions opened cold (no idle pages available)",
+                pool.created,
+            ),
+            (
+                "record_pool_sessions_reused_total",
+                "Sessions rebuilt warm from pooled pages",
+                pool.reused,
+            ),
+            (
+                "record_pool_sessions_returned_total",
+                "Sessions whose pages went back to the pool on drop",
+                pool.returned,
+            ),
+            (
+                "record_pool_sessions_dropped_total",
+                "Sessions dropped (pool full or poisoned by a contained panic)",
+                pool.dropped,
+            ),
+            (
+                "record_requests_served_total",
+                "Requests handled (all ops, success or failure)",
+                served,
+            ),
+            (
+                "record_requests_rejected_total",
+                "Connections rejected by admission control",
+                rejected,
+            ),
+            (
+                "record_slow_traces_total",
+                "Compiles whose time reached the flight-recorder threshold",
+                read(&self.slow_traces),
+            ),
+        ] {
+            w.family(name, help, "counter");
+            w.sample(name, &[], value);
+        }
 
-/// The [`crate::TargetCache`]'s counter view: increments land on the
-/// shared registry, snapshots merge back out of it.
-#[derive(Debug, Clone)]
-pub struct CacheCounters {
-    registry: MetricsRegistry,
-    shard: Arc<MetricsShard>,
-    hits: CounterId,
-    misses: CounterId,
-    retargets: CounterId,
-    inflight_waits: CounterId,
-    evictions: CounterId,
-    entries: GaugeId,
-    retarget_phase: Arc<Vec<(&'static str, HistogramId)>>,
-}
+        let name = "record_failures_total";
+        w.family(
+            name,
+            "Compile failures by failure class (phase/kind)",
+            "counter",
+        );
+        for (class, count) in self.failures.lock().expect("failures lock poisoned").iter() {
+            w.sample(name, &[("class", class)], count);
+        }
 
-impl CacheCounters {
-    /// A standalone view over a private registry, for caches used
-    /// outside a server (tests, tools).
-    pub fn standalone() -> CacheCounters {
-        ServeMetrics::new().cache_counters()
-    }
+        for (name, help, value) in [
+            (
+                "record_cache_entries",
+                "Ready artifacts currently cached",
+                cache_entries as i64,
+            ),
+            ("record_pools", "Session pools currently open", pools as i64),
+            (
+                "record_queue_depth",
+                "Connections waiting in the admission queue",
+                queue_depth as i64,
+            ),
+            (
+                "record_inflight_requests",
+                "Requests currently being handled by workers",
+                self.inflight.load(Ordering::Relaxed),
+            ),
+        ] {
+            w.family(name, help, "gauge");
+            w.sample(name, &[], value);
+        }
 
-    pub(crate) fn hit(&self) {
-        self.shard.incr(self.hits);
-    }
-
-    pub(crate) fn miss(&self) {
-        self.shard.incr(self.misses);
-    }
-
-    pub(crate) fn retarget(&self) {
-        self.shard.incr(self.retargets);
-    }
-
-    pub(crate) fn inflight_wait(&self) {
-        self.shard.incr(self.inflight_waits);
-    }
-
-    pub(crate) fn eviction(&self) {
-        self.shard.incr(self.evictions);
-    }
-
-    pub(crate) fn set_entries(&self, n: usize) {
-        self.registry.gauge_set(self.entries, n as i64);
-    }
-
-    /// Observes the phases of one *actually executed* retarget into the
-    /// per-phase latency histograms.  Lives on the cache's view because
-    /// only the cache knows a lookup ran the pipeline rather than
-    /// hitting (or coalescing onto) an existing artifact.
-    pub(crate) fn retarget_report(&self, report: &Report) {
-        for p in &report.phases {
-            if let Some(&(_, id)) = self
-                .retarget_phase
-                .iter()
-                .find(|(label, _)| *label == p.label)
-            {
-                self.shard.observe(id, p.ns);
+        let name = "record_request_latency_ns";
+        w.family(
+            name,
+            "End-to-end request handling latency in nanoseconds",
+            "histogram",
+        );
+        w.histogram(name, &[], &self.request_latency.snapshot());
+        for (name, help, labels, histograms) in [
+            (
+                "record_compile_phase_latency_ns",
+                "Per-phase compile latency in nanoseconds",
+                &COMPILE_PHASES[..],
+                &self.compile_phases[..],
+            ),
+            (
+                "record_retarget_phase_latency_ns",
+                "Per-phase retarget latency in nanoseconds",
+                &RETARGET_PHASES[..],
+                &self.retarget_phases[..],
+            ),
+        ] {
+            w.family(name, help, "histogram");
+            for (&phase, h) in labels.iter().zip(histograms) {
+                w.histogram(name, &[("phase", phase)], &h.snapshot());
             }
         }
-    }
-
-    /// The merged counter values.
-    pub fn snapshot(&self) -> crate::CacheStats {
-        crate::CacheStats {
-            hits: self.registry.counter_value(self.hits),
-            misses: self.registry.counter_value(self.misses),
-            retargets: self.registry.counter_value(self.retargets),
-            inflight_waits: self.registry.counter_value(self.inflight_waits),
-            evictions: self.registry.counter_value(self.evictions),
-        }
-    }
-}
-
-/// The [`crate::SessionPool`]s' counter view.  Pools sharing a view
-/// (every pool of one server) report shared totals.
-#[derive(Debug, Clone)]
-pub struct PoolCounters {
-    registry: MetricsRegistry,
-    shard: Arc<MetricsShard>,
-    created: CounterId,
-    reused: CounterId,
-    returned: CounterId,
-    dropped: CounterId,
-}
-
-impl PoolCounters {
-    /// A standalone view over a private registry, for pools used outside
-    /// a server.
-    pub fn standalone() -> PoolCounters {
-        ServeMetrics::new().pool_counters()
-    }
-
-    pub(crate) fn created(&self) {
-        self.shard.incr(self.created);
-    }
-
-    pub(crate) fn reused(&self) {
-        self.shard.incr(self.reused);
-    }
-
-    pub(crate) fn returned(&self) {
-        self.shard.incr(self.returned);
-    }
-
-    pub(crate) fn dropped(&self) {
-        self.shard.incr(self.dropped);
-    }
-
-    /// The merged counter values.
-    pub fn snapshot(&self) -> crate::PoolStats {
-        crate::PoolStats {
-            created: self.registry.counter_value(self.created),
-            reused: self.registry.counter_value(self.reused),
-            returned: self.registry.counter_value(self.returned),
-            dropped: self.registry.counter_value(self.dropped),
-        }
+        w.finish()
     }
 }
 
@@ -635,15 +469,20 @@ mod tests {
     #[test]
     fn exposition_contains_every_family() {
         let metrics = ServeMetrics::new();
-        let shard = metrics.worker_shard();
-        metrics.record_request(&shard, 1_500);
-        metrics.record_failure(
-            &record_core::CompileError::NoDataMemory {
-                processor: "p".to_owned(),
-            }
-            .classify(),
-        );
-        let text = metrics.render_prometheus();
+        metrics.record_request(1_500);
+        let class = |phase, kind: &str| FailureClass {
+            phase,
+            kind: kind.to_owned(),
+        };
+        use record_core::CompilePhase::{Bind, Select};
+        for failure in [
+            class(Select, "selector-gap"),
+            class(Bind, "no-data-memory"),
+            class(Select, "selector-gap"),
+        ] {
+            metrics.record_failure(&failure);
+        }
+        let text = metrics.render_prometheus(2, 1, 3);
         for family in [
             "record_cache_hits_total",
             "record_cache_misses_total",
@@ -666,24 +505,52 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
-        assert!(text.contains("record_failures_total{class=\"bind/no-data-memory\"} 1"));
+        // Failure classes render sorted, each counted once per failure.
+        assert!(
+            text.contains(
+                "record_failures_total{class=\"bind/no-data-memory\"} 1\n\
+                 record_failures_total{class=\"select/selector-gap\"} 2\n"
+            ),
+            "{text}"
+        );
         assert!(text.contains("record_request_latency_ns_count 1"));
+        assert!(text.contains("record_cache_entries 2\n"));
+        assert!(text.contains("record_pools 1\n"));
+        assert!(text.contains("record_queue_depth 3\n"));
     }
 
     #[test]
     fn stats_views_read_what_counters_wrote() {
-        let metrics = ServeMetrics::new();
-        let cache = metrics.cache_counters();
-        cache.hit();
-        cache.hit();
-        cache.miss();
-        cache.retarget();
-        let pools = metrics.pool_counters();
-        pools.created();
-        pools.reused();
-        let snap = cache.snapshot();
+        let metrics = std::sync::Arc::new(ServeMetrics::new());
+        let cache = crate::TargetCache::with_counters(
+            1,
+            record_core::RetargetOptions::default(),
+            std::sync::Arc::clone(&metrics),
+        );
+        incr(&metrics.cache_hits);
+        incr(&metrics.cache_hits);
+        incr(&metrics.cache_misses);
+        incr(&metrics.cache_retargets);
+        incr(&metrics.pool_created);
+        incr(&metrics.pool_reused);
+        incr(&metrics.rejected);
+        let snap = cache.stats();
+        assert_eq!(snap, metrics.cache_stats());
         assert_eq!((snap.hits, snap.misses, snap.retargets), (2, 1, 1));
-        let snap = pools.snapshot();
+        let snap = metrics.pool_stats();
         assert_eq!((snap.created, snap.reused), (1, 1));
+        assert_eq!(metrics.server_counters(), (0, 1));
+        // The exposition reads the same fields.
+        let text = metrics.render_prometheus(0, 0, 0);
+        for line in [
+            "record_cache_hits_total 2\n",
+            "record_cache_misses_total 1\n",
+            "record_cache_retargets_total 1\n",
+            "record_pool_sessions_created_total 1\n",
+            "record_pool_sessions_reused_total 1\n",
+            "record_requests_rejected_total 1\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
     }
 }

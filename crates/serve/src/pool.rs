@@ -10,7 +10,7 @@
 //! pooled output is byte-identical to fresh-session output — the
 //! differential test in `tests/pool_differential.rs` holds this.
 
-use crate::metrics::PoolCounters;
+use crate::metrics::{incr, ServeMetrics};
 use record_core::{CompileSession, SessionPages, Target};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
@@ -31,35 +31,35 @@ pub struct PoolStats {
 
 /// A bounded pool of reusable session pages for one target.
 ///
-/// Behaviour counters record through a [`PoolCounters`] view — a private
-/// standalone registry ([`SessionPool::new`]) or a server's shared
-/// registry ([`SessionPool::with_counters`]); every pool of one server
-/// shares the view, so server-side stats aggregate across pools.
+/// Behaviour counters live in a [`ServeMetrics`] store: a private one
+/// ([`SessionPool::new`]) or a server's ([`SessionPool::with_counters`]);
+/// every pool of one server counts into its store, so server-side stats
+/// aggregate across pools.
 #[derive(Debug)]
 pub struct SessionPool {
     target: Arc<Target>,
     idle: Mutex<Vec<SessionPages>>,
     max_idle: usize,
-    counters: PoolCounters,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl SessionPool {
     /// A pool over `target` retaining at most `max_idle` idle page sets.
     pub fn new(target: Arc<Target>, max_idle: usize) -> SessionPool {
-        SessionPool::with_counters(target, max_idle, PoolCounters::standalone())
+        SessionPool::with_counters(target, max_idle, Arc::default())
     }
 
-    /// Like [`SessionPool::new`], recording into the given counter view.
+    /// Like [`SessionPool::new`], counting into `metrics`.
     pub fn with_counters(
         target: Arc<Target>,
         max_idle: usize,
-        counters: PoolCounters,
+        metrics: Arc<ServeMetrics>,
     ) -> SessionPool {
         SessionPool {
             target,
             idle: Mutex::new(Vec::new()),
             max_idle,
-            counters,
+            metrics,
         }
     }
 
@@ -75,11 +75,11 @@ impl SessionPool {
         let pages = self.idle.lock().expect("pool lock poisoned").pop();
         let session = match pages {
             Some(pages) => {
-                self.counters.reused();
+                incr(&self.metrics.pool_reused);
                 self.target.session_from(pages)
             }
             None => {
-                self.counters.created();
+                incr(&self.metrics.pool_created);
                 self.target.session()
             }
         };
@@ -94,26 +94,26 @@ impl SessionPool {
         self.idle.lock().expect("pool lock poisoned").len()
     }
 
-    /// A snapshot of the behaviour counters (merged from the registry;
-    /// aggregated across every pool sharing the counter view).
+    /// A snapshot of the behaviour counters (summed over every pool
+    /// counting into the same store).
     pub fn stats(&self) -> PoolStats {
-        self.counters.snapshot()
+        self.metrics.pool_stats()
     }
 
     fn checkin(&self, session: CompileSession<'_>) {
         // A poisoned session panicked mid-compile: its overlay tables may
         // be mid-mutation, so its pages never re-enter circulation.
         if session.poisoned() {
-            self.counters.dropped();
+            incr(&self.metrics.pool_dropped);
             return;
         }
         let pages = session.into_pages();
         let mut idle = self.idle.lock().expect("pool lock poisoned");
         if idle.len() < self.max_idle {
             idle.push(pages);
-            self.counters.returned();
+            incr(&self.metrics.pool_returned);
         } else {
-            self.counters.dropped();
+            incr(&self.metrics.pool_dropped);
         }
     }
 }

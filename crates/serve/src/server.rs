@@ -8,24 +8,26 @@
 //! queue is full, new connections get an `overloaded` error line instead
 //! of an invisible wait, so callers can shed load or back off.
 //!
-//! Observability: every counter, gauge and latency histogram of the
-//! service lives in one [`ServeMetrics`] registry.  Workers record into
-//! per-thread lock-free shards; the optional `/metrics` HTTP listener
-//! ([`ServerConfig::metrics_addr`]) and the NDJSON `stats` op both read
-//! the merged registry.  Every response line carries a `request_id`, the
+//! Observability: every counter and latency histogram of the service is
+//! a named atomic field of one [`ServeMetrics`] store, which workers, the
+//! cache and the pools update in place.  The optional `/metrics` HTTP
+//! listener ([`ServerConfig::metrics_addr`]) and the NDJSON `stats` op
+//! both read those fields, and both read the entries, pools and
+//! queue-depth gauges from the cache, the pools map and the admission
+//! queue themselves.  Every response line carries a `request_id`, the
 //! same id the optional NDJSON access log and the slow-compile
 //! [`FlightRecorder`] key their entries by — a slow compile's full
 //! Chrome trace is retrievable over the wire with the `debug-traces` op.
 
 use crate::cache::TargetCache;
 use crate::digest::{render_key, ModelKey};
-use crate::metrics::{AccessLog, FlightRecorder, RequestIds, ServeMetrics, SlowTrace};
+use crate::metrics::{incr, AccessLog, FlightRecorder, RequestIds, ServeMetrics, SlowTrace};
 use crate::pool::SessionPool;
 use crate::proto::{
     compile_error_response, error_response, parse_request, pipeline_error_response, CompileItem,
     ModelRef, Request,
 };
-use record_core::{CompileRequest, MetricsShard, RetargetOptions, Target};
+use record_core::{CompileRequest, RetargetOptions, Target};
 use record_probe::json::Json;
 use record_probe::now_ns;
 use std::collections::{HashMap, VecDeque};
@@ -114,17 +116,16 @@ struct Shared {
     queue_cv: Condvar,
     queue_depth: usize,
     shutdown: AtomicBool,
-    metrics: ServeMetrics,
+    metrics: Arc<ServeMetrics>,
     recorder: Option<FlightRecorder>,
     access_log: Option<AccessLog>,
     ids: RequestIds,
 }
 
 /// Per-request context threaded through the handlers: which server,
-/// which worker shard to record on, which correlation id.
+/// which correlation id.
 struct RequestCtx<'a> {
     shared: &'a Shared,
-    shard: &'a MetricsShard,
     request_id: &'a str,
 }
 
@@ -147,12 +148,12 @@ impl Server {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
-        let metrics = ServeMetrics::new();
+        let metrics = Arc::new(ServeMetrics::new());
         let shared = Arc::new(Shared {
             cache: TargetCache::with_counters(
                 config.cache_capacity,
                 config.retarget.clone(),
-                metrics.cache_counters(),
+                Arc::clone(&metrics),
             ),
             pools: Mutex::new(HashMap::new()),
             pool_max_idle: config.pool_max_idle.max(1),
@@ -277,7 +278,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         let mut queue = shared.queue.lock().expect("queue lock poisoned");
         if queue.len() >= shared.queue_depth {
             drop(queue);
-            shared.metrics.record_rejection();
+            incr(&shared.metrics.rejected);
             // Rejections carry a request id too: a client that logs the
             // error line can still be correlated with the access log.
             let request_id = shared.ids.next_id();
@@ -293,7 +294,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // Dropping the stream closes the connection.
         } else {
             queue.push_back(stream);
-            shared.metrics.set_queue_depth(queue.len());
             drop(queue);
             shared.queue_cv.notify_one();
         }
@@ -301,9 +301,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Each worker records on its own lock-free shard; the registry
-    // merges shards only when somebody reads (stats op, /metrics).
-    let shard = shared.metrics.worker_shard();
     loop {
         // Drain order matters for graceful shutdown: a queued connection
         // is always popped and served before the shutdown flag is
@@ -313,7 +310,6 @@ fn worker_loop(shared: &Shared) {
             let mut queue = shared.queue.lock().expect("queue lock poisoned");
             loop {
                 if let Some(stream) = queue.pop_front() {
-                    shared.metrics.set_queue_depth(queue.len());
                     break stream;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -322,11 +318,11 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.queue_cv.wait(queue).expect("queue lock poisoned");
             }
         };
-        serve_connection(shared, &shard, stream);
+        serve_connection(shared, stream);
     }
 }
 
-fn serve_connection(shared: &Shared, shard: &MetricsShard, stream: TcpStream) {
+fn serve_connection(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -370,22 +366,21 @@ fn serve_connection(shared: &Shared, shard: &MetricsShard, stream: TcpStream) {
         };
         let request_id = shared.ids.next_id();
         let start = now_ns();
-        shared.metrics.inflight_add(1);
+        shared.metrics.inflight.fetch_add(1, Ordering::Relaxed);
         let (op, response) = match parsed {
             Ok(request) => {
                 let ctx = RequestCtx {
                     shared,
-                    shard,
                     request_id: &request_id,
                 };
                 (op_name(&request), handle_request(&ctx, &request))
             }
             Err(message) => ("invalid", error_response("protocol", &message)),
         };
-        shared.metrics.inflight_add(-1);
+        shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
         let response = with_request_id(response, &request_id);
         let latency_ns = now_ns().saturating_sub(start);
-        shared.metrics.record_request(shard, latency_ns);
+        shared.metrics.record_request(latency_ns);
         if let Some(log) = &shared.access_log {
             log.write_line(&access_entry(&request_id, op, &response, latency_ns));
         }
@@ -525,10 +520,9 @@ fn pool_for(shared: &Shared, key: ModelKey, target: &Arc<Target>) -> Arc<Session
     let pool = Arc::new(SessionPool::with_counters(
         Arc::clone(target),
         shared.pool_max_idle,
-        shared.metrics.pool_counters(),
+        Arc::clone(&shared.metrics),
     ));
     pools.insert(key, Arc::clone(&pool));
-    shared.metrics.set_pool_count(pools.len());
     pool
 }
 
@@ -554,9 +548,7 @@ fn compile_response(
     let elapsed_ns = now_ns().saturating_sub(start);
     let trace = session.take_trace();
     match &result {
-        Ok(kernel) => shared
-            .metrics
-            .record_compile_phases(ctx.shard, &kernel.report),
+        Ok(kernel) => shared.metrics.record_compile_phases(&kernel.report),
         Err(e) => shared.metrics.record_failure(&e.classify()),
     }
     if let (Some(recorder), Some(trace)) = (&shared.recorder, trace) {
@@ -567,7 +559,7 @@ fn compile_response(
                 latency_ns: elapsed_ns,
                 chrome_json: trace.to_chrome_json("record-serve"),
             });
-            shared.metrics.record_slow_trace(ctx.shard);
+            incr(&shared.metrics.slow_traces);
         }
     }
     match result {
@@ -594,14 +586,20 @@ fn compile_response(
     }
 }
 
+/// Ready cache entries and open session pools, read from the cache and
+/// the pools map (the `stats` op and `/metrics` both report them).
+fn occupancy(shared: &Shared) -> (usize, usize) {
+    let pools = shared.pools.lock().expect("pools lock poisoned").len();
+    (shared.cache.entries(), pools)
+}
+
 fn stats_response(shared: &Shared) -> Json {
-    // Every number below is a read of the shared metrics registry — the
-    // same registry `/metrics` renders — so the two surfaces can never
-    // disagree.
-    let cache = shared.cache.stats();
-    let pool_count = shared.pools.lock().expect("pools lock poisoned").len() as u64;
-    let pools = shared.metrics.pool_counters().snapshot();
+    // Every number below reads what `/metrics` renders: a field of the
+    // metrics store, or the state `occupancy` reads.
+    let cache = shared.metrics.cache_stats();
+    let pools = shared.metrics.pool_stats();
     let (served, rejected) = shared.metrics.server_counters();
+    let (entries, pool_count) = occupancy(shared);
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         (
@@ -612,13 +610,13 @@ fn stats_response(shared: &Shared) -> Json {
                 ("retargets", Json::num(cache.retargets)),
                 ("inflight_waits", Json::num(cache.inflight_waits)),
                 ("evictions", Json::num(cache.evictions)),
-                ("entries", Json::num(shared.cache.entries() as u64)),
+                ("entries", Json::num(entries as u64)),
             ]),
         ),
         (
             "pools",
             Json::obj(vec![
-                ("count", Json::num(pool_count)),
+                ("count", Json::num(pool_count as u64)),
                 ("created", Json::num(pools.created)),
                 ("reused", Json::num(pools.reused)),
                 ("returned", Json::num(pools.returned)),
@@ -742,10 +740,14 @@ fn serve_metrics_request(shared: &Shared, stream: &TcpStream) {
     let request_line = String::from_utf8_lossy(&request_line);
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
+        let (entries, pools) = occupancy(shared);
+        let queue_depth = shared.queue.lock().expect("queue lock poisoned").len();
         (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            shared.metrics.render_prometheus(),
+            shared
+                .metrics
+                .render_prometheus(entries, pools, queue_depth),
         )
     } else {
         (

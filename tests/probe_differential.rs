@@ -4,9 +4,8 @@
 //! the traces themselves must be well-formed (balanced spans, monotonic
 //! timestamps) and export as loadable Chrome trace JSON.
 
-use record_core::{
-    validate_chrome_json, CompileRequest, CompiledKernel, MetricsBuilder, Record, RetargetOptions,
-};
+use record_core::{validate_chrome_json, CompileRequest, CompiledKernel, Record, RetargetOptions};
+use record_probe::metrics::AtomicHistogram;
 use record_targets::{kernels, models};
 
 fn assert_same_code(traced: &CompiledKernel, plain: &CompiledKernel, label: &str) {
@@ -66,27 +65,17 @@ fn traced_compile_is_byte_identical_to_untraced() {
 }
 
 /// Fleet metrics are observation-only too: a compile whose report is
-/// recorded into a metrics registry (the serving layer's per-phase
-/// histograms, with a collector installed like the flight recorder
+/// recorded into per-phase latency histograms (as the serving layer
+/// records it, with a collector installed like the flight recorder
 /// installs one) produces byte-identical code to a bare compile — and
-/// the registry afterwards holds exactly the observations the reports
+/// the histograms afterwards hold exactly the observations the reports
 /// claimed.
 #[test]
 fn metered_compile_is_byte_identical_to_unmetered() {
-    let mut b = MetricsBuilder::new();
-    let phase_ids: Vec<_> = [
+    let phases = [
         "parse", "lower", "bind", "select", "emit", "allocate", "compact",
-    ]
-    .iter()
-    .map(|&phase| {
-        (
-            phase,
-            b.histogram("compile_phase_ns", "per-phase latency", &[("phase", phase)]),
-        )
-    })
-    .collect();
-    let registry = b.build();
-    let shard = registry.shard();
+    ];
+    let histograms: [AtomicHistogram; 7] = Default::default();
 
     let model = models::model("tms320c25").unwrap();
     let target = Record::retarget(model.hdl, &RetargetOptions::default()).unwrap();
@@ -97,14 +86,14 @@ fn metered_compile_is_byte_identical_to_unmetered() {
         let request = CompileRequest::new(kernel.source, kernel.function);
         let plain = target.compile(&request);
         // The metered path mirrors the serving layer: collector armed,
-        // report phases recorded onto a lock-free shard afterwards.
+        // report phases observed into lock-free histograms afterwards.
         let mut session = target.session();
         session.install_collector(0);
         let metered = session.compile(&request);
         if let Ok(kernel) = &metered {
             for p in &kernel.report.phases {
-                if let Some(&(_, id)) = phase_ids.iter().find(|(l, _)| *l == p.label) {
-                    shard.observe(id, p.ns);
+                if let Some(i) = phases.iter().position(|&l| l == p.label) {
+                    histograms[i].observe(p.ns);
                     expected_observations += 1;
                 }
             }
@@ -118,12 +107,9 @@ fn metered_compile_is_byte_identical_to_unmetered() {
     }
     assert!(checked >= 10, "checked {checked} kernels");
 
-    // The registry saw every recorded phase, no more, no less.
-    let total: u64 = phase_ids
-        .iter()
-        .map(|&(_, id)| registry.histogram(id).count())
-        .sum();
-    assert_eq!(total, expected_observations, "registry observation count");
+    // The histograms saw every recorded phase, no more, no less.
+    let total: u64 = histograms.iter().map(|h| h.snapshot().count()).sum();
+    assert_eq!(total, expected_observations, "histogram observation count");
     assert!(total > 0, "no phase observations recorded");
 }
 
