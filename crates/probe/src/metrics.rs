@@ -51,7 +51,7 @@ impl Default for AtomicHistogram {
 
 impl AtomicHistogram {
     /// An empty histogram.
-    pub const fn new() -> AtomicHistogram {
+    pub fn new() -> AtomicHistogram {
         AtomicHistogram {
             buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
             sum: AtomicU64::new(0),
@@ -177,9 +177,9 @@ impl TextWriter {
         out.push_str(name);
         out.push_str(suffix);
         let pairs = labels.iter().copied().chain(le.map(|le| ("le", le)));
-        for (i, (key, value)) in pairs.enumerate() {
+        for (i, (k, v)) in pairs.enumerate() {
             out.push(if i == 0 { '{' } else { ',' });
-            let _ = write!(out, "{key}=\"{}\"", escape_label(value));
+            let _ = write!(out, "{k}=\"{}\"", escape_label(v));
         }
         if !labels.is_empty() || le.is_some() {
             out.push('}');

@@ -400,7 +400,7 @@ impl Client {
     }
 
     /// Dumps the server's slow-compile flight recorder: every retained
-    /// trace with its request id, function and latency, oldest first.
+    /// trace with its request id, function and compile time, oldest first.
     ///
     /// # Errors
     ///

@@ -41,6 +41,12 @@ const RETARGET_PHASES: [&str; 6] = [
 ];
 
 /// Every counter and latency histogram of one server instance.
+///
+/// A server makes one and hands it to its cache and pools.  A cache or
+/// pool used on its own counts into one of its own, or into a shared one
+/// passed to [`crate::TargetCache::with_counters`] or
+/// [`crate::SessionPool::with_counters`]; their `stats` methods read it
+/// back.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     pub(crate) cache_hits: AtomicU64,
@@ -92,32 +98,32 @@ impl ServeMetrics {
     }
 
     /// Counts one handled request and observes its end-to-end latency.
-    pub fn record_request(&self, latency_ns: u64) {
+    pub(crate) fn record_request(&self, latency_ns: u64) {
         incr(&self.served);
         self.request_latency.observe(latency_ns);
     }
 
     /// Observes every phase of a compile [`Report`] into the per-phase
     /// latency histograms.
-    pub fn record_compile_phases(&self, report: &Report) {
+    pub(crate) fn record_compile_phases(&self, report: &Report) {
         observe_phases(&COMPILE_PHASES, &self.compile_phases, report);
     }
 
     /// Observes the phases of one retarget that actually ran (not a hit
     /// or a wait on another requester's retarget) into the per-phase
     /// latency histograms.
-    pub fn record_retarget_phases(&self, report: &Report) {
+    pub(crate) fn record_retarget_phases(&self, report: &Report) {
         observe_phases(&RETARGET_PHASES, &self.retarget_phases, report);
     }
 
     /// Counts one classified compile failure (rare path; takes a mutex).
-    pub fn record_failure(&self, class: &FailureClass) {
+    pub(crate) fn record_failure(&self, class: &FailureClass) {
         let mut failures = self.failures.lock().expect("failures lock poisoned");
         *failures.entry(class.to_string()).or_insert(0) += 1;
     }
 
     /// The cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: read(&self.cache_hits),
             misses: read(&self.cache_misses),
@@ -128,7 +134,7 @@ impl ServeMetrics {
     }
 
     /// The session-pool counters, summed over every pool of the server.
-    pub fn pool_stats(&self) -> PoolStats {
+    pub(crate) fn pool_stats(&self) -> PoolStats {
         PoolStats {
             created: read(&self.pool_created),
             reused: read(&self.pool_reused),
@@ -138,14 +144,14 @@ impl ServeMetrics {
     }
 
     /// Requests handled and connections rejected.
-    pub fn server_counters(&self) -> (u64, u64) {
+    pub(crate) fn server_counters(&self) -> (u64, u64) {
         (read(&self.served), read(&self.rejected))
     }
 
     /// Renders the store in Prometheus text exposition format.  The
     /// server passes the gauges it reads from its own state: ready cache
     /// entries, open session pools and queued connections.
-    pub fn render_prometheus(
+    pub(crate) fn render_prometheus(
         &self,
         cache_entries: usize,
         pools: usize,

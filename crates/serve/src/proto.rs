@@ -12,7 +12,7 @@
 //!   several kernels on one warm session.
 //! * `{"op":"stats"}` — cache/pool/server counters.
 //! * `{"op":"debug-traces"}` — dump the slow-compile flight recorder:
-//!   the retained Chrome traces with their request ids and latencies.
+//!   the retained Chrome traces with their request ids and compile times.
 //!
 //! Responses are `{"ok":true, ...}` or `{"ok":false, "error":{"kind":...,
 //! "message":...}}`, and the server appends a `request_id` field to
