@@ -480,10 +480,14 @@ mod tests {
             phase,
             kind: kind.to_owned(),
         };
-        use record_core::CompilePhase::{Bind, Select};
+        let no_data_memory = record_core::CompileError::NoDataMemory {
+            processor: "p".to_owned(),
+        }
+        .classify();
+        use record_core::CompilePhase::Select;
         for failure in [
             class(Select, "selector-gap"),
-            class(Bind, "no-data-memory"),
+            no_data_memory,
             class(Select, "selector-gap"),
         ] {
             metrics.record_failure(&failure);

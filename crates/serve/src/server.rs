@@ -12,12 +12,13 @@
 //! a named atomic field of one [`ServeMetrics`] store, which workers, the
 //! cache and the pools update in place.  The optional `/metrics` HTTP
 //! listener ([`ServerConfig::metrics_addr`]) and the NDJSON `stats` op
-//! both read those fields, and both read the entries, pools and
-//! queue-depth gauges from the cache, the pools map and the admission
-//! queue themselves.  Every response line carries a `request_id`, the
-//! same id the optional NDJSON access log and the slow-compile
-//! [`FlightRecorder`] key their entries by — a slow compile's full
-//! Chrome trace is retrievable over the wire with the `debug-traces` op.
+//! both read those fields, and both read the entries and pools from the
+//! cache and the pools map themselves; `/metrics` alone also reads the
+//! queue depth from the admission queue.  Every response line carries a
+//! `request_id`, the same id the optional NDJSON access log and the
+//! slow-compile [`FlightRecorder`] key their entries by — a slow
+//! compile's full Chrome trace is retrievable over the wire with the
+//! `debug-traces` op.
 
 use crate::cache::TargetCache;
 use crate::digest::{render_key, ModelKey};
