@@ -396,3 +396,216 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Property: the selector's cover is the one a plain labeller finds, rule by
+// rule.  The reference tries every rule rooted at a node's terminal in id
+// order, replaces a label only on a strict improvement (lower cost, or equal
+// cost and pairwise-distinct operands), then closes over chain rules.  Any
+// dispatch structure the selector uses must keep exactly these covers.
+// ---------------------------------------------------------------------------
+
+/// An accumulator machine whose ALU reads two registers and writes
+/// either: every ALU pattern is the right-hand side of an `acc` rule and
+/// a `t` rule, and once extension adds the commutative variants,
+/// `add(acc, t)` and `add(t, acc)` tie on cost over two values in one
+/// register.
+const TWIN_ACC_MACHINE: &str = r#"
+    module Alu {
+        in a: bit(8);
+        in b: bit(8);
+        ctrl f: bit(2);
+        out y: bit(8);
+        behavior {
+            case f {
+                0 => y = a + b;
+                1 => y = a & b;
+                2 => y = a;
+                3 => y = b;
+            }
+        }
+    }
+    module Acc {
+        in d: bit(8);
+        ctrl en: bit(1);
+        out q: bit(8);
+        register q = d when en == 1;
+    }
+    module Ram {
+        in addr: bit(4);
+        in din: bit(8);
+        ctrl w: bit(1);
+        out dout: bit(8);
+        memory cells[16]: bit(8);
+        read dout = cells[addr];
+        write cells[addr] = din when w == 1;
+    }
+    processor TwinAccMachine {
+        instruction word: bit(9);
+        out pout: bit(8);
+        parts { alu: Alu; acc: Acc; t: Acc; ram: Ram; }
+        connections {
+            alu.a = acc.q;
+            alu.b = t.q;
+            alu.f = I[1:0];
+            acc.d = alu.y;
+            acc.en = I[2];
+            t.d = alu.y;
+            t.en = I[3];
+            ram.addr = I[7:4];
+            ram.din = acc.q;
+            ram.w = I[8];
+            pout = acc.q;
+        }
+    }
+"#;
+
+/// `pipeline`, with the template base extended as retargeting extends
+/// it (commutative variants and rewrites).
+fn extended_pipeline(src: &str) -> std::sync::Arc<TreeGrammar> {
+    let model = record_hdl::parse(src).expect("parses");
+    let n = record_netlist::elaborate(&model).expect("elaborates");
+    let mut ex = record_isex::extract(&n, &Default::default()).expect("extracts");
+    record_rtl::extend(&mut ex.base, &Default::default());
+    std::sync::Arc::new(TreeGrammar::from_base(&ex.base, &n))
+}
+
+/// The reference labeller: cost and applications of the minimum-cost
+/// cover of `et`, or `None` when the tree has none.
+fn reference_cover(g: &TreeGrammar, et: &Et) -> Option<(u32, Vec<RuleApp>)> {
+    #[derive(Clone, Copy)]
+    struct Label {
+        cost: u32,
+        rule: RuleId,
+        diversity: u8,
+    }
+    struct Labels {
+        slots: Vec<Option<Label>>,
+        nts: usize,
+    }
+    impl Labels {
+        fn at(&mut self, idx: NodeIdx, nt: NonTermId) -> &mut Option<Label> {
+            &mut self.slots[idx * self.nts + nt.0 as usize]
+        }
+    }
+    fn cost_of(pat: &GPat, et: &Et, idx: NodeIdx, labels: &mut Labels) -> Option<u32> {
+        match pat {
+            GPat::NT(nt) => labels.at(idx, *nt).map(|l| l.cost),
+            GPat::T(key, kids) => {
+                if !et.kind_matches(idx, key) || et.children(idx).len() != kids.len() {
+                    return None;
+                }
+                let mut sum = 0u32;
+                for (kid, &c) in kids.iter().zip(et.children(idx)) {
+                    sum = sum.saturating_add(cost_of(kid, et, c, labels)?);
+                }
+                Some(sum)
+            }
+        }
+    }
+    fn bind(pat: &GPat, et: &Et, idx: NodeIdx, out: &mut Vec<(NonTermId, NodeIdx)>) {
+        match pat {
+            GPat::NT(nt) => out.push((*nt, idx)),
+            GPat::T(_, kids) => {
+                for (kid, &c) in kids.iter().zip(et.children(idx)) {
+                    bind(kid, et, c, out);
+                }
+            }
+        }
+    }
+    fn reduce(
+        g: &TreeGrammar,
+        et: &Et,
+        labels: &mut Labels,
+        idx: NodeIdx,
+        nt: NonTermId,
+        out: &mut Vec<RuleApp>,
+    ) {
+        let label = labels.at(idx, nt).expect("reduced goals are labelled");
+        let rule = g.rule(label.rule);
+        let mut operands = Vec::new();
+        match rule.rhs.as_chain() {
+            Some(src) => operands.push((src, idx)),
+            None => bind(&rule.rhs, et, idx, &mut operands),
+        }
+        for &(op_nt, op_idx) in &operands {
+            reduce(g, et, labels, op_idx, op_nt, out);
+        }
+        out.push(RuleApp {
+            rule: label.rule,
+            at: idx,
+            nt,
+            operands,
+        });
+    }
+
+    let mut labels = Labels {
+        slots: vec![None; et.len() * g.nonterm_count()],
+        nts: g.nonterm_count(),
+    };
+    for idx in 0..et.len() {
+        // Every rule rooted at the node's terminal, in id order: `cost_of`
+        // checks the root first.
+        for rule in g.rules() {
+            if rule.rhs.as_chain().is_some() {
+                continue;
+            }
+            let Some(kids) = cost_of(&rule.rhs, et, idx, &mut labels) else {
+                continue;
+            };
+            let cost = rule.cost.saturating_add(kids);
+            let leaves = rule.rhs.nonterm_leaves();
+            let diversity = u8::from(
+                leaves
+                    .iter()
+                    .enumerate()
+                    .all(|(i, nt)| !leaves[..i].contains(nt)),
+            );
+            let slot = labels.at(idx, rule.lhs);
+            if slot.is_none_or(|l| cost < l.cost || (cost == l.cost && diversity > l.diversity)) {
+                *slot = Some(Label {
+                    cost,
+                    rule: rule.id,
+                    diversity,
+                });
+            }
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (rule, src) in g.chain_rules() {
+                let Some(from) = *labels.at(idx, src) else {
+                    continue;
+                };
+                let cost = from.cost.saturating_add(rule.cost);
+                let slot = labels.at(idx, rule.lhs);
+                if slot.is_none_or(|l| cost < l.cost) {
+                    *slot = Some(Label {
+                        cost,
+                        rule: rule.id,
+                        diversity: from.diversity,
+                    });
+                    changed = true;
+                }
+            }
+        }
+    }
+    let cost = labels.at(et.root(), NonTermId::START).as_ref()?.cost;
+    let mut apps = Vec::new();
+    reduce(g, et, &mut labels, et.root(), NonTermId::START, &mut apps);
+    Some((cost, apps))
+}
+
+proptest! {
+    #[test]
+    fn cover_matches_the_reference_labeller(choices in prop::collection::vec(any::<u8>(), 1..40)) {
+        for src in [ACC_MACHINE, TWIN_ACC_MACHINE] {
+            let g = extended_pipeline(src);
+            let sel = Selector::generate(g.clone());
+            if let Some((et, _)) = random_derivation(&g, &choices) {
+                let cover = sel.select(&et).map(|c| (c.cost, c.apps));
+                prop_assert_eq!(cover, reference_cover(&g, &et));
+            }
+        }
+    }
+}
