@@ -355,6 +355,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 Err(_) => return,
             }
         }
+        // The request clock runs from the read line to the rendered
+        // response line: decode, handling and encode, as the latency
+        // histogram and the access log report them.
+        let start = now_ns();
         let oversized = over_cap(&line);
         let parsed = if oversized {
             Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
@@ -366,7 +370,6 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             }
         };
         let request_id = shared.ids.next_id();
-        let start = now_ns();
         shared.metrics.inflight.fetch_add(1, Ordering::Relaxed);
         let (op, response) = match parsed {
             Ok(request) => {
@@ -380,16 +383,13 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         };
         shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
         let response = with_request_id(response, &request_id);
+        let response_line = format!("{response}\n");
         let latency_ns = now_ns().saturating_sub(start);
         shared.metrics.record_request(latency_ns);
         if let Some(log) = &shared.access_log {
             log.write_line(&access_entry(&request_id, op, &response, latency_ns));
         }
-        if writer
-            .write_all(format!("{response}\n").as_bytes())
-            .is_err()
-            || oversized
-        {
+        if writer.write_all(response_line.as_bytes()).is_err() || oversized {
             return;
         }
         // No shutdown check here: during a drain, requests the client has
