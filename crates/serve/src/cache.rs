@@ -13,12 +13,43 @@
 //! block on a condvar and receive the same `Arc` when it lands.  A failed
 //! retarget clears the marker and wakes the waiters, who retry (and
 //! typically fail the same way, each seeing the real error).
+//!
+//! A key is a 64-bit digest, not an identity: a ready entry keeps its
+//! model text, and a model that answers a held key with other content
+//! gets [`CacheError::KeyCollision`] instead of the held artifact.
 
-use crate::digest::{model_key, ModelKey};
+use crate::digest::{model_key, render_key, same_model, ModelKey};
 use crate::metrics::{incr, ServeMetrics};
 use record_core::{PipelineError, Record, RetargetOptions, Target};
 use std::collections::HashMap;
+use std::error::Error;
+use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
+
+/// Why [`TargetCache::get_or_retarget`] has no artifact for a model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CacheError {
+    /// Retargeting the model failed.
+    Retarget(PipelineError),
+    /// The cache holds a different model under this model's key.
+    /// Nothing was retargeted, evicted or replaced.
+    KeyCollision(ModelKey),
+}
+
+impl fmt::Display for CacheError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CacheError::Retarget(e) => e.fmt(f),
+            CacheError::KeyCollision(key) => write!(
+                f,
+                "model key `{}` is held by a different model",
+                render_key(*key)
+            ),
+        }
+    }
+}
+
+impl Error for CacheError {}
 
 /// Counters describing cache behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,8 +69,13 @@ pub struct CacheStats {
 }
 
 enum Entry {
-    /// Retargeted and ready to share; `last_used` orders LRU eviction.
-    Ready { target: Arc<Target>, last_used: u64 },
+    /// Retargeted from `hdl` and ready to share; `last_used` orders LRU
+    /// eviction.
+    Ready {
+        hdl: Box<str>,
+        target: Arc<Target>,
+        last_used: u64,
+    },
     /// A retarget for this key is running on some requester's thread.
     InFlight,
 }
@@ -103,14 +139,19 @@ impl TargetCache {
     ///
     /// # Errors
     ///
-    /// Propagates retargeting failures ([`PipelineError`]); failures are
-    /// not cached, so a later call retries.
-    pub fn get_or_retarget(&self, hdl: &str) -> Result<(ModelKey, Arc<Target>), PipelineError> {
+    /// [`CacheError::Retarget`] propagates a retargeting failure; failures
+    /// are not cached, so a later call retries.
+    /// [`CacheError::KeyCollision`] when the entry under `hdl`'s key was
+    /// retargeted from a different model.
+    pub fn get_or_retarget(&self, hdl: &str) -> Result<(ModelKey, Arc<Target>), CacheError> {
         let key = model_key(hdl);
         let mut waited = false;
         let mut state = self.state.lock().expect("cache lock poisoned");
         loop {
             let ready = match state.map.get(&key) {
+                Some(Entry::Ready { hdl: held, .. }) if !same_model(held, hdl) => {
+                    return Err(CacheError::KeyCollision(key));
+                }
                 Some(Entry::Ready { target, .. }) => Some(Some(Arc::clone(target))),
                 Some(Entry::InFlight) => Some(None),
                 None => None,
@@ -161,6 +202,7 @@ impl TargetCache {
                             state.map.insert(
                                 key,
                                 Entry::Ready {
+                                    hdl: hdl.into(),
                                     target: Arc::clone(&target),
                                     last_used: tick,
                                 },
@@ -172,7 +214,7 @@ impl TargetCache {
                         Err(e) => {
                             state.map.remove(&key);
                             self.cv.notify_all();
-                            return Err(e);
+                            return Err(CacheError::Retarget(e));
                         }
                     }
                 }
@@ -187,7 +229,9 @@ impl TargetCache {
         state.tick += 1;
         let tick = state.tick;
         match state.map.get_mut(&key) {
-            Some(Entry::Ready { target, last_used }) => {
+            Some(Entry::Ready {
+                target, last_used, ..
+            }) => {
                 *last_used = tick;
                 let target = Arc::clone(target);
                 incr(&self.metrics.cache_hits);
@@ -268,5 +312,46 @@ impl TargetCache {
             .values()
             .filter(|e| matches!(e, Entry::Ready { .. }))
             .count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ACC: &str = "module Acc { in d: bit(8); ctrl en: bit(1); out q: bit(8); \
+        register q = d when en == 1; } processor A { instruction word: bit(12); \
+        parts { acc: Acc; } connections { acc.d = I[7:0]; acc.en = I[8]; } }";
+
+    /// Model B's request never receives model A's target, even when the
+    /// cache holds A's entry under B's key (a digest collision, planted).
+    #[test]
+    fn a_colliding_model_never_receives_the_held_target() {
+        let cache = TargetCache::new(4, RetargetOptions::default());
+        let (key_a, target_a) = cache.get_or_retarget(ACC).expect("A retargets");
+        let b = ACC.replace("bit(12)", "bit(10)");
+        let key_b = model_key(&b);
+        assert_ne!(key_a, key_b);
+        {
+            let mut state = cache.state.lock().expect("cache lock poisoned");
+            let planted = state.map.remove(&key_a).expect("A is cached");
+            state.map.insert(key_b, planted);
+        }
+        let before = cache.stats();
+        assert_eq!(
+            cache
+                .get_or_retarget(&b)
+                .map(|(_, t)| Arc::ptr_eq(&t, &target_a)),
+            Err(CacheError::KeyCollision(key_b))
+        );
+        // Nothing was retargeted, evicted or replaced.
+        let after = cache.stats();
+        assert_eq!(
+            (after.retargets, after.evictions),
+            (before.retargets, before.evictions)
+        );
+        let state = cache.state.lock().expect("cache lock poisoned");
+        assert!(matches!(state.map.get(&key_b),
+            Some(Entry::Ready { target, .. }) if Arc::ptr_eq(target, &target_a)));
     }
 }

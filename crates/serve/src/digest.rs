@@ -15,12 +15,33 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// Digests `hdl` under whitespace normalization (FNV-1a over the
 /// normalized bytes; a separator byte between lines keeps
 /// concatenation-ambiguous inputs apart).
+///
+/// The digest names a model; it does not prove identity.  FNV-1a is
+/// invertible byte by byte, so a different model can be made to answer
+/// the same key; the target cache compares the model text on a hit.
 pub fn model_key(hdl: &str) -> ModelKey {
     let mut h = FNV_OFFSET;
-    let mut eat = |b: u8| {
+    for_each_normalized_byte(hdl, |b| {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
+    });
+    h
+}
+
+/// Are `a` and `b` the same model under [`model_key`]'s normalization?
+pub(crate) fn same_model(a: &str, b: &str) -> bool {
+    let normalized = |hdl: &str| {
+        let mut bytes = Vec::with_capacity(hdl.len());
+        for_each_normalized_byte(hdl, |b| bytes.push(b));
+        bytes
     };
+    a == b || normalized(a) == normalized(b)
+}
+
+/// Feeds `eat` the bytes [`model_key`] digests: each non-blank line
+/// trimmed, its runs of spaces and tabs collapsed to one space, and
+/// ended by a newline.
+fn for_each_normalized_byte(hdl: &str, mut eat: impl FnMut(u8)) {
     for line in hdl.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -40,7 +61,6 @@ pub fn model_key(hdl: &str) -> ModelKey {
         }
         eat(b'\n');
     }
-    h
 }
 
 /// Renders a key the way the wire protocol and logs show it.
@@ -71,6 +91,14 @@ mod tests {
         assert_ne!(model_key(a), model_key(b));
         // Joining two lines is a different model than keeping them apart.
         assert_ne!(model_key("ab\ncd"), model_key("abcd"));
+    }
+
+    #[test]
+    fn same_model_follows_the_key_normalization() {
+        let a = "processor p {\n  reg ac[16];\n}\n";
+        assert!(same_model(a, "\r\n processor   p {\r\n\treg ac[16];\n\n }"));
+        assert!(!same_model(a, "processor p { reg ac[8]; }"));
+        assert!(!same_model("ab\ncd", "abcd"));
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod pool;
 mod proto;
 mod server;
 
-pub use cache::{CacheStats, TargetCache};
+pub use cache::{CacheError, CacheStats, TargetCache};
 pub use client::{
     call_with_retry, local_key, Client, CompileSpec, CompileSummary, Model, RetargetSummary,
     RetryPolicy, ServeError,

@@ -22,14 +22,16 @@
 //! (unparseable request), `overloaded` (admission control rejected the
 //! connection), `timeout` (per-request deadline exceeded; carries
 //! `phase`), `unknown-key` (compile by key missed the cache), `pipeline`
-//! (retarget failed), `compile` (structured compile failure; carries
+//! (retarget failed), `key-collision` (the cache holds the model's key
+//! for a different model), `compile` (structured compile failure; carries
 //! `class`, `phase` and the diagnostic fields), `internal` (the compiler
 //! panicked; contained by the session boundary, carries `class` and
 //! `phase` like `compile`), `no-recorder` (`debug-traces` with the
 //! flight recorder disabled).
 
+use crate::cache::CacheError;
 use crate::digest::{parse_key, ModelKey};
-use record_core::{CompileError, CompileOptions, PipelineError};
+use record_core::{CompileError, CompileOptions};
 use record_probe::json::{self, Json};
 
 /// How a request names the processor model.
@@ -187,9 +189,15 @@ pub fn error_response(kind: &str, message: &str) -> Json {
     ])
 }
 
-/// Builds the error response for a retarget failure.
-pub fn pipeline_error_response(e: &PipelineError) -> Json {
-    error_response("pipeline", &e.to_string())
+/// Builds the error response for a model the target cache has no
+/// artifact for: `pipeline` when retargeting failed, `key-collision` when
+/// the cache holds the model's key for a different model.
+pub fn cache_error_response(e: &CacheError) -> Json {
+    let kind = match e {
+        CacheError::Retarget(_) => "pipeline",
+        CacheError::KeyCollision(_) => "key-collision",
+    };
+    error_response(kind, &e.to_string())
 }
 
 /// Builds the error response for a compile failure: `timeout` for

@@ -25,7 +25,7 @@ use crate::digest::{render_key, ModelKey};
 use crate::metrics::{incr, AccessLog, FlightRecorder, RequestIds, ServeMetrics, SlowTrace};
 use crate::pool::SessionPool;
 use crate::proto::{
-    compile_error_response, error_response, parse_request, pipeline_error_response, CompileItem,
+    cache_error_response, compile_error_response, error_response, parse_request, CompileItem,
     ModelRef, Request,
 };
 use record_core::{CompileRequest, RetargetOptions, Target};
@@ -453,7 +453,7 @@ fn handle_request(ctx: &RequestCtx<'_>, request: &Request) -> Json {
                     Json::num(target.report().templates_extended as u64),
                 ),
             ]),
-            Err(e) => pipeline_error_response(&e),
+            Err(e) => cache_error_response(&e),
         },
         Request::Compile { model, item } => match resolve(shared, model) {
             Ok((key, target)) => {
@@ -493,7 +493,7 @@ fn resolve(shared: &Shared, model: &ModelRef) -> Result<(ModelKey, Arc<Target>),
         ModelRef::Hdl(hdl) => shared
             .cache
             .get_or_retarget(hdl)
-            .map_err(|e| pipeline_error_response(&e)),
+            .map_err(|e| cache_error_response(&e)),
         ModelRef::Key(key) => shared
             .cache
             .get(*key)
