@@ -2,10 +2,13 @@
 //! (paper §3.1, "the grammar components are constructed as follows").
 
 use crate::types::*;
+use crate::FoldHasher;
 use record_netlist::PortDir;
 use record_netlist::{Netlist, ProcPortId, StorageKind};
 use record_rtl::{Dest, Pattern, TemplateBase};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault};
+use std::sync::Arc;
 
 impl TreeGrammar {
     /// Builds the grammar for `base` over the storages and ports of
@@ -55,63 +58,56 @@ impl TreeGrammar {
         };
 
         let mut rules: Vec<Rule> = Vec::new();
-        let push =
-            |lhs: NonTermId, rhs: GPat, cost: u32, origin: RuleOrigin, rules: &mut Vec<Rule>| {
-                let id = RuleId(rules.len() as u32);
-                rules.push(Rule {
-                    id,
-                    lhs,
-                    rhs,
-                    cost,
-                    origin,
-                });
-            };
+        let push = |lhs: NonTermId,
+                    (pattern, rhs): (u32, Arc<GPat>),
+                    cost: u32,
+                    origin: RuleOrigin,
+                    rules: &mut Vec<Rule>| {
+            let id = RuleId(rules.len() as u32);
+            rules.push(Rule {
+                id,
+                lhs,
+                rhs,
+                pattern,
+                cost,
+                origin,
+            });
+        };
+        let mut shared = SharedRhs::with_hasher(
+            base.templates().len(),
+            BuildHasherDefault::<FoldHasher>::default(),
+        );
 
         // 1. Start rules: START -> ASSIGN_dest(NonTerm(dest)), cost 0.
         for s in netlist.storages() {
             if s.is_pc {
                 continue;
             }
-            match s.kind {
-                StorageKind::Register => {
-                    let dest_nt = nt(NonTermKind::Reg(s.id));
-                    push(
-                        NonTermId::START,
-                        GPat::T(
-                            TermKey::Assign(AssignKey::Reg(s.id)),
-                            vec![GPat::NT(dest_nt)],
-                        ),
-                        0,
-                        RuleOrigin::Start,
-                        &mut rules,
-                    );
-                }
-                StorageKind::RegFile => {
-                    let dest_nt = nt(NonTermKind::RegFile(s.id));
-                    push(
-                        NonTermId::START,
-                        GPat::T(
-                            TermKey::Assign(AssignKey::RegFile(s.id)),
-                            vec![GPat::NT(dest_nt)],
-                        ),
-                        0,
-                        RuleOrigin::Start,
-                        &mut rules,
-                    );
-                }
-                StorageKind::Memory => {}
-            }
+            let (key, dest_nt) = match s.kind {
+                StorageKind::Register => (AssignKey::Reg(s.id), nt(NonTermKind::Reg(s.id))),
+                StorageKind::RegFile => (AssignKey::RegFile(s.id), nt(NonTermKind::RegFile(s.id))),
+                StorageKind::Memory => continue,
+            };
+            let rhs = GPat::T(TermKey::Assign(key), vec![GPat::NT(dest_nt)]);
+            push(
+                NonTermId::START,
+                shared.fresh(rhs),
+                0,
+                RuleOrigin::Start,
+                &mut rules,
+            );
         }
         for (i, p) in netlist.proc_ports().iter().enumerate() {
             if p.dir == PortDir::Out {
                 let pid = ProcPortId(i as u32);
                 let dest_nt = nt(NonTermKind::Port(pid));
+                let rhs = GPat::T(
+                    TermKey::Assign(AssignKey::Port(pid)),
+                    vec![GPat::NT(dest_nt)],
+                );
                 push(
                     NonTermId::START,
-                    GPat::T(
-                        TermKey::Assign(AssignKey::Port(pid)),
-                        vec![GPat::NT(dest_nt)],
-                    ),
+                    shared.fresh(rhs),
                     0,
                     RuleOrigin::Start,
                     &mut rules,
@@ -119,54 +115,34 @@ impl TreeGrammar {
             }
         }
 
-        // 2. RT rules: one per template, cost 1.
+        // 2. RT rules: one per template, cost 1.  Templates with equal
+        //    sources (one per destination, typically) share one lowered
+        //    right-hand side.
         for t in base.templates() {
             // Control-transfer templates (PC writes, predicated or not) are
             // not expression rules; branch emission selects them directly.
             if t.pred.is_some() || t.dest.storage().is_some_and(|s| netlist.storage(s).is_pc) {
                 continue;
             }
-            let rhs_of = |p: &Pattern| lower_pattern(p, &by_kind);
-            match &t.dest {
-                Dest::Reg(s) => {
-                    push(
-                        nt(NonTermKind::Reg(*s)),
-                        rhs_of(&t.src),
-                        1,
-                        RuleOrigin::Template(t.id),
-                        &mut rules,
-                    );
+            let (lhs, store) = match &t.dest {
+                Dest::Reg(s) => (nt(NonTermKind::Reg(*s)), None),
+                Dest::RegFile(s) => (nt(NonTermKind::RegFile(*s)), None),
+                Dest::Port(p) => (nt(NonTermKind::Port(*p)), None),
+                // Memory stores derive the whole statement: START ->
+                // STORE_mem(addr, value), cost 1.
+                Dest::Mem(..) => (NonTermId::START, Some(&t.dest)),
+            };
+            let rhs = shared.share((store, &t.src), || {
+                let value = lower_pattern(&t.src, &by_kind);
+                match &t.dest {
+                    Dest::Mem(s, addr) => GPat::T(
+                        TermKey::Store(*s),
+                        vec![lower_pattern(addr, &by_kind), value],
+                    ),
+                    _ => value,
                 }
-                Dest::RegFile(s) => {
-                    push(
-                        nt(NonTermKind::RegFile(*s)),
-                        rhs_of(&t.src),
-                        1,
-                        RuleOrigin::Template(t.id),
-                        &mut rules,
-                    );
-                }
-                Dest::Port(p) => {
-                    push(
-                        nt(NonTermKind::Port(*p)),
-                        rhs_of(&t.src),
-                        1,
-                        RuleOrigin::Template(t.id),
-                        &mut rules,
-                    );
-                }
-                Dest::Mem(s, addr) => {
-                    // Memory stores derive the whole statement: START ->
-                    // STORE_mem(addr, value), cost 1.
-                    push(
-                        NonTermId::START,
-                        GPat::T(TermKey::Store(*s), vec![rhs_of(addr), rhs_of(&t.src)]),
-                        1,
-                        RuleOrigin::Template(t.id),
-                        &mut rules,
-                    );
-                }
-            }
+            });
+            push(lhs, rhs, 1, RuleOrigin::Template(t.id), &mut rules);
         }
 
         // 3. Stop rules: NonTerm(reg) -> Term(reg), cost 0.
@@ -178,7 +154,7 @@ impl TreeGrammar {
                 StorageKind::Register => {
                     push(
                         nt(NonTermKind::Reg(s.id)),
-                        GPat::T(TermKey::RegLeaf(s.id), vec![]),
+                        shared.fresh(GPat::T(TermKey::RegLeaf(s.id), vec![])),
                         0,
                         RuleOrigin::Stop(s.id),
                         &mut rules,
@@ -187,7 +163,7 @@ impl TreeGrammar {
                 StorageKind::RegFile => {
                     push(
                         nt(NonTermKind::RegFile(s.id)),
-                        GPat::T(TermKey::RfLeaf(s.id), vec![]),
+                        shared.fresh(GPat::T(TermKey::RfLeaf(s.id), vec![])),
                         0,
                         RuleOrigin::Stop(s.id),
                         &mut rules,
@@ -197,7 +173,51 @@ impl TreeGrammar {
             }
         }
 
-        TreeGrammar::new_internal(nonterms, nt_names, by_kind, rules)
+        let pattern_count = shared.count as usize;
+        TreeGrammar::new_internal(nonterms, nt_names, by_kind, rules, pattern_count)
+    }
+}
+
+/// What a template's right-hand side is lowered from: for a store, its
+/// destination (the memory and the address pattern), and the source.
+type Source<'a> = (Option<&'a Dest>, &'a Pattern);
+
+/// The grammar's right-hand sides, each lowered once and shared by every
+/// rule built from an equal template source.
+///
+/// A hash of the source proposes the candidates and `Pattern` equality
+/// decides, so two different sources that hash alike stay apart: a
+/// collision costs a comparison, never a merge.
+struct SharedRhs<'a, S> {
+    by_source: HashMap<Source<'a>, (u32, Arc<GPat>), S>,
+    /// Right-hand sides made so far; the next one's index.
+    count: u32,
+}
+
+impl<'a, S: BuildHasher> SharedRhs<'a, S> {
+    fn with_hasher(capacity: usize, hasher: S) -> Self {
+        SharedRhs {
+            by_source: HashMap::with_capacity_and_hasher(capacity, hasher),
+            count: 0,
+        }
+    }
+
+    /// A right-hand side that no other rule has (start and stop rules).
+    fn fresh(&mut self, rhs: GPat) -> (u32, Arc<GPat>) {
+        self.count += 1;
+        (self.count - 1, Arc::new(rhs))
+    }
+
+    /// The right-hand side of `source`: the one lowered for an equal
+    /// source before, or else `lower()`'s, which later equal sources
+    /// share.
+    fn share(&mut self, source: Source<'a>, lower: impl FnOnce() -> GPat) -> (u32, Arc<GPat>) {
+        let count = &mut self.count;
+        let (pattern, rhs) = self.by_source.entry(source).or_insert_with(|| {
+            *count += 1;
+            (*count - 1, Arc::new(lower()))
+        });
+        (*pattern, Arc::clone(rhs))
     }
 }
 
@@ -223,5 +243,46 @@ fn lower_pattern(p: &Pattern, by_kind: &BTreeMap<NonTermKind, NonTermId>) -> GPa
         Pattern::Port(p) => GPat::T(TermKey::PortLeaf(*p), vec![]),
         Pattern::Const(v) => GPat::T(TermKey::ConstVal(*v), vec![]),
         Pattern::Imm { hi, lo } => GPat::T(TermKey::Imm { hi: *hi, lo: *lo }, vec![]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use record_netlist::StorageId;
+    use record_rtl::OpKind;
+    use std::hash::Hasher;
+
+    /// Hashes every source alike, so every lookup collides.
+    #[derive(Default)]
+    struct OneBucket;
+
+    impl Hasher for OneBucket {
+        fn write(&mut self, _: &[u8]) {}
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn equal_hashes_keep_unequal_sources_apart() {
+        let acc = Pattern::Reg(StorageId(0));
+        let imm = Pattern::Imm { hi: 3, lo: 0 };
+        let add = Pattern::Op(OpKind::Add, vec![acc.clone(), imm.clone()]);
+        let sub = Pattern::Op(OpKind::Sub, vec![acc, imm.clone()]);
+        let add_again = add.clone();
+        let store = Dest::Mem(StorageId(1), imm);
+        let by_kind = BTreeMap::new();
+        let lower = |p: &Pattern| lower_pattern(p, &by_kind);
+
+        let mut shared = SharedRhs::with_hasher(4, BuildHasherDefault::<OneBucket>::default());
+        let (a, a_rhs) = shared.share((None, &add), || lower(&add));
+        let (b, b_rhs) = shared.share((None, &sub), || lower(&sub));
+        let (c, _) = shared.share((Some(&store), &add), || lower(&add));
+        let (d, d_rhs) = shared.share((None, &add_again), || unreachable!("lowered once"));
+        assert_eq!((a, b, c, d), (0, 1, 2, 0));
+        assert_ne!(a_rhs, b_rhs);
+        assert!(Arc::ptr_eq(&a_rhs, &d_rhs));
+        assert_eq!(shared.fresh(GPat::NT(NonTermId::START)).0, 3);
     }
 }

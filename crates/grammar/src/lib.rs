@@ -53,9 +53,11 @@
 
 mod build;
 mod et;
+mod hash;
 mod types;
 
 pub use et::{Et, EtBuilder, EtDest, EtKind, NodeIdx};
+pub use hash::FoldHasher;
 pub use types::{
     AssignKey, GPat, NonTermId, NonTermKind, Rule, RuleId, RuleOrigin, TermKey, TreeGrammar,
 };

@@ -87,13 +87,13 @@ fn store_templates_become_start_store_rules() {
     let store_rules: Vec<_> = g
         .rules()
         .iter()
-        .filter(|r| matches!(&r.rhs, GPat::T(TermKey::Store(_), _)))
+        .filter(|r| matches!(*r.rhs, GPat::T(TermKey::Store(_), _)))
         .collect();
     assert_eq!(store_rules.len(), 1);
     assert_eq!(store_rules[0].lhs, NonTermId::START);
     assert_eq!(store_rules[0].cost, 1);
     // Its children are [addr (imm), value (NT acc)].
-    let GPat::T(_, kids) = &store_rules[0].rhs else {
+    let GPat::T(_, kids) = &*store_rules[0].rhs else {
         unreachable!()
     };
     assert!(matches!(kids[0], GPat::T(TermKey::Imm { .. }, _)));
@@ -108,9 +108,9 @@ fn register_operands_become_nonterminals() {
     let add_rule = g
         .rules()
         .iter()
-        .find(|r| matches!(&r.rhs, GPat::T(TermKey::Op(OpKind::Add), _)))
+        .find(|r| matches!(*r.rhs, GPat::T(TermKey::Op(OpKind::Add), _)))
         .expect("add rule exists");
-    let GPat::T(_, kids) = &add_rule.rhs else {
+    let GPat::T(_, kids) = &*add_rule.rhs else {
         unreachable!()
     };
     assert!(matches!(kids[0], GPat::NT(_)), "register operand is an NT");
@@ -256,4 +256,46 @@ fn render_is_stable() {
     assert!(text.contains("START -> ASSIGN_acc(acc)"));
     assert!(text.contains("acc -> add(acc, ram_read(imm5_2)) [1]"));
     assert!(text.contains("acc -> acc_leaf [0]"));
+}
+
+#[test]
+fn equal_sources_share_one_right_hand_side() {
+    // The ALU result feeds `acc` and `t`, so every ALU pattern is the
+    // right-hand side of two rules.
+    let src = ACC_MACHINE
+        .replace("instruction word: bit(8);", "instruction word: bit(9);")
+        .replace("acc: Acc; ram", "acc: Acc; t: Acc; ram")
+        .replace("acc.en = I[7];", "acc.en = I[7]; t.d = alu.y; t.en = I[8];");
+    let (n, ex) = pipeline(&src);
+    let g = TreeGrammar::from_base(&ex.base, &n);
+    for r in g.rules() {
+        for s in g.rules() {
+            assert_eq!(r.pattern == s.pattern, r.rhs == s.rhs, "{r:?} / {s:?}");
+            assert_eq!(
+                r.pattern == s.pattern,
+                std::sync::Arc::ptr_eq(&r.rhs, &s.rhs)
+            );
+        }
+    }
+    // Indices are dense, in order of first use.
+    let mut next = 0;
+    for r in g.rules() {
+        assert!(r.pattern <= next, "{r:?}");
+        next += u32::from(r.pattern == next);
+    }
+    assert_eq!(next as usize, g.pattern_count());
+    // Every RT rule of `t` shares its right-hand side with one of `acc`.
+    let reg = |name| {
+        g.nonterm_of(NonTermKind::Reg(n.storage_by_name(name).unwrap().id))
+            .unwrap()
+    };
+    let t_rules: Vec<_> = g.rules_for(reg("t")).filter(|r| r.cost == 1).collect();
+    assert!(t_rules.len() > 2);
+    for r in t_rules {
+        assert!(
+            g.rules_for(reg("acc")).any(|s| s.pattern == r.pattern),
+            "{r:?}"
+        );
+    }
+    assert!(g.pattern_count() < g.rules().len());
 }

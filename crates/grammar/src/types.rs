@@ -4,6 +4,7 @@ use record_netlist::{Netlist, ProcPortId, StorageId};
 use record_rtl::{OpKind, TemplateId};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a non-terminal. `NonTermId(0)` is always `START`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,7 +120,13 @@ pub enum RuleOrigin {
 pub struct Rule {
     pub id: RuleId,
     pub lhs: NonTermId,
-    pub rhs: GPat,
+    /// The right-hand side, one allocation shared by every rule built
+    /// from an equal template source (one per destination, typically).
+    pub rhs: Arc<GPat>,
+    /// Index of `rhs` among the grammar's shared right-hand sides
+    /// (`0..`[`TreeGrammar::pattern_count`], in order of first use):
+    /// rules that share a right-hand side share this index.
+    pub pattern: u32,
     pub cost: u32,
     pub origin: RuleOrigin,
 }
@@ -150,6 +157,7 @@ pub struct TreeGrammar {
     nt_names: Vec<String>,
     by_kind: BTreeMap<NonTermKind, NonTermId>,
     rules: Vec<Rule>,
+    pattern_count: usize,
 }
 
 impl TreeGrammar {
@@ -158,18 +166,25 @@ impl TreeGrammar {
         nt_names: Vec<String>,
         by_kind: BTreeMap<NonTermKind, NonTermId>,
         rules: Vec<Rule>,
+        pattern_count: usize,
     ) -> Self {
         TreeGrammar {
             nonterms,
             nt_names,
             by_kind,
             rules,
+            pattern_count,
         }
     }
 
     /// All rules.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
+    }
+
+    /// Number of shared right-hand sides (see [`Rule::pattern`]).
+    pub fn pattern_count(&self) -> usize {
+        self.pattern_count
     }
 
     /// A rule by id.

@@ -5,17 +5,28 @@
 //! both roles:
 //!
 //! * [`Selector::generate`] is "parser generation": it compiles the grammar
-//!   into indexed dispatch tables (rules by root terminal, chain rules by
-//!   source non-terminal) — the moral equivalent of iburg's emitted tables.
+//!   into dispatch tables — the moral equivalent of iburg's emitted
+//!   tables.  Rules are indexed by root terminal, then by the heads of the
+//!   root's children (what each child must be: a non-terminal, a
+//!   constant or a terminal), then by right-hand side: the grammar shares
+//!   one right-hand side among all rules built from equal template
+//!   sources ([`record_grammar::Rule::pattern`]), typically one per
+//!   destination.  Chain rules form a table of their own.
 //! * [`Selector::select`] is the generated parser: a bottom-up labelling
 //!   pass computes, per ET node and non-terminal, the cheapest derivation
 //!   cost and the rule achieving it (with chain-rule closure), then a
-//!   top-down reduction emits the minimum-cost cover.  When the tree has
+//!   top-down reduction emits the minimum-cost cover.  At each node it
+//!   visits only the buckets whose child heads the node's children
+//!   satisfy, and matches each right-hand side there once for every rule
+//!   that shares it.  Ties go to the rule with pairwise-distinct operand
+//!   non-terminals, then to the lowest rule id, so the cover is the one
+//!   a scan of every rule in id order finds.  When the tree has
 //!   none, [`Selector::diagnose`] labels it again and names the subtree
 //!   where derivation broke, so only a failure that is reported pays for
 //!   its message.
 //! * [`emit_rust`] additionally renders the grammar-specific matcher as a
-//!   standalone Rust source file, mirroring iburg's code-generation step.
+//!   standalone Rust source file, mirroring iburg's code-generation step,
+//!   with one match arm per shared right-hand side.
 //!   It renders on demand: retargeting does not call it, so Table 3's
 //!   selector-generation time measures [`Selector::generate`] alone.
 //!

@@ -1,9 +1,14 @@
 //! The dynamic-programming tree parser.
 
-use record_grammar::{Et, EtKind, GPat, NodeIdx, NonTermId, RuleId, TermKey, TreeGrammar};
+use record_grammar::{
+    Et, EtKind, FoldHasher, GPat, NodeIdx, NonTermId, RuleId, TermKey, TreeGrammar,
+};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Why code selection failed: some subtree has no derivation.  Built by
@@ -49,8 +54,9 @@ pub struct RuleApp {
 /// machine-independent, and deterministic for a given grammar and tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectStats {
-    /// Candidate rules whose pattern was matched against a node
-    /// (including chain-closure re-visits).
+    /// Right-hand sides matched against a node (each once, however
+    /// many rules share it), plus chain-rule visits of the closure
+    /// (re-visits included).
     pub rules_tried: u64,
     /// Label-matrix entries written (first writes and improvements).
     pub labels_set: u64,
@@ -91,6 +97,14 @@ impl Cover {
 enum Via {
     Base(RuleId),
     Chain(RuleId),
+}
+
+impl Via {
+    fn rule(self) -> RuleId {
+        match self {
+            Via::Base(rid) | Via::Chain(rid) => rid,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -135,31 +149,154 @@ impl LabelMatrix {
     }
 }
 
+/// What a pattern node requires of the ET node it meets: a label for a
+/// non-terminal, a constant (a hardwired value or an immediate field),
+/// or a node of one terminal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Head {
+    Nt(NonTermId),
+    Const,
+    Term(TermKey),
+}
+
+impl Head {
+    fn of(pat: &GPat) -> Head {
+        match pat {
+            GPat::NT(nt) => Head::Nt(*nt),
+            GPat::T(TermKey::ConstVal(_) | TermKey::Imm { .. }, _) => Head::Const,
+            GPat::T(key, _) => Head::Term(*key),
+        }
+    }
+
+    /// The head of the terminal an ET node of `kind` is.
+    fn of_kind(kind: EtKind) -> Head {
+        Head::Term(match kind {
+            EtKind::Const(_) => return Head::Const,
+            EtKind::Assign(k) => TermKey::Assign(k),
+            EtKind::Store(s) => TermKey::Store(s),
+            EtKind::Op(o) => TermKey::Op(o),
+            EtKind::MemRead(s) => TermKey::MemRead(s),
+            EtKind::RegLeaf(s) => TermKey::RegLeaf(s),
+            EtKind::RfLeaf(s, _) => TermKey::RfLeaf(s),
+            EtKind::PortLeaf(p) => TermKey::PortLeaf(p),
+        })
+    }
+
+    /// Can node `idx` meet a pattern node with this head?  A necessary
+    /// condition of matching, checked before any pattern is walked.
+    fn holds(self, et: &Et, idx: NodeIdx, labels: &LabelMatrix) -> bool {
+        match self {
+            Head::Nt(nt) => labels.at(idx, nt).is_some(),
+            Head::Const => matches!(et.kind(idx), EtKind::Const(_)),
+            Head::Term(key) => et.kind_matches(idx, &key),
+        }
+    }
+}
+
+/// Where a right-hand side sits in the index: its root's head, then its
+/// root's arity and children's heads (in `heads[..arity]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Key {
+    root: Head,
+    arity: usize,
+    heads: [Head; 2],
+}
+
+impl Key {
+    fn of(rhs: &GPat) -> Key {
+        let GPat::T(_, kids) = rhs else {
+            unreachable!("chain rules are not keyed")
+        };
+        let mut heads = [Head::Const; 2];
+        for (head, kid) in heads.iter_mut().zip(kids) {
+            *head = Head::of(kid);
+        }
+        Key {
+            root: Head::of(rhs),
+            arity: kids.len(),
+            heads,
+        }
+    }
+}
+
+/// Positions of `keys`, ordered so that equal roots, and within a root
+/// equal keys, are contiguous.  The sort compares `hasher`'s
+/// fingerprints of each root and key, not the keys; should two different
+/// roots or keys share a fingerprint, it sorts by the keys themselves.
+fn key_order(keys: &[(Key, u32)], hasher: &impl BuildHasher) -> Vec<u32> {
+    let mut order: Vec<(u64, u64, u32)> = (0..keys.len() as u32)
+        .map(|i| {
+            let key = &keys[i as usize].0;
+            (hasher.hash_one(key.root), hasher.hash_one(key), i)
+        })
+        .collect();
+    order.sort_unstable();
+    let key = |o: &(u64, u64, u32)| keys[o.2 as usize].0;
+    if order.windows(2).any(|w| {
+        (w[0].0 == w[1].0 && key(&w[0]).root != key(&w[1]).root)
+            || (w[0].1 == w[1].1 && key(&w[0]) != key(&w[1]))
+    }) {
+        order.sort_unstable_by_key(|o| (key(o), o.2));
+    }
+    order.into_iter().map(|o| o.2).collect()
+}
+
+/// The right-hand sides of one [`Key`].
+#[derive(Debug, Clone)]
+struct Bucket {
+    arity: usize,
+    heads: [Head; 2],
+    /// A range of `Selector::rhs`.
+    rhs: Range<u32>,
+}
+
+type Fold = BuildHasherDefault<FoldHasher>;
+
+/// One distinct right-hand side and the rules that share it.
+#[derive(Debug, Clone)]
+struct Rhs {
+    /// Its rules, ascending by id: a range of `Selector::rules`.
+    rules: Range<u32>,
+    /// 1 if its operand non-terminals are pairwise distinct.
+    diversity: u8,
+}
+
+/// A rule as labelling reads it.
+#[derive(Debug, Clone, Copy)]
+struct RuleRef {
+    id: RuleId,
+    lhs: NonTermId,
+    cost: u32,
+}
+
+fn range(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
 /// A grammar-specific tree parser (see crate docs).
 ///
-/// Generation precomputes everything `select` needs per node: candidate
-/// rules live in one flat arena sliced per root terminal (so dispatching
-/// on an ET node kind is a map lookup returning a borrowed slice, never a
-/// clone), and dynamic-programming labels go into a dense
-/// node-major matrix allocated in one piece.
+/// Generation precomputes everything `select` needs per node.  The
+/// grammar's rules are indexed by root terminal, then by the heads of
+/// the root's children (see [`Head`]), then by shared right-hand side:
+/// labelling visits only the buckets whose heads a node's children
+/// satisfy, and matches each right-hand side there once for all the
+/// rules that share it.  Every table is a flat vector sliced by ranges,
+/// and dynamic-programming labels go into a dense node-major matrix
+/// allocated in one piece.
 #[derive(Debug, Clone)]
 pub struct Selector {
     /// Shared, not cloned: the grammar is part of the frozen retarget
     /// artifact and the selector only ever reads it.
     grammar: Arc<TreeGrammar>,
-    /// Flat arena of candidate rule ids, sliced by `by_key` ranges.
-    rule_arena: Vec<RuleId>,
-    /// Rules indexed by the exact root terminal: `(start, end)` ranges
-    /// into `rule_arena`.
-    by_key: HashMap<TermKey, (u32, u32)>,
-    /// Rules whose root is a hardwired constant or immediate terminal
-    /// (candidates for `Const` ET nodes).
-    const_root_rules: Vec<RuleId>,
+    /// Per root head, its buckets: a range of `buckets`.
+    by_root: HashMap<Head, Range<u32>, Fold>,
+    buckets: Vec<Bucket>,
+    /// Distinct right-hand sides, bucket by bucket.
+    rhs: Vec<Rhs>,
+    /// Every non-chain rule, grouped by right-hand side.
+    rules: Vec<RuleRef>,
     /// Chain rules: (rule, target, source, cost).
     chains: Vec<(RuleId, NonTermId, NonTermId, u32)>,
-    /// Every rule's operand diversity (see `operand_diversity`),
-    /// indexed by `RuleId`.
-    diversity: Vec<u8>,
     nt_count: usize,
 }
 
@@ -167,43 +304,92 @@ impl Selector {
     /// "Parser generation": compiles `grammar` into dispatch tables.
     ///
     /// Takes the grammar by `Arc` so the retarget artifact and the
-    /// selector share one rule set instead of duplicating it.
+    /// selector share one rule set instead of duplicating it.  Rules
+    /// are grouped by the grammar's pattern index ([`record_grammar::Rule::pattern`]),
+    /// so generation compares no patterns.
     pub fn generate(grammar: Arc<TreeGrammar>) -> Selector {
-        let mut grouped: HashMap<TermKey, Vec<RuleId>> = HashMap::new();
-        let mut const_root_rules = Vec::new();
+        // Group the non-chain rules by pattern (a counting sort, so each
+        // group stays in ascending id order).
+        let mut starts = vec![0u32; grammar.pattern_count() + 1];
         let mut chains = Vec::new();
         for r in grammar.rules() {
-            match &r.rhs {
-                GPat::NT(src) => chains.push((r.id, r.lhs, *src, r.cost)),
-                GPat::T(key, _) => match key {
-                    TermKey::ConstVal(_) | TermKey::Imm { .. } => const_root_rules.push(r.id),
-                    other => grouped.entry(*other).or_default().push(r.id),
-                },
+            match *r.rhs {
+                GPat::NT(src) => chains.push((r.id, r.lhs, src, r.cost)),
+                GPat::T(..) => starts[r.pattern as usize + 1] += 1,
             }
         }
-        // Flatten the per-key groups into one arena so `candidates`
-        // returns borrowed slices.
-        let mut rule_arena = Vec::new();
-        let mut by_key = HashMap::with_capacity(grouped.len());
-        for (key, rules) in grouped {
-            let start = rule_arena.len() as u32;
-            rule_arena.extend(rules);
-            by_key.insert(key, (start, rule_arena.len() as u32));
+        for p in 1..starts.len() {
+            starts[p] += starts[p - 1];
         }
-        let mut leaves = Vec::new();
-        let diversity = grammar
+        let mut fill = starts.clone();
+        let placeholder = RuleRef {
+            id: RuleId(0),
+            lhs: NonTermId::START,
+            cost: 0,
+        };
+        let mut rules =
+            vec![placeholder; *starts.last().expect("one start per pattern, plus one") as usize];
+        for r in grammar
             .rules()
             .iter()
-            .map(|r| Self::operand_diversity(&r.rhs, &mut leaves))
+            .filter(|r| r.rhs.as_chain().is_none())
+        {
+            let at = &mut fill[r.pattern as usize];
+            rules[*at as usize] = RuleRef {
+                id: r.id,
+                lhs: r.lhs,
+                cost: r.cost,
+            };
+            *at += 1;
+        }
+
+        // Key each right-hand side, then order them by key, so that each
+        // root's buckets and each bucket's right-hand sides are contiguous.
+        let keys: Vec<(Key, u32)> = (0..grammar.pattern_count())
+            .filter(|&p| starts[p] < starts[p + 1])
+            .map(|p| {
+                let rhs = &grammar.rule(rules[starts[p] as usize].id).rhs;
+                (Key::of(rhs), p as u32)
+            })
             .collect();
+        let order = key_order(&keys, &Fold::default());
+
+        let mut by_root: HashMap<Head, Range<u32>, Fold> = HashMap::default();
+        let mut buckets: Vec<Bucket> = Vec::new();
+        let mut rhs = Vec::with_capacity(order.len());
+        let mut leaves = Vec::new();
+        let mut last: Option<Key> = None;
+        for &i in &order {
+            let (key, p) = keys[i as usize];
+            let group = starts[p as usize]..starts[p as usize + 1];
+            let first = rules[group.start as usize].id;
+            rhs.push(Rhs {
+                rules: group,
+                diversity: Self::operand_diversity(&grammar.rule(first).rhs, &mut leaves),
+            });
+            let end = rhs.len() as u32;
+            match buckets.last_mut() {
+                Some(b) if last == Some(key) => b.rhs.end = end,
+                _ => {
+                    buckets.push(Bucket {
+                        arity: key.arity,
+                        heads: key.heads,
+                        rhs: end - 1..end,
+                    });
+                    let b = buckets.len() as u32;
+                    by_root.entry(key.root).or_insert(b - 1..b).end = b;
+                }
+            }
+            last = Some(key);
+        }
         let nt_count = grammar.nonterm_count();
         Selector {
             grammar,
-            rule_arena,
-            by_key,
-            const_root_rules,
+            by_root,
+            buckets,
+            rhs,
+            rules,
             chains,
-            diversity,
             nt_count,
         }
     }
@@ -215,7 +401,7 @@ impl Selector {
 
     /// Number of rules reachable through the dispatch tables (diagnostic).
     pub fn table_size(&self) -> usize {
-        self.rule_arena.len() + self.const_root_rules.len() + self.chains.len()
+        self.rules.len() + self.chains.len()
     }
 
     /// Computes a minimum-cost cover of `et`, or `None` when no
@@ -253,29 +439,52 @@ impl Selector {
     fn label(&self, et: &Et, stats: &mut SelectStats) -> LabelMatrix {
         let mut labels = LabelMatrix::new(et.len(), self.nt_count);
         for idx in 0..et.len() {
-            for &rid in self.candidates(et.kind(idx)) {
-                stats.rules_tried += 1;
-                let rule = self.grammar.rule(rid);
-                if let Some(child_cost) = self.match_cost(&rule.rhs, et, idx, &labels) {
-                    let total = rule.cost.saturating_add(child_cost);
-                    let diversity = self.diversity[rid.0 as usize];
-                    let slot = labels.slot(idx, rule.lhs);
-                    // On cost ties prefer rules whose operand non-terminals
-                    // are pairwise distinct: tree parsing is interference-
-                    // blind, but a cover that needs the same register for
-                    // two simultaneously-live operands is unimplementable,
-                    // so diversity is a free anti-conflict heuristic.
-                    let better = match *slot {
-                        None => true,
-                        Some(e) => total < e.cost || (total == e.cost && diversity > e.diversity),
+            let children = et.children(idx);
+            let buckets = match self.by_root.get(&Head::of_kind(et.kind(idx))) {
+                Some(r) => &self.buckets[range(r)],
+                None => &[],
+            };
+            for bucket in buckets {
+                if bucket.arity != children.len()
+                    || !bucket
+                        .heads
+                        .iter()
+                        .zip(children)
+                        .all(|(head, &kid)| head.holds(et, kid, &labels))
+                {
+                    continue;
+                }
+                for rhs in &self.rhs[range(&bucket.rhs)] {
+                    stats.rules_tried += 1;
+                    let rules = &self.rules[range(&rhs.rules)];
+                    let pat = &self.grammar.rule(rules[0].id).rhs;
+                    let Some(child_cost) = self.match_cost(pat, et, idx, &labels) else {
+                        continue;
                     };
-                    if better {
-                        stats.labels_set += 1;
-                        *slot = Some(LabelEntry {
-                            cost: total,
-                            via: Via::Base(rid),
-                            diversity,
+                    let diversity = rhs.diversity;
+                    for rule in rules {
+                        let total = rule.cost.saturating_add(child_cost);
+                        let slot = labels.slot(idx, rule.lhs);
+                        // On cost ties prefer rules whose operand non-
+                        // terminals are pairwise distinct: tree parsing is
+                        // interference-blind, but a cover that needs the
+                        // same register for two simultaneously-live
+                        // operands is unimplementable, so diversity is a
+                        // free anti-conflict heuristic.  Then the lowest
+                        // rule id, so the cover does not depend on the
+                        // order patterns are visited in.
+                        let better = slot.is_none_or(|e| {
+                            (total, Reverse(diversity), rule.id)
+                                < (e.cost, Reverse(e.diversity), e.via.rule())
                         });
+                        if better {
+                            stats.labels_set += 1;
+                            *slot = Some(LabelEntry {
+                                cost: total,
+                                via: Via::Base(rule.id),
+                                diversity,
+                            });
+                        }
                     }
                 }
             }
@@ -304,28 +513,6 @@ impl Selector {
             }
         }
         labels
-    }
-
-    /// Candidate rules whose root terminal may match `kind`, as a
-    /// borrowed slice of the precomputed dispatch arena.
-    fn candidates(&self, kind: EtKind) -> &[RuleId] {
-        match kind {
-            EtKind::Const(_) => &self.const_root_rules,
-            EtKind::Assign(k) => self.lookup(TermKey::Assign(k)),
-            EtKind::Store(s) => self.lookup(TermKey::Store(s)),
-            EtKind::Op(o) => self.lookup(TermKey::Op(o)),
-            EtKind::MemRead(s) => self.lookup(TermKey::MemRead(s)),
-            EtKind::RegLeaf(s) => self.lookup(TermKey::RegLeaf(s)),
-            EtKind::RfLeaf(s, _) => self.lookup(TermKey::RfLeaf(s)),
-            EtKind::PortLeaf(p) => self.lookup(TermKey::PortLeaf(p)),
-        }
-    }
-
-    fn lookup(&self, key: TermKey) -> &[RuleId] {
-        match self.by_key.get(&key) {
-            Some(&(start, end)) => &self.rule_arena[start as usize..end as usize],
-            None => &[],
-        }
     }
 
     /// 1 when the pattern's non-terminal leaves are pairwise distinct.
@@ -450,7 +637,9 @@ impl Selector {
                 // (missing hardware) from "rules exist but none fit here"
                 // (a selector gap).
                 let missing_op = match et.kind(idx) {
-                    EtKind::Op(o) if self.lookup(TermKey::Op(o)).is_empty() => Some(o.mnemonic()),
+                    EtKind::Op(o) if !self.by_root.contains_key(&Head::Term(TermKey::Op(o))) => {
+                        Some(o.mnemonic())
+                    }
                     _ => None,
                 };
                 let reason = match missing_op {
@@ -468,6 +657,51 @@ impl Selector {
                 reason: "subtrees are derivable but no start rule covers the destination".into(),
                 missing_op: None,
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use record_rtl::OpKind;
+    use std::hash::Hasher;
+
+    /// Hashes everything alike, so every fingerprint collides.
+    #[derive(Default)]
+    struct OneBucket;
+
+    impl Hasher for OneBucket {
+        fn write(&mut self, _: &[u8]) {}
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn key_order_groups_roots_and_keys_even_when_fingerprints_collide() {
+        let add = Head::Term(TermKey::Op(OpKind::Add));
+        let sub = Head::Term(TermKey::Op(OpKind::Sub));
+        let key = |root, nt| Key {
+            root,
+            arity: 2,
+            heads: [Head::Nt(NonTermId(nt)), Head::Const],
+        };
+        let keys: Vec<(Key, u32)> = [key(add, 1), key(sub, 1), key(add, 2), key(sub, 1)]
+            .into_iter()
+            .chain([key(add, 1)])
+            .zip(0..)
+            .collect();
+        let runs = |seq: &[Key], same: fn(&Key, &Key) -> bool| {
+            1 + seq.windows(2).filter(|w| !same(&w[0], &w[1])).count()
+        };
+        for order in [
+            key_order(&keys, &Fold::default()),
+            key_order(&keys, &BuildHasherDefault::<OneBucket>::default()),
+        ] {
+            let seq: Vec<Key> = order.iter().map(|&i| keys[i as usize].0).collect();
+            assert_eq!(runs(&seq, |a, b| a.root == b.root), 2, "{seq:?}");
+            assert_eq!(runs(&seq, |a, b| a == b), 3, "{seq:?}");
         }
     }
 }

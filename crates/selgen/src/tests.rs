@@ -355,7 +355,7 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
         return None;
     }
     let rule = start_rules[choices.first().copied().unwrap_or(0) as usize % start_rules.len()];
-    let GPat::T(TermKey::Assign(key), kids) = &rule.rhs else {
+    let GPat::T(TermKey::Assign(key), kids) = &*rule.rhs else {
         return None;
     };
     let GPat::NT(dest_nt) = &kids[0] else {
