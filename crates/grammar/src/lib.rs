@@ -23,6 +23,12 @@
 //! exactly minimum-RT-count implementations, including chained operations
 //! and special-purpose-register allocation for intermediates.
 //!
+//! A template pattern usually recurs once per destination it can be
+//! written to, so the grammar lowers each distinct source once: the RT
+//! rules built from equal sources share one right-hand side
+//! ([`Rule::rhs`]) and its index ([`Rule::pattern`]), which lets the
+//! selector match it once for all of them.
+//!
 //! The crate also defines the flat expression-tree ([`Et`]) arena the
 //! selector operates on.
 //!

@@ -277,7 +277,8 @@ fn range(r: &Range<u32>) -> Range<usize> {
 ///
 /// Generation precomputes everything `select` needs per node.  The
 /// grammar's rules are indexed by root terminal, then by the heads of
-/// the root's children (see [`Head`]), then by shared right-hand side:
+/// the root's children (what each child must be: a non-terminal, a
+/// constant or a terminal), then by shared right-hand side:
 /// labelling visits only the buckets whose heads a node's children
 /// satisfy, and matches each right-hand side there once for all the
 /// rules that share it.  Every table is a flat vector sliced by ranges,
