@@ -1144,7 +1144,7 @@ impl<'e, 'a, 'm> Emitter<'e, 'a, 'm> {
 
         // 3. Build the concrete expression and destination.
         let mut operand_iter = app.operands.iter();
-        let (dest, expr) = match &*rule.rhs {
+        let (dest, expr) = match self.grammar.rhs(rule) {
             GPat::T(TermKey::Store(s), kids) => {
                 let root_children = self.et.children(app.at);
                 let addr = self.sim_of(&kids[0], root_children[0], &mut operand_iter)?;

@@ -217,8 +217,8 @@ fn const_memory_of(
             walk(k, is_mul, mul_read, written);
         }
     }
-    for rule in grammar.rules() {
-        walk(&rule.rhs, false, &mut mul_read, &mut written);
+    for pat in grammar.patterns() {
+        walk(pat, false, &mut mul_read, &mut written);
     }
     // First qualifying storage in netlist declaration order, for
     // determinism when a model would somehow have several.

@@ -1,14 +1,13 @@
 //! Systematic translation of a template base into a tree grammar
 //! (paper §3.1, "the grammar components are constructed as follows").
 
+use crate::hash::FoldHasher;
 use crate::types::*;
-use crate::FoldHasher;
 use record_netlist::PortDir;
 use record_netlist::{Netlist, ProcPortId, StorageKind};
 use record_rtl::{Dest, Pattern, TemplateBase};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault};
-use std::sync::Arc;
 
 impl TreeGrammar {
     /// Builds the grammar for `base` over the storages and ports of
@@ -58,22 +57,18 @@ impl TreeGrammar {
         };
 
         let mut rules: Vec<Rule> = Vec::new();
-        let push = |lhs: NonTermId,
-                    (pattern, rhs): (u32, Arc<GPat>),
-                    cost: u32,
-                    origin: RuleOrigin,
-                    rules: &mut Vec<Rule>| {
-            let id = RuleId(rules.len() as u32);
-            rules.push(Rule {
-                id,
-                lhs,
-                rhs,
-                pattern,
-                cost,
-                origin,
-            });
-        };
-        let mut shared = SharedRhs::with_hasher(
+        let push =
+            |lhs: NonTermId, pattern: u32, cost: u32, origin: RuleOrigin, rules: &mut Vec<Rule>| {
+                let id = RuleId(rules.len() as u32);
+                rules.push(Rule {
+                    id,
+                    lhs,
+                    pattern,
+                    cost,
+                    origin,
+                });
+            };
+        let mut patterns = Patterns::with_hasher(
             base.templates().len(),
             BuildHasherDefault::<FoldHasher>::default(),
         );
@@ -91,7 +86,7 @@ impl TreeGrammar {
             let rhs = GPat::T(TermKey::Assign(key), vec![GPat::NT(dest_nt)]);
             push(
                 NonTermId::START,
-                shared.fresh(rhs),
+                patterns.add(rhs),
                 0,
                 RuleOrigin::Start,
                 &mut rules,
@@ -107,7 +102,7 @@ impl TreeGrammar {
                 );
                 push(
                     NonTermId::START,
-                    shared.fresh(rhs),
+                    patterns.add(rhs),
                     0,
                     RuleOrigin::Start,
                     &mut rules,
@@ -132,7 +127,7 @@ impl TreeGrammar {
                 // STORE_mem(addr, value), cost 1.
                 Dest::Mem(..) => (NonTermId::START, Some(&t.dest)),
             };
-            let rhs = shared.share((store, &t.src), || {
+            let rhs = patterns.share((store, &t.src), || {
                 let value = lower_pattern(&t.src, &by_kind);
                 match &t.dest {
                     Dest::Mem(s, addr) => GPat::T(
@@ -154,7 +149,7 @@ impl TreeGrammar {
                 StorageKind::Register => {
                     push(
                         nt(NonTermKind::Reg(s.id)),
-                        shared.fresh(GPat::T(TermKey::RegLeaf(s.id), vec![])),
+                        patterns.add(GPat::T(TermKey::RegLeaf(s.id), vec![])),
                         0,
                         RuleOrigin::Stop(s.id),
                         &mut rules,
@@ -163,7 +158,7 @@ impl TreeGrammar {
                 StorageKind::RegFile => {
                     push(
                         nt(NonTermKind::RegFile(s.id)),
-                        shared.fresh(GPat::T(TermKey::RfLeaf(s.id), vec![])),
+                        patterns.add(GPat::T(TermKey::RfLeaf(s.id), vec![])),
                         0,
                         RuleOrigin::Stop(s.id),
                         &mut rules,
@@ -173,8 +168,7 @@ impl TreeGrammar {
             }
         }
 
-        let pattern_count = shared.count as usize;
-        TreeGrammar::new_internal(nonterms, nt_names, by_kind, rules, pattern_count)
+        TreeGrammar::new_internal(nonterms, nt_names, by_kind, rules, patterns.table)
     }
 }
 
@@ -182,42 +176,41 @@ impl TreeGrammar {
 /// destination (the memory and the address pattern), and the source.
 type Source<'a> = (Option<&'a Dest>, &'a Pattern);
 
-/// The grammar's right-hand sides, each lowered once and shared by every
-/// rule built from an equal template source.
+/// The grammar's right-hand sides, each template source lowered once.
 ///
 /// A hash of the source proposes the candidates and `Pattern` equality
 /// decides, so two different sources that hash alike stay apart: a
 /// collision costs a comparison, never a merge.
-struct SharedRhs<'a, S> {
-    by_source: HashMap<Source<'a>, (u32, Arc<GPat>), S>,
-    /// Right-hand sides made so far; the next one's index.
-    count: u32,
+struct Patterns<'a, S> {
+    /// Every right-hand side, in order of first use: the index is
+    /// [`Rule::pattern`].
+    table: Vec<GPat>,
+    by_source: HashMap<Source<'a>, u32, S>,
 }
 
-impl<'a, S: BuildHasher> SharedRhs<'a, S> {
+impl<'a, S: BuildHasher> Patterns<'a, S> {
     fn with_hasher(capacity: usize, hasher: S) -> Self {
-        SharedRhs {
+        Patterns {
+            table: Vec::with_capacity(capacity),
             by_source: HashMap::with_capacity_and_hasher(capacity, hasher),
-            count: 0,
         }
     }
 
     /// A right-hand side that no other rule has (start and stop rules).
-    fn fresh(&mut self, rhs: GPat) -> (u32, Arc<GPat>) {
-        self.count += 1;
-        (self.count - 1, Arc::new(rhs))
+    fn add(&mut self, rhs: GPat) -> u32 {
+        self.table.push(rhs);
+        self.table.len() as u32 - 1
     }
 
     /// The right-hand side of `source`: the one lowered for an equal
     /// source before, or else `lower()`'s, which later equal sources
     /// share.
-    fn share(&mut self, source: Source<'a>, lower: impl FnOnce() -> GPat) -> (u32, Arc<GPat>) {
-        let count = &mut self.count;
-        let (pattern, rhs) = self.by_source.entry(source).or_insert_with(|| {
-            *count += 1;
-            (*count - 1, Arc::new(lower()))
-        });
-        (*pattern, Arc::clone(rhs))
+    fn share(&mut self, source: Source<'a>, lower: impl FnOnce() -> GPat) -> u32 {
+        let table = &mut self.table;
+        *self.by_source.entry(source).or_insert_with(|| {
+            table.push(lower());
+            table.len() as u32 - 1
+        })
     }
 }
 
@@ -275,14 +268,14 @@ mod tests {
         let by_kind = BTreeMap::new();
         let lower = |p: &Pattern| lower_pattern(p, &by_kind);
 
-        let mut shared = SharedRhs::with_hasher(4, BuildHasherDefault::<OneBucket>::default());
-        let (a, a_rhs) = shared.share((None, &add), || lower(&add));
-        let (b, b_rhs) = shared.share((None, &sub), || lower(&sub));
-        let (c, _) = shared.share((Some(&store), &add), || lower(&add));
-        let (d, d_rhs) = shared.share((None, &add_again), || unreachable!("lowered once"));
+        let mut patterns = Patterns::with_hasher(4, BuildHasherDefault::<OneBucket>::default());
+        let a = patterns.share((None, &add), || lower(&add));
+        let b = patterns.share((None, &sub), || lower(&sub));
+        let c = patterns.share((Some(&store), &add), || lower(&add));
+        let d = patterns.share((None, &add_again), || unreachable!("lowered once"));
         assert_eq!((a, b, c, d), (0, 1, 2, 0));
-        assert_ne!(a_rhs, b_rhs);
-        assert!(Arc::ptr_eq(&a_rhs, &d_rhs));
-        assert_eq!(shared.fresh(GPat::NT(NonTermId::START)).0, 3);
+        assert_ne!(patterns.table[0], patterns.table[1]);
+        assert_eq!(patterns.add(GPat::NT(NonTermId::START)), 3);
+        assert_eq!(patterns.table.len(), 4);
     }
 }

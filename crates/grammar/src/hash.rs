@@ -1,17 +1,17 @@
-//! A fast hasher for grammar keys.
+//! A fast hasher for template sources.
 
 use std::hash::Hasher;
 
 /// FxHash's fold: one rotate, xor and multiply per word hashed.
 ///
-/// Grammar keys (a template source, a terminal, a pattern's child heads)
-/// are small trees of small integers, and std's SipHash costs more than
-/// the work the lookup saves.  The hash is unkeyed and the keys come
-/// from user HDL, so a model can be built to collide: every map using
-/// it decides by equality, and a collision costs comparisons, never a
-/// wrong answer.
+/// A template source is a small tree of small integers.  Hashing it
+/// once beats ordering it: a `BTreeMap` on the derived order compares
+/// whole subtrees on every step of every lookup, and doubled the
+/// grammar's lowering time.  The hash is unkeyed and sources come from
+/// user HDL, so a model can be built to collide: the map decides by
+/// equality, and a collision costs comparisons, never a merge.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FoldHasher(u64);
+pub(crate) struct FoldHasher(u64);
 
 impl FoldHasher {
     fn add(&mut self, word: u64) {

@@ -24,10 +24,10 @@
 //! and special-purpose-register allocation for intermediates.
 //!
 //! A template pattern usually recurs once per destination it can be
-//! written to, so the grammar lowers each distinct source once: the RT
-//! rules built from equal sources share one right-hand side
-//! ([`Rule::rhs`]) and its index ([`Rule::pattern`]), which lets the
-//! selector match it once for all of them.
+//! written to, so the grammar lowers each distinct source once into its
+//! pattern table ([`TreeGrammar::patterns`]): the RT rules built from
+//! equal sources share one index ([`Rule::pattern`]), which lets the
+//! selector match that right-hand side once for all of them.
 //!
 //! The crate also defines the flat expression-tree ([`Et`]) arena the
 //! selector operates on.
@@ -63,7 +63,6 @@ mod hash;
 mod types;
 
 pub use et::{Et, EtBuilder, EtDest, EtKind, NodeIdx};
-pub use hash::FoldHasher;
 pub use types::{
     AssignKey, GPat, NonTermId, NonTermKind, Rule, RuleId, RuleOrigin, TermKey, TreeGrammar,
 };

@@ -87,13 +87,13 @@ fn store_templates_become_start_store_rules() {
     let store_rules: Vec<_> = g
         .rules()
         .iter()
-        .filter(|r| matches!(*r.rhs, GPat::T(TermKey::Store(_), _)))
+        .filter(|r| matches!(g.rhs(r), GPat::T(TermKey::Store(_), _)))
         .collect();
     assert_eq!(store_rules.len(), 1);
     assert_eq!(store_rules[0].lhs, NonTermId::START);
     assert_eq!(store_rules[0].cost, 1);
     // Its children are [addr (imm), value (NT acc)].
-    let GPat::T(_, kids) = &*store_rules[0].rhs else {
+    let GPat::T(_, kids) = g.rhs(store_rules[0]) else {
         unreachable!()
     };
     assert!(matches!(kids[0], GPat::T(TermKey::Imm { .. }, _)));
@@ -108,14 +108,14 @@ fn register_operands_become_nonterminals() {
     let add_rule = g
         .rules()
         .iter()
-        .find(|r| matches!(*r.rhs, GPat::T(TermKey::Op(OpKind::Add), _)))
+        .find(|r| matches!(g.rhs(r), GPat::T(TermKey::Op(OpKind::Add), _)))
         .expect("add rule exists");
-    let GPat::T(_, kids) = &*add_rule.rhs else {
+    let GPat::T(_, kids) = g.rhs(add_rule) else {
         unreachable!()
     };
     assert!(matches!(kids[0], GPat::NT(_)), "register operand is an NT");
     assert!(matches!(kids[1], GPat::T(TermKey::MemRead(_), _)));
-    assert_eq!(add_rule.rhs.nonterm_leaves().len(), 1);
+    assert_eq!(g.rhs(add_rule).nonterm_leaves().len(), 1);
 }
 
 #[test]
@@ -270,10 +270,10 @@ fn equal_sources_share_one_right_hand_side() {
     let g = TreeGrammar::from_base(&ex.base, &n);
     for r in g.rules() {
         for s in g.rules() {
-            assert_eq!(r.pattern == s.pattern, r.rhs == s.rhs, "{r:?} / {s:?}");
             assert_eq!(
                 r.pattern == s.pattern,
-                std::sync::Arc::ptr_eq(&r.rhs, &s.rhs)
+                g.rhs(r) == g.rhs(s),
+                "{r:?} / {s:?}"
             );
         }
     }
@@ -283,7 +283,7 @@ fn equal_sources_share_one_right_hand_side() {
         assert!(r.pattern <= next, "{r:?}");
         next += u32::from(r.pattern == next);
     }
-    assert_eq!(next as usize, g.pattern_count());
+    assert_eq!(next as usize, g.patterns().len());
     // Every RT rule of `t` shares its right-hand side with one of `acc`.
     let reg = |name| {
         g.nonterm_of(NonTermKind::Reg(n.storage_by_name(name).unwrap().id))
@@ -297,5 +297,5 @@ fn equal_sources_share_one_right_hand_side() {
             "{r:?}"
         );
     }
-    assert!(g.pattern_count() < g.rules().len());
+    assert!(g.patterns().len() < g.rules().len());
 }

@@ -4,7 +4,6 @@ use record_netlist::{Netlist, ProcPortId, StorageId};
 use record_rtl::{OpKind, TemplateId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Index of a non-terminal. `NonTermId(0)` is always `START`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -120,12 +119,10 @@ pub enum RuleOrigin {
 pub struct Rule {
     pub id: RuleId,
     pub lhs: NonTermId,
-    /// The right-hand side, one allocation shared by every rule built
-    /// from an equal template source (one per destination, typically).
-    pub rhs: Arc<GPat>,
-    /// Index of `rhs` among the grammar's shared right-hand sides
-    /// (`0..`[`TreeGrammar::pattern_count`], in order of first use):
-    /// rules that share a right-hand side share this index.
+    /// Index of the right-hand side in [`TreeGrammar::patterns`] (read
+    /// it with [`TreeGrammar::rhs`]): every rule built from an equal
+    /// template source (one per destination, typically) has the same
+    /// index.
     pub pattern: u32,
     pub cost: u32,
     pub origin: RuleOrigin,
@@ -157,7 +154,7 @@ pub struct TreeGrammar {
     nt_names: Vec<String>,
     by_kind: BTreeMap<NonTermKind, NonTermId>,
     rules: Vec<Rule>,
-    pattern_count: usize,
+    patterns: Vec<GPat>,
 }
 
 impl TreeGrammar {
@@ -166,14 +163,14 @@ impl TreeGrammar {
         nt_names: Vec<String>,
         by_kind: BTreeMap<NonTermKind, NonTermId>,
         rules: Vec<Rule>,
-        pattern_count: usize,
+        patterns: Vec<GPat>,
     ) -> Self {
         TreeGrammar {
             nonterms,
             nt_names,
             by_kind,
             rules,
-            pattern_count,
+            patterns,
         }
     }
 
@@ -182,9 +179,15 @@ impl TreeGrammar {
         &self.rules
     }
 
-    /// Number of shared right-hand sides (see [`Rule::pattern`]).
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
+    /// The distinct right-hand sides, indexed by [`Rule::pattern`], in
+    /// order of first use.
+    pub fn patterns(&self) -> &[GPat] {
+        &self.patterns
+    }
+
+    /// A rule's right-hand side.
+    pub fn rhs(&self, rule: &Rule) -> &GPat {
+        &self.patterns[rule.pattern as usize]
     }
 
     /// A rule by id.
@@ -221,7 +224,7 @@ impl TreeGrammar {
     pub fn chain_rules(&self) -> impl Iterator<Item = (&Rule, NonTermId)> {
         self.rules
             .iter()
-            .filter_map(|r| r.rhs.as_chain().map(|src| (r, src)))
+            .filter_map(|r| self.rhs(r).as_chain().map(|src| (r, src)))
     }
 
     /// Diagnoses non-terminals that have no rules at all (an ET leaf bound
@@ -247,7 +250,7 @@ impl TreeGrammar {
             changed = false;
             for r in &self.rules {
                 if reach[r.lhs.0 as usize] {
-                    for nt in r.rhs.nonterm_leaves() {
+                    for nt in self.rhs(r).nonterm_leaves() {
                         if !reach[nt.0 as usize] {
                             reach[nt.0 as usize] = true;
                             changed = true;
@@ -275,7 +278,7 @@ impl TreeGrammar {
                 "{:>4}: {} -> {} [{}]\n",
                 r.id.0,
                 self.nonterm_name(r.lhs),
-                render_pat(&r.rhs, self, netlist),
+                render_pat(self.rhs(r), self, netlist),
                 r.cost
             ));
         }

@@ -59,7 +59,7 @@ pub fn emit_rust(grammar: &TreeGrammar, module_name: &str) -> String {
             "    ({}, {}), // {}",
             r.lhs.0,
             r.cost,
-            describe_rhs(&r.rhs)
+            describe_rhs(grammar.rhs(r))
         );
     }
     let _ = writeln!(out, "];\n");
@@ -67,7 +67,7 @@ pub fn emit_rust(grammar: &TreeGrammar, module_name: &str) -> String {
     // A minimal node model mirroring record_grammar::EtKind.
     out.push_str(NODE_MODEL);
 
-    // The matcher: one arm per shared right-hand side, naming its rules.
+    // The matcher: one arm per rule.
     let _ = writeln!(
         out,
         "/// Attempts to match each rule at `node`; on success returns the sum of\n/// non-terminal leaf costs taken from `labels`."
@@ -77,24 +77,16 @@ pub fn emit_rust(grammar: &TreeGrammar, module_name: &str) -> String {
         "pub fn match_rule(rule: u32, nodes: &[Node], node: usize, labels: &[[Option<u32>; NONTERM_COUNT]]) -> Option<u32> {{"
     );
     let _ = writeln!(out, "    match rule {{");
-    let mut sharing: Vec<Vec<String>> = vec![Vec::new(); grammar.pattern_count()];
     for r in grammar.rules() {
-        sharing[r.pattern as usize].push(r.id.0.to_string());
-    }
-    for r in grammar.rules() {
-        let ids = std::mem::take(&mut sharing[r.pattern as usize]);
-        if ids.is_empty() {
-            continue; // a rule sharing an earlier rule's arm
-        }
         let mut body = String::new();
         let mut cost_terms: Vec<String> = Vec::new();
-        emit_pat_check(&r.rhs, "node", &mut body, &mut cost_terms, &mut 0);
+        emit_pat_check(grammar.rhs(r), "node", &mut body, &mut cost_terms, &mut 0);
         let sum = if cost_terms.is_empty() {
             "0".to_owned()
         } else {
             cost_terms.join(" + ")
         };
-        let _ = writeln!(out, "        {} => {{", ids.join(" | "));
+        let _ = writeln!(out, "        {} => {{", r.id.0);
         out.push_str(&body);
         let _ = writeln!(out, "            Some({sum})");
         let _ = writeln!(out, "        }}");

@@ -25,8 +25,7 @@
 //!   where derivation broke, so only a failure that is reported pays for
 //!   its message.
 //! * [`emit_rust`] additionally renders the grammar-specific matcher as a
-//!   standalone Rust source file, mirroring iburg's code-generation step,
-//!   with one match arm per shared right-hand side.
+//!   standalone Rust source file, mirroring iburg's code-generation step.
 //!   It renders on demand: retargeting does not call it, so Table 3's
 //!   selector-generation time measures [`Selector::generate`] alone.
 //!

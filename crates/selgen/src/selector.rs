@@ -1,13 +1,9 @@
 //! The dynamic-programming tree parser.
 
-use record_grammar::{
-    Et, EtKind, FoldHasher, GPat, NodeIdx, NonTermId, RuleId, TermKey, TreeGrammar,
-};
+use record_grammar::{Et, EtKind, GPat, NodeIdx, NonTermId, RuleId, TermKey, TreeGrammar};
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -152,7 +148,7 @@ impl LabelMatrix {
 /// What a pattern node requires of the ET node it meets: a label for a
 /// non-terminal, a constant (a hardwired value or an immediate field),
 /// or a node of one terminal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Head {
     Nt(NonTermId),
     Const,
@@ -194,8 +190,9 @@ impl Head {
 }
 
 /// Where a right-hand side sits in the index: its root's head, then its
-/// root's arity and children's heads (in `heads[..arity]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// root's arity and children's heads (in `heads[..arity]`).  Keys
+/// order by root first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     root: Head,
     arity: usize,
@@ -219,28 +216,6 @@ impl Key {
     }
 }
 
-/// Positions of `keys`, ordered so that equal roots, and within a root
-/// equal keys, are contiguous.  The sort compares `hasher`'s
-/// fingerprints of each root and key, not the keys; should two different
-/// roots or keys share a fingerprint, it sorts by the keys themselves.
-fn key_order(keys: &[(Key, u32)], hasher: &impl BuildHasher) -> Vec<u32> {
-    let mut order: Vec<(u64, u64, u32)> = (0..keys.len() as u32)
-        .map(|i| {
-            let key = &keys[i as usize].0;
-            (hasher.hash_one(key.root), hasher.hash_one(key), i)
-        })
-        .collect();
-    order.sort_unstable();
-    let key = |o: &(u64, u64, u32)| keys[o.2 as usize].0;
-    if order.windows(2).any(|w| {
-        (w[0].0 == w[1].0 && key(&w[0]).root != key(&w[1]).root)
-            || (w[0].1 == w[1].1 && key(&w[0]) != key(&w[1]))
-    }) {
-        order.sort_unstable_by_key(|o| (key(o), o.2));
-    }
-    order.into_iter().map(|o| o.2).collect()
-}
-
 /// The right-hand sides of one [`Key`].
 #[derive(Debug, Clone)]
 struct Bucket {
@@ -250,11 +225,11 @@ struct Bucket {
     rhs: Range<u32>,
 }
 
-type Fold = BuildHasherDefault<FoldHasher>;
-
 /// One distinct right-hand side and the rules that share it.
 #[derive(Debug, Clone)]
 struct Rhs {
+    /// Its index in [`TreeGrammar::patterns`].
+    pattern: u32,
     /// Its rules, ascending by id: a range of `Selector::rules`.
     rules: Range<u32>,
     /// 1 if its operand non-terminals are pairwise distinct.
@@ -289,8 +264,8 @@ pub struct Selector {
     /// Shared, not cloned: the grammar is part of the frozen retarget
     /// artifact and the selector only ever reads it.
     grammar: Arc<TreeGrammar>,
-    /// Per root head, its buckets: a range of `buckets`.
-    by_root: HashMap<Head, Range<u32>, Fold>,
+    /// Per root head, ascending, its buckets: a range of `buckets`.
+    roots: Vec<(Head, Range<u32>)>,
     buckets: Vec<Bucket>,
     /// Distinct right-hand sides, bucket by bucket.
     rhs: Vec<Rhs>,
@@ -311,10 +286,11 @@ impl Selector {
     pub fn generate(grammar: Arc<TreeGrammar>) -> Selector {
         // Group the non-chain rules by pattern (a counting sort, so each
         // group stays in ascending id order).
-        let mut starts = vec![0u32; grammar.pattern_count() + 1];
+        let patterns = grammar.patterns();
+        let mut starts = vec![0u32; patterns.len() + 1];
         let mut chains = Vec::new();
         for r in grammar.rules() {
-            match *r.rhs {
+            match *grammar.rhs(r) {
                 GPat::NT(src) => chains.push((r.id, r.lhs, src, r.cost)),
                 GPat::T(..) => starts[r.pattern as usize + 1] += 1,
             }
@@ -333,7 +309,7 @@ impl Selector {
         for r in grammar
             .rules()
             .iter()
-            .filter(|r| r.rhs.as_chain().is_none())
+            .filter(|r| grammar.rhs(r).as_chain().is_none())
         {
             let at = &mut fill[r.pattern as usize];
             rules[*at as usize] = RuleRef {
@@ -344,29 +320,24 @@ impl Selector {
             *at += 1;
         }
 
-        // Key each right-hand side, then order them by key, so that each
-        // root's buckets and each bucket's right-hand sides are contiguous.
-        let keys: Vec<(Key, u32)> = (0..grammar.pattern_count())
+        // Key each right-hand side, then sort by key, so that each root's
+        // buckets and each bucket's right-hand sides are contiguous.
+        let mut keys: Vec<(Key, u32)> = (0..patterns.len())
             .filter(|&p| starts[p] < starts[p + 1])
-            .map(|p| {
-                let rhs = &grammar.rule(rules[starts[p] as usize].id).rhs;
-                (Key::of(rhs), p as u32)
-            })
+            .map(|p| (Key::of(&patterns[p]), p as u32))
             .collect();
-        let order = key_order(&keys, &Fold::default());
+        keys.sort_unstable();
 
-        let mut by_root: HashMap<Head, Range<u32>, Fold> = HashMap::default();
+        let mut roots: Vec<(Head, Range<u32>)> = Vec::new();
         let mut buckets: Vec<Bucket> = Vec::new();
-        let mut rhs = Vec::with_capacity(order.len());
+        let mut rhs = Vec::with_capacity(keys.len());
         let mut leaves = Vec::new();
         let mut last: Option<Key> = None;
-        for &i in &order {
-            let (key, p) = keys[i as usize];
-            let group = starts[p as usize]..starts[p as usize + 1];
-            let first = rules[group.start as usize].id;
+        for &(key, p) in &keys {
             rhs.push(Rhs {
-                rules: group,
-                diversity: Self::operand_diversity(&grammar.rule(first).rhs, &mut leaves),
+                pattern: p,
+                rules: starts[p as usize]..starts[p as usize + 1],
+                diversity: Self::operand_diversity(&patterns[p as usize], &mut leaves),
             });
             let end = rhs.len() as u32;
             match buckets.last_mut() {
@@ -378,7 +349,10 @@ impl Selector {
                         rhs: end - 1..end,
                     });
                     let b = buckets.len() as u32;
-                    by_root.entry(key.root).or_insert(b - 1..b).end = b;
+                    match roots.last_mut() {
+                        Some((root, r)) if *root == key.root => r.end = b,
+                        _ => roots.push((key.root, b - 1..b)),
+                    }
                 }
             }
             last = Some(key);
@@ -386,7 +360,7 @@ impl Selector {
         let nt_count = grammar.nonterm_count();
         Selector {
             grammar,
-            by_root,
+            roots,
             buckets,
             rhs,
             rules,
@@ -403,6 +377,14 @@ impl Selector {
     /// Number of rules reachable through the dispatch tables (diagnostic).
     pub fn table_size(&self) -> usize {
         self.rules.len() + self.chains.len()
+    }
+
+    /// The buckets of the right-hand sides rooted at `head`.
+    fn buckets_at(&self, head: Head) -> &[Bucket] {
+        match self.roots.binary_search_by(|(root, _)| root.cmp(&head)) {
+            Ok(i) => &self.buckets[range(&self.roots[i].1)],
+            Err(_) => &[],
+        }
     }
 
     /// Computes a minimum-cost cover of `et`, or `None` when no
@@ -441,11 +423,7 @@ impl Selector {
         let mut labels = LabelMatrix::new(et.len(), self.nt_count);
         for idx in 0..et.len() {
             let children = et.children(idx);
-            let buckets = match self.by_root.get(&Head::of_kind(et.kind(idx))) {
-                Some(r) => &self.buckets[range(r)],
-                None => &[],
-            };
-            for bucket in buckets {
+            for bucket in self.buckets_at(Head::of_kind(et.kind(idx))) {
                 if bucket.arity != children.len()
                     || !bucket
                         .heads
@@ -457,13 +435,12 @@ impl Selector {
                 }
                 for rhs in &self.rhs[range(&bucket.rhs)] {
                     stats.rules_tried += 1;
-                    let rules = &self.rules[range(&rhs.rules)];
-                    let pat = &self.grammar.rule(rules[0].id).rhs;
+                    let pat = &self.grammar.patterns()[rhs.pattern as usize];
                     let Some(child_cost) = self.match_cost(pat, et, idx, &labels) else {
                         continue;
                     };
                     let diversity = rhs.diversity;
-                    for rule in rules {
+                    for rule in &self.rules[range(&rhs.rules)] {
                         let total = rule.cost.saturating_add(child_cost);
                         let slot = labels.slot(idx, rule.lhs);
                         // On cost ties prefer rules whose operand non-
@@ -576,7 +553,7 @@ impl Selector {
         match entry.via {
             Via::Chain(rid) => {
                 let rule = self.grammar.rule(rid);
-                let src = rule.rhs.as_chain().expect("chain rule body");
+                let src = self.grammar.rhs(rule).as_chain().expect("chain rule body");
                 self.reduce(et, labels, idx, src, out);
                 out.push(RuleApp {
                     rule: rid,
@@ -588,7 +565,7 @@ impl Selector {
             Via::Base(rid) => {
                 let rule = self.grammar.rule(rid);
                 let mut operands = Vec::new();
-                self.bindings(&rule.rhs, et, idx, &mut operands);
+                self.bindings(self.grammar.rhs(rule), et, idx, &mut operands);
                 for &(op_nt, op_idx) in &operands {
                     self.reduce(et, labels, op_idx, op_nt, out);
                 }
@@ -638,7 +615,7 @@ impl Selector {
                 // (missing hardware) from "rules exist but none fit here"
                 // (a selector gap).
                 let missing_op = match et.kind(idx) {
-                    EtKind::Op(o) if !self.by_root.contains_key(&Head::Term(TermKey::Op(o))) => {
+                    EtKind::Op(o) if self.buckets_at(Head::Term(TermKey::Op(o))).is_empty() => {
                         Some(o.mnemonic())
                     }
                     _ => None,
@@ -658,51 +635,6 @@ impl Selector {
                 reason: "subtrees are derivable but no start rule covers the destination".into(),
                 missing_op: None,
             },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use record_rtl::OpKind;
-    use std::hash::Hasher;
-
-    /// Hashes everything alike, so every fingerprint collides.
-    #[derive(Default)]
-    struct OneBucket;
-
-    impl Hasher for OneBucket {
-        fn write(&mut self, _: &[u8]) {}
-        fn finish(&self) -> u64 {
-            0
-        }
-    }
-
-    #[test]
-    fn key_order_groups_roots_and_keys_even_when_fingerprints_collide() {
-        let add = Head::Term(TermKey::Op(OpKind::Add));
-        let sub = Head::Term(TermKey::Op(OpKind::Sub));
-        let key = |root, nt| Key {
-            root,
-            arity: 2,
-            heads: [Head::Nt(NonTermId(nt)), Head::Const],
-        };
-        let keys: Vec<(Key, u32)> = [key(add, 1), key(sub, 1), key(add, 2), key(sub, 1)]
-            .into_iter()
-            .chain([key(add, 1)])
-            .zip(0..)
-            .collect();
-        let runs = |seq: &[Key], same: fn(&Key, &Key) -> bool| {
-            1 + seq.windows(2).filter(|w| !same(&w[0], &w[1])).count()
-        };
-        for order in [
-            key_order(&keys, &Fold::default()),
-            key_order(&keys, &BuildHasherDefault::<OneBucket>::default()),
-        ] {
-            let seq: Vec<Key> = order.iter().map(|&i| keys[i as usize].0).collect();
-            assert_eq!(runs(&seq, |a, b| a.root == b.root), 2, "{seq:?}");
-            assert_eq!(runs(&seq, |a, b| a == b), 3, "{seq:?}");
         }
     }
 }

@@ -294,7 +294,7 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
         let pick_from: Vec<_> = if depth == 0 {
             let t: Vec<_> = rules
                 .iter()
-                .filter(|r| r.rhs.nonterm_leaves().is_empty() && r.rhs.as_chain().is_none())
+                .filter(|r| g.rhs(r).nonterm_leaves().is_empty() && g.rhs(r).as_chain().is_none())
                 .copied()
                 .collect();
             if t.is_empty() {
@@ -308,7 +308,15 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
         *pos += 1;
         let rule = pick_from[c % pick_from.len()];
         *cost += rule.cost;
-        build_pat(g, &rule.rhs, b, choices, pos, depth.saturating_sub(1), cost)
+        build_pat(
+            g,
+            g.rhs(rule),
+            b,
+            choices,
+            pos,
+            depth.saturating_sub(1),
+            cost,
+        )
     }
 
     fn build_pat(
@@ -355,7 +363,7 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
         return None;
     }
     let rule = start_rules[choices.first().copied().unwrap_or(0) as usize % start_rules.len()];
-    let GPat::T(TermKey::Assign(key), kids) = &*rule.rhs else {
+    let GPat::T(TermKey::Assign(key), kids) = g.rhs(rule) else {
         return None;
     };
     let GPat::NT(dest_nt) = &kids[0] else {
@@ -524,9 +532,9 @@ fn reference_cover(g: &TreeGrammar, et: &Et) -> Option<(u32, Vec<RuleApp>)> {
         let label = labels.at(idx, nt).expect("reduced goals are labelled");
         let rule = g.rule(label.rule);
         let mut operands = Vec::new();
-        match rule.rhs.as_chain() {
+        match g.rhs(rule).as_chain() {
             Some(src) => operands.push((src, idx)),
-            None => bind(&rule.rhs, et, idx, &mut operands),
+            None => bind(g.rhs(rule), et, idx, &mut operands),
         }
         for &(op_nt, op_idx) in &operands {
             reduce(g, et, labels, op_idx, op_nt, out);
@@ -547,14 +555,14 @@ fn reference_cover(g: &TreeGrammar, et: &Et) -> Option<(u32, Vec<RuleApp>)> {
         // Every rule rooted at the node's terminal, in id order: `cost_of`
         // checks the root first.
         for rule in g.rules() {
-            if rule.rhs.as_chain().is_some() {
+            if g.rhs(rule).as_chain().is_some() {
                 continue;
             }
-            let Some(kids) = cost_of(&rule.rhs, et, idx, &mut labels) else {
+            let Some(kids) = cost_of(g.rhs(rule), et, idx, &mut labels) else {
                 continue;
             };
             let cost = rule.cost.saturating_add(kids);
-            let leaves = rule.rhs.nonterm_leaves();
+            let leaves = g.rhs(rule).nonterm_leaves();
             let diversity = u8::from(
                 leaves
                     .iter()
