@@ -72,7 +72,7 @@ enum Entry {
     /// Retargeted from `hdl` and ready to share; `last_used` orders LRU
     /// eviction.
     Ready {
-        hdl: Box<str>,
+        hdl: Arc<str>,
         target: Arc<Target>,
         last_used: u64,
     },
@@ -142,27 +142,33 @@ impl TargetCache {
     /// [`CacheError::Retarget`] propagates a retargeting failure; failures
     /// are not cached, so a later call retries.
     /// [`CacheError::KeyCollision`] when the entry under `hdl`'s key was
-    /// retargeted from a different model.
+    /// retargeted from a different model; the lookup counts as a hit on
+    /// that entry, which stays cached.
     pub fn get_or_retarget(&self, hdl: &str) -> Result<(ModelKey, Arc<Target>), CacheError> {
         let key = model_key(hdl);
         let mut waited = false;
         let mut state = self.state.lock().expect("cache lock poisoned");
         loop {
             let ready = match state.map.get(&key) {
-                Some(Entry::Ready { hdl: held, .. }) if !same_model(held, hdl) => {
-                    return Err(CacheError::KeyCollision(key));
-                }
-                Some(Entry::Ready { target, .. }) => Some(Some(Arc::clone(target))),
+                Some(Entry::Ready {
+                    hdl: held, target, ..
+                }) => Some(Some((Arc::clone(held), Arc::clone(target)))),
                 Some(Entry::InFlight) => Some(None),
                 None => None,
             };
             match ready {
-                Some(Some(target)) => {
+                Some(Some((held, target))) => {
                     incr(&self.metrics.cache_hits);
                     state.tick += 1;
                     let tick = state.tick;
                     if let Some(Entry::Ready { last_used, .. }) = state.map.get_mut(&key) {
                         *last_used = tick;
+                    }
+                    drop(state);
+                    // One entry's text and target: compared without the
+                    // lock, they still belong together.
+                    if !same_model(&held, hdl) {
+                        return Err(CacheError::KeyCollision(key));
                     }
                     return Ok((key, target));
                 }
@@ -202,7 +208,7 @@ impl TargetCache {
                             state.map.insert(
                                 key,
                                 Entry::Ready {
-                                    hdl: hdl.into(),
+                                    hdl: Arc::from(hdl),
                                     target: Arc::clone(&target),
                                     last_used: tick,
                                 },
