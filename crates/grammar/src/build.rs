@@ -191,7 +191,9 @@ struct Patterns<'a, S> {
 impl<'a, S: BuildHasher> Patterns<'a, S> {
     fn with_hasher(capacity: usize, hasher: S) -> Self {
         Patterns {
-            table: Vec::with_capacity(capacity),
+            // Grown as used: most templates share (`ref`: 2,329 rules,
+            // 608 right-hand sides), so `capacity` would overshoot.
+            table: Vec::new(),
             by_source: HashMap::with_capacity_and_hasher(capacity, hasher),
         }
     }
