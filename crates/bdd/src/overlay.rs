@@ -414,12 +414,6 @@ impl<'a> BddOverlay<'a> {
         r
     }
 
-    /// Logical equivalence `a <-> b`.
-    pub fn iff(&mut self, a: Bdd, b: Bdd) -> Bdd {
-        let x = self.xor(a, b);
-        self.not(x)
-    }
-
     /// If-then-else `c ? t : e`.
     pub fn ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Bdd {
         let ct = self.and(c, t);

@@ -180,7 +180,7 @@ fn rig(src: &str) -> Rig {
     let mut base = ex.base.clone();
     record_rtl::extend(&mut base, &record_rtl::ExtensionOptions::default());
     let grammar = TreeGrammar::from_base(&base, &netlist);
-    let selector = Selector::generate(std::sync::Arc::new(grammar));
+    let selector = Selector::generate(grammar);
     let mut manager = ex.manager;
     let tables = crate::EmitTables::build(&netlist, &mut manager, netlist.iword_width());
     Rig {

@@ -79,7 +79,7 @@ fn rig() -> Rig {
     let netlist = record_netlist::elaborate(&model).expect("elaborates");
     let ex = record_isex::extract(&netlist, &Default::default()).expect("extracts");
     let grammar = TreeGrammar::from_base(&ex.base, &netlist);
-    let selector = Selector::generate(std::sync::Arc::new(grammar));
+    let selector = Selector::generate(grammar);
     let mut manager = ex.manager;
     let tables = record_codegen::EmitTables::build(&netlist, &mut manager, netlist.iword_width());
     Rig {

@@ -117,8 +117,8 @@ pub struct Diagnostic {
     /// Rendered name of the storage or location involved, when one is:
     /// a bare instance name for capacity failures (`"rf"`, `"dmem"`) or a
     /// rendered location for spill-path failures (`"acc"`, `"rf[3]"`).
-    /// Display text, not a lookup key — resolve storages through
-    /// [`crate::Target::memory_named`] / the netlist instead.
+    /// Display text, not a lookup key — resolve storages through the
+    /// netlist instead.
     pub storage: Option<String>,
     /// Mnemonic of an operator the machine has *no rule at all* for, when
     /// the selector proved that (selection failures only).  Set means the
@@ -177,16 +177,6 @@ pub enum CompileError {
         /// Processor name from the HDL model.
         processor: String,
     },
-    /// A storage was requested by a name no storage of the model has.
-    UnknownStorage {
-        /// The name that failed to resolve.
-        name: String,
-    },
-    /// The named storage exists but is not a memory.
-    NotAMemory {
-        /// The storage's instance name.
-        name: String,
-    },
     /// The mini-C frontend rejected the translation unit.
     Frontend {
         /// The function that was requested.
@@ -205,9 +195,9 @@ pub enum CompileError {
     },
     /// The request's deadline passed before compilation finished.
     ///
-    /// Raised at phase boundaries (cooperative cancellation through the
-    /// probe's deadline hook), so `phase` names the last phase that ran
-    /// to completion.
+    /// Raised at phase boundaries (cooperative cancellation: the session
+    /// compares each phase's end with the deadline), so `phase` names
+    /// the last phase that ran to completion.
     DeadlineExceeded {
         /// The function being compiled.
         function: String,
@@ -251,8 +241,8 @@ pub enum CompileError {
 /// * `bind-overflow` — a storage ran out of words or cells.
 /// * `deadline-exceeded` — the request's deadline passed mid-compile
 ///   (phase = the last phase that completed).
-/// * `no-data-memory`, `unknown-storage`, `not-a-memory`,
-///   `unbound-variable`, `frontend` — set-up failures.
+/// * `no-data-memory`, `unbound-variable`, `frontend` — set-up
+///   failures.
 ///
 /// The golden listings under `tests/golden/` pin this pair per failing
 /// model×kernel, so a pair cannot silently change class.
@@ -314,8 +304,6 @@ impl CompileError {
         };
         match self {
             CompileError::NoDataMemory { .. } => class(CompilePhase::Bind, "no-data-memory"),
-            CompileError::UnknownStorage { .. } => class(CompilePhase::Bind, "unknown-storage"),
-            CompileError::NotAMemory { .. } => class(CompilePhase::Bind, "not-a-memory"),
             CompileError::Frontend { diagnostic, .. } => class(diagnostic.phase, "frontend"),
             CompileError::DeadlineExceeded { phase, .. } => class(*phase, "deadline-exceeded"),
             CompileError::Internal { phase, .. } => class(*phase, "internal"),
@@ -397,12 +385,6 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::NoDataMemory { processor } => {
                 write!(f, "model `{processor}` has no data memory")
-            }
-            CompileError::UnknownStorage { name } => {
-                write!(f, "no storage named `{name}` in the model")
-            }
-            CompileError::NotAMemory { name } => {
-                write!(f, "storage `{name}` is not a memory")
             }
             CompileError::Frontend {
                 function,

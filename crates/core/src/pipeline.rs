@@ -20,7 +20,6 @@ use record_probe::{Probe, Report};
 use record_regalloc::{AllocStats, RegisterPool};
 use record_rtl::{ExtensionOptions, TemplateBase};
 use record_selgen::Selector;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options for [`Record::retarget`].
@@ -33,13 +32,14 @@ pub struct RetargetOptions {
 }
 
 /// Retargeting report: one row of the paper's Table 3 (the count
-/// columns) plus the per-phase time/counter breakdown as a
+/// columns) plus the per-phase time breakdown as a
 /// [`record_probe::Report`].
 ///
-/// This is the one record of a retarget.  Phase times live in
-/// [`Self::report`] under the phase labels `"parse"`, `"extract"`,
-/// `"template-gen"`, `"rule-gen"`, `"selector-gen"` and `"freeze"`;
-/// read them with [`record_probe::Report::phase_ns`].
+/// This is the one record of a retarget.  Counts live in the fields
+/// and nowhere else.  Phase times live in [`Self::report`] under the
+/// phase labels `"parse"`, `"extract"`, `"template-gen"`, `"rule-gen"`,
+/// `"selector-gen"` and `"freeze"`; read them with
+/// [`record_probe::Report::phase_ns`].
 #[derive(Debug, Clone)]
 pub struct RetargetReport {
     /// Processor name from the HDL model.
@@ -60,7 +60,8 @@ pub struct RetargetReport {
     pub pool_registers: usize,
     /// Total allocatable register cells in the pool.
     pub pool_cells: u64,
-    /// Per-phase wall-clock times and work counters.
+    /// Per-phase wall-clock times (no counters: the counts are the
+    /// fields above).
     pub report: record_probe::Report,
     /// Total retargeting wall clock in nanoseconds — the paper's
     /// "retargeting time" column (phase times plus inter-phase glue).
@@ -82,11 +83,11 @@ impl Record {
     /// Retargets the compiler to the processor described by `hdl`.
     ///
     /// The returned [`Target`] is frozen: the netlist, template base,
-    /// grammar, selector, execution-condition BDDs and register pool are
-    /// all fixed at this point, and compilation never mutates them.  Its
-    /// [`RetargetReport`] times each phase (`parse`, `extract`,
-    /// `template-gen`, `rule-gen`, `selector-gen`, `freeze`) and counts
-    /// what each produced.
+    /// selector (which owns the grammar), execution-condition BDDs and
+    /// register pool are all fixed at this point, and compilation never
+    /// mutates them.  Its [`RetargetReport`] times each phase (`parse`,
+    /// `extract`, `template-gen`, `rule-gen`, `selector-gen`, `freeze`)
+    /// and counts what each produced.
     ///
     /// # Errors
     ///
@@ -94,7 +95,7 @@ impl Record {
     /// (combinational cycles, route explosion).
     pub fn retarget(hdl: &str, options: &RetargetOptions) -> Result<Target, PipelineError> {
         let t0 = Instant::now();
-        let mut report = Report::with_capacity(6, 8);
+        let mut report = Report::with_capacity(6, 0);
 
         let netlist = phase(&mut report, "parse", || {
             let model = record_hdl::parse(hdl).map_err(|e| PipelineError::Hdl(e.to_string()))?;
@@ -106,23 +107,17 @@ impl Record {
                 .map_err(|e| PipelineError::Extract(e.to_string()))
         })?;
         let templates_extracted = extraction.base.len();
-        report.count("extract.templates", templates_extracted as u64);
 
         let mut base = extraction.base;
         phase(&mut report, "template-gen", || {
             record_rtl::extend(&mut base, &options.extension)
         });
-        report.count("template-gen.templates", base.len() as u64);
 
         let grammar = phase(&mut report, "rule-gen", || {
-            Arc::new(TreeGrammar::from_base(&base, &netlist))
+            TreeGrammar::from_base(&base, &netlist)
         });
-        report.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
-        report.count("rule-gen.rules", grammar.rules().len() as u64);
-
-        let selector = phase(&mut report, "selector-gen", || {
-            Selector::generate(Arc::clone(&grammar))
-        });
+        let selector = phase(&mut report, "selector-gen", || Selector::generate(grammar));
+        let grammar = selector.grammar();
 
         // Freeze the artifact: data memory, register pool and the
         // emission tables (register-file address fields, instruction-bit
@@ -140,11 +135,10 @@ impl Record {
                 .filter(|s| s.kind == StorageKind::Memory)
                 .max_by_key(|s| s.size)
                 .map(|s| s.id);
-            let const_mem = const_memory_of(&grammar, &netlist, data_mem);
+            let const_mem = const_memory_of(grammar, &netlist, data_mem);
             let pool = data_mem.map(|dm| RegisterPool::discover(&netlist, &base, dm));
             (emit_tables, data_mem, const_mem, pool)
         });
-        report.count("freeze.bdd-nodes", manager.counters().nodes);
 
         let stats = RetargetReport {
             processor: netlist.name().to_owned(),
@@ -161,7 +155,6 @@ impl Record {
         Ok(Target {
             netlist,
             base,
-            grammar,
             selector,
             frozen: manager.freeze(),
             varmap: extraction.varmap,
@@ -245,11 +238,11 @@ pub struct CompileOptions {
     pub allocate_registers: bool,
     /// Compilation time budget in nanoseconds, `None` for unbounded.
     ///
-    /// The deadline is cooperative: the session arms the probe's deadline
-    /// when compilation starts and checks it at phase boundaries, so an
-    /// exceeded budget surfaces as a structured
-    /// [`CompileError::DeadlineExceeded`] naming the last completed phase
-    /// rather than interrupting a phase mid-flight.
+    /// The deadline is cooperative: the session fixes it when compilation
+    /// starts and checks it at phase boundaries, so an exceeded budget
+    /// surfaces as a structured [`CompileError::DeadlineExceeded`]
+    /// naming the last completed phase rather than interrupting a phase
+    /// mid-flight.
     pub deadline_ns: Option<u64>,
     /// Fault-injection hook: deliberately panic when compilation enters
     /// this phase.
@@ -327,8 +320,7 @@ impl CompiledKernel {
 pub struct Target {
     pub(crate) netlist: Netlist,
     pub(crate) base: TemplateBase,
-    /// Shared with the selector (one rule set, two handles).
-    pub(crate) grammar: Arc<TreeGrammar>,
+    /// The generated code selector, which owns the tree grammar.
     pub(crate) selector: Selector,
     /// Frozen execution-condition BDDs; sessions layer overlays on top.
     pub(crate) frozen: FrozenBdd,
@@ -371,9 +363,10 @@ impl Target {
         &self.base
     }
 
-    /// The constructed tree grammar.
+    /// The constructed tree grammar, owned by the selector generated
+    /// from it.
     pub fn grammar(&self) -> &TreeGrammar {
-        &self.grammar
+        self.selector.grammar()
     }
 
     /// The generated code selector.
@@ -412,28 +405,6 @@ impl Target {
         self.data_mem.ok_or_else(|| CompileError::NoDataMemory {
             processor: self.stats.processor.clone(),
         })
-    }
-
-    /// A data memory by instance name.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::UnknownStorage`] when no storage has that name, and
-    /// [`CompileError::NotAMemory`] when one does but it is a register or
-    /// register file.
-    pub fn memory_named(&self, name: &str) -> Result<StorageId, CompileError> {
-        let s = self
-            .netlist
-            .storage_by_name(name)
-            .ok_or_else(|| CompileError::UnknownStorage {
-                name: name.to_owned(),
-            })?;
-        if s.kind != StorageKind::Memory {
-            return Err(CompileError::NotAMemory {
-                name: name.to_owned(),
-            });
-        }
-        Ok(s.id)
     }
 
     /// Opens a compilation session against this frozen artifact.

@@ -252,12 +252,11 @@ impl<'t> CompileSession<'t> {
         let bdd_before = self.bdd.counters();
         // Disjoint-field borrows: the probe holds `self.collector` for the
         // whole compilation while codegen and compaction mutate `self.bdd`.
-        let mut probe = Probe::attached(self.collector.as_mut());
-        if let Some(budget) = options.deadline_ns {
-            probe.set_deadline_ns(Some(record_probe::now_ns().saturating_add(budget)));
-        }
         let mut phases = Phases {
-            probe,
+            probe: Probe::attached(self.collector.as_mut()),
+            deadline_ns: options
+                .deadline_ns
+                .map(|budget| record_probe::now_ns().saturating_add(budget)),
             report: CompileReport::with_capacity(7, 16),
             running,
             inject_panic: options.inject_panic,
@@ -404,6 +403,9 @@ impl<'t> CompileSession<'t> {
 /// completed.
 struct Phases<'a, 's> {
     probe: Probe<'s>,
+    /// When the compile's budget runs out, in [`record_probe::now_ns`]
+    /// time (`None` when unbounded).
+    deadline_ns: Option<u64>,
     report: CompileReport,
     /// The phase running now, read by the containment wrapper when a
     /// panic unwinds.
@@ -432,7 +434,7 @@ impl<'s> Phases<'_, 's> {
         self.enter(phase);
         let (result, span) = self.probe.time(label, body);
         let value = result?;
-        if self.probe.deadline_ns().is_some_and(|d| span.end_ns > d) {
+        if self.deadline_ns.is_some_and(|d| span.end_ns > d) {
             return Err(CompileError::DeadlineExceeded {
                 function: self.function.to_owned(),
                 phase,

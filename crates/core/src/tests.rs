@@ -150,28 +150,6 @@ fn compaction_off_gives_vertical_code() {
 }
 
 #[test]
-fn memory_named_diagnostics() {
-    let target = Record::retarget(TINY, &RetargetOptions::default()).unwrap();
-    assert!(target.memory_named("ram").is_ok());
-    // Unknown names report *which* name failed — not "no data memory".
-    let err = target.memory_named("nope").unwrap_err();
-    assert_eq!(
-        err,
-        CompileError::UnknownStorage {
-            name: "nope".into()
-        },
-        "{err}"
-    );
-    // A real storage that is not a memory gets its own diagnostic.
-    let err = target.memory_named("acc").unwrap_err();
-    assert_eq!(
-        err,
-        CompileError::NotAMemory { name: "acc".into() },
-        "{err}"
-    );
-}
-
-#[test]
 fn sessions_are_reusable_and_deterministic() {
     let target = Record::retarget(TINY, &RetargetOptions::default()).unwrap();
     let request = CompileRequest::new("int x, y; void f() { x = y; }", "f");

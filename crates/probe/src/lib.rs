@@ -90,17 +90,12 @@ pub fn now_ns() -> u64 {
 /// A probe either borrows a [`Collector`] or is disabled.  Every method
 /// starts with a null check, so a disabled probe costs one predictable
 /// branch per *phase boundary* — the per-operation hot paths are not
-/// instrumented through the probe at all (see the crate docs).
-/// A probe can also carry a **deadline**: an absolute [`now_ns`]
-/// timestamp after which cooperative cancellation points (phase
-/// boundaries in the compile pipeline) should abort.  The deadline is
-/// orthogonal to tracing — a disabled probe can still enforce one — and
-/// checking it is a branch on an `Option`, paid only at boundaries.
+/// instrumented through the probe at all (see the crate docs).  A
+/// probe only traces: a caller that enforces a deadline compares it with
+/// the [`Span`]s [`Probe::time`] returns.
 #[derive(Default)]
 pub struct Probe<'s> {
     sink: Option<&'s mut Collector>,
-    /// Absolute deadline in [`now_ns`] time, if any.
-    deadline_ns: Option<u64>,
 }
 
 impl std::fmt::Debug for Probe<'_> {
@@ -115,10 +110,7 @@ impl<'s> Probe<'s> {
     /// A probe with no collector: every call is a no-op.
     #[inline]
     pub fn disabled() -> Probe<'static> {
-        Probe {
-            sink: None,
-            deadline_ns: None,
-        }
+        Probe { sink: None }
     }
 
     /// A probe recording into `sink` when one is given, disabled
@@ -127,45 +119,13 @@ impl<'s> Probe<'s> {
         // Touch the epoch now so the first event does not pay for the
         // OnceLock initialisation inside a span.
         let _ = epoch();
-        Probe {
-            sink,
-            deadline_ns: None,
-        }
+        Probe { sink }
     }
 
     /// Is a collector installed?
     #[inline]
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// Arms (or with `None` disarms) the cancellation deadline, given as
-    /// an absolute [`now_ns`] timestamp.
-    #[inline]
-    pub fn set_deadline_ns(&mut self, deadline_ns: Option<u64>) {
-        self.deadline_ns = deadline_ns;
-    }
-
-    /// The armed deadline, if any (absolute [`now_ns`] time).
-    #[inline]
-    pub fn deadline_ns(&self) -> Option<u64> {
-        self.deadline_ns
-    }
-
-    /// Has the armed deadline passed?  Always `false` when disarmed.
-    #[inline]
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline_ns.is_some_and(|d| now_ns() > d)
-    }
-
-    /// Reborrows the probe for passing further down the pipeline (the
-    /// deadline travels with it).
-    #[inline]
-    pub fn reborrow(&mut self) -> Probe<'_> {
-        Probe {
-            sink: self.sink.as_deref_mut(),
-            deadline_ns: self.deadline_ns,
-        }
     }
 
     /// Opens a span.  Spans nest: close them in LIFO order.

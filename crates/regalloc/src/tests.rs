@@ -1032,7 +1032,7 @@ fn rig() -> Rig {
     let mut base = ex.base;
     record_rtl::extend(&mut base, &Default::default());
     let grammar = record_grammar::TreeGrammar::from_base(&base, &netlist);
-    let selector = Selector::generate(std::sync::Arc::new(grammar));
+    let selector = Selector::generate(grammar);
     let mut manager = ex.manager;
     let tables = record_codegen::EmitTables::build(&netlist, &mut manager, netlist.iword_width());
     Rig {

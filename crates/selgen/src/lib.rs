@@ -2,7 +2,9 @@
 //!
 //! The original system feeds the tree grammar to *iburg*, which emits a C
 //! tree parser doing dynamic programming at parse time.  This crate plays
-//! both roles:
+//! both roles, with no source-code step between them: the in-memory
+//! [`Selector`] is the one form of the generated parser, and it owns the
+//! grammar it was generated from ([`Selector::grammar`]).
 //!
 //! * [`Selector::generate`] is "parser generation": it compiles the grammar
 //!   into dispatch tables — the moral equivalent of iburg's emitted
@@ -24,10 +26,6 @@
 //!   none, [`Selector::diagnose`] labels it again and names the subtree
 //!   where derivation broke, so only a failure that is reported pays for
 //!   its message.
-//! * [`emit_rust`] additionally renders the grammar-specific matcher as a
-//!   standalone Rust source file, mirroring iburg's code-generation step.
-//!   It renders on demand: retargeting does not call it, so Table 3's
-//!   selector-generation time measures [`Selector::generate`] alone.
 //!
 //! Covers are optimal with respect to accumulated rule costs: chained
 //! operations (multiply-accumulate and friends) are exploited, pure data
@@ -54,7 +52,7 @@
 //! let model = record_hdl::parse(src)?;
 //! let netlist = record_netlist::elaborate(&model)?;
 //! let ex = record_isex::extract(&netlist, &Default::default())?;
-//! let grammar = std::sync::Arc::new(TreeGrammar::from_base(&ex.base, &netlist));
+//! let grammar = TreeGrammar::from_base(&ex.base, &netlist);
 //! let selector = record_selgen::Selector::generate(grammar);
 //!
 //! let acc = netlist.storage_by_name("acc").unwrap().id;
@@ -76,10 +74,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod emit;
 mod selector;
 
-pub use emit::emit_rust;
 pub use selector::{Cover, RuleApp, SelectError, SelectStats, Selector};
 
 #[cfg(test)]

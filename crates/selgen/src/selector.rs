@@ -5,7 +5,6 @@ use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Why code selection failed: some subtree has no derivation.  Built by
 /// [`Selector::diagnose`].
@@ -261,9 +260,9 @@ fn range(r: &Range<u32>) -> Range<usize> {
 /// allocated in one piece.
 #[derive(Debug, Clone)]
 pub struct Selector {
-    /// Shared, not cloned: the grammar is part of the frozen retarget
-    /// artifact and the selector only ever reads it.
-    grammar: Arc<TreeGrammar>,
+    /// The grammar this parser was generated from, owned here: the
+    /// selector is the one holder of the rule set.
+    grammar: TreeGrammar,
     /// Per root head, ascending, its buckets: a range of `buckets`.
     roots: Vec<(Head, Range<u32>)>,
     buckets: Vec<Bucket>,
@@ -279,11 +278,11 @@ pub struct Selector {
 impl Selector {
     /// "Parser generation": compiles `grammar` into dispatch tables.
     ///
-    /// Takes the grammar by `Arc` so the retarget artifact and the
-    /// selector share one rule set instead of duplicating it.  Rules
-    /// are grouped by the grammar's pattern index ([`record_grammar::Rule::pattern`]),
+    /// Takes the grammar by value and keeps it: [`Selector::grammar`]
+    /// is how the rest of the compiler reads the rule set.  Rules are
+    /// grouped by the grammar's pattern index ([`record_grammar::Rule::pattern`]),
     /// so generation compares no patterns.
-    pub fn generate(grammar: Arc<TreeGrammar>) -> Selector {
+    pub fn generate(grammar: TreeGrammar) -> Selector {
         // Group the non-chain rules by pattern (a counting sort, so each
         // group stays in ascending id order).
         let patterns = grammar.patterns();
@@ -372,11 +371,6 @@ impl Selector {
     /// The grammar this parser was generated from.
     pub fn grammar(&self) -> &TreeGrammar {
         &self.grammar
-    }
-
-    /// Number of rules reachable through the dispatch tables (diagnostic).
-    pub fn table_size(&self) -> usize {
-        self.rules.len() + self.chains.len()
     }
 
     /// The buckets of the right-hand sides rooted at `head`.

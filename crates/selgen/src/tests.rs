@@ -4,11 +4,11 @@ use record_grammar::*;
 use record_netlist::Netlist;
 use record_rtl::OpKind;
 
-fn pipeline(src: &str) -> (Netlist, std::sync::Arc<TreeGrammar>) {
+fn pipeline(src: &str) -> (Netlist, TreeGrammar) {
     let model = record_hdl::parse(src).expect("parses");
     let n = record_netlist::elaborate(&model).expect("elaborates");
     let ex = record_isex::extract(&n, &Default::default()).expect("extracts");
-    let g = std::sync::Arc::new(TreeGrammar::from_base(&ex.base, &n));
+    let g = TreeGrammar::from_base(&ex.base, &n);
     (n, g)
 }
 
@@ -63,7 +63,8 @@ const ACC_MACHINE: &str = r#"
 #[test]
 fn selects_single_rt_for_memory_operand_add() {
     let (n, g) = pipeline(ACC_MACHINE);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
+    let g = sel.grammar();
     let acc = n.storage_by_name("acc").unwrap().id;
     let ram = n.storage_by_name("ram").unwrap().id;
 
@@ -77,7 +78,7 @@ fn selects_single_rt_for_memory_operand_add() {
 
     let cover = sel.select(&et).unwrap();
     assert_eq!(cover.cost, 1, "memory-register add is one RT");
-    assert_eq!(cover.template_apps(&g).count(), 1);
+    assert_eq!(cover.template_apps(g).count(), 1);
     // Evaluation order: operand derivations (the stop rule) come first.
     assert!(cover.apps.len() >= 2);
     let first = g.rule(cover.apps[0].rule);
@@ -87,7 +88,7 @@ fn selects_single_rt_for_memory_operand_add() {
 #[test]
 fn store_statement_selected() {
     let (n, g) = pipeline(ACC_MACHINE);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
     let acc = n.storage_by_name("acc").unwrap().id;
     let ram = n.storage_by_name("ram").unwrap().id;
 
@@ -135,7 +136,7 @@ fn chained_mac_selected_as_one_template() {
         }
     "#;
     let (n, g) = pipeline(src);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
     let acc = n.storage_by_name("acc").unwrap().id;
     let t = n.storage_by_name("t").unwrap().id;
     let ram = n.storage_by_name("ram").unwrap().id;
@@ -172,7 +173,8 @@ fn chain_rules_reduce_in_order() {
         }
     "#;
     let (n, g) = pipeline(src);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
+    let g = sel.grammar();
     let r2 = n.storage_by_name("r2").unwrap().id;
 
     // r2 := pin — needs r1 := pin, then r2 := r1.
@@ -181,7 +183,7 @@ fn chain_rules_reduce_in_order() {
     let et = Et::assign(EtDest::Reg(r2), b);
     let cover = sel.select(&et).unwrap();
     assert_eq!(cover.cost, 2);
-    let rts: Vec<_> = cover.template_apps(&g).collect();
+    let rts: Vec<_> = cover.template_apps(g).collect();
     assert_eq!(rts.len(), 2);
     // First the load into r1, then the move into r2.
     assert_eq!(g.nonterm_name(rts[0].nt), "r1");
@@ -191,7 +193,7 @@ fn chain_rules_reduce_in_order() {
 #[test]
 fn missing_operator_is_diagnosed() {
     let (n, g) = pipeline(ACC_MACHINE);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
     let acc = n.storage_by_name("acc").unwrap().id;
 
     // acc := acc * acc — the ALU has no multiplier.
@@ -208,7 +210,7 @@ fn missing_operator_is_diagnosed() {
 #[test]
 fn oversized_constant_is_diagnosed() {
     let (n, g) = pipeline(ACC_MACHINE);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
     let acc = n.storage_by_name("acc").unwrap().id;
     let ram = n.storage_by_name("ram").unwrap().id;
 
@@ -225,7 +227,8 @@ fn oversized_constant_is_diagnosed() {
 #[test]
 fn cover_cost_equals_sum_of_rule_costs() {
     let (n, g) = pipeline(ACC_MACHINE);
-    let sel = Selector::generate(g.clone());
+    let sel = Selector::generate(g);
+    let g = sel.grammar();
     let acc = n.storage_by_name("acc").unwrap().id;
     let ram = n.storage_by_name("ram").unwrap().id;
 
@@ -244,28 +247,6 @@ fn cover_cost_equals_sum_of_rule_costs() {
     let total: u32 = cover.apps.iter().map(|a| g.rule(a.rule).cost).sum();
     assert_eq!(cover.cost, total);
     assert_eq!(cover.cost, 2);
-}
-
-#[test]
-fn table_size_reflects_rules() {
-    let (_, g) = pipeline(ACC_MACHINE);
-    let sel = Selector::generate(g.clone());
-    assert_eq!(sel.table_size(), g.rules().len());
-}
-
-#[test]
-fn emitted_rust_is_deterministic_and_complete() {
-    let (n, g) = pipeline(ACC_MACHINE);
-    let s1 = emit_rust(&g, "acc_machine");
-    let s2 = emit_rust(&g, "acc_machine");
-    assert_eq!(s1, s2);
-    assert!(s1.contains(&format!(
-        "pub const RULE_COUNT: usize = {};",
-        g.rules().len()
-    )));
-    assert!(s1.contains("pub fn match_rule"));
-    assert!(s1.contains("Kind::Const"));
-    let _ = n;
 }
 
 // ---------------------------------------------------------------------------
@@ -385,8 +366,9 @@ proptest! {
     #[test]
     fn dp_cover_is_no_worse_than_random_derivation(choices in prop::collection::vec(any::<u8>(), 1..40)) {
         let (_, g) = pipeline(ACC_MACHINE);
-        let sel = Selector::generate(g.clone());
-        if let Some((et, upper)) = random_derivation(&g, &choices) {
+        let sel = Selector::generate(g);
+        let g = sel.grammar();
+        if let Some((et, upper)) = random_derivation(g, &choices) {
             let cover = sel.select(&et).expect("tree from the grammar language must be coverable");
             prop_assert!(cover.cost <= upper, "DP {} > random {}", cover.cost, upper);
             // Structural well-formedness: every app derives its own nt.
@@ -470,12 +452,12 @@ const TWIN_ACC_MACHINE: &str = r#"
 
 /// `pipeline`, with the template base extended as retargeting extends
 /// it (commutative variants and rewrites).
-fn extended_pipeline(src: &str) -> std::sync::Arc<TreeGrammar> {
+fn extended_pipeline(src: &str) -> TreeGrammar {
     let model = record_hdl::parse(src).expect("parses");
     let n = record_netlist::elaborate(&model).expect("elaborates");
     let mut ex = record_isex::extract(&n, &Default::default()).expect("extracts");
     record_rtl::extend(&mut ex.base, &Default::default());
-    std::sync::Arc::new(TreeGrammar::from_base(&ex.base, &n))
+    TreeGrammar::from_base(&ex.base, &n)
 }
 
 /// The reference labeller: cost and applications of the minimum-cost
@@ -609,10 +591,11 @@ proptest! {
     fn cover_matches_the_reference_labeller(choices in prop::collection::vec(any::<u8>(), 1..40)) {
         for src in [ACC_MACHINE, TWIN_ACC_MACHINE] {
             let g = extended_pipeline(src);
-            let sel = Selector::generate(g.clone());
-            if let Some((et, _)) = random_derivation(&g, &choices) {
+            let sel = Selector::generate(g);
+            let g = sel.grammar();
+            if let Some((et, _)) = random_derivation(g, &choices) {
                 let cover = sel.select(&et).map(|c| (c.cost, c.apps));
-                prop_assert_eq!(cover, reference_cover(&g, &et));
+                prop_assert_eq!(cover, reference_cover(g, &et));
             }
         }
     }

@@ -17,9 +17,14 @@
 //! A key is a 64-bit digest, not an identity: a ready entry keeps its
 //! model text, and a model that answers a held key with other content
 //! gets [`CacheError::KeyCollision`] instead of the held artifact.
+//!
+//! A ready entry also owns its target's [`SessionPool`], opened on the
+//! target's first compile: evicting the entry drops the pool with it, so
+//! no pool keeps an evicted target alive.
 
 use crate::digest::{model_key, render_key, same_model, ModelKey};
 use crate::metrics::{incr, ServeMetrics};
+use crate::pool::SessionPool;
 use record_core::{PipelineError, Record, RetargetOptions, Target};
 use std::collections::HashMap;
 use std::error::Error;
@@ -70,11 +75,13 @@ pub struct CacheStats {
 
 enum Entry {
     /// Retargeted from `hdl` and ready to share; `last_used` orders LRU
-    /// eviction.
+    /// eviction.  `pool` is the target's session pool, once a compile
+    /// has opened it.
     Ready {
         hdl: Arc<str>,
         target: Arc<Target>,
         last_used: u64,
+        pool: Option<Arc<SessionPool>>,
     },
     /// A retarget for this key is running on some requester's thread.
     InFlight,
@@ -211,6 +218,7 @@ impl TargetCache {
                                     hdl: Arc::from(hdl),
                                     target: Arc::clone(&target),
                                     last_used: tick,
+                                    pool: None,
                                 },
                             );
                             self.evict_to_capacity(&mut state);
@@ -250,11 +258,31 @@ impl TargetCache {
         }
     }
 
-    /// Is `target` the ready artifact for `key`?  Counts no hit or miss.
-    pub(crate) fn holds(&self, key: ModelKey, target: &Arc<Target>) -> bool {
-        let state = self.state.lock().expect("cache lock poisoned");
-        matches!(state.map.get(&key),
-            Some(Entry::Ready { target: held, .. }) if Arc::ptr_eq(held, target))
+    /// The session pool over `target`, the artifact resolved for `key`:
+    /// the entry's own pool, opened now on its first use, counting into
+    /// this cache's store.  When the entry no longer holds `target`
+    /// (evicted since it was resolved), the pool is a new one that the
+    /// cache does not keep.  Counts no hit or miss.
+    pub(crate) fn pool(
+        &self,
+        key: ModelKey,
+        target: &Arc<Target>,
+        max_idle: usize,
+    ) -> Arc<SessionPool> {
+        let open = || {
+            Arc::new(SessionPool::with_counters(
+                Arc::clone(target),
+                max_idle,
+                Arc::clone(&self.metrics),
+            ))
+        };
+        let mut state = self.state.lock().expect("cache lock poisoned");
+        match state.map.get_mut(&key) {
+            Some(Entry::Ready {
+                target: held, pool, ..
+            }) if Arc::ptr_eq(held, target) => Arc::clone(pool.get_or_insert_with(open)),
+            _ => open(),
+        }
     }
 
     /// Evicts least-recently-used ready entries until the bound holds.
@@ -312,12 +340,20 @@ impl TargetCache {
 
     /// Ready entries currently cached.
     pub fn entries(&self) -> usize {
+        self.occupancy().0
+    }
+
+    /// Ready entries and the session pools they own, read under one
+    /// lock (the `stats` op and `/metrics` both report them).
+    pub(crate) fn occupancy(&self) -> (usize, usize) {
         let state = self.state.lock().expect("cache lock poisoned");
         state
             .map
             .values()
-            .filter(|e| matches!(e, Entry::Ready { .. }))
-            .count()
+            .fold((0, 0), |(entries, pools), e| match e {
+                Entry::Ready { pool, .. } => (entries + 1, pools + usize::from(pool.is_some())),
+                Entry::InFlight => (entries, pools),
+            })
     }
 }
 

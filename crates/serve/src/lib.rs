@@ -15,7 +15,8 @@
 //! * [`TargetCache`] — content-addressed artifact cache: one retarget per
 //!   distinct (normalized) HDL model, concurrent requesters coalesce onto
 //!   a single in-flight retarget, ready artifacts share via `Arc`, LRU
-//!   eviction beyond capacity.
+//!   eviction beyond capacity.  Each ready entry owns its target's
+//!   session pool, which goes when the entry is evicted.
 //! * [`SessionPool`] — warm [`record_core::CompileSession`]s: finished
 //!   sessions return their overlay pages (capacity, not contents) and
 //!   later checkouts skip the arena growth path.  Pooled output is
@@ -33,11 +34,11 @@
 //!   counter and latency histogram as a named atomic field: workers, the
 //!   cache and the pools update it in place, and the `stats` op and the
 //!   optional `GET /metrics` HTTP listener read the same fields (the
-//!   entries, pools and queue-depth gauges are read from the cache, the
-//!   pools map and the admission queue).  Every response carries a
-//!   `request_id`, the optional NDJSON access log and the slow-compile
-//!   [`FlightRecorder`] key by it, and the `debug-traces` op dumps
-//!   retained Chrome traces over the wire.
+//!   entries and pools gauges are read from the cache, whose entries own
+//!   the pools, and the queue-depth gauge from the admission queue).
+//!   Every response carries a `request_id`, the optional NDJSON access
+//!   log and the slow-compile [`FlightRecorder`] key by it, and the
+//!   `debug-traces` op dumps retained Chrome traces over the wire.
 //!
 //! Like the rest of the workspace, the crate has no external
 //! dependencies.  The wire codec is the workspace's one JSON codec,

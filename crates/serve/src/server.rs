@@ -4,26 +4,26 @@
 //! Layering: each worker serves whole connections; each request resolves
 //! its model through the [`TargetCache`] (retarget-once, shared `Arc`s)
 //! and compiles on a session checked out of that target's [`SessionPool`]
-//! (warm overlay pages).  Admission control is explicit: when the pending
-//! queue is full, new connections get an `overloaded` error line instead
-//! of an invisible wait, so callers can shed load or back off.
+//! (warm overlay pages), which the target's cache entry owns.  Admission
+//! control is explicit: when the pending queue is full, new connections
+//! get an `overloaded` error line instead of an invisible wait, so
+//! callers can shed load or back off.
 //!
 //! Observability: every counter and latency histogram of the service is
 //! a named atomic field of one [`ServeMetrics`] store, which workers, the
 //! cache and the pools update in place.  The optional `/metrics` HTTP
 //! listener ([`ServerConfig::metrics_addr`]) and the NDJSON `stats` op
-//! both read those fields, and both read the entries and pools from the
-//! cache and the pools map themselves; `/metrics` alone also reads the
-//! queue depth from the admission queue.  Every response line carries a
-//! `request_id`, the same id the optional NDJSON access log and the
-//! slow-compile [`FlightRecorder`] key their entries by — a slow
-//! compile's full Chrome trace is retrievable over the wire with the
-//! `debug-traces` op.
+//! both read those fields, and both read the counts of entries and
+//! pools from the cache, whose entries own the pools; `/metrics` alone
+//! also reads the queue depth from the admission queue.  Every response
+//! line carries a `request_id`, the same id the optional NDJSON access
+//! log and the slow-compile [`FlightRecorder`] key their entries by — a
+//! slow compile's full Chrome trace is retrievable over the wire with
+//! the `debug-traces` op.
 
 use crate::cache::TargetCache;
 use crate::digest::{render_key, ModelKey};
 use crate::metrics::{incr, AccessLog, FlightRecorder, RequestIds, ServeMetrics, SlowTrace};
-use crate::pool::SessionPool;
 use crate::proto::{
     cache_error_response, compile_error_response, error_response, parse_request, CompileItem,
     ModelRef, Request,
@@ -31,7 +31,7 @@ use crate::proto::{
 use record_core::{CompileRequest, RetargetOptions, Target};
 use record_probe::json::Json;
 use record_probe::now_ns;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,7 +111,6 @@ impl Default for ServerConfig {
 
 struct Shared {
     cache: TargetCache,
-    pools: Mutex<HashMap<ModelKey, Arc<SessionPool>>>,
     pool_max_idle: usize,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
@@ -156,7 +155,6 @@ impl Server {
                 config.retarget.clone(),
                 Arc::clone(&metrics),
             ),
-            pools: Mutex::new(HashMap::new()),
             pool_max_idle: config.pool_max_idle.max(1),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -457,7 +455,7 @@ fn handle_request(ctx: &RequestCtx<'_>, request: &Request) -> Json {
         },
         Request::Compile { model, item } => match resolve(shared, model) {
             Ok((key, target)) => {
-                let pool = pool_for(shared, key, &target);
+                let pool = shared.cache.pool(key, &target, shared.pool_max_idle);
                 let mut session = pool.checkout();
                 compile_response(ctx, key, &mut session, item)
             }
@@ -465,7 +463,7 @@ fn handle_request(ctx: &RequestCtx<'_>, request: &Request) -> Json {
         },
         Request::BatchCompile { model, items } => match resolve(shared, model) {
             Ok((key, target)) => {
-                let pool = pool_for(shared, key, &target);
+                let pool = shared.cache.pool(key, &target, shared.pool_max_idle);
                 let mut session = pool.checkout();
                 let mut results = Vec::with_capacity(items.len());
                 for (i, item) in items.iter().enumerate() {
@@ -505,26 +503,6 @@ fn resolve(shared: &Shared, model: &ModelRef) -> Result<(ModelKey, Arc<Target>),
                 )
             }),
     }
-}
-
-/// The session pool over `target`, the artifact the cache resolved for
-/// `key`.  A pool over an earlier artifact of `key` (evicted, then
-/// retargeted again) is replaced, and opening a pool drops every pool
-/// whose target the cache no longer holds: an evicted target outlives
-/// its eviction through its pool only until the next pool opens.
-fn pool_for(shared: &Shared, key: ModelKey, target: &Arc<Target>) -> Arc<SessionPool> {
-    let mut pools = shared.pools.lock().expect("pools lock poisoned");
-    if let Some(pool) = pools.get(&key).filter(|p| Arc::ptr_eq(p.target(), target)) {
-        return Arc::clone(pool);
-    }
-    pools.retain(|k, pool| shared.cache.holds(*k, pool.target()));
-    let pool = Arc::new(SessionPool::with_counters(
-        Arc::clone(target),
-        shared.pool_max_idle,
-        Arc::clone(&shared.metrics),
-    ));
-    pools.insert(key, Arc::clone(&pool));
-    pool
 }
 
 fn compile_response(
@@ -587,20 +565,13 @@ fn compile_response(
     }
 }
 
-/// Ready cache entries and open session pools, read from the cache and
-/// the pools map (the `stats` op and `/metrics` both report them).
-fn occupancy(shared: &Shared) -> (usize, usize) {
-    let pools = shared.pools.lock().expect("pools lock poisoned").len();
-    (shared.cache.entries(), pools)
-}
-
 fn stats_response(shared: &Shared) -> Json {
     // Every number below reads what `/metrics` renders: a field of the
-    // metrics store, or the state `occupancy` reads.
+    // metrics store, or the cache's occupancy.
     let cache = shared.metrics.cache_stats();
     let pools = shared.metrics.pool_stats();
     let (served, rejected) = shared.metrics.server_counters();
-    let (entries, pool_count) = occupancy(shared);
+    let (entries, pool_count) = shared.cache.occupancy();
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         (
@@ -741,7 +712,7 @@ fn serve_metrics_request(shared: &Shared, stream: &TcpStream) {
     let request_line = String::from_utf8_lossy(&request_line);
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
-        let (entries, pools) = occupancy(shared);
+        let (entries, pools) = shared.cache.occupancy();
         let queue_depth = shared.queue.lock().expect("queue lock poisoned").len();
         (
             "200 OK",

@@ -135,3 +135,39 @@ fn session_pools_follow_the_cached_targets() {
         "the second `ref` compile reused the evicted target's pool: {stats}"
     );
 }
+
+/// A cache entry owns its target's session pool, so evicting the entry
+/// drops the pool with it: a `retarget` that evicts a compiled target
+/// leaves no pool behind to keep that target alive.
+#[test]
+fn an_evicted_target_takes_its_session_pool_with_it() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            cache_capacity: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let kernel = kernels::kernel("real_update").unwrap();
+    let spec = CompileSpec::new(kernel.source, kernel.function);
+    let hdl = |name| models::model(name).unwrap().hdl;
+    client
+        .compile(&Model::Hdl(hdl("ref")), &spec)
+        .expect("real_update compiles on ref");
+    client
+        .retarget(hdl("tms320c25"))
+        .expect("tms320c25 retargets");
+
+    let stats = client.stats().expect("stats");
+    let count = |section: &str, field: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{section}.{field} in {stats}"))
+    };
+    assert_eq!(count("cache", "evictions"), 1, "{stats}");
+    assert_eq!(count("pools", "count"), 0, "{stats}");
+}

@@ -4,7 +4,7 @@
 
 mod common;
 
-use record_core::{CompileError, CompileRequest, PipelineError, Record, RetargetOptions, Target};
+use record_core::{CompileError, CompileRequest, PipelineError, Record, RetargetOptions};
 use record_targets::{kernels, models};
 
 #[test]
@@ -224,18 +224,6 @@ fn compaction_packs_on_horizontal_machine() {
         with.code_size(),
         without.code_size()
     );
-}
-
-#[test]
-fn parser_source_emission_is_deterministic() {
-    let m = models::model("bass_boost").unwrap();
-    let options = RetargetOptions::default();
-    let t1 = Record::retarget(m.hdl, &options).unwrap();
-    let t2 = Record::retarget(m.hdl, &options).unwrap();
-    let emit = |t: &Target| record_selgen::emit_rust(t.grammar(), t.netlist().name());
-    let s1 = emit(&t1);
-    assert_eq!(s1, emit(&t2));
-    assert!(s1.contains("pub fn match_rule"));
 }
 
 #[test]

@@ -167,30 +167,6 @@ fn compile_reports_are_attached_and_consistent() {
     );
 }
 
-/// The retarget report is the one record of a retarget: on every Table 3
-/// model, each counter it records equals the field or artifact it counts.
-#[test]
-fn retarget_report_counters_equal_their_fields() {
-    for model in models::models() {
-        let target = Record::retarget(model.hdl, &RetargetOptions::default()).unwrap();
-        let r = target.report();
-        for (counter, field) in [
-            ("extract.templates", r.templates_extracted),
-            ("template-gen.templates", r.templates_extended),
-            ("rule-gen.nonterminals", r.nonterminals),
-            ("rule-gen.rules", r.rules),
-            ("freeze.bdd-nodes", target.manager().node_count()),
-        ] {
-            assert_eq!(
-                r.report.counter(counter),
-                Some(field as u64),
-                "{}: `{counter}`",
-                model.name
-            );
-        }
-    }
-}
-
 /// Reports and spans read one clock: each compile report phase is its
 /// trace span's end minus begin exactly, and `select + emit` is the
 /// `codegen` span.
