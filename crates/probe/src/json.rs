@@ -6,10 +6,13 @@
 //! workspace zero-dependency.  Only what those formats need is
 //! implemented: objects keep insertion order, numbers are `f64`, and the
 //! printer always emits a single line (strings escape control
-//! characters, so embedded newlines never break the framing).  Wire
-//! input is untrusted, so the parser rejects malformed text, unpaired
-//! surrogates and nesting past a fixed depth with an error, never a
-//! panic.
+//! characters, so embedded newlines never break the framing).  Strings
+//! move in runs: the printer writes each stretch that needs no escape
+//! in one write, and the parser takes each stretch up to the next `"`
+//! or `\` as one slice of its input, which is a `&str` and so already
+//! UTF-8.  Wire input is untrusted, so the parser rejects malformed
+//! text, unpaired surrogates and nesting past a fixed depth with an
+//! error, never a panic.
 
 use std::fmt;
 
@@ -115,7 +118,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("]")
             }
@@ -127,7 +130,7 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("}")
             }
@@ -135,19 +138,29 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a string literal.  Every byte that needs an escape
+/// (`"`, `\` and the control characters below U+0020) is ASCII, so the
+/// runs between escapes end on character boundaries, and each run goes
+/// out in one write.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
         }
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -164,29 +177,33 @@ const MAX_DEPTH: usize = 64;
 /// Nesting deeper than 64 levels is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -196,7 +213,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -209,7 +226,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -298,17 +315,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run ends at an ASCII byte or at the end of the input,
+            // so it is a whole slice of the (already UTF-8) input.
             let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid utf-8 near offset {start}"))?,
-            );
+            let rest = &self.bytes()[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -332,7 +347,7 @@ impl Parser<'_> {
                             // Surrogate pairs: the printer never emits
                             // them, but accept well-formed ones anyway.
                             let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                                if self.bytes().get(self.pos..self.pos + 2) != Some(b"\\u") {
                                     return Err(format!(
                                         "unpaired surrogate at offset {}",
                                         self.pos
@@ -363,7 +378,7 @@ impl Parser<'_> {
     /// Reads the four hex digits of a `\uXXXX` escape.
     fn hex4(&mut self) -> Result<u32, String> {
         let code = self
-            .bytes
+            .bytes()
             .get(self.pos..self.pos + 4)
             .and_then(|h| {
                 h.iter()
@@ -385,9 +400,9 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.input[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .map(Json::Num)
             .ok_or_else(|| format!("invalid number at offset {start}"))
     }
