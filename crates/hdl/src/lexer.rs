@@ -104,7 +104,7 @@ pub struct Token {
 /// Comments run from `--` or `//` to end of line.
 #[derive(Debug)]
 pub struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -114,7 +114,7 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over `source`.
     pub fn new(source: &'a str) -> Self {
         Lexer {
-            src: source.as_bytes(),
+            src: source,
             pos: 0,
             line: 1,
             col: 1,
@@ -152,11 +152,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -202,10 +202,7 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("identifier bytes are ASCII")
-            .to_owned();
-        TokenKind::Ident(text)
+        TokenKind::Ident(self.src[start..self.pos].to_owned())
     }
 
     fn lex_number(&mut self, line: u32, col: u32) -> Result<TokenKind, HdlError> {
@@ -229,8 +226,7 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        let text: String = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("number bytes are ASCII")
+        let text: String = self.src[start..self.pos]
             .chars()
             .filter(|&c| c != '_')
             .collect();
@@ -299,13 +295,17 @@ impl<'a> Lexer<'a> {
                 Some(b'>') => two(self, TokenKind::Shr),
                 _ => TokenKind::Greater,
             },
-            other => {
+            _ => {
+                let other = self.src[self.pos - 1..]
+                    .chars()
+                    .next()
+                    .expect("the rejected byte is inside `src`");
                 return Err(HdlError::new(
                     HdlErrorKind::Lex,
                     line,
                     col,
-                    format!("unexpected character `{}`", other as char),
-                ))
+                    format!("unexpected character `{other}`"),
+                ));
             }
         };
         Ok(kind)

@@ -288,6 +288,17 @@ fn rejects_unknown_character() {
     assert_eq!(err.line(), 1);
 }
 
+/// A rejected character is named whole, not by its first UTF-8 byte.
+#[test]
+fn unexpected_character_is_named_whole() {
+    for c in ['é', '«', '☃'] {
+        let err = parse(&format!("module M {c}")).unwrap_err();
+        assert_eq!(*err.kind(), HdlErrorKind::Lex);
+        assert_eq!(err.message(), format!("unexpected character `{c}`"));
+        assert_eq!((err.line(), err.column()), (1, 10));
+    }
+}
+
 #[test]
 fn error_positions_are_tracked() {
     let src = "module M {\n  in a bit(8);\n}";

@@ -109,10 +109,11 @@ fn lex(src: &str) -> Result<Vec<Token>, CError> {
             }
         }
         let Some(p) = matched else {
+            let c = rest.chars().next().expect("`i` is inside `src`");
             return Err(CError::new(
                 tline,
                 tcol,
-                format!("unexpected character `{}`", c as char),
+                format!("unexpected character `{c}`"),
             ));
         };
         for _ in 0..p.len() {

@@ -190,6 +190,16 @@ fn parse_error_positions() {
     assert_eq!(e.line(), 2);
 }
 
+/// A rejected character is named whole, not by its first UTF-8 byte.
+#[test]
+fn unexpected_character_is_named_whole() {
+    for c in ['é', '«', '☃'] {
+        let e = parse(&format!("int x; void f() {{ x = 1 {c} 2; }}")).unwrap_err();
+        assert_eq!(e.message(), format!("unexpected character `{c}`"));
+        assert_eq!((e.line(), e.column()), (1, 25));
+    }
+}
+
 /// `f` nesting `levels` deep three ways: parentheses around an operand,
 /// `if` blocks, and a chain of `levels` additions.
 fn nested_programs(levels: usize) -> [String; 3] {
