@@ -63,11 +63,6 @@ impl SessionPool {
         }
     }
 
-    /// The artifact this pool compiles against.
-    pub fn target(&self) -> &Arc<Target> {
-        &self.target
-    }
-
     /// Checks a session out: warm (rebuilt from pooled pages) when idle
     /// pages exist, cold otherwise.  The session returns its pages to the
     /// pool when the guard drops.
