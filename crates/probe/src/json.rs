@@ -7,12 +7,11 @@
 //! implemented: objects keep insertion order, numbers are `f64`, and the
 //! printer always emits a single line (strings escape control
 //! characters, so embedded newlines never break the framing).  Strings
-//! move in runs: the printer writes each stretch that needs no escape
-//! in one write, and the parser takes each stretch up to the next `"`
-//! or `\` as one slice of its input, which is a `&str` and so already
-//! UTF-8.  Wire input is untrusted, so the parser rejects malformed
-//! text, unpaired surrogates and nesting past a fixed depth with an
-//! error, never a panic.
+//! move in runs, not characters: the printer writes each stretch that
+//! needs no escape in one write, and the parser takes each stretch as
+//! one slice of its `&str` input.  Wire input is untrusted, so the
+//! parser rejects malformed text, unpaired surrogates and nesting past
+//! a fixed depth with an error, never a panic.
 
 use std::fmt;
 
