@@ -1,6 +1,6 @@
 use crate::manager::Node;
 use crate::table::{OpCache, MANAGER_OP_CACHE, MANAGER_OP_CACHE_FIRST};
-use crate::{Assignment, Bdd, BddManager, BddOverlay, FrozenBdd};
+use crate::{Assignment, Bdd, BddCounters, BddManager, BddOverlay, FrozenBdd};
 use proptest::prelude::*;
 
 fn three_vars() -> (BddManager, Bdd, Bdd, Bdd) {
@@ -864,9 +864,20 @@ fn unique_table_probe_counter_is_sane() {
     assert!(p < 4.0, "linear probing at 3/4 load should stay short: {p}");
 }
 
+/// Runs `seq` on `s` and returns the handles with the counter deltas the
+/// run caused.
+fn replay(s: &mut BddOverlay<'_>, seq: &[RandOp]) -> (Vec<Bdd>, BddCounters) {
+    let before = s.counters();
+    let pool = apply_seq_fast(s, NVARS as u32, seq);
+    (pool, s.counters().delta(&before))
+}
+
 /// A reset overlay is observationally fresh: replaying the same op
 /// sequence after `reset()` yields the exact handles a brand-new overlay
-/// assigns, and recycled pages behave the same via `overlay_from`.
+/// assigns and does the same work (every counter moves by as much), and
+/// recycled pages behave the same via `overlay_from`.  Equal op-cache
+/// counts mean no line written before the reset answered a lookup after
+/// it, even one holding a result that would still be correct.
 #[test]
 fn reset_overlay_replays_identical_handles() {
     let mut m = fresh_manager();
@@ -887,8 +898,8 @@ fn reset_overlay_replays_identical_handles() {
         .collect();
 
     let mut fresh = frozen.overlay();
-    let expected = apply_seq_fast(&mut fresh, NVARS as u32, &seq);
-    let fresh_locals = fresh.local_node_count();
+    let (expected, work) = replay(&mut fresh, &seq);
+    assert!(work.op_hits > 0 && work.op_misses > 0 && work.nodes > 0);
 
     // Dirty an overlay with a different sequence, reset, then replay.
     let mut reused = frozen.overlay();
@@ -896,14 +907,60 @@ fn reset_overlay_replays_identical_handles() {
     reused.var("late-session-var");
     reused.reset();
     assert_eq!(reused.local_node_count(), 0);
-    let replayed = apply_seq_fast(&mut reused, NVARS as u32, &seq);
+    let (replayed, reused_work) = replay(&mut reused, &seq);
     assert_eq!(replayed, expected, "reset overlay must replay identically");
-    assert_eq!(reused.local_node_count(), fresh_locals);
+    assert_eq!(
+        reused_work, work,
+        "reset overlay must count like a fresh one"
+    );
 
-    // Pages survive a round-trip through the lifetime-free form.
+    // Pages survive a round-trip through the lifetime-free form.  Their
+    // unique table keeps the slots the replay grew it to, so its probe
+    // chains are shorter than a growing table's: probes are the one
+    // counter a page's capacity moves.
     let pages = reused.into_pages();
     let mut recycled = frozen.overlay_from(pages);
-    let again = apply_seq_fast(&mut recycled, NVARS as u32, &seq);
+    let (again, recycled_work) = replay(&mut recycled, &seq);
     assert_eq!(again, expected, "recycled pages must replay identically");
-    assert_eq!(recycled.local_node_count(), fresh_locals);
+    let recycled_work = BddCounters {
+        unique_probes: work.unique_probes,
+        ..recycled_work
+    };
+    assert_eq!(
+        recycled_work, work,
+        "recycled pages must count like fresh ones"
+    );
+}
+
+/// Many resets of one overlay: every replay after a reset gives a fresh
+/// overlay's handles and counter deltas.  The ops overwrite op-cache
+/// lines that later replays look up again, and 600 resets are more than
+/// two full turns of any small per-reset stamp a cache might keep.
+///
+/// The replayed sequence makes fewer local nodes than the unique table's
+/// first allocation holds, so the reused table probes like a fresh one.
+#[test]
+fn many_resets_replay_like_a_fresh_overlay() {
+    let frozen = fresh_manager().freeze();
+    let seq: Vec<RandOp> = (0..40u32)
+        .map(|i| {
+            let x = i.wrapping_mul(0x2545_F491);
+            ((x >> 3) as u8, x, x.rotate_left(9))
+        })
+        .collect();
+    let (expected, work) = replay(&mut frozen.overlay(), &seq);
+    assert!(work.op_hits > 0 && work.op_misses > 0);
+    assert!(
+        work.nodes > 0 && work.nodes < 48,
+        "{} local nodes",
+        work.nodes
+    );
+
+    let mut s = frozen.overlay();
+    for round in 0..600 {
+        let (handles, counted) = replay(&mut s, &seq);
+        assert_eq!(handles, expected, "handles after {round} resets");
+        assert_eq!(counted, work, "counters after {round} resets");
+        s.reset();
+    }
 }
