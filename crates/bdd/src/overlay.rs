@@ -450,7 +450,12 @@ impl<'a> BddOverlay<'a> {
     /// Builds the condition "the bit-vector `bits` equals `value`", i.e.
     /// the conjunction over all bit positions of `bits[i] <-> value_i`.
     ///
-    /// `bits[0]` is the least significant bit.
+    /// `bits[0]` is the least significant bit.  Each bit may be any
+    /// function, as the signals instruction-set extraction traces are;
+    /// the build conjoins one bit at a time into the condition so far,
+    /// in apply steps quadratic in the width.  When the bits are plain
+    /// variables, [`BddOverlay::cube`] builds the same function with one
+    /// node per variable.
     pub fn vector_equals(&mut self, bits: &[Bdd], value: u64) -> Bdd {
         let mut acc = Bdd::TRUE;
         for (i, &b) in bits.iter().enumerate() {
@@ -460,6 +465,32 @@ impl<'a> BddOverlay<'a> {
             if acc == Bdd::FALSE {
                 break;
             }
+        }
+        acc
+    }
+
+    /// The cube "variable `vars[i]` holds bit `i` of `value`" for every
+    /// `i`: the function [`BddOverlay::vector_equals`] builds over the
+    /// positive literals of `vars`, and so, in one store, the same
+    /// handle.  Bits of `value` at or above `vars.len()` are ignored.
+    ///
+    /// `vars` must be strictly ascending in the variable order (checked
+    /// in debug builds).  The cube is built from the last variable, the
+    /// one nearest the terminals, up: one node per variable, with no
+    /// apply step and no op-cache traffic.  A cube the frozen base holds comes back as
+    /// frozen handles, with no local node made.
+    pub fn cube(&mut self, vars: &[VarId], value: u64) -> Bdd {
+        debug_assert!(
+            vars.windows(2).all(|w| w[0] < w[1]),
+            "cube variables must ascend: {vars:?}"
+        );
+        let mut acc = Bdd::TRUE;
+        for (i, &v) in vars.iter().enumerate().rev() {
+            acc = if (value >> i) & 1 == 1 {
+                self.mk(v, Bdd::FALSE, acc)
+            } else {
+                self.mk(v, acc, Bdd::FALSE)
+            };
         }
         acc
     }
@@ -598,11 +629,13 @@ impl<'a> BddOverlay<'a> {
     /// the warm-up.  Frozen handles remain valid; handles above the
     /// boundary must not be used again.
     ///
-    /// Because hash-consing is deterministic and the cleared tables are
-    /// contents-equal to fresh ones, a reset overlay assigns *identical*
-    /// handles to an identical operation sequence — pooled sessions are
-    /// observationally fresh (the cumulative perf counters are the only
-    /// thing that persists).
+    /// Because hash-consing is deterministic and the cleared tables read
+    /// as fresh ones (the op cache moves to a new epoch, in which every
+    /// old line misses), a reset overlay assigns *identical* handles to
+    /// an identical operation sequence with the same op-cache hits and
+    /// misses — pooled sessions are observationally fresh (the
+    /// cumulative perf counters are the only thing that persists).  The
+    /// reset writes no op-cache line, so it costs nothing per line.
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.unique.clear();

@@ -28,7 +28,10 @@
 //!   rehashes.  [`crate::BddManager::freeze`] drops the manager's cache:
 //!   a [`crate::FrozenBdd`] has none, since sessions look only in their
 //!   own, and a frozen cache would be memory every cached target holds
-//!   for nothing.
+//!   for nothing.  Every line carries the epoch it was written in, and a
+//!   line of another epoch reads as vacant, so clearing the cache (each
+//!   pooled session's reset) advances the epoch instead of writing its
+//!   lines; they are rewritten only when the one-byte epoch wraps.
 //!
 //! Both tables start unallocated so a [`crate::BddOverlay`] costs nothing
 //! to open until its session actually creates nodes.
@@ -184,16 +187,19 @@ impl UniqueTable {
 }
 
 /// One direct-mapped cache line: an [`OpKey`] flattened to `(tag, a, b)`
-/// plus the cached result.
+/// plus the cached result, stamped with the [`OpCache`] epoch that wrote
+/// it (0: never written).  The stamp takes a byte the line padded anyway,
+/// so a line stays 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct OpEntry {
+    epoch: u8,
     tag: u8,
     a: u32,
     b: u32,
     result: u32,
 }
 
-const VACANT: u8 = u8::MAX;
+const _: () = assert!(std::mem::size_of::<OpEntry>() == 16);
 
 impl OpKey {
     /// Flattens to `(tag, a, b)`; unary keys use `b = 0`.
@@ -217,12 +223,17 @@ impl OpKey {
 /// there are two to four lines per insert.  Each old line maps to one of
 /// two new ones, so growing loses nothing.  A cache built with
 /// `first == cap` never grows.
+///
+/// Only lines stamped with the current epoch hold entries; [`OpCache::clear`]
+/// moves to the next epoch, which vacates every line without touching it.
 #[derive(Debug, Clone)]
 pub(crate) struct OpCache {
     /// Power-of-two line array; empty until the first insert.
     lines: Vec<OpEntry>,
     first: usize,
     cap: usize,
+    /// The stamp of live lines, 1 to 255.
+    epoch: u8,
     /// Inserts since `lines` was first allocated (or last cleared).
     inserts: usize,
     hits: u64,
@@ -230,7 +241,8 @@ pub(crate) struct OpCache {
 }
 
 const VACANT_LINE: OpEntry = OpEntry {
-    tag: VACANT,
+    epoch: 0,
+    tag: 0,
     a: 0,
     b: 0,
     result: 0,
@@ -264,6 +276,7 @@ impl OpCache {
             lines: Vec::new(),
             first,
             cap: cap.next_power_of_two().max(first),
+            epoch: 1,
             inserts: 0,
             hits: 0,
             misses: 0,
@@ -293,7 +306,7 @@ impl OpCache {
         if !self.lines.is_empty() {
             let (tag, a, b) = key.flatten();
             let e = self.lines[self.index(tag, a, b)];
-            if e.tag == tag && e.a == a && e.b == b {
+            if e.epoch == self.epoch && e.tag == tag && e.a == a && e.b == b {
                 self.hits += 1;
                 return Some(Bdd(e.result));
             }
@@ -304,8 +317,19 @@ impl OpCache {
 
     /// Vacates every line while keeping the allocation (hit/miss counters
     /// are lifetime-cumulative and survive, like the unique table's).
+    ///
+    /// Advancing the epoch is the whole clear: every line written so far
+    /// carries an older stamp and now misses, exactly as a vacant line
+    /// does.  Only when the epoch wraps are the lines rewritten, once
+    /// every 255 clears, so no line of a past turn can match a reused
+    /// stamp.
     pub(crate) fn clear(&mut self) {
-        self.lines.fill(VACANT_LINE);
+        if self.epoch == u8::MAX {
+            self.lines.fill(VACANT_LINE);
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
         self.inserts = 0;
     }
 
@@ -321,6 +345,7 @@ impl OpCache {
         let (tag, a, b) = key.flatten();
         let i = self.index(tag, a, b);
         self.lines[i] = OpEntry {
+            epoch: self.epoch,
             tag,
             a,
             b,
@@ -328,12 +353,13 @@ impl OpCache {
         };
     }
 
-    /// Doubles the line array and re-places every live entry.
+    /// Doubles the line array and re-places every entry of the current
+    /// epoch.
     #[cold]
     fn grow(&mut self) {
         let doubled = vec![VACANT_LINE; self.lines.len() * 2];
         let old = std::mem::replace(&mut self.lines, doubled);
-        for e in old.into_iter().filter(|e| e.tag != VACANT) {
+        for e in old.into_iter().filter(|e| e.epoch == self.epoch) {
             let i = self.index(e.tag, e.a, e.b);
             self.lines[i] = e;
         }

@@ -1,6 +1,6 @@
-use crate::manager::Node;
+use crate::manager::{Node, OpKey};
 use crate::table::{OpCache, MANAGER_OP_CACHE, MANAGER_OP_CACHE_FIRST};
-use crate::{Assignment, Bdd, BddCounters, BddManager, BddOverlay, FrozenBdd};
+use crate::{Assignment, Bdd, BddCounters, BddManager, BddOverlay, FrozenBdd, VarId};
 use proptest::prelude::*;
 
 fn three_vars() -> (BddManager, Bdd, Bdd, Bdd) {
@@ -251,6 +251,66 @@ fn overlay_vector_equals_matches_manager() {
     let f3 = s.vector_equals(&bits, 3);
     let both = s.and(f5, f3);
     assert!(s.is_false(both));
+}
+
+/// A manager with `width` instruction bits `I[0]..`, registered in bit
+/// order, with their variables and both literals of each.
+fn instruction_bits(width: usize) -> (BddManager, Vec<VarId>, Vec<Bdd>) {
+    let mut m = BddManager::new();
+    let vars: Vec<VarId> = (0..width).map(|i| m.var_id(&format!("I[{i}]"))).collect();
+    let lits = vars
+        .iter()
+        .map(|&v| {
+            m.literal(v, false);
+            m.literal(v, true)
+        })
+        .collect();
+    (m, vars, lits)
+}
+
+proptest! {
+    /// `cube` over variables is `vector_equals` over their positive
+    /// literals, bits above the width ignored: the same handle in a
+    /// manager, built with no op-cache traffic and at most one node per
+    /// bit, and the same handle in an overlay, where the nodes the base
+    /// holds come back frozen instead of being made again.
+    #[test]
+    fn overlay_cube_matches_vector_equals(
+        width in prop_oneof![1..=16usize, Just(64usize)],
+        value: u64,
+        flip: u8,
+    ) {
+        // `near` differs from `value` in bit `k` alone.
+        let k = usize::from(flip) % width;
+        let near = value ^ (1 << k);
+
+        let (mut m, vars, lits) = instruction_bits(width);
+        let before = m.counters();
+        let c = m.cube(&vars, value);
+        let work = m.counters().delta(&before);
+        prop_assert_eq!(work.op_hits + work.op_misses, 0);
+        prop_assert!(work.nodes <= width as u64, "{} nodes", work.nodes);
+        prop_assert_eq!(m.vector_equals(&lits, value), c);
+        let held = m.vector_equals(&lits, near);
+        prop_assert_eq!(m.cube(&vars, near), held);
+        if width < 64 {
+            prop_assert_eq!(m.cube(&vars, value & ((1 << width) - 1)), c);
+        }
+
+        // A base that holds `near`'s cube, built as extraction builds.
+        let (mut b, vars, lits) = instruction_bits(width);
+        let held = b.vector_equals(&lits, near);
+        let frozen = b.freeze();
+        let mut s = frozen.overlay();
+        prop_assert_eq!(s.cube(&vars, near), held);
+        prop_assert_eq!(s.local_node_count(), 0);
+        // The nodes of the bits above `k` are the base's, and so is bit
+        // `k`'s when it is the last bit's bare literal; the rest are new.
+        let c = s.cube(&vars, value);
+        let made = if k + 1 == width { k } else { k + 1 };
+        prop_assert_eq!(s.local_node_count(), made);
+        prop_assert_eq!(s.vector_equals(&lits, value), c);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -803,6 +863,23 @@ fn freezing_keeps_every_node_findable() {
         assert_eq!(s.mk(n.var, n.lo, n.hi), handle);
     }
     assert_eq!(s.local_node_count(), 0, "every node was found, none made");
+}
+
+/// A clear vacates every line however many clears came before it: a
+/// line written once and never again is not read after any later clear,
+/// across two turns of the cache's one-byte epoch.
+#[test]
+fn op_cache_clear_vacates_across_epoch_wraps() {
+    let mut cache = OpCache::default();
+    let key = OpKey::And(Bdd(2), Bdd(3));
+    cache.insert(key, Bdd(4));
+    assert_eq!(cache.lookup(key), Some(Bdd(4)));
+    for clears in 1..=600 {
+        cache.clear();
+        assert_eq!(cache.lookup(key), None, "after {clears} clears");
+    }
+    cache.insert(key, Bdd(5));
+    assert_eq!(cache.lookup(key), Some(Bdd(5)));
 }
 
 /// The direct-mapped op-cache is lossy by design: a tiny cache must

@@ -11,7 +11,7 @@
 use crate::binding::Binding;
 use crate::error::CodegenError;
 use crate::ops::{DestSim, Loc, RtOp, SimExpr, Transfer};
-use record_bdd::{Bdd, BddOverlay};
+use record_bdd::{Bdd, BddOverlay, VarId};
 use record_grammar::{
     Et, EtBuilder, EtDest, EtKind, GPat, NodeIdx, NonTermId, NonTermKind, Rule, RuleOrigin,
     TermKey, TreeGrammar,
@@ -154,15 +154,11 @@ impl Codegen<'_> {
 }
 
 /// The state one compile mutates: the binding, the BDD node store, the
-/// field cubes built in it, the one output sequence every cover emits
-/// into, and the work counters.
+/// one output sequence every cover emits into, and the work counters.
 pub(crate) struct Gen<'a, 'm> {
     pub(crate) cg: Codegen<'a>,
     pub(crate) binding: &'a mut Binding,
     manager: &'a mut BddOverlay<'m>,
-    /// The cube of every `(hi, lo, value)` field constraint built so far
-    /// (see [`Gen::field_equals`]).
-    cubes: HashMap<(u16, u16, u64), Bdd>,
     /// Width of a data-memory word, in bits.
     width: u16,
     /// The RTs emitted so far, blocks in CFG order.
@@ -181,7 +177,6 @@ impl<'a, 'm> Gen<'a, 'm> {
             cg,
             binding,
             manager,
-            cubes: HashMap::new(),
             width,
             out: Vec::new(),
             stats: EmitStats::default(),
@@ -198,17 +193,13 @@ impl<'a, 'm> Gen<'a, 'm> {
 
     /// The condition "instruction bits `hi..=lo` hold `value`".
     ///
-    /// Each cube is built once per compile, on its first use.  That
-    /// changes no handle: the first build runs [`BddOverlay::vector_equals`]
-    /// where a build on every use would, creating the same nodes in the
-    /// same order, and a rebuild would only find those nodes again, since
-    /// session nodes are hash-consed and live as long as the compile.
+    /// [`BddOverlay::cube`] builds it on every use, one node lookup per
+    /// bit, bottom-up over the bits' variables.  A rebuild within a
+    /// compile finds the nodes the first build made, since session nodes
+    /// are hash-consed and live as long as the compile, and a cube the
+    /// frozen base holds is found there and makes no session node.
     fn field_equals(&mut self, hi: u16, lo: u16, value: u64) -> Bdd {
-        let bits = self.cg.tables.ibit_range(hi, lo);
-        *self
-            .cubes
-            .entry((hi, lo, value))
-            .or_insert_with(|| self.manager.vector_equals(bits, value))
+        self.manager.cube(self.cg.tables.ibit_range(hi, lo), value)
     }
 
     /// The values a data-memory word holds.
@@ -906,22 +897,27 @@ struct RfFields {
 /// instruction field into an execution condition formatted an `I[b]`
 /// name, hashed it and looked the variable up — per bit, per emitted op.
 /// Both are target-level constants, so they live here now: the
-/// register-file address fields and the positive literal of every
-/// instruction-word bit (frozen-base BDD handles, valid in every session
-/// overlay).
+/// register-file address fields and the BDD variable of every
+/// instruction-word bit.  Instruction bits are registered first, in bit
+/// order, so the ids ascend with the bit, as [`BddOverlay::cube`] needs.
 #[derive(Debug, Clone)]
 pub struct EmitTables {
     rf: HashMap<StorageId, RfFields>,
-    ibits: Vec<Bdd>,
+    ibits: Vec<VarId>,
 }
 
 impl EmitTables {
-    /// Builds the tables against the retarget-time manager (the literals
-    /// must be created before [`record_bdd::BddManager::freeze`] so they
-    /// are frozen handles).
+    /// Builds the tables against the retarget-time manager.  Each bit's
+    /// positive literal is made here, before
+    /// [`record_bdd::BddManager::freeze`], so the frozen store holds it
+    /// whatever extraction made, and a session never makes it.
     pub fn build(netlist: &Netlist, manager: &mut BddOverlay<'_>, iword_width: u16) -> EmitTables {
         let ibits = (0..iword_width)
-            .map(|b| manager.var(&format!("I[{b}]")))
+            .map(|b| {
+                let id = manager.var_id(&format!("I[{b}]"));
+                manager.literal(id, true);
+                id
+            })
             .collect();
         EmitTables {
             rf: rf_fields(netlist),
@@ -929,8 +925,8 @@ impl EmitTables {
         }
     }
 
-    /// Positive literals of instruction bits `lo..=hi` (`lo` first).
-    fn ibit_range(&self, hi: u16, lo: u16) -> &[Bdd] {
+    /// Variables of instruction bits `lo..=hi` (`lo` first).
+    fn ibit_range(&self, hi: u16, lo: u16) -> &[VarId] {
         &self.ibits[lo as usize..=hi as usize]
     }
 }
@@ -1197,8 +1193,8 @@ impl<'e, 'a, 'm> Emitter<'e, 'a, 'm> {
 
     /// Conjoins the collected field constraints into `cond` and clears
     /// them.  Each constraint's cube comes from [`Gen::field_equals`],
-    /// built over the frozen bit literals of [`EmitTables`] at most once
-    /// per compile.
+    /// built bottom-up over the instruction-bit variables of
+    /// [`EmitTables`].
     fn conjoin_fields(&mut self, cond: Bdd) -> Bdd {
         let mut acc = cond;
         for (hi, lo, v) in self.field_constraints.drain(..) {
