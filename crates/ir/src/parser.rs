@@ -4,7 +4,7 @@ use crate::ast::*;
 use crate::error::CError;
 use record_rtl::OpKind;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum Tok {
     Ident(String),
     Int(i64),
@@ -12,7 +12,7 @@ enum Tok {
     Eof,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Token {
     tok: Tok,
     line: u32,
@@ -164,12 +164,11 @@ impl P {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+    /// Moves past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, CError> {
@@ -234,10 +233,12 @@ impl P {
         }
     }
 
+    /// Takes the current identifier.  It is moved out of the token, which
+    /// the parser never reads again: `pos` only moves forward.
     fn ident(&mut self) -> Result<String, CError> {
-        match &self.peek().tok {
+        match &mut self.tokens[self.pos].tok {
             Tok::Ident(s) => {
-                let s = s.clone();
+                let s = std::mem::take(s);
                 self.bump();
                 Ok(s)
             }
@@ -277,12 +278,13 @@ impl P {
         loop {
             let name = self.ident()?;
             let size = if self.eat_punct("[") {
-                let Tok::Int(n) = self.bump().tok else {
+                let Tok::Int(n) = self.peek().tok else {
                     return self.err("expected array size");
                 };
                 if n <= 0 {
                     return self.err("array size must be positive");
                 }
+                self.bump();
                 self.expect_punct("]")?;
                 Some(n as u64)
             } else {

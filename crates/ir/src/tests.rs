@@ -188,6 +188,16 @@ fn interp_wraps_at_width() {
 fn parse_error_positions() {
     let e = parse("int x;\nvoid f() { x = ; }").unwrap_err();
     assert_eq!(e.line(), 2);
+    // A bad array size is reported at the size token itself.
+    for (src, msg) in [
+        ("int a[x];", "expected array size"),
+        ("int a[;\n", "expected array size"),
+        ("int a[0];", "array size must be positive"),
+    ] {
+        let e = parse(src).unwrap_err();
+        assert_eq!(e.message(), msg, "{src:?}");
+        assert_eq!((e.line(), e.column()), (1, 7), "{src:?}");
+    }
 }
 
 /// A rejected character is named whole, not by its first UTF-8 byte.
