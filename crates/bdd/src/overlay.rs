@@ -477,8 +477,8 @@ impl<'a> BddOverlay<'a> {
     /// `vars` must be strictly ascending in the variable order (checked
     /// in debug builds).  The cube is built from the last variable, the
     /// one nearest the terminals, up: one node per variable, with no
-    /// apply step and no op-cache traffic.  A cube the frozen base holds comes back as
-    /// frozen handles, with no local node made.
+    /// apply step and no op-cache traffic.  A cube the frozen base holds
+    /// comes back as frozen handles, with no local node made.
     pub fn cube(&mut self, vars: &[VarId], value: u64) -> Bdd {
         debug_assert!(
             vars.windows(2).all(|w| w[0] < w[1]),
@@ -635,7 +635,7 @@ impl<'a> BddOverlay<'a> {
     /// an identical operation sequence with the same op-cache hits and
     /// misses — pooled sessions are observationally fresh (the
     /// cumulative perf counters are the only thing that persists).  The
-    /// reset writes no op-cache line, so it costs nothing per line.
+    /// reset writes no op-cache line.
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.unique.clear();

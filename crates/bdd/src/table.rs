@@ -224,8 +224,9 @@ impl OpKey {
 /// two new ones, so growing loses nothing.  A cache built with
 /// `first == cap` never grows.
 ///
-/// Only lines stamped with the current epoch hold entries; [`OpCache::clear`]
-/// moves to the next epoch, which vacates every line without touching it.
+/// Only lines stamped with the current epoch hold entries:
+/// [`OpCache::clear`] moves to the next epoch, which vacates every line
+/// without touching it.
 #[derive(Debug, Clone)]
 pub(crate) struct OpCache {
     /// Power-of-two line array; empty until the first insert.
