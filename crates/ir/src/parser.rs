@@ -133,6 +133,25 @@ fn lex(src: &str) -> Result<Vec<Token>, CError> {
     Ok(out)
 }
 
+/// The tokens of `src` as (spelling, line, column): an `Int` as its
+/// value and the end of input as an empty spelling.  What the lexer's
+/// tests compare with a reference tokenizer.
+#[cfg(test)]
+pub(crate) fn lex_spellings(src: &str) -> Result<Vec<(String, u32, u32)>, CError> {
+    Ok(lex(src)?
+        .into_iter()
+        .map(|t| {
+            let text = match t.tok {
+                Tok::Ident(s) => s,
+                Tok::Int(v) => v.to_string(),
+                Tok::Punct(p) => p.to_owned(),
+                Tok::Eof => String::new(),
+            };
+            (text, t.line, t.col)
+        })
+        .collect())
+}
+
 /// How deep mini-C syntax may nest: the height of every expression tree,
 /// counted in operators (`a + b + c` is two deep), and the nesting of
 /// parentheses, brackets, unary operators, operands and statement

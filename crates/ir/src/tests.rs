@@ -210,6 +210,125 @@ fn unexpected_character_is_named_whole() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Property: the lexer reads what a plain scan reads.  The reference tries
+// every punctuation spelling by `starts_with`, longest first, and renders
+// tokens as `parser::lex_spellings` does; an error compares by message,
+// line and column.
+// ---------------------------------------------------------------------------
+
+type Spelled = Vec<(String, u32, u32)>;
+
+/// The reference tokenizer: whitespace and both comment forms skipped,
+/// identifiers, decimal and `0x` integers, and the 40 punctuation
+/// spellings.  Positions count bytes, as the lexer's do.
+fn reference_tokens(src: &str) -> Result<Spelled, (String, u32, u32)> {
+    const PUNCTS: [&str; 40] = [
+        "<<=", ">>=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "<<", ">>", "<=",
+        ">=", "==", "!=", "&&", "||", "+", "-", "*", "/", "%", "&", "|", "^", "(", ")", "{", "}",
+        "[", "]", ";", ",", "=", "<", ">", "!",
+    ];
+    // The line and column of byte `k`.
+    let at = |k: usize| {
+        let before = &src.as_bytes()[..k];
+        let line = 1 + before.iter().filter(|&&c| c == b'\n').count();
+        let col = match before.iter().rposition(|&c| c == b'\n') {
+            Some(nl) => k - nl,
+            None => k + 1,
+        };
+        (line as u32, col as u32)
+    };
+    let b = src.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    loop {
+        let (line, col) = at(i);
+        let rest = &src[i..];
+        if rest.is_empty() {
+            out.push((String::new(), line, col));
+            return Ok(out);
+        }
+        let c = b[i];
+        let start = i;
+        if c.is_ascii_whitespace() {
+            i += 1;
+        } else if rest.starts_with("//") {
+            i += rest.find('\n').unwrap_or(rest.len());
+        } else if let Some(body) = rest.strip_prefix("/*") {
+            match body.find("*/") {
+                Some(end) => i += end + 4,
+                None => {
+                    // Where the scan for `*/` gave up.
+                    let (line, col) = at((i + 2).max(b.len() - 1));
+                    return Err(("unterminated block comment".into(), line, col));
+                }
+            }
+        } else if c.is_ascii_alphabetic() || c == b'_' {
+            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                i += 1;
+            }
+            out.push((src[start..i].to_owned(), line, col));
+        } else if c.is_ascii_digit() {
+            let hex = rest.starts_with("0x") || rest.starts_with("0X");
+            if hex {
+                i += 2;
+            }
+            let digits = i;
+            while i < b.len() && b[i].is_ascii_alphanumeric() {
+                i += 1;
+            }
+            let text = &src[digits..i];
+            match i64::from_str_radix(text, if hex { 16 } else { 10 }) {
+                Ok(v) => out.push((v.to_string(), line, col)),
+                Err(_) => return Err((format!("bad integer `{text}`"), line, col)),
+            }
+        } else if let Some(p) = PUNCTS.iter().find(|p| rest.starts_with(**p)) {
+            i += p.len();
+            out.push(((*p).to_owned(), line, col));
+        } else {
+            let c = rest.chars().next().expect("`rest` is not empty");
+            return Err((format!("unexpected character `{c}`"), line, col));
+        }
+    }
+}
+
+/// One piece of a lexer input.  Most picks are operator characters,
+/// which run together into longer spellings, or one of the 20 spellings
+/// longer than one character; the rest are brackets and separators,
+/// words, numbers, `0x`, blanks and comment marks, and a few picks are a
+/// character no token starts with.
+fn lexer_fragment(pick: u8) -> &'static str {
+    const OPERATOR: [&str; 12] = ["<", ">", "=", "!", "+", "-", "*", "/", "%", "&", "|", "^"];
+    const SPELLED: [&str; 20] = [
+        "<<=", ">>=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "<<", ">>", "<=",
+        ">=", "==", "!=", "&&", "||",
+    ];
+    const SEPARATOR: [&str; 8] = ["(", ")", "{", "}", "[", "]", ";", ","];
+    const OTHER: [&str; 14] = [
+        "a", "x", "_", "int", "0", "7", "0x", "0X", "f", " ", "\n", "//", "/*", "*/",
+    ];
+    let pick = usize::from(pick);
+    match pick {
+        0..=95 => OPERATOR[pick % OPERATOR.len()],
+        96..=135 => SPELLED[pick % SPELLED.len()],
+        136..=175 => SEPARATOR[pick % SEPARATOR.len()],
+        176..=249 => OTHER[pick % OTHER.len()],
+        250..=252 => "@",
+        _ => "é",
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+    #[test]
+    fn lexer_matches_the_reference_tokenizer(picks in prop::collection::vec(any::<u8>(), 0..40)) {
+        let src: String = picks.iter().map(|&p| lexer_fragment(p)).collect();
+        let got = crate::parser::lex_spellings(&src)
+            .map_err(|e| (e.message().to_owned(), e.line(), e.column()));
+        prop_assert_eq!(got, reference_tokens(&src), "{:?}", src);
+    }
+}
+
 /// `f` nesting `levels` deep three ways: parentheses around an operand,
 /// `if` blocks, and a chain of `levels` additions.
 fn nested_programs(levels: usize) -> [String; 3] {
