@@ -255,15 +255,43 @@ fn cover_cost_equals_sum_of_rule_costs() {
 // structurally well-formed.
 // ---------------------------------------------------------------------------
 
+/// What a constant leaf of [`random_derivation`]'s tree holds.
+#[derive(Clone, Copy)]
+enum Consts {
+    /// A value its terminal accepts, so the tree is in the grammar's
+    /// language.
+    Accepted,
+    /// One of [`REDRAWN_CONSTS`], picked by `choices`.
+    Redrawn,
+}
+
+/// The values a redrawn constant leaf takes: 0, which `CONST_MACHINE`'s
+/// hardwired ALU arm accepts; 5, which fits every machine's 4-bit
+/// immediate fields and nothing hardwired; and 300, which nothing in
+/// these machines accepts.
+const REDRAWN_CONSTS: [u64; 3] = [0, 5, 300];
+
 /// Builds a random ET by expanding the grammar from START, returning the
-/// derivation cost as an upper bound.  `choices` drives rule selection.
-fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
+/// derivation cost as an upper bound.  `choices` drives rule selection,
+/// and under [`Consts::Redrawn`] the constants' values too.
+fn random_derivation(g: &TreeGrammar, choices: &[u8], consts: Consts) -> Option<(Et, u32)> {
+    struct Draw<'c> {
+        choices: &'c [u8],
+        pos: usize,
+        consts: Consts,
+    }
+    impl Draw<'_> {
+        fn next(&mut self) -> usize {
+            let c = self.choices.get(self.pos).copied().unwrap_or(0);
+            self.pos += 1;
+            usize::from(c)
+        }
+    }
     fn expand(
         g: &TreeGrammar,
         nt: NonTermId,
         b: &mut EtBuilder,
-        choices: &[u8],
-        pos: &mut usize,
+        draw: &mut Draw<'_>,
         depth: usize,
         cost: &mut u32,
     ) -> Option<NodeIdx> {
@@ -285,36 +313,31 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
         } else {
             rules
         };
-        let c = choices.get(*pos).copied().unwrap_or(0) as usize;
-        *pos += 1;
-        let rule = pick_from[c % pick_from.len()];
+        let rule = pick_from[draw.next() % pick_from.len()];
         *cost += rule.cost;
-        build_pat(
-            g,
-            g.rhs(rule),
-            b,
-            choices,
-            pos,
-            depth.saturating_sub(1),
-            cost,
-        )
+        build_pat(g, g.rhs(rule), b, draw, depth.saturating_sub(1), cost)
     }
 
     fn build_pat(
         g: &TreeGrammar,
         pat: &GPat,
         b: &mut EtBuilder,
-        choices: &[u8],
-        pos: &mut usize,
+        draw: &mut Draw<'_>,
         depth: usize,
         cost: &mut u32,
     ) -> Option<NodeIdx> {
         match pat {
-            GPat::NT(nt) => expand(g, *nt, b, choices, pos, depth, cost),
+            GPat::NT(nt) => expand(g, *nt, b, draw, depth, cost),
+            GPat::T(TermKey::ConstVal(_) | TermKey::Imm { .. }, _)
+                if matches!(draw.consts, Consts::Redrawn) =>
+            {
+                let v = REDRAWN_CONSTS[draw.next() % REDRAWN_CONSTS.len()];
+                Some(b.leaf(EtKind::Const(v)))
+            }
             GPat::T(key, kids) => {
                 let mut children = Vec::new();
                 for k in kids {
-                    children.push(build_pat(g, k, b, choices, pos, depth, cost)?);
+                    children.push(build_pat(g, k, b, draw, depth, cost)?);
                 }
                 let kind = match key {
                     TermKey::Assign(_) | TermKey::Store(_) => return None, // only at root
@@ -352,8 +375,12 @@ fn random_derivation(g: &TreeGrammar, choices: &[u8]) -> Option<(Et, u32)> {
     };
     let mut b = EtBuilder::new();
     let mut cost = rule.cost;
-    let mut pos = 1usize;
-    expand(g, *dest_nt, &mut b, choices, &mut pos, 3, &mut cost)?;
+    let mut draw = Draw {
+        choices,
+        pos: 1,
+        consts,
+    };
+    expand(g, *dest_nt, &mut b, &mut draw, 3, &mut cost)?;
     let dest = match key {
         AssignKey::Reg(s) => EtDest::Reg(*s),
         AssignKey::RegFile(s) => EtDest::RegFile(*s, 0),
@@ -368,7 +395,7 @@ proptest! {
         let (_, g) = pipeline(ACC_MACHINE);
         let sel = Selector::generate(g);
         let g = sel.grammar();
-        if let Some((et, upper)) = random_derivation(g, &choices) {
+        if let Some((et, upper)) = random_derivation(g, &choices, Consts::Accepted) {
             let cover = sel.select(&et).expect("tree from the grammar language must be coverable");
             prop_assert!(cover.cost <= upper, "DP {} > random {}", cover.cost, upper);
             // Structural well-formedness: every app derives its own nt.
@@ -445,6 +472,72 @@ const TWIN_ACC_MACHINE: &str = r#"
             ram.addr = I[7:4];
             ram.din = acc.q;
             ram.w = I[8];
+            pout = acc.q;
+        }
+    }
+"#;
+
+/// A 4-bit accumulator machine with constants at the root of right-hand
+/// sides: its ALU has a hardwired arm (`y = 0`), and its second operand
+/// is a memory word or, through a mux, the immediate field `I[11:8]`.
+const CONST_MACHINE: &str = r#"
+    module Alu {
+        in a: bit(4);
+        in b: bit(4);
+        ctrl f: bit(2);
+        out y: bit(4);
+        behavior {
+            case f {
+                0 => y = a + b;
+                1 => y = a - b;
+                2 => y = 0;
+                3 => y = b;
+            }
+        }
+    }
+    module Mux {
+        in d0: bit(4);
+        in d1: bit(4);
+        ctrl s: bit(1);
+        out y: bit(4);
+        behavior {
+            case s {
+                0 => y = d0;
+                1 => y = d1;
+            }
+        }
+    }
+    module Acc {
+        in d: bit(4);
+        ctrl en: bit(1);
+        out q: bit(4);
+        register q = d when en == 1;
+    }
+    module Ram {
+        in addr: bit(4);
+        in din: bit(4);
+        ctrl w: bit(1);
+        out dout: bit(4);
+        memory cells[16]: bit(4);
+        read dout = cells[addr];
+        write cells[addr] = din when w == 1;
+    }
+    processor ConstMachine {
+        instruction word: bit(13);
+        out pout: bit(4);
+        parts { alu: Alu; mux: Mux; acc: Acc; ram: Ram; }
+        connections {
+            alu.a = acc.q;
+            alu.b = mux.y;
+            alu.f = I[1:0];
+            mux.d0 = ram.dout;
+            mux.d1 = I[11:8];
+            mux.s = I[2];
+            acc.d = alu.y;
+            acc.en = I[3];
+            ram.addr = I[7:4];
+            ram.din = acc.q;
+            ram.w = I[12];
             pout = acc.q;
         }
     }
@@ -589,14 +682,37 @@ fn reference_cover(g: &TreeGrammar, et: &Et) -> Option<(u32, Vec<RuleApp>)> {
 proptest! {
     #[test]
     fn cover_matches_the_reference_labeller(choices in prop::collection::vec(any::<u8>(), 1..40)) {
-        for src in [ACC_MACHINE, TWIN_ACC_MACHINE] {
+        for src in [ACC_MACHINE, TWIN_ACC_MACHINE, CONST_MACHINE] {
             let g = extended_pipeline(src);
             let sel = Selector::generate(g);
             let g = sel.grammar();
-            if let Some((et, _)) = random_derivation(g, &choices) {
+            if let Some((et, _)) = random_derivation(g, &choices, Consts::Redrawn) {
                 let cover = sel.select(&et).map(|c| (c.cost, c.apps));
                 prop_assert_eq!(cover, reference_cover(g, &et));
             }
         }
     }
+}
+
+/// `CONST_MACHINE` gives the property above right-hand sides rooted at a
+/// hardwired constant and at an immediate field.
+#[test]
+fn const_machine_roots_right_hand_sides_at_constants() {
+    let g = extended_pipeline(CONST_MACHINE);
+    let const_roots: Vec<TermKey> = g
+        .patterns()
+        .iter()
+        .filter_map(|p| match p {
+            GPat::T(key @ (TermKey::ConstVal(_) | TermKey::Imm { .. }), _) => Some(*key),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        const_roots.contains(&TermKey::ConstVal(0)),
+        "{const_roots:?}"
+    );
+    assert!(
+        const_roots.contains(&TermKey::Imm { hi: 11, lo: 8 }),
+        "{const_roots:?}"
+    );
 }
