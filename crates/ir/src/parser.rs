@@ -45,13 +45,14 @@ fn lex(src: &str) -> Result<Vec<Token>, CError> {
             continue;
         }
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
+            let (cline, ccol) = (line, col);
             bump(&mut i, &mut line, &mut col, b);
             bump(&mut i, &mut line, &mut col, b);
             while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
                 bump(&mut i, &mut line, &mut col, b);
             }
             if i + 1 >= b.len() {
-                return Err(CError::new(line, col, "unterminated block comment"));
+                return Err(CError::new(cline, ccol, "unterminated block comment"));
             }
             bump(&mut i, &mut line, &mut col, b);
             bump(&mut i, &mut line, &mut col, b);
@@ -84,9 +85,10 @@ fn lex(src: &str) -> Result<Vec<Token>, CError> {
             while i < b.len() && b[i].is_ascii_alphanumeric() {
                 bump(&mut i, &mut line, &mut col, b);
             }
-            let text = std::str::from_utf8(&b[dstart..i]).expect("ascii");
-            let v = i64::from_str_radix(text, radix)
-                .map_err(|_| CError::new(tline, tcol, format!("bad integer `{text}`")))?;
+            let v = i64::from_str_radix(&src[dstart..i], radix).map_err(|_| {
+                let text = &src[start..i];
+                CError::new(tline, tcol, format!("bad integer `{text}`"))
+            })?;
             out.push(Token {
                 tok: Tok::Int(v),
                 line: tline,

@@ -198,6 +198,20 @@ fn parse_error_positions() {
         assert_eq!(e.message(), msg, "{src:?}");
         assert_eq!((e.line(), e.column()), (1, 7), "{src:?}");
     }
+    // An unterminated block comment is reported where it opens.
+    let e = parse("int x;\n/* never\nclosed\nvoid f() { x = 1; }").unwrap_err();
+    assert_eq!(e.message(), "unterminated block comment");
+    assert_eq!((e.line(), e.column()), (2, 1));
+    // A bad integer quotes the whole literal, `0x` included.
+    for (src, text) in [
+        ("int x; void f() { x = 0x; }", "0x"),
+        ("int x; void f() { x = 0xZZ; }", "0xZZ"),
+        ("int x; void f() { x = 12ab; }", "12ab"),
+    ] {
+        let e = parse(src).unwrap_err();
+        assert_eq!(e.message(), format!("bad integer `{text}`"), "{src:?}");
+        assert_eq!((e.line(), e.column()), (1, 23), "{src:?}");
+    }
 }
 
 /// A rejected character is named whole, not by its first UTF-8 byte.
@@ -257,11 +271,7 @@ fn reference_tokens(src: &str) -> Result<Spelled, (String, u32, u32)> {
         } else if let Some(body) = rest.strip_prefix("/*") {
             match body.find("*/") {
                 Some(end) => i += end + 4,
-                None => {
-                    // Where the scan for `*/` gave up.
-                    let (line, col) = at((i + 2).max(b.len() - 1));
-                    return Err(("unterminated block comment".into(), line, col));
-                }
+                None => return Err(("unterminated block comment".into(), line, col)),
             }
         } else if c.is_ascii_alphabetic() || c == b'_' {
             while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
@@ -277,10 +287,9 @@ fn reference_tokens(src: &str) -> Result<Spelled, (String, u32, u32)> {
             while i < b.len() && b[i].is_ascii_alphanumeric() {
                 i += 1;
             }
-            let text = &src[digits..i];
-            match i64::from_str_radix(text, if hex { 16 } else { 10 }) {
+            match i64::from_str_radix(&src[digits..i], if hex { 16 } else { 10 }) {
                 Ok(v) => out.push((v.to_string(), line, col)),
-                Err(_) => return Err((format!("bad integer `{text}`"), line, col)),
+                Err(_) => return Err((format!("bad integer `{}`", &src[start..i]), line, col)),
             }
         } else if let Some(p) = PUNCTS.iter().find(|p| rest.starts_with(**p)) {
             i += p.len();
