@@ -102,9 +102,10 @@ impl Codegen<'_> {
     /// bit): the step compiles once and its other passes copy the RTs it
     /// emitted, sharing their expression trees.  Every other statement is
     /// selected and emitted where it stands.  Each instruction-field cube
-    /// an execution condition conjoins is built once per compile, and a
-    /// tree the selector finds no cover for is diagnosed only when its
-    /// error is returned: most such trees are split or legalized instead.
+    /// an execution condition conjoins is built bottom-up where it is
+    /// used, one node per bit ([`BddOverlay::cube`]), and a tree the
+    /// selector finds no cover for is diagnosed only when its error is
+    /// returned: most such trees are split or legalized instead.
     ///
     /// `probe` receives one `"statement"` span per source statement and
     /// per branch; pass [`Probe::disabled`] when no trace is wanted.

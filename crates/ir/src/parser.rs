@@ -4,128 +4,260 @@ use crate::ast::*;
 use crate::error::CError;
 use record_rtl::OpKind;
 
-#[derive(Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A mini-C token.  An identifier (keywords included) borrows its text
+/// from the source; punctuation is one tag of [`Punct`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'s> {
+    Ident(&'s str),
     Int(i64),
-    Punct(&'static str),
+    Punct(Punct),
     Eof,
 }
 
+/// The 40 punctuation spellings of mini-C.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Punct {
+    ShlAssign,
+    ShrAssign,
+    AddAssign,
+    SubAssign,
+    MulAssign,
+    DivAssign,
+    RemAssign,
+    AndAssign,
+    OrAssign,
+    XorAssign,
+    Inc,
+    Dec,
+    Shl,
+    Shr,
+    Le,
+    Ge,
+    EqEq,
+    Ne,
+    AndAnd,
+    OrOr,
+    Plus,
+    Minus,
+    Star,
+    Slash,
+    Percent,
+    Amp,
+    Pipe,
+    Caret,
+    LParen,
+    RParen,
+    LBrace,
+    RBrace,
+    LBracket,
+    RBracket,
+    Semi,
+    Comma,
+    Assign,
+    Lt,
+    Gt,
+    Bang,
+}
+
+impl Punct {
+    /// The punctuation `rest` starts with, longest spelling first: a
+    /// match on the first byte, then a peek at the next one or two.
+    fn lex(rest: &[u8]) -> Option<Punct> {
+        use Punct::*;
+        let next = |k: usize| rest.get(k).copied();
+        // `op=` when the next byte is `=`, else `op`.
+        let or_assign = |assign: Punct, op: Punct| if next(1) == Some(b'=') { assign } else { op };
+        Some(match *rest.first()? {
+            b'(' => LParen,
+            b')' => RParen,
+            b'{' => LBrace,
+            b'}' => RBrace,
+            b'[' => LBracket,
+            b']' => RBracket,
+            b';' => Semi,
+            b',' => Comma,
+            b'<' => match (next(1), next(2)) {
+                (Some(b'<'), Some(b'=')) => ShlAssign,
+                (Some(b'<'), _) => Shl,
+                (Some(b'='), _) => Le,
+                _ => Lt,
+            },
+            b'>' => match (next(1), next(2)) {
+                (Some(b'>'), Some(b'=')) => ShrAssign,
+                (Some(b'>'), _) => Shr,
+                (Some(b'='), _) => Ge,
+                _ => Gt,
+            },
+            b'+' if next(1) == Some(b'+') => Inc,
+            b'+' => or_assign(AddAssign, Plus),
+            b'-' if next(1) == Some(b'-') => Dec,
+            b'-' => or_assign(SubAssign, Minus),
+            b'&' if next(1) == Some(b'&') => AndAnd,
+            b'&' => or_assign(AndAssign, Amp),
+            b'|' if next(1) == Some(b'|') => OrOr,
+            b'|' => or_assign(OrAssign, Pipe),
+            b'*' => or_assign(MulAssign, Star),
+            b'/' => or_assign(DivAssign, Slash),
+            b'%' => or_assign(RemAssign, Percent),
+            b'^' => or_assign(XorAssign, Caret),
+            b'=' => or_assign(EqEq, Assign),
+            b'!' => or_assign(Ne, Bang),
+            _ => return None,
+        })
+    }
+
+    /// The spelling.
+    fn text(self) -> &'static str {
+        use Punct::*;
+        match self {
+            ShlAssign => "<<=",
+            ShrAssign => ">>=",
+            AddAssign => "+=",
+            SubAssign => "-=",
+            MulAssign => "*=",
+            DivAssign => "/=",
+            RemAssign => "%=",
+            AndAssign => "&=",
+            OrAssign => "|=",
+            XorAssign => "^=",
+            Inc => "++",
+            Dec => "--",
+            Shl => "<<",
+            Shr => ">>",
+            Le => "<=",
+            Ge => ">=",
+            EqEq => "==",
+            Ne => "!=",
+            AndAnd => "&&",
+            OrOr => "||",
+            Plus => "+",
+            Minus => "-",
+            Star => "*",
+            Slash => "/",
+            Percent => "%",
+            Amp => "&",
+            Pipe => "|",
+            Caret => "^",
+            LParen => "(",
+            RParen => ")",
+            LBrace => "{",
+            RBrace => "}",
+            LBracket => "[",
+            RBracket => "]",
+            Semi => ";",
+            Comma => ",",
+            Assign => "=",
+            Lt => "<",
+            Gt => ">",
+            Bang => "!",
+        }
+    }
+
+    /// The operator a compound assignment (`+=` … `>>=`) applies.
+    fn compound_op(self) -> Option<OpKind> {
+        use Punct::*;
+        Some(match self {
+            AddAssign => OpKind::Add,
+            SubAssign => OpKind::Sub,
+            MulAssign => OpKind::Mul,
+            DivAssign => OpKind::Div,
+            RemAssign => OpKind::Rem,
+            AndAssign => OpKind::And,
+            OrAssign => OpKind::Or,
+            XorAssign => OpKind::Xor,
+            ShlAssign => OpKind::Shl,
+            ShrAssign => OpKind::Shr,
+            _ => return None,
+        })
+    }
+}
+
+/// A token and the 1-based line and column of its first byte.
 #[derive(Debug)]
-struct Token {
-    tok: Tok,
+struct Token<'s> {
+    tok: Tok<'s>,
     line: u32,
     col: u32,
 }
 
-fn lex(src: &str) -> Result<Vec<Token>, CError> {
+/// Splits `src` into tokens, ending with `Eof`.  Columns count bytes.
+fn lex(src: &str) -> Result<Vec<Token<'_>>, CError> {
     let b = src.as_bytes();
     let mut out = Vec::new();
     let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
-    let bump = |i: &mut usize, line: &mut u32, col: &mut u32, b: &[u8]| {
-        if b[*i] == b'\n' {
-            *line += 1;
-            *col = 1;
-        } else {
-            *col += 1;
-        }
-        *i += 1;
-    };
     while i < b.len() {
-        let c = b[i];
-        if c.is_ascii_whitespace() {
-            bump(&mut i, &mut line, &mut col, b);
-            continue;
-        }
-        if c == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-            while i < b.len() && b[i] != b'\n' {
-                bump(&mut i, &mut line, &mut col, b);
+        let (start, c) = (i, b[i]);
+        let tok = match c {
+            b'\n' => {
+                i += 1;
+                line += 1;
+                col = 1;
+                continue;
             }
-            continue;
-        }
-        if c == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-            let (cline, ccol) = (line, col);
-            bump(&mut i, &mut line, &mut col, b);
-            bump(&mut i, &mut line, &mut col, b);
-            while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
-                bump(&mut i, &mut line, &mut col, b);
+            _ if c.is_ascii_whitespace() => {
+                i += 1;
+                col += 1;
+                continue;
             }
-            if i + 1 >= b.len() {
-                return Err(CError::new(cline, ccol, "unterminated block comment"));
+            b'/' if b.get(i + 1) == Some(&b'/') => {
+                i = b[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(b.len(), |n| i + n);
+                col += (i - start) as u32;
+                continue;
             }
-            bump(&mut i, &mut line, &mut col, b);
-            bump(&mut i, &mut line, &mut col, b);
-            continue;
-        }
-        let (tline, tcol) = (line, col);
-        if c.is_ascii_alphabetic() || c == b'_' {
-            let start = i;
-            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                bump(&mut i, &mut line, &mut col, b);
+            b'/' if b.get(i + 1) == Some(&b'*') => {
+                let Some(n) = b[i + 2..].windows(2).position(|w| w == b"*/") else {
+                    return Err(CError::new(line, col, "unterminated block comment"));
+                };
+                i += n + 4;
+                for &c in &b[start..i] {
+                    if c == b'\n' {
+                        line += 1;
+                        col = 1;
+                    } else {
+                        col += 1;
+                    }
+                }
+                continue;
             }
-            let text = std::str::from_utf8(&b[start..i]).expect("ascii").to_owned();
-            out.push(Token {
-                tok: Tok::Ident(text),
-                line: tline,
-                col: tcol,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            let radix = if c == b'0' && i + 1 < b.len() && (b[i + 1] | 32) == b'x' {
-                bump(&mut i, &mut line, &mut col, b);
-                bump(&mut i, &mut line, &mut col, b);
-                16
-            } else {
-                10
-            };
-            let dstart = if radix == 16 { i } else { start };
-            while i < b.len() && b[i].is_ascii_alphanumeric() {
-                bump(&mut i, &mut line, &mut col, b);
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                    i += 1;
+                }
+                Tok::Ident(&src[start..i])
             }
-            let v = i64::from_str_radix(&src[dstart..i], radix).map_err(|_| {
-                let text = &src[start..i];
-                CError::new(tline, tcol, format!("bad integer `{text}`"))
-            })?;
-            out.push(Token {
-                tok: Tok::Int(v),
-                line: tline,
-                col: tcol,
-            });
-            continue;
-        }
-        // Multi-char punctuation, longest first.
-        const PUNCTS: [&str; 28] = [
-            "<<=", ">>=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "<<", ">>",
-            "<=", ">=", "==", "!=", "&&", "||", "+", "-", "*", "/", "%", "&", "|", "^",
-        ];
-        const SINGLES: [&str; 12] = ["(", ")", "{", "}", "[", "]", ";", ",", "=", "<", ">", "!"];
-        let rest = &src[i..];
-        let mut matched = None;
-        for p in PUNCTS.iter().chain(SINGLES.iter()) {
-            if rest.starts_with(p) {
-                matched = Some(*p);
-                break;
+            b'0'..=b'9' => {
+                let hex = c == b'0' && matches!(b.get(i + 1), Some(b'x' | b'X'));
+                let digits = if hex { i + 2 } else { i };
+                i = digits;
+                while i < b.len() && b[i].is_ascii_alphanumeric() {
+                    i += 1;
+                }
+                let radix = if hex { 16 } else { 10 };
+                let v = i64::from_str_radix(&src[digits..i], radix).map_err(|_| {
+                    let text = &src[start..i];
+                    CError::new(line, col, format!("bad integer `{text}`"))
+                })?;
+                Tok::Int(v)
             }
-        }
-        let Some(p) = matched else {
-            let c = rest.chars().next().expect("`i` is inside `src`");
-            return Err(CError::new(
-                tline,
-                tcol,
-                format!("unexpected character `{c}`"),
-            ));
+            _ => {
+                let Some(p) = Punct::lex(&b[i..]) else {
+                    let c = src[i..].chars().next().expect("`i` is inside `src`");
+                    return Err(CError::new(
+                        line,
+                        col,
+                        format!("unexpected character `{c}`"),
+                    ));
+                };
+                i += p.text().len();
+                Tok::Punct(p)
+            }
         };
-        for _ in 0..p.len() {
-            bump(&mut i, &mut line, &mut col, b);
-        }
-        out.push(Token {
-            tok: Tok::Punct(p),
-            line: tline,
-            col: tcol,
-        });
+        out.push(Token { tok, line, col });
+        // A token holds no newline.
+        col += (i - start) as u32;
     }
     out.push(Token {
         tok: Tok::Eof,
@@ -144,9 +276,9 @@ pub(crate) fn lex_spellings(src: &str) -> Result<Vec<(String, u32, u32)>, CError
         .into_iter()
         .map(|t| {
             let text = match t.tok {
-                Tok::Ident(s) => s,
+                Tok::Ident(s) => s.to_owned(),
                 Tok::Int(v) => v.to_string(),
-                Tok::Punct(p) => p.to_owned(),
+                Tok::Punct(p) => p.text().to_owned(),
                 Tok::Eof => String::new(),
             };
             (text, t.line, t.col)
@@ -173,15 +305,15 @@ pub(crate) fn parse(src: &str) -> Result<Program, CError> {
     p.program()
 }
 
-struct P {
-    tokens: Vec<Token>,
+struct P<'s> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
     /// Nesting levels open at the current token.
     depth: usize,
 }
 
-impl P {
-    fn peek(&self) -> &Token {
+impl<'s> P<'s> {
+    fn peek(&self) -> &Token<'s> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
@@ -220,11 +352,11 @@ impl P {
         Ok(below + 1)
     }
 
-    fn at_punct(&self, p: &str) -> bool {
-        matches!(&self.peek().tok, Tok::Punct(q) if *q == p)
+    fn at_punct(&self, p: Punct) -> bool {
+        self.peek().tok == Tok::Punct(p)
     }
 
-    fn eat_punct(&mut self, p: &str) -> bool {
+    fn eat_punct(&mut self, p: Punct) -> bool {
         if self.at_punct(p) {
             self.bump();
             true
@@ -233,16 +365,16 @@ impl P {
         }
     }
 
-    fn expect_punct(&mut self, p: &str) -> Result<(), CError> {
+    fn expect_punct(&mut self, p: Punct) -> Result<(), CError> {
         if self.eat_punct(p) {
             Ok(())
         } else {
-            self.err(format!("expected `{p}`"))
+            self.err(format!("expected `{}`", p.text()))
         }
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(&self.peek().tok, Tok::Ident(s) if s == kw)
+        self.peek().tok == Tok::Ident(kw)
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), CError> {
@@ -254,12 +386,11 @@ impl P {
         }
     }
 
-    /// Takes the current identifier.  It is moved out of the token, which
-    /// the parser never reads again: `pos` only moves forward.
-    fn ident(&mut self) -> Result<String, CError> {
-        match &mut self.tokens[self.pos].tok {
+    /// Takes the current identifier, borrowed from the source; a caller
+    /// whose AST keeps the name copies it.
+    fn ident(&mut self) -> Result<&'s str, CError> {
+        match self.peek().tok {
             Tok::Ident(s) => {
-                let s = std::mem::take(s);
                 self.bump();
                 Ok(s)
             }
@@ -271,13 +402,13 @@ impl P {
         let mut globals = Vec::new();
         let mut functions = Vec::new();
         loop {
-            match &self.peek().tok {
+            match self.peek().tok {
                 Tok::Eof => break,
-                Tok::Ident(s) if s == "int" => {
+                Tok::Ident("int") => {
                     self.bump();
                     globals.extend(self.var_decl_list()?);
                 }
-                Tok::Ident(s) if s == "void" => {
+                Tok::Ident("void") => {
                     self.bump();
                     functions.push(self.function()?);
                 }
@@ -297,8 +428,8 @@ impl P {
     fn var_decl_list(&mut self) -> Result<Vec<VarDecl>, CError> {
         let mut out = Vec::new();
         loop {
-            let name = self.ident()?;
-            let size = if self.eat_punct("[") {
+            let name = self.ident()?.to_owned();
+            let size = if self.eat_punct(Punct::LBracket) {
                 let Tok::Int(n) = self.peek().tok else {
                     return self.err("expected array size");
                 };
@@ -306,35 +437,35 @@ impl P {
                     return self.err("array size must be positive");
                 }
                 self.bump();
-                self.expect_punct("]")?;
+                self.expect_punct(Punct::RBracket)?;
                 Some(n as u64)
             } else {
                 None
             };
             out.push(VarDecl { name, size });
-            if self.eat_punct(";") {
+            if self.eat_punct(Punct::Semi) {
                 return Ok(out);
             }
-            self.expect_punct(",")?;
+            self.expect_punct(Punct::Comma)?;
         }
     }
 
     fn function(&mut self) -> Result<Function, CError> {
-        let name = self.ident()?;
-        self.expect_punct("(")?;
+        let name = self.ident()?.to_owned();
+        self.expect_punct(Punct::LParen)?;
         // Optional `void` parameter list.
         if self.at_kw("void") {
             self.bump();
         }
-        self.expect_punct(")")?;
-        self.expect_punct("{")?;
+        self.expect_punct(Punct::RParen)?;
+        self.expect_punct(Punct::LBrace)?;
         let mut locals = Vec::new();
         while self.at_kw("int") {
             self.bump();
             locals.extend(self.var_decl_list()?);
         }
         let mut body = Vec::new();
-        while !self.eat_punct("}") {
+        while !self.eat_punct(Punct::RBrace) {
             body.push(self.stmt()?);
         }
         Ok(Function { name, locals, body })
@@ -347,10 +478,10 @@ impl P {
 
     /// `{ stmt* }`
     fn block(&mut self) -> Result<Vec<Stmt>, CError> {
-        self.expect_punct("{")?;
+        self.expect_punct(Punct::LBrace)?;
         self.nested(|p| {
             let mut body = Vec::new();
-            while !p.eat_punct("}") {
+            while !p.eat_punct(Punct::RBrace) {
                 body.push(p.stmt()?);
             }
             Ok(body)
@@ -370,7 +501,7 @@ impl P {
         }
         let target = self.lvalue()?;
         let value = self.assign_rhs(&target)?;
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         Ok(Stmt::Assign {
             target,
             value,
@@ -380,9 +511,9 @@ impl P {
 
     fn if_stmt(&mut self, span: Span) -> Result<Stmt, CError> {
         self.expect_kw("if")?;
-        self.expect_punct("(")?;
+        self.expect_punct(Punct::LParen)?;
         let cond = self.expr()?;
-        self.expect_punct(")")?;
+        self.expect_punct(Punct::RParen)?;
         let then_body = self.block()?;
         let else_body = if self.at_kw("else") {
             self.bump();
@@ -406,9 +537,9 @@ impl P {
 
     fn while_stmt(&mut self, span: Span) -> Result<Stmt, CError> {
         self.expect_kw("while")?;
-        self.expect_punct("(")?;
+        self.expect_punct(Punct::LParen)?;
         let cond = self.expr()?;
-        self.expect_punct(")")?;
+        self.expect_punct(Punct::RParen)?;
         let body = self.block()?;
         Ok(Stmt::While { cond, body, span })
     }
@@ -419,56 +550,45 @@ impl P {
             LValue::Scalar(n) => Expr::Var(n.clone()),
             LValue::Elem(n, i) => Expr::Elem(n.clone(), Box::new(i.clone())),
         };
-        let compound = [
-            ("+=", OpKind::Add),
-            ("-=", OpKind::Sub),
-            ("*=", OpKind::Mul),
-            ("/=", OpKind::Div),
-            ("%=", OpKind::Rem),
-            ("&=", OpKind::And),
-            ("|=", OpKind::Or),
-            ("^=", OpKind::Xor),
-            ("<<=", OpKind::Shl),
-            (">>=", OpKind::Shr),
-        ];
-        for (p, op) in compound {
-            if self.eat_punct(p) {
+        if let Tok::Punct(p) = self.peek().tok {
+            if let Some(op) = p.compound_op() {
+                self.bump();
                 let rhs = self.expr()?;
                 return Ok(Expr::Binary(op, Box::new(lv_expr()), Box::new(rhs)));
             }
         }
-        if self.eat_punct("++") {
+        if self.eat_punct(Punct::Inc) {
             return Ok(Expr::Binary(
                 OpKind::Add,
                 Box::new(lv_expr()),
                 Box::new(Expr::Const(1)),
             ));
         }
-        if self.eat_punct("--") {
+        if self.eat_punct(Punct::Dec) {
             return Ok(Expr::Binary(
                 OpKind::Sub,
                 Box::new(lv_expr()),
                 Box::new(Expr::Const(1)),
             ));
         }
-        self.expect_punct("=")?;
+        self.expect_punct(Punct::Assign)?;
         self.expr()
     }
 
     fn for_stmt(&mut self, span: Span) -> Result<Stmt, CError> {
         self.expect_kw("for")?;
-        self.expect_punct("(")?;
+        self.expect_punct(Punct::LParen)?;
         let var = self.ident()?;
-        self.expect_punct("=")?;
+        self.expect_punct(Punct::Assign)?;
         let start = self.const_expr()?;
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         let var2 = self.ident()?;
         if var2 != var {
             return self.err("for-loop condition must test the induction variable");
         }
-        let le = if self.eat_punct("<=") {
+        let le = if self.eat_punct(Punct::Le) {
             true
-        } else if self.eat_punct("<") {
+        } else if self.eat_punct(Punct::Lt) {
             false
         } else {
             return self.err("for-loop condition must be `<` or `<=`");
@@ -476,22 +596,22 @@ impl P {
         // The bound may be any expression; constant bounds unroll at
         // compile time, others lower to a CFG loop.
         let bound = self.expr()?;
-        self.expect_punct(";")?;
+        self.expect_punct(Punct::Semi)?;
         let var3 = self.ident()?;
         if var3 != var {
             return self.err("for-loop step must update the induction variable");
         }
-        let step = if self.eat_punct("++") {
+        let step = if self.eat_punct(Punct::Inc) {
             1
-        } else if self.eat_punct("+=") {
+        } else if self.eat_punct(Punct::AddAssign) {
             self.const_expr()?
-        } else if self.eat_punct("=") {
+        } else if self.eat_punct(Punct::Assign) {
             // i = i + k
             let v = self.ident()?;
             if v != var {
                 return self.err("for-loop step must be `i = i + const`");
             }
-            self.expect_punct("+")?;
+            self.expect_punct(Punct::Plus)?;
             self.const_expr()?
         } else {
             return self.err("unsupported for-loop step");
@@ -499,10 +619,10 @@ impl P {
         if step <= 0 {
             return self.err("for-loop step must be positive");
         }
-        self.expect_punct(")")?;
+        self.expect_punct(Punct::RParen)?;
         let body = self.block()?;
         Ok(Stmt::For {
-            var,
+            var: var.to_owned(),
             start,
             bound,
             le,
@@ -521,10 +641,10 @@ impl P {
     }
 
     fn lvalue(&mut self) -> Result<LValue, CError> {
-        let name = self.ident()?;
-        if self.eat_punct("[") {
+        let name = self.ident()?.to_owned();
+        if self.eat_punct(Punct::LBracket) {
             let idx = self.expr()?;
-            self.expect_punct("]")?;
+            self.expect_punct(Punct::RBracket)?;
             Ok(LValue::Elem(name, idx))
         } else {
             Ok(LValue::Scalar(name))
@@ -537,26 +657,26 @@ impl P {
     }
 
     fn bin_op(&self) -> Option<(OpKind, u8)> {
-        let Tok::Punct(p) = &self.peek().tok else {
+        let Tok::Punct(p) = self.peek().tok else {
             return None;
         };
-        Some(match *p {
-            "|" => (OpKind::Or, 1),
-            "^" => (OpKind::Xor, 2),
-            "&" => (OpKind::And, 3),
-            "==" => (OpKind::Eq, 4),
-            "!=" => (OpKind::Ne, 4),
-            "<" => (OpKind::Lt, 5),
-            "<=" => (OpKind::Le, 5),
-            ">" => (OpKind::Gt, 5),
-            ">=" => (OpKind::Ge, 5),
-            "<<" => (OpKind::Shl, 6),
-            ">>" => (OpKind::Shr, 6),
-            "+" => (OpKind::Add, 7),
-            "-" => (OpKind::Sub, 7),
-            "*" => (OpKind::Mul, 8),
-            "/" => (OpKind::Div, 8),
-            "%" => (OpKind::Rem, 8),
+        Some(match p {
+            Punct::Pipe => (OpKind::Or, 1),
+            Punct::Caret => (OpKind::Xor, 2),
+            Punct::Amp => (OpKind::And, 3),
+            Punct::EqEq => (OpKind::Eq, 4),
+            Punct::Ne => (OpKind::Ne, 4),
+            Punct::Lt => (OpKind::Lt, 5),
+            Punct::Le => (OpKind::Le, 5),
+            Punct::Gt => (OpKind::Gt, 5),
+            Punct::Ge => (OpKind::Ge, 5),
+            Punct::Shl => (OpKind::Shl, 6),
+            Punct::Shr => (OpKind::Shr, 6),
+            Punct::Plus => (OpKind::Add, 7),
+            Punct::Minus => (OpKind::Sub, 7),
+            Punct::Star => (OpKind::Mul, 8),
+            Punct::Slash => (OpKind::Div, 8),
+            Punct::Percent => (OpKind::Rem, 8),
             _ => return None,
         })
     }
@@ -580,7 +700,7 @@ impl P {
     }
 
     fn unary(&mut self) -> Result<(Expr, usize), CError> {
-        if self.eat_punct("-") {
+        if self.eat_punct(Punct::Minus) {
             let (e, height) = self.nested(Self::unary)?;
             // Fold negative literals immediately.
             return Ok(match e {
@@ -591,7 +711,7 @@ impl P {
                 ),
             });
         }
-        if self.eat_punct("!") {
+        if self.eat_punct(Punct::Bang) {
             // `!x` is `x == 0` in this integer subset.
             let (e, height) = self.nested(Self::unary)?;
             return Ok((
@@ -603,26 +723,26 @@ impl P {
     }
 
     fn primary(&mut self) -> Result<(Expr, usize), CError> {
-        match &self.peek().tok {
+        match self.peek().tok {
             Tok::Int(v) => {
-                let v = *v;
                 self.bump();
                 Ok((Expr::Const(v), 0))
             }
-            Tok::Ident(_) => {
-                let name = self.ident()?;
-                if self.eat_punct("[") {
+            Tok::Ident(name) => {
+                self.bump();
+                let name = name.to_owned();
+                if self.eat_punct(Punct::LBracket) {
                     let (idx, height) = self.nested(|p| p.bin(0))?;
-                    self.expect_punct("]")?;
+                    self.expect_punct(Punct::RBracket)?;
                     Ok((Expr::Elem(name, Box::new(idx)), self.height_over(height)?))
                 } else {
                     Ok((Expr::Var(name), 0))
                 }
             }
-            Tok::Punct("(") => {
+            Tok::Punct(Punct::LParen) => {
                 self.bump();
                 let inner = self.nested(|p| p.bin(0))?;
-                self.expect_punct(")")?;
+                self.expect_punct(Punct::RParen)?;
                 Ok(inner)
             }
             _ => self.err("expected expression"),

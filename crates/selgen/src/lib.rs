@@ -18,9 +18,10 @@
 //!   pass computes, per ET node and non-terminal, the cheapest derivation
 //!   cost and the rule achieving it (with chain-rule closure), then a
 //!   top-down reduction emits the minimum-cost cover.  At each node it
-//!   visits only the buckets whose child heads the node's children
-//!   satisfy, and matches each right-hand side there once for every rule
-//!   that shares it.  Ties go to the rule with pairwise-distinct operand
+//!   reads the root's buckets from a dense index (no search), visits
+//!   only the buckets whose child heads the node's children satisfy, and
+//!   matches each right-hand side there once for every rule that shares
+//!   it.  Ties go to the rule with pairwise-distinct operand
 //!   non-terminals, then to the lowest rule id, so the cover is the one
 //!   a scan of every rule in id order finds.  When the tree has
 //!   none, [`Selector::diagnose`] labels it again and names the subtree

@@ -1,6 +1,9 @@
 //! The dynamic-programming tree parser.
 
-use record_grammar::{Et, EtKind, GPat, NodeIdx, NonTermId, RuleId, TermKey, TreeGrammar};
+use record_grammar::{
+    AssignKey, Et, EtKind, GPat, NodeIdx, NonTermId, RuleId, TermKey, TreeGrammar,
+};
+use record_rtl::OpKind;
 use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
@@ -163,20 +166,6 @@ impl Head {
         }
     }
 
-    /// The head of the terminal an ET node of `kind` is.
-    fn of_kind(kind: EtKind) -> Head {
-        Head::Term(match kind {
-            EtKind::Const(_) => return Head::Const,
-            EtKind::Assign(k) => TermKey::Assign(k),
-            EtKind::Store(s) => TermKey::Store(s),
-            EtKind::Op(o) => TermKey::Op(o),
-            EtKind::MemRead(s) => TermKey::MemRead(s),
-            EtKind::RegLeaf(s) => TermKey::RegLeaf(s),
-            EtKind::RfLeaf(s, _) => TermKey::RfLeaf(s),
-            EtKind::PortLeaf(p) => TermKey::PortLeaf(p),
-        })
-    }
-
     /// Can node `idx` meet a pattern node with this head?  A necessary
     /// condition of matching, checked before any pattern is walked.
     fn holds(self, et: &Et, idx: NodeIdx, labels: &LabelMatrix) -> bool {
@@ -224,6 +213,140 @@ struct Bucket {
     rhs: Range<u32>,
 }
 
+/// The terminal families whose roots [`RootIndex`] indexes densely.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    AssignReg,
+    AssignRegFile,
+    AssignPort,
+    Store,
+    Op,
+    MemRead,
+    RegLeaf,
+    RfLeaf,
+    PortLeaf,
+}
+
+const FAMILIES: usize = 9;
+
+/// Where a root terminal's buckets sit in a [`RootIndex`].
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// A constant: every hardwired value and immediate field.
+    Const,
+    /// A bit-slice operator, found by its bounds.
+    Slice(u16, u16),
+    /// Entry `.1` of a family's run: a storage id, a port id or an
+    /// operator's [`op_index`].
+    Dense(Family, usize),
+}
+
+impl Slot {
+    /// The slot of the ET nodes a root terminal `key` matches.
+    #[inline]
+    fn of_key(key: TermKey) -> Slot {
+        let (family, id) = match key {
+            TermKey::ConstVal(_) | TermKey::Imm { .. } => return Slot::Const,
+            TermKey::Op(OpKind::Slice(hi, lo)) => return Slot::Slice(hi, lo),
+            TermKey::Op(op) => (Family::Op, op_index(op)),
+            TermKey::Assign(AssignKey::Reg(s)) => (Family::AssignReg, s.0),
+            TermKey::Assign(AssignKey::RegFile(s)) => (Family::AssignRegFile, s.0),
+            TermKey::Assign(AssignKey::Port(p)) => (Family::AssignPort, p.0),
+            TermKey::Store(s) => (Family::Store, s.0),
+            TermKey::MemRead(s) => (Family::MemRead, s.0),
+            TermKey::RegLeaf(s) => (Family::RegLeaf, s.0),
+            TermKey::RfLeaf(s) => (Family::RfLeaf, s.0),
+            TermKey::PortLeaf(p) => (Family::PortLeaf, p.0),
+        };
+        Slot::Dense(family, id as usize)
+    }
+
+    /// The slot of an ET node of `kind`: its terminal's.
+    #[inline]
+    fn of_kind(kind: EtKind) -> Slot {
+        Slot::of_key(match kind {
+            EtKind::Const(v) => TermKey::ConstVal(v),
+            EtKind::Assign(k) => TermKey::Assign(k),
+            EtKind::Store(s) => TermKey::Store(s),
+            EtKind::Op(o) => TermKey::Op(o),
+            EtKind::MemRead(s) => TermKey::MemRead(s),
+            EtKind::RegLeaf(s) => TermKey::RegLeaf(s),
+            EtKind::RfLeaf(s, _) => TermKey::RfLeaf(s),
+            EtKind::PortLeaf(p) => TermKey::PortLeaf(p),
+        })
+    }
+}
+
+/// A dense index of the operators other than `Slice`.
+#[inline]
+fn op_index(op: OpKind) -> u32 {
+    match op {
+        OpKind::Add => 0,
+        OpKind::Sub => 1,
+        OpKind::Mul => 2,
+        OpKind::Div => 3,
+        OpKind::Rem => 4,
+        OpKind::And => 5,
+        OpKind::Or => 6,
+        OpKind::Xor => 7,
+        OpKind::Shl => 8,
+        OpKind::Shr => 9,
+        OpKind::Not => 10,
+        OpKind::Neg => 11,
+        OpKind::Eq => 12,
+        OpKind::Ne => 13,
+        OpKind::Lt => 14,
+        OpKind::Le => 15,
+        OpKind::Gt => 16,
+        OpKind::Ge => 17,
+        OpKind::Slice(..) => unreachable!("slices are found by their bounds"),
+    }
+}
+
+/// Each root terminal's buckets, a range of `Selector::buckets`, found
+/// without comparing heads: one run per terminal family, indexed by
+/// storage, port or operator; constants share one range, and slices,
+/// which carry their bounds, sit in a short list.
+#[derive(Debug, Clone, Default)]
+struct RootIndex {
+    constant: Range<u32>,
+    /// Per family; a root with no rule has an empty range.
+    runs: [Vec<Range<u32>>; FAMILIES],
+    /// `(hi, lo)` and the buckets of each slice root.
+    slices: Vec<((u16, u16), Range<u32>)>,
+}
+
+impl RootIndex {
+    /// Records the buckets of the right-hand sides rooted at `key`.
+    fn insert(&mut self, key: TermKey, buckets: Range<u32>) {
+        match Slot::of_key(key) {
+            Slot::Const => self.constant = buckets,
+            Slot::Slice(hi, lo) => self.slices.push(((hi, lo), buckets)),
+            Slot::Dense(family, id) => {
+                let run = &mut self.runs[family as usize];
+                if run.len() <= id {
+                    run.resize(id + 1, 0..0);
+                }
+                run[id] = buckets;
+            }
+        }
+    }
+
+    /// The buckets of the roots in `slot`.
+    #[inline]
+    fn get(&self, slot: Slot) -> Range<u32> {
+        match slot {
+            Slot::Const => self.constant.clone(),
+            Slot::Slice(hi, lo) => self
+                .slices
+                .iter()
+                .find(|(bounds, _)| *bounds == (hi, lo))
+                .map_or(0..0, |(_, r)| r.clone()),
+            Slot::Dense(family, id) => self.runs[family as usize].get(id).cloned().unwrap_or(0..0),
+        }
+    }
+}
+
 /// One distinct right-hand side and the rules that share it.
 #[derive(Debug, Clone)]
 struct Rhs {
@@ -252,19 +375,22 @@ fn range(r: &Range<u32>) -> Range<usize> {
 /// Generation precomputes everything `select` needs per node.  The
 /// grammar's rules are indexed by root terminal, then by the heads of
 /// the root's children (what each child must be: a non-terminal, a
-/// constant or a terminal), then by shared right-hand side:
-/// labelling visits only the buckets whose heads a node's children
-/// satisfy, and matches each right-hand side there once for all the
-/// rules that share it.  Every table is a flat vector sliced by ranges,
-/// and dynamic-programming labels go into a dense node-major matrix
-/// allocated in one piece.
+/// constant or a terminal), then by shared right-hand side.  A node
+/// finds its root's buckets in a dense index, one run per terminal
+/// family indexed by storage, port or operator, as iburg's labellers
+/// switch on a node's operator; labelling visits only the buckets whose
+/// heads the node's children satisfy, and matches each right-hand side
+/// there once for all the rules that share it, below the root the
+/// bucket has already matched.  Every table is a flat vector sliced by
+/// ranges, and dynamic-programming labels go into a dense node-major
+/// matrix allocated in one piece.
 #[derive(Debug, Clone)]
 pub struct Selector {
     /// The grammar this parser was generated from, owned here: the
     /// selector is the one holder of the rule set.
     grammar: TreeGrammar,
-    /// Per root head, ascending, its buckets: a range of `buckets`.
-    roots: Vec<(Head, Range<u32>)>,
+    /// Each root terminal's buckets.
+    roots: RootIndex,
     buckets: Vec<Bucket>,
     /// Distinct right-hand sides, bucket by bucket.
     rhs: Vec<Rhs>,
@@ -327,7 +453,9 @@ impl Selector {
             .collect();
         keys.sort_unstable();
 
-        let mut roots: Vec<(Head, Range<u32>)> = Vec::new();
+        // Each root's head, its terminal (constants share one head) and
+        // its buckets.
+        let mut roots: Vec<(Head, TermKey, Range<u32>)> = Vec::new();
         let mut buckets: Vec<Bucket> = Vec::new();
         let mut rhs = Vec::with_capacity(keys.len());
         let mut leaves = Vec::new();
@@ -349,17 +477,26 @@ impl Selector {
                     });
                     let b = buckets.len() as u32;
                     match roots.last_mut() {
-                        Some((root, r)) if *root == key.root => r.end = b,
-                        _ => roots.push((key.root, b - 1..b)),
+                        Some((head, _, r)) if *head == key.root => r.end = b,
+                        _ => {
+                            let GPat::T(term, _) = patterns[p as usize] else {
+                                unreachable!("chain rules are not keyed")
+                            };
+                            roots.push((key.root, term, b - 1..b));
+                        }
                     }
                 }
             }
             last = Some(key);
         }
+        let mut index = RootIndex::default();
+        for (_, term, r) in roots {
+            index.insert(term, r);
+        }
         let nt_count = grammar.nonterm_count();
         Selector {
             grammar,
-            roots,
+            roots: index,
             buckets,
             rhs,
             rules,
@@ -373,12 +510,12 @@ impl Selector {
         &self.grammar
     }
 
-    /// The buckets of the right-hand sides rooted at `head`.
-    fn buckets_at(&self, head: Head) -> &[Bucket] {
-        match self.roots.binary_search_by(|(root, _)| root.cmp(&head)) {
-            Ok(i) => &self.buckets[range(&self.roots[i].1)],
-            Err(_) => &[],
-        }
+    /// The buckets of the right-hand sides whose root terminal matches
+    /// an ET node of `kind`: one dense-index read, or for a slice a
+    /// search of the slice roots by bounds.
+    #[inline]
+    fn buckets_at(&self, kind: EtKind) -> &[Bucket] {
+        &self.buckets[range(&self.roots.get(Slot::of_kind(kind)))]
     }
 
     /// Computes a minimum-cost cover of `et`, or `None` when no
@@ -413,11 +550,20 @@ impl Selector {
     /// [`record_grammar::EtBuilder`], so index order is a valid bottom-up
     /// order.  The matrix is one dense allocation; rows are written in
     /// place, so labelling performs no per-node allocation at all.
+    ///
+    /// A node's buckets come from the root index, so a right-hand side
+    /// there already has the node's root terminal, and a bucket whose
+    /// arity and child heads the node's children meet has checked those
+    /// too: only the subpatterns under the root are matched.  A constant
+    /// root is the exception, as its bucket holds every hardwired value
+    /// and immediate field: it is matched whole, value and fit included.
     fn label(&self, et: &Et, stats: &mut SelectStats) -> LabelMatrix {
         let mut labels = LabelMatrix::new(et.len(), self.nt_count);
         for idx in 0..et.len() {
+            let kind = et.kind(idx);
+            let const_root = matches!(kind, EtKind::Const(_));
             let children = et.children(idx);
-            for bucket in self.buckets_at(Head::of_kind(et.kind(idx))) {
+            for bucket in self.buckets_at(kind) {
                 if bucket.arity != children.len()
                     || !bucket
                         .heads
@@ -430,7 +576,13 @@ impl Selector {
                 for rhs in &self.rhs[range(&bucket.rhs)] {
                     stats.rules_tried += 1;
                     let pat = &self.grammar.patterns()[rhs.pattern as usize];
-                    let Some(child_cost) = self.match_cost(pat, et, idx, &labels) else {
+                    let child_cost = match pat {
+                        GPat::T(_, kids) if !const_root => {
+                            self.kids_cost(kids, children, et, &labels)
+                        }
+                        _ => self.match_cost(pat, et, idx, &labels),
+                    };
+                    let Some(child_cost) = child_cost else {
                         continue;
                     };
                     let diversity = rhs.diversity;
@@ -513,13 +665,27 @@ impl Selector {
                 if children.len() != kids.len() {
                     return None;
                 }
-                let mut total = 0u32;
-                for (kpat, &kidx) in kids.iter().zip(children) {
-                    total = total.saturating_add(self.match_cost(kpat, et, kidx, labels)?);
-                }
-                Some(total)
+                self.kids_cost(kids, children, et, labels)
             }
         }
+    }
+
+    /// Cost of matching the subpatterns `kids` of a terminal pattern at
+    /// `children`, one node each: the part of [`Selector::match_cost`]
+    /// below the root.
+    #[inline]
+    fn kids_cost(
+        &self,
+        kids: &[GPat],
+        children: &[NodeIdx],
+        et: &Et,
+        labels: &LabelMatrix,
+    ) -> Option<u32> {
+        let mut total = 0u32;
+        for (kpat, &kidx) in kids.iter().zip(children) {
+            total = total.saturating_add(self.match_cost(kpat, et, kidx, labels)?);
+        }
+        Some(total)
     }
 
     /// Collects non-terminal leaf bindings of a matching pattern.
@@ -609,7 +775,7 @@ impl Selector {
                 // (missing hardware) from "rules exist but none fit here"
                 // (a selector gap).
                 let missing_op = match et.kind(idx) {
-                    EtKind::Op(o) if self.buckets_at(Head::Term(TermKey::Op(o))).is_empty() => {
+                    EtKind::Op(o) if self.buckets_at(EtKind::Op(o)).is_empty() => {
                         Some(o.mnemonic())
                     }
                     _ => None,
